@@ -170,7 +170,8 @@ let run_experiments names benchmark_names approach_names csv_dir json_path
       (Mi_obs_cli.load_profile_in ~app:"mi-experiments" ocli
         : Mi_obs.Profile.t option);
     let h =
-      Harness.create ~jobs ?cache_dir ~obs:(Mi_obs_cli.create_obs ocli)
+      Harness.create ~jobs ?cache_dir
+        ~obs:(Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli)
         ~faults:fcli.Mi_fault_cli.faults
         ?job_timeout:fcli.Mi_fault_cli.job_timeout
         ~retries:fcli.Mi_fault_cli.retries

@@ -75,7 +75,7 @@ let run_file ~ocli ~(fcli : Mi_fault_cli.t) ~approaches ~optimize file =
   (* one observability context across every approach: counters are
      prefixed (sb./lf./tp.) and sites carry their approach, so the
      registries compose; the trace then shows each compile+run pipeline *)
-  let obs = Mi_obs_cli.create_obs ocli in
+  let obs = Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli in
   ignore (Mi_obs_cli.load_profile_in ~app:"memsafe" ocli : Mi_obs.Profile.t option);
   let bad = ref false in
   let exhausted = ref false in

@@ -20,6 +20,10 @@ module Pipeline = Mi_passes.Pipeline
 module Obs = Mi_obs.Obs
 module Fault = Mi_faultkit.Fault
 
+(* Harness contexts trace on the wall clock: under worker domains the
+   default processor-time clock counts every domain's time at once. *)
+let new_obs ?coverage () = Obs.create ~clock:Mi_support.Mclock.now ?coverage ()
+
 (** How the VM dispatches runtime-intrinsic calls: [Fast] (the default)
     lets the loader fuse check calls into superinstructions; [Generic]
     forces every call through the boxed builtin path
@@ -202,7 +206,7 @@ let execute ?(faults = Fault.none) ?deadline ~obs (setup : setup)
     share one across runs (e.g. to export a trace spanning compile and
     execute, or to accumulate metrics).  This entry point never consults
     a cache — sessions do ({!run}, {!run_jobs}). *)
-let run_sources ?(obs = Obs.create ()) ?(faults = Fault.none) ?budget
+let run_sources ?(obs = new_obs ()) ?(faults = Fault.none) ?budget
     (setup : setup) (sources : Bench.source list) : run =
   let modules, stats = compile ~faults ~obs setup sources in
   let deadline =
@@ -210,7 +214,7 @@ let run_sources ?(obs = Obs.create ()) ?(faults = Fault.none) ?budget
   in
   execute ~faults ?deadline ~obs setup modules ~static_stats:stats
 
-let run_benchmark ?(obs = Obs.create ()) (setup : setup) (b : Bench.t) : run
+let run_benchmark ?(obs = new_obs ()) (setup : setup) (b : Bench.t) : run
     =
   Mi_obs.Trace.with_span obs.Obs.trace ~cat:"benchmark"
     ("benchmark:" ^ b.name)
@@ -324,7 +328,7 @@ let create ?jobs ?cache_dir ?cache ?obs ?(faults = Fault.none) ?job_timeout
   | Some how -> ignore (Icache.corrupt cache how)
   | None -> ());
   {
-    s_obs = (match obs with Some o -> o | None -> Obs.create ());
+    s_obs = (match obs with Some o -> o | None -> new_obs ());
     s_cache = cache;
     s_jobs =
       (match jobs with Some j -> max 1 j | None -> default_jobs ());
@@ -485,7 +489,7 @@ let attempt_job t ~job_desc ~wid (setup : setup) (b : Bench.t) : Obs.t * run =
         Domain.cpu_relax ()
       done
   | None -> ());
-  let obs = Obs.create ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
+  let obs = new_obs ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
   Mi_obs.Trace.set_thread obs.Obs.trace ~tid:(wid + 1)
     ~name:(if wid = 0 then "main" else Printf.sprintf "worker-%d" wid);
   (obs, run_cached ?deadline t ~obs setup b)

@@ -1,7 +1,7 @@
 (** Deterministic per-function block/edge coverage maps.  See the
     interface for the registration/keying contract; the implementation
-    mirrors {!Site}: dense arrays on the hot path, descriptor-keyed
-    accumulation on {!merge}. *)
+    mirrors {!Site}: dense arrays on the hot path, a persistent
+    descriptor index for {!register_fn} and {!merge}. *)
 
 type fn = {
   f_name : string;
@@ -11,9 +11,37 @@ type fn = {
   f_edges : int array;  (** flat per-edge hit counters *)
 }
 
-type t = { mutable fns : fn list  (** most recently registered first *) }
+let same_geometry a b = a.f_name = b.f_name && a.f_succ = b.f_succ
 
-let create () = { fns = [] }
+(* Generated programs reuse function names and often share a geometry
+   prefix, and [Hashtbl.hash] stops after 10 meaningful words, so the
+   key hash folds in every successor of every block. *)
+let geometry_hash f =
+  let h = ref (Hashtbl.hash f.f_name) in
+  Array.iter
+    (fun s ->
+      h := (!h * 65599) + Array.length s;
+      Array.iter (fun d -> h := (!h * 31) + d) s)
+    f.f_succ;
+  !h land max_int
+
+module Index = Hashtbl.Make (struct
+  type t = fn
+
+  let equal = same_geometry
+  let hash = geometry_hash
+end)
+
+type t = {
+  mutable fns : fn list;  (** most recently registered first *)
+  index : fn Index.t;  (** (name, geometry) -> the entry in [fns] *)
+}
+
+let create () = { fns = []; index = Index.create 16 }
+
+let add t f =
+  t.fns <- f :: t.fns;
+  Index.add t.index f f
 
 let n_edges succ = Array.fold_left (fun n s -> n + Array.length s) 0 succ
 
@@ -27,11 +55,9 @@ let ebase_of succ =
   done;
   base
 
-let same_geometry a b = a.f_name = b.f_name && a.f_succ = b.f_succ
-
 let register_fn t ~name ~succ =
   let probe = { f_name = name; f_succ = succ; f_ebase = [||]; f_blocks = [||]; f_edges = [||] } in
-  match List.find_opt (same_geometry probe) t.fns with
+  match Index.find_opt t.index probe with
   | Some f -> f
   | None ->
       let f =
@@ -43,7 +69,7 @@ let register_fn t ~name ~succ =
           f_edges = Array.make (n_edges succ) 0;
         }
       in
-      t.fns <- f :: t.fns;
+      add t f;
       f
 
 let enter f b =
@@ -185,18 +211,17 @@ let merge dst src =
   if dst == src then invalid_arg "Coverage.merge: dst and src are the same";
   List.iter
     (fun sf ->
-      match List.find_opt (same_geometry sf) dst.fns with
+      match Index.find_opt dst.index sf with
       | Some df -> add_into df sf
       | None ->
-          dst.fns <-
+          add dst
             {
               sf with
               f_succ = Array.map Array.copy sf.f_succ;
               f_ebase = Array.copy sf.f_ebase;
               f_blocks = Array.copy sf.f_blocks;
               f_edges = Array.copy sf.f_edges;
-            }
-            :: dst.fns)
+            })
     (* oldest first, so registration order is preserved in [dst] *)
     (List.rev src.fns)
 

@@ -29,7 +29,9 @@ val register_fn : t -> name:string -> succ:int array array -> fn
 (** [register_fn t ~name ~succ] registers (or re-finds) the function
     [name] whose block [i] has successors [succ.(i)].  Edge ids are the
     positions of a flat array laid out block by block in successor
-    order, so the id assignment is a pure function of the geometry. *)
+    order, so the id assignment is a pure function of the geometry.
+    The lookup goes through a (name, geometry) index hashed over the
+    whole geometry: cost O(geometry), independent of the registry size. *)
 
 val enter : fn -> int -> unit
 (** Record entry into block [b] with no incoming edge (function
@@ -106,7 +108,9 @@ val merge : t -> t -> unit
 (** [merge dst src] adds the counters of [src] into [dst]: functions
     with identical descriptors add element-wise, unmatched functions
     are copied over.  Associative and commutative up to snapshot order.
-    Raises [Invalid_argument] when [dst == src]. *)
+    Raises [Invalid_argument] when [dst == src].  Cost is O(|src|):
+    [dst] finds each function through its persistent (name, geometry)
+    index, never by scanning what it already holds. *)
 
 val snapshot_to_json : snapshot -> Json.t
 val to_json : t -> Json.t

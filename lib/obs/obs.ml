@@ -19,9 +19,11 @@ type t = {
   mutable coverage : Coverage.t option;
 }
 
-let create ?(coverage = false) () =
+(** [clock] is the tracer's clock ({!Trace.create}); timestamps are
+    never part of a deterministic output, so any clock will do. *)
+let create ?clock ?(coverage = false) () =
   {
-    trace = Trace.create ();
+    trace = Trace.create ?clock ();
     metrics = Metrics.create ();
     sites = Site.create ();
     coverage = (if coverage then Some (Coverage.create ()) else None);
@@ -36,7 +38,10 @@ let create ?(coverage = false) () =
     parallel harness give every worker a private context and still
     produce one deterministic aggregate: contexts are merged in job
     order, not completion order.  A [src] that recorded coverage turns
-    it on in [dst] too.  Raises [Invalid_argument] when [dst == src]. *)
+    it on in [dst] too.  Raises [Invalid_argument] when [dst == src].
+    Costs amortised O(|src|): every component merge updates [dst] in
+    place through lookups, so a long-lived session pays per job only for
+    what the job recorded. *)
 let merge dst src =
   if dst == src then invalid_arg "Obs.merge: dst and src are the same";
   Trace.merge dst.trace src.trace;

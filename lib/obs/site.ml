@@ -23,13 +23,30 @@ type cell = {
   mutable c_cycles : int;  (** modeled cycles spent in the check *)
 }
 
+(* Descriptor index for {!merge}, keyed on the [info] records the
+   registry already holds: an entry costs one bucket, no key copy. *)
+module Index = Hashtbl.Make (struct
+  type t = info
+
+  let equal a b =
+    a.si_id = b.si_id
+    && String.equal a.si_func b.si_func
+    && String.equal a.si_construct b.si_construct
+    && String.equal a.si_approach b.si_approach
+
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   mutable infos : info array;
   mutable cells : cell array;
   mutable n : int;
+  index : int Index.t;  (** descriptor -> slot, for slots [0..indexed-1] *)
+  mutable indexed : int;
 }
 
-let create () = { infos = [||]; cells = [||]; n = 0 }
+let create () =
+  { infos = [||]; cells = [||]; n = 0; index = Index.create 16; indexed = 0 }
 
 let count t = t.n
 
@@ -85,17 +102,20 @@ let register_info t (inf : info) =
     set of (descriptor, cells) pairs; only the slot order — and hence
     {!snapshot} order — depends on merge order.  Merged registries are
     aggregates for reporting: do not use them for further {!hit}
-    attribution (slots may no longer coincide with recorded ids). *)
+    attribution (slots may no longer coincide with recorded ids).
+
+    Cost is amortised O(|src|): [dst] keeps its descriptor index across
+    merges and only indexes the slots registered since the last one, so
+    {!register} never touches the index.  A descriptor registered twice
+    in [dst] resolves to its last slot. *)
 let merge dst src =
   if dst == src then invalid_arg "Site.merge: dst and src are the same";
-  let key (i : info) = (i.si_id, i.si_func, i.si_construct, i.si_approach) in
-  let idx = Hashtbl.create (max 16 dst.n) in
-  for i = 0 to dst.n - 1 do
-    Hashtbl.replace idx (key dst.infos.(i)) i
+  for i = dst.indexed to dst.n - 1 do
+    Index.replace dst.index dst.infos.(i) i
   done;
   for j = 0 to src.n - 1 do
     let inf = src.infos.(j) and c = src.cells.(j) in
-    match Hashtbl.find_opt idx (key inf) with
+    match Index.find_opt dst.index inf with
     | Some i ->
         let d = dst.cells.(i) in
         d.c_hits <- d.c_hits + c.c_hits;
@@ -108,8 +128,9 @@ let merge dst src =
         dst.cells.(slot) <-
           { c_hits = c.c_hits; c_wide = c.c_wide; c_cycles = c.c_cycles };
         dst.n <- dst.n + 1;
-        Hashtbl.replace idx (key inf) slot
-  done
+        Index.add dst.index inf slot
+  done;
+  dst.indexed <- dst.n
 
 (** Attribute one executed check to site [id].  Unknown ids (a program
     instrumented against a different registry, or an un-instrumented

@@ -38,7 +38,11 @@ val merge : t -> t -> unit
 (** [merge dst src]: sites with an identical descriptor add their cells,
     others are appended.  Associative and order-insensitive up to
     {!snapshot} order (the set of (descriptor, counts) pairs is the
-    same under any merge order).  Raises when [dst == src]. *)
+    same under any merge order).  Raises when [dst == src].
+
+    Amortised O(|src|): [dst] keeps a descriptor index across merges and
+    indexes only the slots added by {!register}/{!register_info} since
+    the previous merge, so no call does work proportional to [dst]. *)
 
 type snapshot = {
   sn_id : int;

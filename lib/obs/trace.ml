@@ -1,8 +1,9 @@
 (** Span tracer with Chrome [trace_event] JSON export.
 
     Spans nest (compile > pipeline > pass) and carry key/value arguments
-    such as per-pass instruction-count deltas.  Timestamps come from
-    {!Sys.time} (processor time, the only clock the stdlib offers) and
+    such as per-pass instruction-count deltas.  Timestamps come from the
+    clock given to {!create} — {!Sys.time} (processor time, the only
+    clock the stdlib offers) unless the caller injects a wall clock — and
     are reported in microseconds; the arguments — not the timestamps —
     are the deterministic part of a trace.
 
@@ -40,6 +41,7 @@ type open_span = {
 type t = {
   mutable events : event list;  (** completed, most recent first *)
   mutable stack : open_span list;
+  clock : unit -> float;  (** seconds *)
   epoch : float;
   mutable tid : int;
   mutable threads : (int * string) list;  (** tid -> label *)
@@ -47,10 +49,10 @@ type t = {
 
 let process_name = "meminstrument"
 
-let now_us t = (Sys.time () -. t.epoch) *. 1e6
+let now_us t = (t.clock () -. t.epoch) *. 1e6
 
-let create () =
-  { events = []; stack = []; epoch = Sys.time (); tid = 1; threads = [] }
+let create ?(clock = Sys.time) () =
+  { events = []; stack = []; clock; epoch = clock (); tid = 1; threads = [] }
 
 let set_thread t ~tid ~name =
   t.tid <- tid;

@@ -19,7 +19,12 @@ type event = {
 
 type t
 
-val create : unit -> t
+val create : ?clock:(unit -> float) -> unit -> t
+(** [clock] returns seconds and defaults to {!Sys.time}, processor time
+    of the whole process.  Under worker domains processor time runs
+    faster than the wall, so multi-domain callers pass a wall clock
+    (e.g. [Mi_support.Mclock.now]) to make span durations mean wall
+    time. *)
 
 val set_thread : t -> tid:int -> name:string -> unit
 (** Label this tracer's events with [tid] and record the

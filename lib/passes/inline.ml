@@ -48,6 +48,10 @@ let directly_recursive (f : Func.t) =
 let is_const_operand (v : Value.t) =
   match v with Value.Var _ -> false | _ -> true
 
+(* The label a callee block [l] gets when spliced in with [uid]; the
+   continuation block is [inl_label uid "cont"]. *)
+let inl_label uid l = Printf.sprintf "inl%d_%s" uid l
+
 (* Splice callee into caller at the given call site.  Returns false if the
    site shape is unexpected. *)
 let inline_site (caller : Func.t) (callee : Func.t) ~(block : string)
@@ -79,14 +83,14 @@ let inline_site (caller : Func.t) (callee : Func.t) ~(block : string)
     (fun (bb : Block.t) ->
       List.iter (fun v -> ignore (fresh_var v)) (Block.defs bb))
     callee.blocks;
-  let label_of l = Printf.sprintf "inl%d_%s" uid l in
+  let label_of = inl_label uid in
   let map_v (v : Value.t) =
     match v with
     | Value.Var x -> (
         match Value.VTbl.find_opt vmap x with Some r -> r | None -> v)
     | _ -> v
   in
-  let cont_label = Printf.sprintf "inl%d_cont" uid in
+  let cont_label = inl_label uid "cont" in
   let rets = ref [] in
   let copied =
     List.map
@@ -222,6 +226,18 @@ let inline_site (caller : Func.t) (callee : Func.t) ~(block : string)
   | None -> ());
   true
 
+(* The smallest uid >= [uid] whose spliced labels are all absent from
+   [caller].  The uid counter restarts on every run of the pass, and a
+   pipeline that runs the pass twice would otherwise reuse labels the
+   first run spliced in. *)
+let rec fresh_uid (caller : Func.t) (callee : Func.t) uid =
+  let taken l = Option.is_some (Func.find_block caller (inl_label uid l)) in
+  if
+    taken "cont"
+    || List.exists (fun (bb : Block.t) -> taken bb.label) callee.blocks
+  then fresh_uid caller callee (uid + 1)
+  else uid
+
 let run (m : Irmod.t) : bool =
   let taken = address_taken m in
   let inlinable : (string, Func.t) Hashtbl.t = Hashtbl.create 16 in
@@ -264,12 +280,10 @@ let run (m : Irmod.t) : bool =
             match !site with
             | None -> continue_ := false
             | Some (block, pos, callee) ->
-                incr uid;
+                let callee = Hashtbl.find inlinable callee in
+                uid := fresh_uid caller callee (!uid + 1);
                 decr budget;
-                if
-                  inline_site caller
-                    (Hashtbl.find inlinable callee)
-                    ~block ~pos ~uid:!uid
+                if inline_site caller callee ~block ~pos ~uid:!uid
                 then changed := true
                 else continue_ := false
           done

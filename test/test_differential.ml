@@ -326,6 +326,24 @@ let test_inlined_call_in_do_while_loop () =
         (tag ^ " output") ref_run.Harness.output r.Harness.output)
     [ "O1"; "O3"; "O3+sb"; "O3+lf"; "O3+tp" ]
 
+(* Duplicate inliner labels (see test_passes.ml): the second inline run
+   of the -O3 fixpoint reused the uids of the first.  Seeds 300065,
+   350185 and 750274 crashed every O3 compile with "merge_blocks: phi
+   arity mismatch"; seed 600045 compiled, and its O3 output differed
+   from O0 under every instrumented variant.  Each program and its
+   mutant must clear the whole oracle matrix. *)
+let test_duplicate_inline_labels seed () =
+  let r =
+    Fuzz.run (Fuzz.campaign ~seeds:(seed, seed) ~mutants:(seed, seed) ())
+  in
+  (match r.Fuzz.r_findings with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.failf "seed %d: %s" seed (Oracle.finding_to_string f));
+  let _killed, _whitelisted, missed = Fuzz.count_mutants r.Fuzz.r_mutants in
+  Alcotest.(check int) "missed detections" 0 missed;
+  Alcotest.(check bool) "campaign ok" true (Fuzz.ok r)
+
 let () =
   Alcotest.run "differential"
     [
@@ -356,5 +374,11 @@ let () =
         [
           Alcotest.test_case "inline into do-while self-loop" `Quick
             test_inlined_call_in_do_while_loop;
-        ] );
+        ]
+        @ List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf "inline label reuse, seed %d" seed)
+                `Slow (test_duplicate_inline_labels seed))
+            [ 300065; 350185; 600045; 750274 ] );
     ]

@@ -42,6 +42,39 @@ let test_with_span_exception_safe () =
     (Trace.balanced tr);
   Alcotest.(check int) "event recorded" 1 (Trace.event_count tr)
 
+(* An injected clock drives every timestamp: a fake clock that ticks
+   one second per reading gives exactly-known starts and durations. *)
+let test_injected_clock () =
+  let now = ref 10.0 in
+  let clock () =
+    let t = !now in
+    now := t +. 1.0;
+    t
+  in
+  let tr = Trace.create ~clock () in
+  Trace.with_span tr "outer" (fun () -> Trace.with_span tr "inner" ignore);
+  let evs =
+    match Option.bind (Json.member "traceEvents" (Trace.to_json tr)) Json.to_list with
+    | Some l -> l
+    | None -> Alcotest.fail "no traceEvents array"
+  in
+  let ts_dur name =
+    List.find_map
+      (fun e ->
+        match (Json.member "name" e, Json.member "ts" e, Json.member "dur" e) with
+        | Some (Json.Str n), Some (Json.Float ts), Some (Json.Float d)
+          when n = name ->
+            Some (ts, d)
+        | _ -> None)
+      evs
+  in
+  (* readings: epoch 10, outer start 11, inner start 12, inner end 13,
+     outer end 14 *)
+  Alcotest.(check (option (pair (float 0.) (float 0.))))
+    "outer" (Some (1e6, 3e6)) (ts_dur "outer");
+  Alcotest.(check (option (pair (float 0.) (float 0.))))
+    "inner" (Some (2e6, 1e6)) (ts_dur "inner")
+
 (* A pipeline run must leave a well-formed Chrome trace with at least
    one span per pass that ran. *)
 let test_trace_json_wellformed () =
@@ -405,6 +438,7 @@ let () =
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "mismatch raises" `Quick test_span_mismatch_raises;
+          Alcotest.test_case "injected clock" `Quick test_injected_clock;
           Alcotest.test_case "with_span exception-safe" `Quick
             test_with_span_exception_safe;
           Alcotest.test_case "trace JSON well-formed" `Quick

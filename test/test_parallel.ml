@@ -7,7 +7,8 @@
       still reproduces the run (counters, cycles, per-site profile)
       exactly, in memory and across sessions via the on-disk cache;
    3. Obs.merge is associative and order-insensitive on disjoint and
-      overlapping registries.
+      overlapping registries, and its indexed merges equal the
+      scanning reference merges.
 
    Plus the sorted-array Harness.counter lookup. *)
 
@@ -366,6 +367,263 @@ let test_profile_byte_identical () =
     [ 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* 3d. indexed merges equal the reference scans                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference merges: the algorithms the registries used before they kept
+   a persistent index.  [ref_site_merge] rebuilds a descriptor table over
+   the whole of [dst] on every call; [ref_cov_merge] scans [dst] for each
+   function of [src].  Both work on snapshots, so they share nothing with
+   the registries' internals. *)
+
+let site_key (s : Site.snapshot) =
+  (s.Site.sn_id, s.Site.sn_func, s.Site.sn_construct, s.Site.sn_approach)
+
+let ref_site_merge (dst : Site.snapshot array) (src : Site.snapshot list) =
+  let idx = Hashtbl.create 16 in
+  Array.iteri (fun i s -> Hashtbl.replace idx (site_key s) i) dst;
+  List.fold_left
+    (fun dst (s : Site.snapshot) ->
+      match Hashtbl.find_opt idx (site_key s) with
+      | Some i ->
+          let d = dst.(i) in
+          dst.(i) <-
+            {
+              d with
+              Site.sn_hits = d.Site.sn_hits + s.Site.sn_hits;
+              sn_wide = d.Site.sn_wide + s.Site.sn_wide;
+              sn_cycles = d.Site.sn_cycles + s.Site.sn_cycles;
+            };
+          dst
+      | None ->
+          Hashtbl.replace idx (site_key s) (Array.length dst);
+          Array.append dst [| s |])
+    dst src
+
+let ref_site_append dst ~id ~func ~construct ~approach =
+  Array.append dst
+    [|
+      {
+        Site.sn_id = id;
+        sn_func = func;
+        sn_construct = construct;
+        sn_approach = approach;
+        sn_hits = 0;
+        sn_wide = 0;
+        sn_cycles = 0;
+      };
+    |]
+
+(* [dst] holds the reference's own counters, most recently added first *)
+let ref_cov_find dst ~name ~succ =
+  match
+    List.find_opt
+      (fun (d : Coverage.snapshot) ->
+        d.Coverage.cv_func = name && d.Coverage.cv_succ = succ)
+      !dst
+  with
+  | Some d -> d
+  | None ->
+      let d =
+        {
+          Coverage.cv_func = name;
+          cv_succ = succ;
+          cv_block_hits = Array.make (Array.length succ) 0;
+          cv_edge_hits =
+            Array.make (Array.fold_left (fun n s -> n + Array.length s) 0 succ) 0;
+        }
+      in
+      dst := d :: !dst;
+      d
+
+let ref_cov_merge dst (src : Coverage.snapshot list) =
+  List.iter
+    (fun (s : Coverage.snapshot) ->
+      let d =
+        ref_cov_find dst ~name:s.Coverage.cv_func ~succ:s.Coverage.cv_succ
+      in
+      let add a b = Array.iteri (fun i v -> a.(i) <- a.(i) + v) b in
+      add d.Coverage.cv_block_hits s.Coverage.cv_block_hits;
+      add d.Coverage.cv_edge_hits s.Coverage.cv_edge_hits)
+    src
+
+let ref_cov_snapshot dst =
+  List.sort
+    (fun (a : Coverage.snapshot) (b : Coverage.snapshot) ->
+      compare (a.Coverage.cv_func, a.Coverage.cv_succ)
+        (b.Coverage.cv_func, b.Coverage.cv_succ))
+    (List.map
+       (fun (d : Coverage.snapshot) ->
+         {
+           d with
+           Coverage.cv_block_hits = Array.copy d.Coverage.cv_block_hits;
+           cv_edge_hits = Array.copy d.Coverage.cv_edge_hits;
+         })
+       !dst)
+
+(* Small descriptor pools, so that random registries collide often. *)
+let pick rng a = a.(Random.State.int rng (Array.length a))
+let site_funcs = [| "main"; "f0"; "f1" |]
+let site_constructs = [| "load@bb0:1"; "store@bb1:2"; "gep@bb2:0" |]
+let site_approaches = [| "softbound"; "lowfat" |]
+
+let random_descr rng =
+  (pick rng site_funcs, pick rng site_constructs, pick rng site_approaches)
+
+let random_sites ?(t = Site.create ()) rng =
+  for _ = 1 to Random.State.int rng 6 do
+    let func, construct, approach = random_descr rng in
+    if Random.State.bool rng then
+      ignore (Site.register t ~func ~construct ~approach : int)
+    else
+      Site.register_info t
+        {
+          Site.si_id = Random.State.int rng 8;
+          si_func = func;
+          si_construct = construct;
+          si_approach = approach;
+        }
+  done;
+  for _ = 1 to Random.State.int rng 10 do
+    Site.hit t
+      (Random.State.int rng (Site.count t + 1))
+      ~wide:(Random.State.bool rng) ~cycles:(Random.State.int rng 50)
+  done;
+  t
+
+(* The long geometries share their first 16 blocks — more than
+   [Hashtbl.hash] looks at — and every geometry is registered under
+   both names, so lookups go through same-name, different-geometry
+   entries, and enough of them to share hash buckets. *)
+let chain n last = Array.init n (fun i -> if i = n - 1 then last else [| i + 1 |])
+
+let cov_geoms =
+  Array.of_list
+    (cov_geom :: [| [||] |]
+    :: List.concat_map
+         (fun n ->
+           List.map (chain n)
+             [ [||]; [| 0 |]; [| 1 |]; [| 2 |]; [| 0; 1 |]; [| 0; 2 |] ])
+         [ 3; 17 ])
+
+let cov_names = [| "main"; "f0" |]
+
+let random_hits rng f succ =
+  Coverage.enter f 0;
+  for _ = 1 to Random.State.int rng 6 do
+    let src = Random.State.int rng (Array.length succ) in
+    if succ.(src) <> [||] then
+      Coverage.transition f ~src ~dst:(pick rng succ.(src))
+  done
+
+let random_cov ?(t = Coverage.create ()) rng =
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    let succ = pick rng cov_geoms in
+    random_hits rng (Coverage.register_fn t ~name:(pick rng cov_names) ~succ) succ
+  done;
+  t
+
+let check_sites msg (t : Site.t) (r : Site.snapshot array) =
+  let got = Site.snapshot t and want = Array.to_list r in
+  Alcotest.(check bool) (msg ^ ": snapshot") true (got = want);
+  Alcotest.(check string) (msg ^ ": JSON")
+    (Mi_obs.Json.to_string (Site.to_json want))
+    (Mi_obs.Json.to_string (Site.to_json got))
+
+let check_cov msg (t : Coverage.t) r =
+  let got = Coverage.snapshot t and want = ref_cov_snapshot r in
+  Alcotest.(check bool) (msg ^ ": snapshot") true (got = want);
+  Alcotest.(check string) (msg ^ ": JSON")
+    (Mi_obs.Json.to_string
+       (Mi_obs.Json.List (List.map Coverage.snapshot_to_json want)))
+    (Mi_obs.Json.to_string (Coverage.to_json t))
+
+(* Random interleavings of register / register_info / merge (fresh or
+   repeated source) on one session registry; after every step its
+   snapshot and JSON equal the reference's. *)
+let test_site_merge_matches_reference () =
+  for seed = 1 to 40 do
+    let rng = Random.State.make [| seed |] in
+    let dst = Site.create () and r = ref [||] in
+    let last = ref (Site.create ()) in
+    for step = 1 to 30 do
+      let func, construct, approach = random_descr rng in
+      (match Random.State.int rng 4 with
+      | 0 ->
+          let id = Site.register dst ~func ~construct ~approach in
+          r := ref_site_append !r ~id ~func ~construct ~approach
+      | 1 ->
+          let id = Random.State.int rng 8 in
+          Site.register_info dst
+            {
+              Site.si_id = id;
+              si_func = func;
+              si_construct = construct;
+              si_approach = approach;
+            };
+          r := ref_site_append !r ~id ~func ~construct ~approach
+      | 2 ->
+          Site.merge dst !last;
+          r := ref_site_merge !r (Site.snapshot !last)
+      | _ ->
+          last := random_sites rng;
+          Site.merge dst !last;
+          r := ref_site_merge !r (Site.snapshot !last));
+      check_sites (Printf.sprintf "seed %d step %d" seed step) dst !r
+    done
+  done
+
+let test_coverage_merge_matches_reference () =
+  for seed = 1 to 40 do
+    let rng = Random.State.make [| seed |] in
+    let dst = Coverage.create () and r = ref [] in
+    let last = ref (Coverage.create ()) in
+    for step = 1 to 30 do
+      (match Random.State.int rng 3 with
+      | 0 ->
+          (* a session-side registration finds merged entries too *)
+          let name = pick rng cov_names and succ = pick rng cov_geoms in
+          Coverage.enter (Coverage.register_fn dst ~name ~succ) 0;
+          let d = ref_cov_find r ~name ~succ in
+          d.Coverage.cv_block_hits.(0) <- d.Coverage.cv_block_hits.(0) + 1
+      | 1 ->
+          Coverage.merge dst !last;
+          ref_cov_merge r (Coverage.snapshot !last)
+      | _ ->
+          last := random_cov rng;
+          Coverage.merge dst !last;
+          ref_cov_merge r (Coverage.snapshot !last));
+      check_cov (Printf.sprintf "seed %d step %d" seed step) dst r
+    done
+  done
+
+(* Obs.merge into a fresh context (no sites, no coverage registry) and
+   then again into the now-populated one. *)
+let test_obs_merge_into_empty_matches_reference () =
+  let rng = Random.State.make [| 7 |] in
+  let mk () =
+    let o = Obs.create ~coverage:true () in
+    ignore (random_sites ~t:o.Obs.sites rng : Site.t);
+    Option.iter (fun t -> ignore (random_cov ~t rng : Coverage.t)) o.Obs.coverage;
+    o
+  in
+  let dst = Obs.create () in
+  let rs = ref [||] and rc = ref [] in
+  for round = 1 to 3 do
+    let src = mk () in
+    Obs.merge dst src;
+    rs := ref_site_merge !rs (Site.snapshot src.Obs.sites);
+    (match src.Obs.coverage with
+    | Some c -> ref_cov_merge rc (Coverage.snapshot c)
+    | None -> ());
+    let msg = Printf.sprintf "round %d" round in
+    check_sites msg dst.Obs.sites !rs;
+    match dst.Obs.coverage with
+    | Some c -> check_cov msg c rc
+    | None -> Alcotest.fail "merge dropped the coverage registry"
+  done
+
+(* ------------------------------------------------------------------ *)
 (* 4. sorted-array counter lookup                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,6 +679,15 @@ let () =
             test_coverage_merge_self_rejected;
           Alcotest.test_case "Obs.merge carries coverage" `Quick
             test_obs_merge_carries_coverage;
+        ] );
+      ( "indexed-merge",
+        [
+          Alcotest.test_case "Site.merge equals rebuild-per-call" `Quick
+            test_site_merge_matches_reference;
+          Alcotest.test_case "Coverage.merge equals list scan" `Quick
+            test_coverage_merge_matches_reference;
+          Alcotest.test_case "Obs.merge into empty dst" `Quick
+            test_obs_merge_into_empty_matches_reference;
         ] );
       ( "profiles",
         [

@@ -566,6 +566,42 @@ exit:
   Mi_analysis.Domcheck.assert_valid m;
   Alcotest.(check int) "call inlined" 0 (count_instrs m (has_call "inc"))
 
+(* fuzz seeds 300065, 350185, 600045, 750274: the inliner's label uid
+   restarted at 1 on every run of the pass, so the second [inline] of the
+   -O3 fixpoint spliced in a second [inl1_entry]/[inl1_cont].  Branches to
+   the duplicated label resolved to the first block: simplifycfg then
+   found a phi with an incoming edge from the wrong block ("merge_blocks:
+   phi arity mismatch"), or the program silently ran the wrong code.  The
+   caller below already holds the labels an earlier run spliced in. *)
+let test_inline_labels_fresh_across_runs () =
+  let m =
+    parse
+      {|
+module "t"
+func @inc(%x.0 : i64) -> i64 {
+entry:
+  %r.1 = add i64 %x.0, 1:i64
+  ret %r.1
+}
+func @f() -> i64 {
+entry:
+  br inl1_entry
+inl1_entry:
+  %a.1 = add i64 1:i64, 2:i64
+  br inl1_cont
+inl1_cont:
+  %t.2 = call @inc(%a.1) : i64
+  ret %t.2
+}
+|}
+  in
+  ignore (P.Inline.run m);
+  no_verify_errors "after inline" m;
+  Mi_analysis.Domcheck.assert_valid m;
+  Alcotest.(check int) "call inlined" 0 (count_instrs m (has_call "inc"));
+  Alcotest.(check int) "entry + 2 old + split/callee/cont" 5
+    (List.length (Irmod.find_func_exn m "f").blocks)
+
 (* fuzz seed 18: merging a straight-line chain back into a loop header
    whose terminator closes the loop left the header's phis naming the
    absorbed block; downstream passes then folded the exit edge away and
@@ -794,6 +830,8 @@ let () =
           Alcotest.test_case "merges chains" `Quick test_simplifycfg_merges_chain;
           Alcotest.test_case "inline into self-loop renames phi (fuzz seed 16)"
             `Quick test_inline_into_self_loop_renames_phi;
+          Alcotest.test_case "inline labels fresh across runs (fuzz seed 300065)"
+            `Quick test_inline_labels_fresh_across_runs;
           Alcotest.test_case
             "merge into loop header renames phi (fuzz seed 18)" `Quick
             test_simplifycfg_merge_into_loop_header_renames_phi;
