@@ -15,8 +15,8 @@
     configuration basis in {!Mi_core.Config}, so CLI approach lookup,
     the experiment matrix and the instrumenter all share one namespace.
 
-    A checker's runtime twin (generic builtins + unboxed fast functions
-    for the VM's fused superinstructions) is registered separately, on
+    A checker's runtime (one typed implementation per intrinsic, from
+    which the VM derives the boxed builtin) is registered separately, on
     the VM side, through [Mi_runtimes] — the compiler half here emits
     calls {e by intrinsic name}, which is the contract binding the two
     halves together. *)

@@ -18,12 +18,11 @@
     VM's execution engine fuses call sites naming the hot check
     intrinsics ([sb_check], [lf_check], [tp_check], trie and
     shadow-stack ops) into superinstructions at precompile time, keyed
-    on the exact intrinsic name and arity. Renaming an intrinsic or
-    changing its argument list silently demotes every site to generic
-    dispatch — still correct, same modeled cycles, but the throughput
-    gate in [bench/ci.sh] will catch the slowdown. Keep [Intrinsics],
-    the runtime registrations (generic and fast twins), and the fusion
-    table in [Mi_vm.Interp] in sync. *)
+    on the intrinsic's registered typed implementation and its arity.
+    A call whose argument list does not match that arity does not fuse
+    and traps in the boxed adapter. Keep [Intrinsics], the emitted
+    argument lists and the runtimes' [State.register_intrinsic] calls
+    in sync. *)
 
 open Mi_mir
 

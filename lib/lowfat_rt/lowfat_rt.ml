@@ -176,37 +176,14 @@ let install ?(stack_protection = true) (st : State.t) : t =
     State.bump st "lf.base_recompute";
     base ptr
   in
-  (* Generic builtins paired with their typed fast twins — same
-     underlying functions, so charges, counters, site attribution and
-     aborts are identical. *)
-  Runtime.register st
-    [
-      Runtime.entry Mi_mir.Intrinsics.lf_base
-        (fun st args ->
-          Some (State.I (base_recompute st (State.as_int args.(0)))))
-        ~fast:(State.FR1 base_recompute);
-      Runtime.entry Mi_mir.Intrinsics.lf_check
-        (fun st args ->
-          (* the optional 4th argument is the instrumentation site id *)
-          let site =
-            if Array.length args > 3 then State.as_int args.(3) else -1
-          in
-          check ~site st
-            (State.as_int args.(0))
-            (State.as_int args.(1))
-            (State.as_int args.(2));
-          None)
-        ~fast:(State.F4 (fun st ptr width b site -> check ~site st ptr width b));
-      Runtime.entry Mi_mir.Intrinsics.lf_invariant_check
-        (fun st args ->
-          let site =
-            if Array.length args > 2 then State.as_int args.(2) else -1
-          in
-          invariant_check ~site st (State.as_int args.(0))
-            (State.as_int args.(1));
-          None)
-        ~fast:(State.F3 (fun st ptr b site -> invariant_check ~site st ptr b));
-    ];
+  (* Each intrinsic's one typed implementation; the boxed builtin for
+     unfused calls is derived from it by [State.register_intrinsic]. *)
+  let reg = State.register_intrinsic st in
+  reg Mi_mir.Intrinsics.lf_base (State.FR1 base_recompute);
+  reg Mi_mir.Intrinsics.lf_check
+    (State.F4 (fun st ptr width b site -> check ~site st ptr width b));
+  reg Mi_mir.Intrinsics.lf_invariant_check
+    (State.F3 (fun st ptr b site -> invariant_check ~site st ptr b));
   if stack_protection then begin
     let alloca_impl st sz =
       let a = lf_malloc t st sz in
@@ -215,13 +192,7 @@ let install ?(stack_protection = true) (st : State.t) : t =
       | [] -> t.frames <- [ [ a ] ]);
       a
     in
-    Runtime.register st
-      [
-        Runtime.entry Mi_mir.Intrinsics.lf_alloca
-          (fun st args ->
-            Some (State.I (alloca_impl st (State.as_int args.(0)))))
-          ~fast:(State.FR1 alloca_impl);
-      ];
+    reg Mi_mir.Intrinsics.lf_alloca (State.FR1 alloca_impl);
     st.frame_enter_hook <-
       (fun st ->
         t.saved_frame_enter st;

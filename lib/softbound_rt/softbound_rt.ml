@@ -187,7 +187,7 @@ let install_wrappers ?(wrapper_checks = false) (t : t) =
       ss_set_bound t 0 e);
   (* realloc: fresh allocation; copy metadata from the old block *)
   State.register_builtin st (Intr.sb_wrapper "realloc") (fun st args ->
-      let old = State.as_int args.(0) and n = State.as_int args.(1) in
+      let old = Builtins.arg_i args 0 and n = Builtins.arg_i args 1 in
       let old_sz =
         if old = 0 then 0
         else Option.value ~default:0 (Hashtbl.find_opt st.alloc_sizes old)
@@ -212,80 +212,26 @@ let install ?(wrapper_checks = false) (st : State.t) : t =
       ss_saved = [];
     }
   in
-  (* Each entry pairs the generic boxed builtin with its typed fast twin
-     for the interpreter's fused superinstructions.  Both call the same
-     underlying function, so cycle charges, counters, site attribution
-     and aborts are identical — only the boxed calling convention
-     disappears.  [Runtime.register] handles the ordering contract
-     (generics first, then twins). *)
-  Runtime.register st
-    [
-      Runtime.entry Intr.sb_check
-        (fun st args ->
-          (* the optional 5th argument is the instrumentation site id *)
-          let site =
-            if Array.length args > 4 then State.as_int args.(4) else -1
-          in
-          check ~site st
-            (State.as_int args.(0))
-            (State.as_int args.(1))
-            ~base:(State.as_int args.(2))
-            ~bound:(State.as_int args.(3));
-          None)
-        ~fast:
-          (State.F5
-             (fun st ptr width base bound site ->
-               check ~site st ptr width ~base ~bound));
-      Runtime.entry Intr.sb_trie_store
-        (fun _ args ->
-          trie_store t
-            (State.as_int args.(0))
-            ~base:(State.as_int args.(1))
-            ~bound:(State.as_int args.(2));
-          None)
-        ~fast:(State.F3 (fun _ addr base bound -> trie_store t addr ~base ~bound));
-      Runtime.entry Intr.sb_trie_load_base
-        (fun _ args ->
-          Some (State.I (fst (trie_load t (State.as_int args.(0))))))
-        ~fast:(State.FR1 (fun _ addr -> fst (trie_load t addr)));
-      Runtime.entry Intr.sb_trie_load_bound
-        (fun _ args ->
-          Some (State.I (snd (trie_load t (State.as_int args.(0))))))
-        ~fast:(State.FR1 (fun _ addr -> snd (trie_load t addr)));
-      Runtime.entry Intr.sb_meta_copy
-        (fun _ args ->
-          meta_copy t
-            ~dst:(State.as_int args.(0))
-            ~src:(State.as_int args.(1))
-            (State.as_int args.(2));
-          None)
-        ~fast:(State.F3 (fun _ dst src len -> meta_copy t ~dst ~src len));
-      Runtime.entry Intr.ss_enter
-        (fun _ args ->
-          ss_enter t (State.as_int args.(0));
-          None)
-        ~fast:(State.F1 (fun _ n -> ss_enter t n));
-      Runtime.entry Intr.ss_leave
-        (fun _ _ ->
-          ss_leave t;
-          None)
-        ~fast:(State.F0 (fun _ -> ss_leave t));
-      Runtime.entry Intr.ss_set_base
-        (fun _ args ->
-          ss_set_base t (State.as_int args.(0)) (State.as_int args.(1));
-          None)
-        ~fast:(State.F2 (fun _ slot v -> ss_set_base t slot v));
-      Runtime.entry Intr.ss_set_bound
-        (fun _ args ->
-          ss_set_bound t (State.as_int args.(0)) (State.as_int args.(1));
-          None)
-        ~fast:(State.F2 (fun _ slot v -> ss_set_bound t slot v));
-      Runtime.entry Intr.ss_get_base
-        (fun _ args -> Some (State.I (ss_get_base t (State.as_int args.(0)))))
-        ~fast:(State.FR1 (fun _ slot -> ss_get_base t slot));
-      Runtime.entry Intr.ss_get_bound
-        (fun _ args -> Some (State.I (ss_get_bound t (State.as_int args.(0)))))
-        ~fast:(State.FR1 (fun _ slot -> ss_get_bound t slot));
-    ];
+  (* Each intrinsic's one typed implementation; the boxed builtin for
+     unfused calls is derived from it by [State.register_intrinsic]. *)
+  let reg = State.register_intrinsic st in
+  reg Intr.sb_check
+    (State.F5
+       (fun st ptr width base bound site ->
+         check ~site st ptr width ~base ~bound));
+  reg Intr.sb_trie_store
+    (State.F3 (fun _ addr base bound -> trie_store t addr ~base ~bound));
+  reg Intr.sb_trie_load_base
+    (State.FR1 (fun _ addr -> fst (trie_load t addr)));
+  reg Intr.sb_trie_load_bound
+    (State.FR1 (fun _ addr -> snd (trie_load t addr)));
+  reg Intr.sb_meta_copy
+    (State.F3 (fun _ dst src len -> meta_copy t ~dst ~src len));
+  reg Intr.ss_enter (State.F1 (fun _ n -> ss_enter t n));
+  reg Intr.ss_leave (State.F0 (fun _ -> ss_leave t));
+  reg Intr.ss_set_base (State.F2 (fun _ slot v -> ss_set_base t slot v));
+  reg Intr.ss_set_bound (State.F2 (fun _ slot v -> ss_set_bound t slot v));
+  reg Intr.ss_get_base (State.FR1 (fun _ slot -> ss_get_base t slot));
+  reg Intr.ss_get_bound (State.FR1 (fun _ slot -> ss_get_bound t slot));
   install_wrappers ~wrapper_checks t;
   t

@@ -199,58 +199,20 @@ let install ?(stack_protection = true) (st : State.t) : t =
   in
   st.malloc_hook <- (fun st sz -> tp_malloc t st sz);
   st.free_hook <- (fun st a -> tp_free t st a);
-  (* Generic builtins paired with their typed fast twins — same
-     underlying functions, so charges, counters, site attribution and
-     aborts are identical. *)
-  Runtime.register st
-    [
-      Runtime.entry Intr.tp_check
-        (fun st args ->
-          (* the optional 3rd argument is the instrumentation site id *)
-          let site =
-            if Array.length args > 2 then State.as_int args.(2) else -1
-          in
-          check ~site t st (State.as_int args.(0)) (State.as_int args.(1));
-          None)
-        ~fast:(State.F3 (fun st ptr key site -> check ~site t st ptr key));
-      Runtime.entry Intr.tp_alloc_key
-        (fun _ args -> Some (State.I (key_of_alloc t (State.as_int args.(0)))))
-        ~fast:(State.FR1 (fun _ addr -> key_of_alloc t addr));
-      Runtime.entry Intr.tp_trie_store
-        (fun _ args ->
-          trie_store t (State.as_int args.(0)) (State.as_int args.(1));
-          None)
-        ~fast:(State.F2 (fun _ addr key -> trie_store t addr key));
-      Runtime.entry Intr.tp_trie_load
-        (fun _ args -> Some (State.I (trie_load t (State.as_int args.(0)))))
-        ~fast:(State.FR1 (fun _ addr -> trie_load t addr));
-      Runtime.entry Intr.tp_meta_copy
-        (fun _ args ->
-          meta_copy t
-            ~dst:(State.as_int args.(0))
-            ~src:(State.as_int args.(1))
-            (State.as_int args.(2));
-          None)
-        ~fast:(State.F3 (fun _ dst src len -> meta_copy t ~dst ~src len));
-      Runtime.entry Intr.tp_ss_enter
-        (fun _ args ->
-          ss_enter t (State.as_int args.(0));
-          None)
-        ~fast:(State.F1 (fun _ n -> ss_enter t n));
-      Runtime.entry Intr.tp_ss_leave
-        (fun _ _ ->
-          ss_leave t;
-          None)
-        ~fast:(State.F0 (fun _ -> ss_leave t));
-      Runtime.entry Intr.tp_ss_set
-        (fun _ args ->
-          ss_set t (State.as_int args.(0)) (State.as_int args.(1));
-          None)
-        ~fast:(State.F2 (fun _ slot v -> ss_set t slot v));
-      Runtime.entry Intr.tp_ss_get
-        (fun _ args -> Some (State.I (ss_get t (State.as_int args.(0)))))
-        ~fast:(State.FR1 (fun _ slot -> ss_get t slot));
-    ];
+  (* Each intrinsic's one typed implementation; the boxed builtin for
+     unfused calls is derived from it by [State.register_intrinsic]. *)
+  let reg = State.register_intrinsic st in
+  reg Intr.tp_check
+    (State.F3 (fun st ptr key site -> check ~site t st ptr key));
+  reg Intr.tp_alloc_key (State.FR1 (fun _ addr -> key_of_alloc t addr));
+  reg Intr.tp_trie_store (State.F2 (fun _ addr key -> trie_store t addr key));
+  reg Intr.tp_trie_load (State.FR1 (fun _ addr -> trie_load t addr));
+  reg Intr.tp_meta_copy
+    (State.F3 (fun _ dst src len -> meta_copy t ~dst ~src len));
+  reg Intr.tp_ss_enter (State.F1 (fun _ n -> ss_enter t n));
+  reg Intr.tp_ss_leave (State.F0 (fun _ -> ss_leave t));
+  reg Intr.tp_ss_set (State.F2 (fun _ slot v -> ss_set t slot v));
+  reg Intr.tp_ss_get (State.FR1 (fun _ slot -> ss_get t slot));
   if stack_protection then begin
     (* keyed stack variables: instrumented allocas move to the heap
        allocator (which keys them) and die at frame exit, making
@@ -262,13 +224,7 @@ let install ?(stack_protection = true) (st : State.t) : t =
       | [] -> t.frames <- [ [ a ] ]);
       a
     in
-    Runtime.register st
-      [
-        Runtime.entry Intr.tp_alloca
-          (fun st args ->
-            Some (State.I (alloca_impl st (State.as_int args.(0)))))
-          ~fast:(State.FR1 alloca_impl);
-      ];
+    reg Intr.tp_alloca (State.FR1 alloca_impl);
     st.frame_enter_hook <-
       (fun st ->
         t.saved_frame_enter st;

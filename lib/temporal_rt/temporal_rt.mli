@@ -56,6 +56,6 @@ val check : ?site:int -> t -> State.t -> int -> int -> unit
 val install : ?stack_protection:bool -> State.t -> t
 (** Attach the runtime: chain the allocator hooks (fresh key per
     allocation; the free hook kills keys and reports double/invalid
-    frees), register the [__mi_tp_*] builtins with their fast twins,
+    frees), register the [__mi_tp_*] intrinsics,
     and — with [stack_protection] — the keyed [__mi_tp_alloca] whose
     allocations die at frame exit. *)

@@ -10,8 +10,17 @@ open State
 let i = function Some (I x) -> x | _ -> invalid_arg "expected int result"
 let _ = i
 
-let arg_i args k = as_int args.(k)
-let arg_f args k = as_float args.(k)
+(* Argument [k] of a call, trapping when the program passed fewer. *)
+let missing args k =
+  trap
+    (Printf.sprintf "called with %d arguments, argument %d missing"
+       (Array.length args) (k + 1))
+
+let arg_i args k =
+  if k < Array.length args then as_int args.(k) else missing args k
+
+let arg_f args k =
+  if k < Array.length args then as_float args.(k) else missing args k
 
 let install (st : State.t) : unit =
   let reg = register_builtin st in

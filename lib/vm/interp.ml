@@ -17,20 +17,23 @@
       [ref] to its precompiled body (a ref, so mutually recursive
       functions resolve in one pass) and arguments copy straight from
       the caller's register banks into the callee's, with no boxing;
-    - fused check superinstructions ([XSbCheck], [XLfCheck], [XFast*]) —
-      the callee is an instrumentation-runtime intrinsic with a typed
-      fast twin ({!State.fast_fn}): the call is executed by one direct
-      closure invocation on unboxed integers;
+    - fused superinstructions ([XFast0]..[XFast5], [XFastR]) — the
+      callee is a runtime intrinsic ({!State.register_intrinsic}) and
+      the site's arity matches its typed implementation
+      ({!State.fast_fn}): the call is one direct closure invocation on
+      unboxed integers;
     - [XCallBuiltin] — everything else: a per-site inline cache holds
-      the resolved generic builtin (pre-warmed at load when the name is
-      already registered, filled on first execution otherwise).
+      the resolved boxed builtin (pre-warmed at load when the name is
+      already registered, filled on first execution otherwise).  For an
+      intrinsic that is the adapter derived from the same typed
+      implementation, which traps on a malformed call.
 
     Caches carry the {!State.t.builtin_gen} generation they were
     resolved at; registering a builtin after load bumps the generation
     and every affected site transparently re-resolves.  The contract
     throughout: resolution strategy is invisible to the cost model —
-    modeled cycles, steps, counters and site profiles are identical to
-    the generic lookup path, only wall-clock time changes. *)
+    modeled cycles, steps, counters and site profiles are identical on
+    the boxed lookup path, only wall-clock time changes. *)
 
 open Mi_mir
 module Rng = Mi_support.Rng
@@ -58,10 +61,8 @@ type bcache = { mutable bgen : int; mutable bfn : builtin option }
    against builtin_gen exactly like [bcache]. *)
 type fcache = { mutable fgen : int; mutable ffn : State.fast_fn option }
 
-(* A fused runtime-intrinsic call.  [fargs] is site-normalized: when the
-   intrinsic's trailing site-id argument was omitted by the emitter, an
-   explicit [XI (-1)] stands in, which is exactly what the generic
-   builtin would have defaulted to. *)
+(* A fused runtime-intrinsic call; [fargs] has exactly the arity of the
+   intrinsic's typed implementation. *)
 type fused = {
   fname : string;  (** intrinsic name, for revalidation and fallback *)
   fdst : (bool * int) option;
@@ -97,8 +98,8 @@ type xinstr =
       xargs : xv array;
       cache : bcache;  (** per-site inline cache *)
     }
-  | XSbCheck of fused  (** __mi_sb_check (ptr, width, base, bound, site) *)
-  | XLfCheck of fused  (** __mi_lf_check (ptr, width, base, site) *)
+  | XFast5 of fused  (** __mi_sb_check (ptr, width, base, bound, site) *)
+  | XFast4 of fused  (** __mi_lf_check (ptr, width, base, site) *)
   | XFast0 of fused  (** nullary effectful intrinsic: ss_leave *)
   | XFast1 of fused  (** unary effectful intrinsic: ss_enter *)
   | XFast2 of fused  (** binary effectful intrinsic: ss_set_base/bound *)
@@ -169,53 +170,38 @@ let dummy_xfunc =
   }
 
 (* Decide whether a call to [callee] can fuse into a superinstruction:
-   the state must already hold a typed fast twin, and the site's static
-   shape (arity, result slot, int-typed operands) must match the twin
-   exactly — anything else falls back to the generic builtin call, whose
-   behaviour on malformed programs is the reference.  The three check
-   intrinsics may arrive with their trailing site-id argument omitted;
-   it normalizes to [XI (-1)], the generic builtins' default. *)
+   the state must hold a typed intrinsic of that name and the site's
+   static shape (arity, result slot, int-typed operands) must match it
+   exactly.  Anything else stays a boxed call, whose adapter traps on
+   the mismatch. *)
 let fuse (st : State.t) callee (xdst : (bool * int) option)
     (xargs : xv array) : xinstr option =
   let ints_only =
     Array.for_all (function XI _ | XR _ -> true | XF _ | XFR _ -> false) xargs
   in
   (* [State.fast_dispatch] off: force every runtime call through the
-     generic builtin path, so fast twins are differentially testable *)
+     boxed adapter, so both call paths are differentially testable *)
   if not (st.State.fast_dispatch && ints_only) then None
   else
     match State.find_fast_builtin st callee with
     | None -> None
     | Some ff -> (
-        let n = Array.length xargs in
-        let with_site want =
-          if n = want then Some xargs
-          else if n = want - 1 then Some (Array.append xargs [| XI (-1) |])
-          else None
-        in
-        let mk fargs =
+        let f =
           {
             fname = callee;
             fdst = xdst;
-            fargs;
+            fargs = xargs;
             fc = { fgen = st.State.builtin_gen; ffn = Some ff };
           }
         in
-        match (ff, xdst) with
-        | State.F5 _, None when callee = Intrinsics.sb_check ->
-            Option.map (fun a -> XSbCheck (mk a)) (with_site 5)
-        | State.F4 _, None when callee = Intrinsics.lf_check ->
-            Option.map (fun a -> XLfCheck (mk a)) (with_site 4)
-        | State.F3 _, None when callee = Intrinsics.lf_invariant_check ->
-            Option.map (fun a -> XFast3 (mk a)) (with_site 3)
-        | State.F3 _, None when callee = Intrinsics.tp_check ->
-            Option.map (fun a -> XFast3 (mk a)) (with_site 3)
-        | State.F0 _, None when n = 0 -> Some (XFast0 (mk xargs))
-        | State.F1 _, None when n = 1 -> Some (XFast1 (mk xargs))
-        | State.F2 _, None when n = 2 -> Some (XFast2 (mk xargs))
-        | State.F3 _, None when n = 3 -> Some (XFast3 (mk xargs))
-        | State.FR1 _, (None | Some (false, _)) when n = 1 ->
-            Some (XFastR (mk xargs))
+        match (ff, xdst, Array.length xargs) with
+        | State.F0 _, None, 0 -> Some (XFast0 f)
+        | State.F1 _, None, 1 -> Some (XFast1 f)
+        | State.F2 _, None, 2 -> Some (XFast2 f)
+        | State.F3 _, None, 3 -> Some (XFast3 f)
+        | State.F4 _, None, 4 -> Some (XFast4 f)
+        | State.F5 _, None, 5 -> Some (XFast5 f)
+        | State.FR1 _, (None | Some (false, _)), 1 -> Some (XFastR f)
         | _ -> None)
 
 let precompile_func (st : State.t) ~xfuncs ~global_addr ~fn_addr (f : Func.t)
@@ -676,9 +662,9 @@ let[@inline] fused_fn (st : State.t) (f : fused) =
   end;
   f.fc.ffn
 
-(* Cold path of a fused site: the fast twin disappeared or changed
+(* Cold path of a fused site: the typed intrinsic disappeared or changed
    arity after load (a builtin was re-registered).  Execute through the
-   generic builtin exactly like an [XCallBuiltin] site would. *)
+   boxed builtin exactly like an [XCallBuiltin] site would. *)
 let fused_slow (st : State.t) (f : fused) iregs fregs =
   let vargs = Array.map (box_arg iregs fregs) f.fargs in
   match State.find_builtin st f.fname with
@@ -865,14 +851,14 @@ let rec exec_frame (st : State.t) (xf : xfunc) (iregs : int array)
                  set_call_result xcallee xdst iregs fregs (fn st vargs)
              | None ->
                  raise (State.Trap ("unresolved external: " ^ xcallee)))
-         | XSbCheck f -> (
+         | XFast5 f -> (
              match fused_fn st f with
              | Some (State.F5 fn) ->
                  let a = f.fargs in
                  fn st (ival iregs a.(0)) (ival iregs a.(1))
                    (ival iregs a.(2)) (ival iregs a.(3)) (ival iregs a.(4))
              | _ -> fused_slow st f iregs fregs)
-         | XLfCheck f -> (
+         | XFast4 f -> (
              match fused_fn st f with
              | Some (State.F4 fn) ->
                  let a = f.fargs in

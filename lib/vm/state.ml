@@ -14,9 +14,6 @@
 
 type value = I of int | F of float
 
-let as_int = function I x -> x | F _ -> invalid_arg "expected int value"
-let as_float = function F x -> x | I _ -> invalid_arg "expected float value"
-
 exception Exit_program of int
 
 exception Safety_abort of { checker : string; reason : string }
@@ -26,17 +23,22 @@ exception Safety_abort of { checker : string; reason : string }
 exception Trap of string
 (** VM-level error: wild access, division by zero, ... *)
 
+(* VM values come from the program, so a kind mismatch (a float passed
+   where a builtin wants an int, say) is a program error: it traps.  The
+   raise sits in its own function to keep these hot accessors small. *)
+let trap msg = raise (Trap msg)
+let as_int = function I x -> x | F _ -> trap "expected int value"
+let as_float = function F x -> x | I _ -> trap "expected float value"
+
 exception Fuel_exhausted of int
 (** The dynamic step budget ran out (payload: the budget).  Distinct
     from {!Trap} so callers can report resource exhaustion separately
     from program errors. *)
 
-(** Typed entry points for the interpreter's fused check
-    superinstructions, registered by the runtimes alongside the generic
-    builtin of the same name.  A fast function must be observationally
-    identical to its generic twin — same cycle charges, same counters,
-    same site attribution, same aborts — the interpreter merely skips
-    the boxed [value array] calling convention.  Arguments and results
+(** The one implementation of a runtime intrinsic, typed by arity.
+    Fused call sites invoke it directly on unboxed integers; every other
+    call goes through the boxed adapter {!register_intrinsic} derives
+    from it, so both paths run the same code.  Arguments and results
     are integers (pointers, widths, slots, site ids); nothing on the
     check path is float-typed. *)
 type fast_fn =
@@ -76,21 +78,21 @@ and t = {
   rng : Mi_support.Rng.t;
   builtins : (string, t -> value array -> value option) Hashtbl.t;
   fast_builtins : (string, fast_fn) Hashtbl.t;
-      (** typed entry points for the interpreter's fused
-          superinstructions; always registered alongside a generic
-          builtin of the same name with identical observable behaviour *)
+      (** runtime intrinsics by name, for the interpreter's fused
+          superinstructions; each is also in [builtins] as the boxed
+          adapter {!register_intrinsic} derived from it *)
   mutable builtin_gen : int;
       (** bumped on every builtin (re)registration; interpreter
           call-site caches revalidate when it changes *)
   mutable fast_dispatch : bool;
       (** when [false], {!Mi_vm.Interp.load} never fuses intrinsic calls
           into superinstructions: every runtime call dispatches through
-          the generic boxed builtin.  Fusion is a load-time decision, so
-          flip this {e before} loading an image.  The fast twins are
-          contractually observationally identical to their generic
-          builtins; this switch exists so that the contract is
-          differentially testable (the fuzzing oracle runs every program
-          both ways and demands byte-identical results). *)
+          the boxed adapter.  Fusion is a load-time decision, so flip
+          this {e before} loading an image.  Both paths run the same
+          typed implementation; the switch selects between the two
+          interpreter call paths so they stay differentially testable
+          (the fuzzing oracle runs every program both ways and demands
+          byte-identical results). *)
   mutable malloc_hook : t -> int -> int;
   mutable free_hook : t -> int -> unit;
   mutable frame_enter_hook : t -> unit;
@@ -136,9 +138,8 @@ let site_hit t id ~wide ~cycles = Mi_obs.Site.hit t.sites id ~wide ~cycles
 
 (** (Re)register a builtin.  Bumps [builtin_gen] so every resolved
     call-site cache in already-loaded images revalidates, and drops any
-    fast twin of the same name — a replacement generic builtin silently
-    shadowed by a stale fast function would be a correctness bug.
-    Re-register the fast twin (after the generic) if it still applies. *)
+    typed intrinsic of the same name — a replacement builtin silently
+    shadowed by a stale typed entry would be a correctness bug. *)
 let register_builtin t name fn =
   t.builtin_gen <- t.builtin_gen + 1;
   Hashtbl.remove t.fast_builtins name;
@@ -146,12 +147,43 @@ let register_builtin t name fn =
 
 let find_builtin t name = Hashtbl.find_opt t.builtins name
 
-(** Register the typed fast twin of an already-registered generic
-    builtin.  Call this {e after} {!register_builtin} for the same name
-    (which removes fast entries).  Also bumps [builtin_gen] so loaded
-    images pick the fast path up. *)
-let register_fast_builtin t name ffn =
-  t.builtin_gen <- t.builtin_gen + 1;
+(** Register runtime intrinsic [name] from its one typed implementation:
+    fused call sites run [ffn] directly, and a boxed adapter derived
+    from it here serves every other call.  The adapter traps, naming the
+    intrinsic, on a call with the wrong argument count or a float
+    argument. *)
+let register_intrinsic t name ffn =
+  let fail fmt = Printf.ksprintf (fun m -> trap (name ^ ": " ^ m)) fmt in
+  let arity args n =
+    let k = Array.length args in
+    if k <> n then fail "called with %d arguments, expected %d" k n
+  in
+  let arg args k =
+    match args.(k) with
+    | I x -> x
+    | F _ -> fail "float argument, expected an int"
+  in
+  let void n call st args =
+    arity args n;
+    call st args;
+    None
+  in
+  let boxed : t -> value array -> value option =
+    match ffn with
+    | F0 f -> void 0 (fun st _ -> f st)
+    | F1 f -> void 1 (fun st a -> f st (arg a 0))
+    | F2 f -> void 2 (fun st a -> f st (arg a 0) (arg a 1))
+    | F3 f -> void 3 (fun st a -> f st (arg a 0) (arg a 1) (arg a 2))
+    | F4 f -> void 4 (fun st a -> f st (arg a 0) (arg a 1) (arg a 2) (arg a 3))
+    | F5 f ->
+        void 5 (fun st a ->
+            f st (arg a 0) (arg a 1) (arg a 2) (arg a 3) (arg a 4))
+    | FR1 f ->
+        fun st a ->
+          arity a 1;
+          Some (I (f st (arg a 0)))
+  in
+  register_builtin t name boxed;
   Hashtbl.replace t.fast_builtins name ffn
 
 let find_fast_builtin t name = Hashtbl.find_opt t.fast_builtins name

@@ -1,7 +1,10 @@
 (* The fast-path execution engine: observational-inertness differential
-   gate, error-message compatibility pins, and regression tests for the
-   interpreter bugs fixed alongside it (bitcast sign bit, scratch-slot
-   bloat, builtin-cache staleness). *)
+   gate, error-message pins (including malformed calls to runtime
+   intrinsics and C-library builtins, which trap with a typed message
+   under both fused and boxed dispatch), the one-typed-implementation
+   contract of runtime intrinsics, and regression tests for the
+   interpreter bugs fixed alongside the engine (bitcast sign bit,
+   scratch-slot bloat, builtin-cache staleness). *)
 
 open Mi_vm
 open Mi_mir
@@ -67,19 +70,24 @@ let test_golden_json () =
 (* Error-message compatibility                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_src ?(fuel = 50_000_000) src =
+(* [prepare] runs after the C library is installed and before loading:
+   the place to attach a checker runtime or pick the dispatch mode. *)
+let run_src ?(fuel = 50_000_000) ?(prepare = ignore) src =
   let m = Parser.parse_module src in
   let st = State.create ~fuel () in
   Builtins.install st;
+  prepare st;
   let img = Interp.load st [ m ] in
   (st, img, Interp.run st img)
 
-let expect_trap src msg =
-  let _, _, r = run_src src in
-  match r.Interp.outcome with
-  | Interp.Trapped m -> Alcotest.(check string) "trap message" msg m
-  | Interp.Exited n -> Alcotest.fail ("exited " ^ string_of_int n)
-  | _ -> Alcotest.fail "expected a trap"
+let check_trapped what msg = function
+  | Interp.Trapped m -> Alcotest.(check string) (what ^ ": trap message") msg m
+  | Interp.Exited n -> Alcotest.failf "%s: exited %d" what n
+  | _ -> Alcotest.failf "%s: expected a trap" what
+
+let expect_trap ?prepare ?(what = "trap") src msg =
+  let _, _, r = run_src ?prepare src in
+  check_trapped what msg r.Interp.outcome
 
 let test_unknown_callee_msg () =
   expect_trap
@@ -137,6 +145,149 @@ entry:
     "call to two with 1 args, expected 2"
 
 (* ------------------------------------------------------------------ *)
+(* Malformed intrinsic and C-library calls trap, whatever the dispatch  *)
+(* ------------------------------------------------------------------ *)
+
+let dispatches = [ ("fast", true); ("generic", false) ]
+
+let with_runtime install fast st =
+  install st;
+  st.State.fast_dispatch <- fast
+
+(* A check call without its trailing site id has no typed implementation
+   to fuse into; the boxed adapter rejects it with the arity message. *)
+let test_siteless_check_traps () =
+  let sb st = ignore (Mi_softbound.Softbound_rt.install st)
+  and lf st = ignore (Mi_lowfat.Lowfat_rt.install st)
+  and tp st = ignore (Mi_temporal.Temporal_rt.install st) in
+  let cases =
+    [
+      (sb, Intrinsics.sb_check, "1:i64, 8:i64, 0:i64, 64:i64", 4, 5);
+      (lf, Intrinsics.lf_check, "1:i64, 8:i64, 0:i64", 3, 4);
+      (lf, Intrinsics.lf_invariant_check, "1:i64, 0:i64", 2, 3);
+      (tp, Intrinsics.tp_check, "1:i64, 0:i64", 2, 3);
+    ]
+  in
+  List.iter
+    (fun (install, name, args, got, want) ->
+      List.iter
+        (fun (mode, fast) ->
+          expect_trap
+            ~prepare:(with_runtime install fast)
+            ~what:(name ^ "/" ^ mode)
+            (Printf.sprintf
+               {|
+module "c"
+func @main() -> i64 {
+entry:
+  call @%s(%s)
+  ret 0:i64
+}
+|}
+               name args)
+            (Printf.sprintf "%s: called with %d arguments, expected %d" name
+               got want))
+        dispatches)
+    cases
+
+(* Malformed calls written in MiniC, run under every checker and both
+   dispatch modes: each ends in a typed trap, never an OCaml exception
+   escaping the VM. *)
+let probes =
+  [
+    ( "sb_check with 2 args",
+      {|
+void __mi_sb_check(long p, long w);
+int main() { long x; x = 5; __mi_sb_check(x, 8); return 0; }
+|},
+      function
+      | "softbound" -> "__mi_sb_check: called with 2 arguments, expected 5"
+      | _ -> "unresolved external: __mi_sb_check" );
+    ( "lf_check with a float",
+      {|
+void __mi_lf_check(double p, long w, long b, long s);
+int main() { __mi_lf_check(1.5, 8, 0, 0); return 0; }
+|},
+      function
+      | "lowfat" -> "__mi_lf_check: float argument, expected an int"
+      | _ -> "unresolved external: __mi_lf_check" );
+    ( "free of a float",
+      {|
+void free(double p);
+int main() { free(1.5); return 0; }
+|},
+      fun _ -> "expected int value" );
+    ( "strlen without its argument",
+      {|
+long strlen();
+int main() { long n; n = strlen(); return n; }
+|},
+      fun _ -> "called with 0 arguments, argument 1 missing" );
+  ]
+
+let test_malformed_probes_trap () =
+  List.iter
+    (fun (probe, code, expected) ->
+      List.iter
+        (fun approach ->
+          List.iter
+            (fun (mode, dispatch) ->
+              let setup =
+                {
+                  (Harness.with_config
+                     (Mi_core.Config.of_approach approach)
+                     Harness.baseline)
+                  with
+                  Harness.dispatch;
+                }
+              in
+              let r =
+                Harness.run_sources setup
+                  [
+                    {
+                      Mi_bench_kit.Bench.src_name = "probe.c";
+                      code;
+                      instrument = true;
+                      mode_override = None;
+                    };
+                  ]
+              in
+              check_trapped
+                (Printf.sprintf "%s under %s/%s" probe approach mode)
+                (expected approach) r.Harness.outcome)
+            [ ("fast", Harness.Fast); ("generic", Harness.Generic) ])
+        (Mi_core.Config.known_approaches ()))
+    probes
+
+(* ------------------------------------------------------------------ *)
+(* One typed implementation per runtime intrinsic                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_every_intrinsic_typed () =
+  List.iter
+    (fun approach ->
+      let st = State.create () in
+      Builtins.install st;
+      ignore
+        (Mi_runtimes.Runtimes.install
+           (Mi_core.Config.of_approach approach)
+           ~modules:[] st);
+      let intrinsics =
+        Hashtbl.fold
+          (fun name _ acc ->
+            if String.starts_with ~prefix:"__mi_" name then name :: acc
+            else acc)
+          st.State.builtins []
+      in
+      if intrinsics = [] then Alcotest.failf "%s: no intrinsics" approach;
+      List.iter
+        (fun name ->
+          if State.find_fast_builtin st name = None then
+            Alcotest.failf "%s: %s has no typed entry" approach name)
+        intrinsics)
+    (Mi_core.Config.known_approaches ())
+
+(* ------------------------------------------------------------------ *)
 (* Inline caches vs late builtin registration                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -185,6 +336,38 @@ entry:
       None);
   let r = Interp.run st img in
   Alcotest.(check string) "replacement builtin ran" "replaced" r.Interp.output
+
+let test_intrinsic_reregistered_after_load () =
+  (* the check call fuses at load; re-registering its name as a plain
+     builtin drops the typed entry, so the fused site must fall back to
+     the boxed replacement instead of running the stale check *)
+  let m =
+    Parser.parse_module
+      {|
+module "rf"
+func @main() -> i64 {
+entry:
+  call @__mi_sb_check(100:i64, 8:i64, 0:i64, 16:i64, 0:i64)
+  ret 0:i64
+}
+|}
+  in
+  let st = State.create () in
+  Builtins.install st;
+  ignore (Mi_softbound.Softbound_rt.install st);
+  let img = Interp.load st [ m ] in
+  State.register_builtin st Intrinsics.sb_check (fun st args ->
+      Buffer.add_string st.State.out
+        (Printf.sprintf "replaced/%d" (Array.length args));
+      None);
+  let r = Interp.run st img in
+  (match r.Interp.outcome with
+  | Interp.Exited 0 -> ()
+  | _ -> Alcotest.fail "replacement did not run to completion");
+  Alcotest.(check string) "replacement ran" "replaced/5" r.Interp.output;
+  Alcotest.(check int)
+    "stale check did not run" 0
+    (State.counter st "sb.checks")
 
 (* ------------------------------------------------------------------ *)
 (* Regression: f64 <-> i64 bitcast sign bit                            *)
@@ -318,6 +501,15 @@ let () =
           Alcotest.test_case "void result" `Quick test_void_result_msg;
           Alcotest.test_case "builtin trap" `Quick test_builtin_trap_msg;
           Alcotest.test_case "call arity" `Quick test_call_arity_msg;
+          Alcotest.test_case "site-id-less checks" `Quick
+            test_siteless_check_traps;
+          Alcotest.test_case "malformed probes" `Quick
+            test_malformed_probes_trap;
+        ] );
+      ( "intrinsics",
+        [
+          Alcotest.test_case "every intrinsic typed" `Quick
+            test_every_intrinsic_typed;
         ] );
       ( "caches",
         [
@@ -325,6 +517,8 @@ let () =
             test_builtin_registered_after_load;
           Alcotest.test_case "re-registration" `Quick
             test_builtin_reregistered_after_load;
+          Alcotest.test_case "fused intrinsic re-registration" `Quick
+            test_intrinsic_reregistered_after_load;
         ] );
       ( "bitcast",
         [

@@ -231,7 +231,7 @@ int main(void) {
 }
 |}
 
-(* the generic boxed-builtin path and the typed fast twins share one
+(* the boxed-builtin path and the fused path run one typed
    implementation, so steps, cycles, counters and site attribution are
    identical — the same identity the fuzz oracle checks at scale *)
 let test_fast_generic_twins () =
