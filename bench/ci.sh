@@ -21,20 +21,40 @@ else
     echo "== skipping @fmt (ocamlformat not installed) =="
 fi
 
+# every temp file and directory of the gates lives under one scratch
+# directory, removed by the single trap below
+tmp=$(mktemp -d /tmp/mi-ci-XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
+out=$tmp/out.json
+out_j2=$tmp/out-j2.json
+cache=$tmp/cache
+mut_out=$tmp/mut.txt
+chaos1=$tmp/chaos1.txt
+chaos2=$tmp/chaos2.txt
+fuzz1=$tmp/fuzz1.json
+fuzz2=$tmp/fuzz2.json
+prof1=$tmp/prof1.json
+prof2=$tmp/prof2.json
+flame=$tmp/flame.txt
+serve_sock=$tmp/serve.sock
+serve_cache=$tmp/serve-cache
+drive1=$tmp/drive1.txt
+drive2=$tmp/drive2.txt
+elim_txt=$tmp/elim.txt
+elim1=$tmp/elim1.json
+elim2=$tmp/elim2.json
+elim_mut=$tmp/elim-mut.txt
+soak_dir=$tmp/soak
+soak1=$tmp/soak1.json
+soak2=$tmp/soak2.json
+replay1=$tmp/replay1.json
+replay2=$tmp/replay2.json
+det_dir1=$tmp/soak-det1
+det_dir2=$tmp/soak-det2
+scaling=$tmp/scaling.txt
+mkdir "$cache" "$serve_cache" "$soak_dir" "$det_dir1" "$det_dir2"
+
 echo "== experiments --json smoke (470lbm) =="
-out=$(mktemp /tmp/mi-ci-XXXXXX.json)
-out_j2=$(mktemp /tmp/mi-ci-j2-XXXXXX.json)
-cache=$(mktemp -d /tmp/mi-ci-cache-XXXXXX)
-mut_out=$(mktemp /tmp/mi-ci-mut-XXXXXX.txt)
-chaos1=$(mktemp /tmp/mi-ci-chaos1-XXXXXX.txt)
-chaos2=$(mktemp /tmp/mi-ci-chaos2-XXXXXX.txt)
-fuzz1=$(mktemp /tmp/mi-ci-fuzz1-XXXXXX.json)
-fuzz2=$(mktemp /tmp/mi-ci-fuzz2-XXXXXX.json)
-prof1=$(mktemp /tmp/mi-ci-prof1-XXXXXX.json)
-prof2=$(mktemp /tmp/mi-ci-prof2-XXXXXX.json)
-flame=$(mktemp /tmp/mi-ci-flame-XXXXXX.txt)
-trap 'rm -rf "$out" "$out_j2" "$cache" "$mut_out" "$chaos1" "$chaos2" \
-     "$fuzz1" "$fuzz2" "$prof1" "$prof2" "$flame"' EXIT
 # the binary re-parses its own output before exiting, so a zero status
 # already certifies well-formed JSON; double-check with python3 if present
 dune exec bin/experiments.exe -- --benchmark 470lbm -j 1 --json "$out" \
@@ -164,6 +184,23 @@ dune exec bin/mifuzz.exe -- --seeds 1..500 --mutants 1..100 -j 1 \
 cmp "$fuzz1" "$fuzz2"
 echo "fuzz report byte-identical across -j"
 
+# mifuzz usage contract: a flag of another mode, or a replay with
+# nothing to check, is a usage error (exit 2) — never a silent soak
+# that rewrites a corpus, and never a vacuous pass
+echo "== mifuzz misuse probes (exit 2) =="
+mifuzz_usage() {
+    status=0
+    _build/default/bin/mifuzz.exe "$@" >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "mifuzz $*: exit $status, expected 2"; exit 1
+    fi
+}
+mifuzz_usage --seeds 1..2 --minutes 1
+mifuzz_usage --corpus "$tmp/probe" --entry 0
+test ! -e "$tmp/probe"
+mifuzz_usage --corpus "$tmp/missing" --replay
+echo "misused flags rejected with exit 2, no corpus written"
+
 # the persistent-profile determinism gate: the same experiments with
 # coverage-carrying profile export at -j 4 and -j 1 must write
 # byte-identical profile files, and mi-report's diff mode must find no
@@ -219,13 +256,6 @@ echo "coverage recording overhead within budget"
 # bit-flipped must quarantine, recompute and still answer identically.
 echo "== chaos-serve gate (200 jobs, crashes + hang + cache bitflip) =="
 serve=_build/default/bin/miserve.exe
-serve_sock=$(mktemp -u /tmp/mi-ci-serve-XXXXXX.sock)
-serve_cache=$(mktemp -d /tmp/mi-ci-serve-cache-XXXXXX)
-drive1=$(mktemp /tmp/mi-ci-drive1-XXXXXX.txt)
-drive2=$(mktemp /tmp/mi-ci-drive2-XXXXXX.txt)
-trap 'rm -rf "$out" "$out_j2" "$cache" "$mut_out" "$chaos1" "$chaos2" \
-     "$fuzz1" "$fuzz2" "$prof1" "$prof2" "$flame" \
-     "$serve_sock" "$serve_cache" "$drive1" "$drive2"' EXIT
 "$serve" --socket "$serve_sock" --workers 4 --queue 8 \
     --cache-dir "$serve_cache" --job-timeout 30 \
     --inject 'crash=fuzz-17,hang=fuzz-23:0.2' &
@@ -268,14 +298,6 @@ echo "corrupted cache quarantined and recomputed, responses still identical"
 # JSON at -j 4 must be byte-identical to -j 1 (fresh in-memory caches
 # on both sides, so cache counters agree).
 echo "== checkelim gate (mutants over optimized configs: survivors 0) =="
-elim_txt=$(mktemp /tmp/mi-ci-elim-XXXXXX.txt)
-elim1=$(mktemp /tmp/mi-ci-elim1-XXXXXX.json)
-elim2=$(mktemp /tmp/mi-ci-elim2-XXXXXX.json)
-elim_mut=$(mktemp /tmp/mi-ci-elimmut-XXXXXX.txt)
-trap 'rm -rf "$out" "$out_j2" "$cache" "$mut_out" "$chaos1" "$chaos2" \
-     "$fuzz1" "$fuzz2" "$prof1" "$prof2" "$flame" \
-     "$serve_sock" "$serve_cache" "$drive1" "$drive2" \
-     "$elim_txt" "$elim1" "$elim2" "$elim_mut"' EXIT
 dune exec bin/experiments.exe -- mutation-opt > "$elim_mut"
 grep -q "0 mismatches" "$elim_mut"
 # both campaigns must report zero survivors, and campaign 2 must actually
@@ -327,20 +349,6 @@ echo "checkelim JSON byte-identical across -j"
 # runs a prefix of the same sequence, so floor aside, a clean fast run
 # certifies every slower run.
 echo "== fuzz-soak gate (60s evolutionary soak, floors from BENCH_fuzz.json) =="
-soak_dir=$(mktemp -d /tmp/mi-ci-soak-XXXXXX)
-soak1=$(mktemp /tmp/mi-ci-soak1-XXXXXX.json)
-soak2=$(mktemp /tmp/mi-ci-soak2-XXXXXX.json)
-replay1=$(mktemp /tmp/mi-ci-replay1-XXXXXX.json)
-replay2=$(mktemp /tmp/mi-ci-replay2-XXXXXX.json)
-det_dir1=$(mktemp -d /tmp/mi-ci-soakdet1-XXXXXX)
-det_dir2=$(mktemp -d /tmp/mi-ci-soakdet2-XXXXXX)
-scaling=$(mktemp /tmp/mi-ci-scaling-XXXXXX.txt)
-trap 'rm -rf "$out" "$out_j2" "$cache" "$mut_out" "$chaos1" "$chaos2" \
-     "$fuzz1" "$fuzz2" "$prof1" "$prof2" "$flame" \
-     "$serve_sock" "$serve_cache" "$drive1" "$drive2" \
-     "$elim_txt" "$elim1" "$elim2" "$elim_mut" \
-     "$soak_dir" "$soak1" "$soak2" "$replay1" "$replay2" \
-     "$det_dir1" "$det_dir2" "$scaling"' EXIT
 soak_floor=$(sed -n 's/.*"soak_cells_floor": \([0-9]*\).*/\1/p' BENCH_fuzz.json)
 dune exec bin/mifuzz.exe -- --corpus "$soak_dir" --minutes 1 \
     --max-execs 600 -j 4 --out "$soak1" | tail -n 3

@@ -2,7 +2,6 @@
 
     {v
     mifuzz --seeds 1..500 --mutants 1..100 -j 4 --out fuzz.json
-    mifuzz --seeds 1..100 --minutes 10          # soak: keep going in blocks
     mifuzz --seeds 7..7 --repro-dir repros \
            --inject del-check                   # seeded failure + shrink
     mifuzz --corpus corpus/ --minutes 10        # evolutionary soak (resumable)
@@ -11,12 +10,17 @@
     mifuzz --corpus corpus/ --replay --entry 1af0b2c9d3e4  # one entry
     v}
 
-    Every safe seed runs the full oracle matrix (optimization levels ×
-    SoftBound/Low-Fat × extension points × VM dispatch modes) and must
-    match the uninstrumented [-O0] reference exactly; every mutant seed
-    additionally derives one out-of-bounds mutant that both
-    instrumentations must report (wide-bounds whitelist aside).  The
-    JSON report is byte-identical for every [-j]. *)
+    One campaign engine ({!Mi_fuzz.Fuzz}), driven three ways: a seed
+    block ({!Mi_fuzz.Fuzz.run}), a soak over a [--corpus]
+    ({!Mi_fuzz.Fuzz.soak_run}), or a [--replay] of one.  Every safe
+    program runs the full oracle matrix (optimization levels ×
+    SoftBound/Low-Fat/Temporal × extension points × VM dispatch modes)
+    and must match the uninstrumented [-O0] reference exactly; every
+    mutant seed additionally derives one unsafe mutant that every
+    in-scope checker must report (whitelists aside).  Flags of the
+    other modes are usage errors (exit 2): [--minutes]/[--max-execs]
+    need [--corpus], [--entry] needs [--replay].  The JSON report is
+    byte-identical for every [-j]. *)
 
 open Cmdliner
 module Fuzz = Mi_fuzz.Fuzz
@@ -74,9 +78,8 @@ let minutes_arg =
     & opt (some float) None
     & info [ "minutes" ] ~docv:"M"
         ~doc:
-          "Soak mode: after the given block finishes, keep fuzzing \
-           subsequent same-sized seed blocks until M minutes have \
-           elapsed.")
+          "With $(b,--corpus): keep evolving the corpus until M minutes \
+           have elapsed.")
 
 let out_arg =
   Arg.(
@@ -135,69 +138,56 @@ let max_execs_arg =
     & opt (some int) None
     & info [ "max-execs" ] ~docv:"N"
         ~doc:
-          "Hard cap on programs run through the matrix (safe candidates + \
-           mutants).  A fixed budget makes soak results deterministic and \
-           independent of wall-clock speed; combine with $(b,--minutes) to \
-           stop at whichever limit is hit first.")
+          "With $(b,--corpus): hard cap on programs run through the matrix \
+           (safe candidates + mutants, lifetime).  A fixed budget makes \
+           soak results deterministic and independent of wall-clock speed; \
+           combine with $(b,--minutes) to stop at whichever limit is hit \
+           first.")
 
 let main (slo, shi) mutants jobs minutes out repro_dir max_shrinks corpus
     replay entry max_execs faults =
-  let width = shi - slo + 1 in
-  let default_mutants lo =
-    let n = width / 5 in
-    if n = 0 then None else Some (lo, lo + n - 1)
+  (* flags that belong to one mode only: usage errors elsewhere *)
+  let misuse =
+    match corpus with
+    | None when replay || entry <> None ->
+        Some "--replay/--entry require --corpus DIR"
+    | None when minutes <> None || max_execs <> None ->
+        Some "--minutes/--max-execs require --corpus DIR"
+    | Some _ when entry <> None && not replay -> Some "--entry requires --replay"
+    | Some dir when replay && not (Sys.file_exists dir && Sys.is_directory dir)
+      ->
+        Some (Printf.sprintf "--replay: no corpus directory %s" dir)
+    | _ -> None
   in
-  let block idx =
-    let lo = slo + (idx * width) in
-    let hi = lo + width - 1 in
-    let m =
-      match (mutants, idx) with
-      | Some (a, b), 0 -> Some (a, b)
-      | Some (a, b), _ ->
-          let mw = b - a + 1 in
-          Some (a + (idx * width), a + (idx * width) + mw - 1)
-      | None, _ -> default_mutants lo
-    in
-    Fuzz.run
-      (Fuzz.campaign ~jobs ~faults ?repro_dir ~max_shrinks ?mutants:m
-         ~seeds:(lo, hi) ())
+  let usage msg =
+    prerr_endline ("mifuzz: " ^ msg);
+    exit 2
   in
-  let deadline =
-    match minutes with
-    | None -> None
-    | Some m -> Some (Mi_support.Mclock.deadline (m *. 60.))
-  in
-  (* block-mode soak: keep fuzzing same-sized blocks while the Mclock
-     deadline has not expired and the exec budget is not exhausted *)
-  let rec soak idx execs acc =
-    let r = block idx in
-    let acc = match acc with None -> r | Some a -> Fuzz.merge a r in
-    let execs = execs + r.Fuzz.r_safe_total + List.length r.Fuzz.r_mutants in
-    let under_cap =
-      match max_execs with Some cap -> execs < cap | None -> true
-    in
-    let more =
-      under_cap
-      &&
-      match deadline with
-      | Some d -> not (Mi_support.Mclock.expired d)
-      | None -> max_execs <> None
-    in
-    if more then soak (idx + 1) execs (Some acc) else acc
-  in
+  Option.iter usage misuse;
   let report =
     match corpus with
-    | Some dir when replay -> Fuzz.replay ~jobs ~faults ?entry ~dir ()
+    | Some dir when replay ->
+        let r = Fuzz.replay ~jobs ~faults ?entry ~dir () in
+        (match entry with
+        | Some id when r.Fuzz.r_safe_total = 0 ->
+            usage (Printf.sprintf "--entry %s matches no entry in %s" id dir)
+        | _ -> ());
+        r
     | Some dir ->
         Fuzz.soak_run
           (Fuzz.soak_config ~jobs ~faults ?repro_dir ~max_shrinks ?minutes
              ?max_execs ~seed_start:slo ~corpus_dir:dir ())
     | None ->
-        if replay || entry <> None then begin
-          prerr_endline "mifuzz: --replay/--entry require --corpus DIR";
-          exit 2
-        end;
-        soak 0 0 None
+        (* default mutant block: the first fifth of the seed block *)
+        let n = (shi - slo + 1) / 5 in
+        let mutants =
+          match mutants with
+          | Some _ -> mutants
+          | None -> if n = 0 then None else Some (slo, slo + n - 1)
+        in
+        Fuzz.run
+          (Fuzz.campaign ~jobs ~faults ?repro_dir ~max_shrinks ?mutants
+             ~seeds:(slo, shi) ())
   in
   print_string (Fuzz.render report);
   (match out with

@@ -1,18 +1,25 @@
-(** Campaign driver: generate → run the oracle matrix → judge →
+(** Campaign engine: generate → run the oracle matrix → judge →
     shrink → report.
 
-    One campaign runs a contiguous block of safe seeds (each through
-    the full {!Oracle.variants} matrix) and a block of unsafe mutants
-    (each through every registered checker), all as a single
-    {!Mi_bench_kit.Harness.run_jobs} matrix — so the instrumentation
-    cache, worker sharding and [-j]-independent determinism of the
-    harness carry over to fuzzing wholesale.  The report (and its JSON
-    rendering) is byte-identical for every [-j] setting.
+    One batch executor runs every campaign: a single harness session,
+    each batch of programs as one {!Mi_bench_kit.Harness.run_jobs}
+    matrix (safe programs through the full {!Oracle.variants} matrix,
+    unsafe mutants through every registered checker), each program
+    judged against its own slice of the results — so the
+    instrumentation cache, worker sharding and [-j]-independent
+    determinism of the harness carry over to fuzzing wholesale.  Three
+    drivers add only their policy on top: {!run} (a seed block in two
+    waves, the second boosted by the first's coverage), {!soak_run}
+    (breeding, admission and checkpoints over a persistent corpus) and
+    {!replay} (re-running a corpus and checking its fingerprints).
+    Every report (and its JSON rendering) is byte-identical for every
+    [-j] setting.
 
-    On a failure — an oracle {!Oracle.finding} on a safe seed, or a
-    missed violation on a mutant — the driver reduces the case with
-    {!Shrink.minimize} under a kind-specific predicate and emits the
-    minimized translation units plus an [INFO.txt] (seed, finding,
+    On a failure — an oracle {!Oracle.finding} on a safe program, or a
+    missed violation on a mutant — the driver queues the case; up to
+    the shrink budget, in discovery order, each is reduced with
+    {!Shrink.minimize} under a kind-specific predicate and emitted as
+    the minimized translation units plus an [INFO.txt] (seed, finding,
     fault plan, reproduction command) into the repro directory. *)
 
 module Harness = Mi_bench_kit.Harness
@@ -248,9 +255,27 @@ let shrink_and_emit ~dir ~slug ~repro_cmd (f : Oracle.finding) ~pred sources =
     rp_shrunk = did_shrink;
   }
 
+(* A failing case queued for shrinking:
+   [(slug, reproduction command, finding, failure predicate, sources)].
+   Shrink and emit the head of the discovery-ordered queue, at most
+   [max_shrinks] cases; nothing (not even the directory) without a
+   repro directory or a budget. *)
+let emit_repros ~max_shrinks dir pending =
+  match dir with
+  | None -> []
+  | Some dir ->
+      List.map
+        (fun (slug, repro_cmd, f, pred, sources) ->
+          shrink_and_emit ~dir ~slug ~repro_cmd f ~pred sources)
+        (List.filteri (fun i _ -> i < max_shrinks) pending)
+
 (* ------------------------------------------------------------------ *)
-(* The campaign                                                        *)
+(* The batch executor                                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* Every driver below ({!run}, {!soak_run}, {!replay}) is a policy over
+   these few helpers: one harness session, one matrix call per batch,
+   each item judged against its own slice of the results. *)
 
 let rec split_at n l =
   if n = 0 then ([], l)
@@ -264,6 +289,87 @@ let rec split_at n l =
 let inject_arg faults =
   if Fault.is_none faults then ""
   else Printf.sprintf " --inject '%s'" (Fault.to_string faults)
+
+(* the campaign's harness session: coverage recording on, so every
+   reference run reports the VM blocks and edges it reached *)
+let session ~jobs ~faults =
+  Harness.create ~jobs
+    ~obs:(Mi_obs.Obs.create ~coverage:true ())
+    ?faults:(if Fault.is_none faults then None else Some faults)
+    ()
+
+(* run every item's jobs as one {!Harness.run_jobs} matrix and pair each
+   item with its own slice of the results *)
+let run_matrix h jobs_of items =
+  let jobs = List.map jobs_of items in
+  let rest, slices =
+    List.fold_left_map
+      (fun rs js ->
+        let a, b = split_at (List.length js) rs in
+        (b, a))
+      (Harness.run_jobs h (List.concat jobs))
+      jobs
+  in
+  assert (rest = []);
+  List.combine items slices
+
+(* run items through the whole safe oracle matrix and judge them: each
+   comes back with its findings and its reference run's coverage
+   snapshots ([None] if the reference did not run).  The reference run
+   is the first job of the slice; its coverage is dispatch- and
+   instrumentation-independent. *)
+let run_safe h ~bench_of ~seed_of items =
+  List.map
+    (fun (x, rs) ->
+      ( x,
+        Oracle.judge_safe_results ~seed:(seed_of x) rs,
+        match rs with Ok r :: _ -> Some r.Harness.coverage | _ -> None ))
+    (run_matrix h (fun x -> Oracle.safe_jobs_of (bench_of x)) items)
+
+(* the mutant of seed [s]: odd seeds draw a temporal mutant when the
+   program freed something, everything else keeps the spatial probe.
+   Generated boost-free, so `mifuzz --seeds s..s --mutants s..s`
+   reproduces the mutant of any campaign or soak. *)
+let mutant_of_seed s =
+  let p = Gen.generate ~seed:s () in
+  match if s land 1 = 1 then Gen.mutate_temporal p ~mseed:s else None with
+  | Some m -> m
+  | None -> Gen.mutate p ~mseed:0
+
+(* run and judge the mutants of [seeds] through every registered
+   checker; each mutant with a finding queues one repro *)
+let run_mutants h ~faults ~prefix seeds =
+  let judged =
+    List.map
+      (fun (m, rs) -> (m, Oracle.judge_mutant m rs))
+      (run_matrix h Oracle.mutant_jobs (List.map mutant_of_seed seeds))
+  in
+  ( List.map snd judged,
+    List.filter_map
+      (fun ((m : Gen.mutant), (mr : Oracle.mutant_result)) ->
+        match mr.Oracle.mr_findings with
+        | [] -> None
+        | f :: _ ->
+            let s = mr.Oracle.mr_seed in
+            Some
+              ( Printf.sprintf "%sseed%d-mut-%s" prefix s f.Oracle.f_setup,
+                Printf.sprintf "mifuzz --seeds %d..%d --mutants %d..%d%s" s s
+                  s s (inject_arg faults),
+                f,
+                mutant_pred h ~faults mr f,
+                m.Gen.m_sources ))
+      judged )
+
+(* (blocks hit, total), (edges hit, total) *)
+let vm_totals cov =
+  let vm = Mi_obs.Coverage.totals cov in
+  Mi_obs.Coverage.
+    ((vm.tt_blocks_hit, vm.tt_blocks), (vm.tt_edges_hit, vm.tt_edges))
+
+(* (min, max) of a non-empty list, [empty] otherwise *)
+let span ~empty = function
+  | [] -> empty
+  | x :: r -> (List.fold_left min x r, List.fold_left max x r)
 
 (* ------------------------------------------------------------------ *)
 (* Coverage feedback                                                   *)
@@ -317,143 +423,60 @@ let boost_of_scores scores =
     changes a seed's rng stream, only flag outcomes, so wave-2 programs
     stay deterministic for (seed, boost). *)
 let run (c : campaign) : report =
-  let h =
-    Harness.create ~jobs:c.c_jobs
-      ~obs:(Mi_obs.Obs.create ~coverage:true ())
-      ?faults:(if Fault.is_none c.c_faults then None else Some c.c_faults)
-      ()
-  in
+  let h = session ~jobs:c.c_jobs ~faults:c.c_faults in
   let corpus = Mi_obs.Coverage.create () in
   let seen = Hashtbl.create 1024 in
   let scores = Array.make Gen.n_features 0 in
-  (* run one block of safe programs, judge them, and account the VM
-     coverage their reference runs discovered *)
-  let run_safe_wave progs =
-    let jobs = List.map Oracle.safe_jobs progs in
-    let results = Harness.run_jobs h (List.concat jobs) in
-    let rest = ref results in
-    let slice js =
-      let a, b = split_at (List.length js) !rest in
-      rest := b;
-      a
+  (* run one wave; every seed's reference coverage accrues to the corpus
+     totals and, as fresh cells, to the scores of its features *)
+  let run_wave progs =
+    let judged =
+      run_safe h ~bench_of:Oracle.safe_bench
+        ~seed_of:(fun p -> p.Gen.p_seed)
+        progs
     in
-    let findings =
-      List.concat
-        (List.map2
-           (fun (p : Gen.prog) js ->
-             let rs = slice js in
-             (* the reference run is the first job of the slice; its
-                coverage is dispatch- and instrumentation-independent *)
-             (match rs with
-             | Ok ref_run :: _ ->
-                 let snaps = ref_run.Harness.coverage in
-                 Mi_obs.Coverage.merge corpus
-                   (Mi_obs.Coverage.of_snapshots snaps);
-                 let fresh = count_new_cells seen snaps in
-                 List.iter
-                   (fun k -> scores.(k) <- scores.(k) + fresh)
-                   p.Gen.p_features
-             | _ -> ());
-             Oracle.judge_safe p rs)
-           progs jobs)
-    in
-    assert (!rest = []);
-    findings
+    List.iter
+      (fun ((p : Gen.prog), _, snaps) ->
+        Option.iter
+          (fun snaps ->
+            Mi_obs.Coverage.merge corpus (Mi_obs.Coverage.of_snapshots snaps);
+            let fresh = count_new_cells seen snaps in
+            List.iter (fun k -> scores.(k) <- scores.(k) + fresh) p.Gen.p_features)
+          snaps)
+      judged;
+    judged
   in
   let all_seeds = seq c.c_seed_lo c.c_seed_hi in
   let w1, w2 = split_at ((List.length all_seeds + 1) / 2) all_seeds in
-  let safe1 = List.map (fun s -> Gen.generate ~seed:s ()) w1 in
-  let findings1 = run_safe_wave safe1 in
+  let wave1 = run_wave (List.map (fun s -> Gen.generate ~seed:s ()) w1) in
   let boost = if w2 = [] then [] else boost_of_scores scores in
-  let safe2 = List.map (fun s -> Gen.generate ~boost ~seed:s ()) w2 in
-  let findings2 = if safe2 = [] then [] else run_safe_wave safe2 in
-  let safe = safe1 @ safe2 in
-  let safe_findings = findings1 @ findings2 in
-  let mutants =
-    List.map
-      (fun s ->
-        let p = Gen.generate ~seed:s () in
-        (* odd mutant seeds draw a temporal mutant when the program
-           freed something; everything else keeps the spatial probe *)
-        match
-          if s land 1 = 1 then Gen.mutate_temporal p ~mseed:s else None
-        with
-        | Some m -> m
-        | None -> Gen.mutate p ~mseed:0)
+  let wave2 =
+    if w2 = [] then []
+    else run_wave (List.map (fun s -> Gen.generate ~boost ~seed:s ()) w2)
+  in
+  let safe = wave1 @ wave2 in
+  let mutants, mutant_repros =
+    run_mutants h ~faults:c.c_faults ~prefix:""
       (seq c.c_mutant_lo c.c_mutant_hi)
   in
-  let mutant_jobs = List.map Oracle.mutant_jobs mutants in
-  let mresults = Harness.run_jobs h (List.concat mutant_jobs) in
-  let rest = ref mresults in
-  let slice jobs =
-    let a, b = split_at (List.length jobs) !rest in
-    rest := b;
-    a
+  (* one repro per failing seed (its first finding), then the mutants *)
+  let safe_repros =
+    List.filter_map
+      (fun ((p : Gen.prog), fs, _) ->
+        match fs with
+        | [] -> None
+        | f :: _ ->
+            let s = p.Gen.p_seed in
+            Some
+              ( Printf.sprintf "seed%d-%s" s f.Oracle.f_kind,
+                Printf.sprintf "mifuzz --seeds %d..%d%s" s s
+                  (inject_arg c.c_faults),
+                f,
+                safe_pred h f,
+                p.Gen.p_sources ))
+      safe
   in
-  let mutant_results =
-    List.map2
-      (fun m jobs -> Oracle.judge_mutant m (slice jobs))
-      mutants mutant_jobs
-  in
-  assert (!rest = []);
-  let vm = Mi_obs.Coverage.totals corpus in
-  (* shrink and emit failing cases, capped, in deterministic order *)
-  let repros =
-    match c.c_repro_dir with
-    | None -> []
-    | Some dir ->
-        let budget = ref c.c_max_shrinks in
-        let take () =
-          if !budget > 0 then begin
-            decr budget;
-            true
-          end
-          else false
-        in
-        let from_safe =
-          (* one repro per failing seed: its first finding *)
-          List.filter_map
-            (fun (p : Gen.prog) ->
-              match
-                List.filter (fun f -> f.Oracle.f_seed = p.Gen.p_seed) safe_findings
-              with
-              | f :: _ when take () ->
-                  let slug =
-                    Printf.sprintf "seed%d-%s" p.Gen.p_seed f.Oracle.f_kind
-                  in
-                  let repro_cmd =
-                    Printf.sprintf "mifuzz --seeds %d..%d%s" p.Gen.p_seed
-                      p.Gen.p_seed (inject_arg c.c_faults)
-                  in
-                  Some
-                    (shrink_and_emit ~dir ~slug ~repro_cmd f
-                       ~pred:(safe_pred h f) p.Gen.p_sources)
-              | _ -> None)
-            safe
-        in
-        let from_mutants =
-          List.filter_map
-            (fun ((m : Gen.mutant), (mr : Oracle.mutant_result)) ->
-              match mr.Oracle.mr_findings with
-              | f :: _ when take () ->
-                  let slug =
-                    Printf.sprintf "seed%d-mut-%s" mr.Oracle.mr_seed
-                      f.Oracle.f_setup
-                  in
-                  let repro_cmd =
-                    Printf.sprintf "mifuzz --seeds %d..%d --mutants %d..%d%s"
-                      mr.Oracle.mr_seed mr.Oracle.mr_seed mr.Oracle.mr_seed
-                      mr.Oracle.mr_seed (inject_arg c.c_faults)
-                  in
-                  Some
-                    (shrink_and_emit ~dir ~slug ~repro_cmd f
-                       ~pred:(mutant_pred h ~faults:c.c_faults mr f)
-                       m.Gen.m_sources)
-              | _ -> None)
-            (List.combine mutants mutant_results)
-        in
-        from_safe @ from_mutants
-  in
+  let r_vm_blocks, r_vm_edges = vm_totals corpus in
   {
     r_seed_lo = c.c_seed_lo;
     r_seed_hi = c.c_seed_hi;
@@ -461,15 +484,17 @@ let run (c : campaign) : report =
     r_mutant_hi = c.c_mutant_hi;
     r_inject = Fault.to_string c.c_faults;
     r_safe_total = List.length safe;
-    r_findings = safe_findings;
-    r_mutants = mutant_results;
-    r_coverage = coverage safe;
-    r_vm_blocks = (vm.Mi_obs.Coverage.tt_blocks_hit, vm.Mi_obs.Coverage.tt_blocks);
-    r_vm_edges = (vm.Mi_obs.Coverage.tt_edges_hit, vm.Mi_obs.Coverage.tt_edges);
+    r_findings = List.concat_map (fun (_, fs, _) -> fs) safe;
+    r_mutants = mutants;
+    r_coverage = coverage (List.map (fun (p, _, _) -> p) safe);
+    r_vm_blocks;
+    r_vm_edges;
     r_cells = Hashtbl.length seen;
     r_boost = boost;
     r_corpus = None;
-    r_repros = repros;
+    r_repros =
+      emit_repros ~max_shrinks:c.c_max_shrinks c.c_repro_dir
+        (safe_repros @ mutant_repros);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -515,21 +540,36 @@ type cand = {
   cd_sources : Bench.source list;
 }
 
-let bench_name_of_id id = "ev-" ^ String.sub id 0 12
 let short_id id = String.sub id 0 12
+
+(* the benchmark a corpus candidate or entry runs as *)
+let corpus_bench id sources =
+  Oracle.bench_of_sources ~name:("ev-" ^ short_id id) sources
 
 (* offspring larger than this (main-unit non-blank lines) are dropped
    before execution — bounds compounding growth across generations *)
 let main_line_cap = 300
 
-let origin_counts (entries : Corpus.entry list) =
-  List.fold_left
-    (fun (s, sp, g) (e : Corpus.entry) ->
-      match e.Corpus.en_origin with
-      | Corpus.Seeded _ -> (s + 1, sp, g)
-      | Corpus.Spliced _ -> (s, sp + 1, g)
-      | Corpus.Grown _ -> (s, sp, g + 1))
-    (0, 0, 0) entries
+(* the report's corpus bookkeeping over [entries] *)
+let corpus_stats (entries : Corpus.entry list) ~rounds ~execs =
+  let seeded, spliced, grown =
+    List.fold_left
+      (fun (s, sp, g) (e : Corpus.entry) ->
+        match e.Corpus.en_origin with
+        | Corpus.Seeded _ -> (s + 1, sp, g)
+        | Corpus.Spliced _ -> (s, sp + 1, g)
+        | Corpus.Grown _ -> (s, sp, g + 1))
+      (0, 0, 0) entries
+  in
+  Some
+    {
+      cs_entries = List.length entries;
+      cs_seeded = seeded;
+      cs_spliced = spliced;
+      cs_grown = grown;
+      cs_rounds = rounds;
+      cs_execs = execs;
+    }
 
 (** Run one coverage-guided soak over the persistent corpus at
     [cfg.sk_corpus_dir], creating it if needed.
@@ -557,12 +597,7 @@ let origin_counts (entries : Corpus.entry list) =
     independent of [sk_jobs]. *)
 let soak_run (cfg : soak_config) : report =
   let dir = cfg.sk_corpus_dir in
-  let h =
-    Harness.create ~jobs:cfg.sk_jobs
-      ~obs:(Mi_obs.Obs.create ~coverage:true ())
-      ?faults:(if Fault.is_none cfg.sk_faults then None else Some cfg.sk_faults)
-      ()
-  in
+  let h = session ~jobs:cfg.sk_jobs ~faults:cfg.sk_faults in
   (* --- resume: rebuild every bit of loop state from the corpus ------ *)
   let entries = ref (Corpus.load ~dir) in
   let sched = Sched.rebuild !entries in
@@ -587,6 +622,7 @@ let soak_run (cfg : soak_config) : report =
            0 !entries)
   in
   let next_seed = ref (max cfg.sk_seed_start st.Corpus.st_next_seed) in
+  let first_seed = !next_seed in
   let next_op = ref (max 1 st.Corpus.st_next_op) in
   let round = ref st.Corpus.st_round in
   let execs = ref st.Corpus.st_execs in
@@ -594,12 +630,10 @@ let soak_run (cfg : soak_config) : report =
   List.iter
     (fun (e : Corpus.entry) -> Hashtbl.replace tried e.Corpus.en_id ())
     !entries;
-  let seed_lo = ref max_int and seed_hi = ref min_int in
-  let mut_lo = ref max_int and mut_hi = ref min_int in
   let safe_total = ref 0 in
   let findings = ref [] (* reversed *) in
   let mutant_results = ref [] (* reversed *) in
-  let repro_q = ref [] (* (slug, cmd, finding, pred, sources), reversed *) in
+  let repro_q = ref [] (* see {!emit_repros}; reversed *) in
   let deadline =
     Option.map (fun m -> Mi_support.Mclock.deadline (m *. 60.)) cfg.sk_minutes
   in
@@ -615,28 +649,11 @@ let soak_run (cfg : soak_config) : report =
   (* run candidates through the whole safe matrix; judge; admit the
      clean ones that broke new ground *)
   let run_candidates (cands : cand list) =
-    let jobs =
-      List.map
-        (fun cd ->
-          Oracle.safe_jobs_of
-            (Oracle.bench_of_sources ~name:(bench_name_of_id cd.cd_id)
-               cd.cd_sources))
-        cands
-    in
-    let results = Harness.run_jobs h (List.concat jobs) in
-    let rest = ref results in
-    let slice js =
-      let a, b = split_at (List.length js) !rest in
-      rest := b;
-      a
-    in
-    List.iter2
-      (fun cd js ->
-        let rs = slice js in
-        let fs = Oracle.judge_safe_results ~seed:cd.cd_seed rs in
+    List.iter
+      (fun (cd, fs, snaps) ->
         findings := List.rev_append fs !findings;
-        (match fs with
-        | f :: _ ->
+        match (fs, snaps) with
+        | f :: _, _ ->
             repro_q :=
               ( Printf.sprintf "soak-%s-%s" (short_id cd.cd_id) f.Oracle.f_kind,
                 Printf.sprintf "feed the .c files to mic (soak candidate %s%s)"
@@ -646,60 +663,49 @@ let soak_run (cfg : soak_config) : report =
                 safe_pred h f,
                 cd.cd_sources )
               :: !repro_q
-        | [] -> ());
-        if fs = [] then
-          match rs with
-          | Ok ref_run :: _ ->
-              let snaps = ref_run.Harness.coverage in
-              let cells = Mi_obs.Coverage.cells_of snaps in
-              let fresh =
-                List.fold_left
-                  (fun n c ->
-                    if Hashtbl.mem seen c then n
-                    else begin
-                      Hashtbl.replace seen c ();
-                      n + 1
-                    end)
-                  0 cells
+        | [], Some snaps ->
+            let cells = Mi_obs.Coverage.cells_of snaps in
+            let fresh = count_new_cells seen snaps in
+            let new_prods =
+              List.filter
+                (fun p -> not (Hashtbl.mem seen_prods p))
+                cd.cd_productions
+            in
+            List.iter (fun p -> Hashtbl.replace seen_prods p ()) new_prods;
+            if fresh > 0 || new_prods <> [] then begin
+              let e =
+                {
+                  Corpus.en_id = cd.cd_id;
+                  en_ord = !next_ord;
+                  en_round = !round;
+                  en_origin = cd.cd_origin;
+                  en_seed = cd.cd_seed;
+                  en_features = cd.cd_features;
+                  en_productions = cd.cd_productions;
+                  en_cells = cells;
+                  en_fresh = fresh;
+                  en_fingerprint = Mi_obs.Coverage.fingerprint snaps;
+                  en_sources = cd.cd_sources;
+                }
               in
-              let new_prods =
-                List.filter
-                  (fun p -> not (Hashtbl.mem seen_prods p))
-                  cd.cd_productions
-              in
-              List.iter (fun p -> Hashtbl.replace seen_prods p ()) new_prods;
-              if fresh > 0 || new_prods <> [] then begin
-                let e =
-                  {
-                    Corpus.en_id = cd.cd_id;
-                    en_ord = !next_ord;
-                    en_round = !round;
-                    en_origin = cd.cd_origin;
-                    en_seed = cd.cd_seed;
-                    en_features = cd.cd_features;
-                    en_productions = cd.cd_productions;
-                    en_cells = cells;
-                    en_fresh = fresh;
-                    en_fingerprint = Mi_obs.Coverage.fingerprint snaps;
-                    en_sources = cd.cd_sources;
-                  }
-                in
-                incr next_ord;
-                Corpus.save ~dir e;
-                ignore (Sched.admit sched e);
-                entries := !entries @ [ e ];
-                Mi_obs.Coverage.merge corpus_cov
-                  (Mi_obs.Coverage.of_snapshots snaps);
-                match cd.cd_origin with
-                | Corpus.Seeded _ ->
-                    List.iter
-                      (fun k -> scores.(k) <- scores.(k) + fresh)
-                      cd.cd_features
-                | _ -> ()
-              end
-          | _ -> ())
-      cands jobs;
-    assert (!rest = [])
+              incr next_ord;
+              Corpus.save ~dir e;
+              ignore (Sched.admit sched e);
+              entries := !entries @ [ e ];
+              Mi_obs.Coverage.merge corpus_cov
+                (Mi_obs.Coverage.of_snapshots snaps);
+              match cd.cd_origin with
+              | Corpus.Seeded _ ->
+                  List.iter
+                    (fun k -> scores.(k) <- scores.(k) + fresh)
+                    cd.cd_features
+              | _ -> ()
+            end
+        | [], None -> ())
+      (run_safe h
+         ~bench_of:(fun cd -> corpus_bench cd.cd_id cd.cd_sources)
+         ~seed_of:(fun cd -> cd.cd_seed)
+         cands)
   in
   (* assemble one round's candidate batch: offspring of the scheduled
      parents first, then fresh boosted seeds *)
@@ -764,8 +770,6 @@ let soak_run (cfg : soak_config) : report =
     next_seed := !next_seed + n_fresh;
     List.iter
       (fun s ->
-        seed_lo := min !seed_lo s;
-        seed_hi := max !seed_hi s;
         let p = Gen.generate ~boost ~seed:s () in
         push
           {
@@ -801,53 +805,13 @@ let soak_run (cfg : soak_config) : report =
     let cands = within_budget 0 cands in
     run_candidates cands;
     safe_total := !safe_total + List.length cands;
-    (* mutants from the round's fresh seed numbers, generated boost-free
-       so `mifuzz --seeds s..s --mutants s..s` reproduces them *)
-    let mut_seeds =
-      within_budget (List.length cands)
-        (fst (split_at cfg.sk_mutants_per_round fresh_seeds))
+    let mutants, repros =
+      run_mutants h ~faults:cfg.sk_faults ~prefix:"soak-"
+        (within_budget (List.length cands)
+           (fst (split_at cfg.sk_mutants_per_round fresh_seeds)))
     in
-    let mutants =
-      List.map
-        (fun s ->
-          mut_lo := min !mut_lo s;
-          mut_hi := max !mut_hi s;
-          let p = Gen.generate ~seed:s () in
-          match
-            if s land 1 = 1 then Gen.mutate_temporal p ~mseed:s else None
-          with
-          | Some m -> m
-          | None -> Gen.mutate p ~mseed:0)
-        mut_seeds
-    in
-    let mutant_jobs = List.map Oracle.mutant_jobs mutants in
-    let mresults = Harness.run_jobs h (List.concat mutant_jobs) in
-    let rest = ref mresults in
-    let slice js =
-      let a, b = split_at (List.length js) !rest in
-      rest := b;
-      a
-    in
-    List.iter2
-      (fun (m : Gen.mutant) js ->
-        let mr = Oracle.judge_mutant m (slice js) in
-        mutant_results := mr :: !mutant_results;
-        match mr.Oracle.mr_findings with
-        | f :: _ ->
-            repro_q :=
-              ( Printf.sprintf "soak-seed%d-mut-%s" mr.Oracle.mr_seed
-                  f.Oracle.f_setup,
-                Printf.sprintf "mifuzz --seeds %d..%d --mutants %d..%d%s"
-                  mr.Oracle.mr_seed mr.Oracle.mr_seed mr.Oracle.mr_seed
-                  mr.Oracle.mr_seed
-                  (inject_arg cfg.sk_faults),
-                f,
-                mutant_pred h ~faults:cfg.sk_faults mr f,
-                m.Gen.m_sources )
-              :: !repro_q
-        | [] -> ())
-      mutants mutant_jobs;
-    assert (!rest = []);
+    mutant_results := List.rev_append mutants !mutant_results;
+    repro_q := List.rev_append repros !repro_q;
     execs := !execs + List.length cands + List.length mutants;
     Corpus.save_state ~dir
       {
@@ -867,49 +831,36 @@ let soak_run (cfg : soak_config) : report =
     end
   in
   loop ();
-  let repros =
-    match cfg.sk_repro_dir with
-    | None -> []
-    | Some rdir ->
-        let budget = ref cfg.sk_max_shrinks in
-        List.filter_map
-          (fun (slug, repro_cmd, f, pred, sources) ->
-            if !budget > 0 then begin
-              decr budget;
-              Some (shrink_and_emit ~dir:rdir ~slug ~repro_cmd f ~pred sources)
-            end
-            else None)
-          (List.rev !repro_q)
+  let r_seed_lo, r_seed_hi =
+    if !next_seed = first_seed then (cfg.sk_seed_start, cfg.sk_seed_start - 1)
+    else (first_seed, !next_seed - 1)
   in
-  let vm = Mi_obs.Coverage.totals corpus_cov in
-  let seeded, spliced, grown = origin_counts !entries in
+  let mutants = List.rev !mutant_results in
+  let r_mutant_lo, r_mutant_hi =
+    span ~empty:(0, -1)
+      (List.map (fun (mr : Oracle.mutant_result) -> mr.Oracle.mr_seed) mutants)
+  in
+  let r_vm_blocks, r_vm_edges = vm_totals corpus_cov in
   {
-    r_seed_lo = (if !seed_lo = max_int then cfg.sk_seed_start else !seed_lo);
-    r_seed_hi = (if !seed_hi = min_int then cfg.sk_seed_start - 1 else !seed_hi);
-    r_mutant_lo = (if !mut_lo = max_int then 0 else !mut_lo);
-    r_mutant_hi = (if !mut_hi = min_int then -1 else !mut_hi);
+    r_seed_lo;
+    r_seed_hi;
+    r_mutant_lo;
+    r_mutant_hi;
     r_inject = Fault.to_string cfg.sk_faults;
     r_safe_total = !safe_total;
     r_findings = List.rev !findings;
-    r_mutants = List.rev !mutant_results;
+    r_mutants = mutants;
     r_coverage =
       List.sort_uniq String.compare
         (Hashtbl.fold (fun p () acc -> p :: acc) seen_prods []);
-    r_vm_blocks = (vm.Mi_obs.Coverage.tt_blocks_hit, vm.Mi_obs.Coverage.tt_blocks);
-    r_vm_edges = (vm.Mi_obs.Coverage.tt_edges_hit, vm.Mi_obs.Coverage.tt_edges);
+    r_vm_blocks;
+    r_vm_edges;
     r_cells = Hashtbl.length seen;
     r_boost = boost_of_scores scores;
-    r_corpus =
-      Some
-        {
-          cs_entries = List.length !entries;
-          cs_seeded = seeded;
-          cs_spliced = spliced;
-          cs_grown = grown;
-          cs_rounds = !round;
-          cs_execs = !execs;
-        };
-    r_repros = repros;
+    r_corpus = corpus_stats !entries ~rounds:!round ~execs:!execs;
+    r_repros =
+      emit_repros ~max_shrinks:cfg.sk_max_shrinks cfg.sk_repro_dir
+        (List.rev !repro_q);
   }
 
 (** Deterministically re-execute the persisted corpus: every entry (or
@@ -919,88 +870,60 @@ let soak_run (cfg : soak_config) : report =
     admission — a mismatch is reported as a ["fingerprint-mismatch"]
     finding.  The report is byte-identical for every [jobs] setting. *)
 let replay ?(jobs = 1) ?(faults = Fault.none) ?entry ~dir () : report =
-  let all = Corpus.load ~dir in
   let entries =
-    match entry with
-    | None -> all
-    | Some prefix ->
-        let n = String.length prefix in
-        List.filter
-          (fun (e : Corpus.entry) ->
-            String.length e.Corpus.en_id >= n
-            && String.sub e.Corpus.en_id 0 n = prefix)
-          all
-  in
-  let h =
-    Harness.create ~jobs
-      ~obs:(Mi_obs.Obs.create ~coverage:true ())
-      ?faults:(if Fault.is_none faults then None else Some faults)
-      ()
-  in
-  let jobs_per_entry =
-    List.map
+    List.filter
       (fun (e : Corpus.entry) ->
-        Oracle.safe_jobs_of
-          (Oracle.bench_of_sources
-             ~name:(bench_name_of_id e.Corpus.en_id)
-             e.Corpus.en_sources))
-      entries
+        match entry with
+        | None -> true
+        | Some prefix -> String.starts_with ~prefix e.Corpus.en_id)
+      (Corpus.load ~dir)
   in
-  let results = Harness.run_jobs h (List.concat jobs_per_entry) in
-  let rest = ref results in
-  let slice js =
-    let a, b = split_at (List.length js) !rest in
-    rest := b;
-    a
-  in
+  let h = session ~jobs ~faults in
   let seen = Hashtbl.create 1024 in
   let corpus_cov = Mi_obs.Coverage.create () in
   let findings =
-    List.concat
-      (List.map2
-         (fun (e : Corpus.entry) js ->
-           let rs = slice js in
-           let fs = Oracle.judge_safe_results ~seed:e.Corpus.en_seed rs in
-           let fp_fs =
-             match rs with
-             | Ok ref_run :: _ ->
-                 let snaps = ref_run.Harness.coverage in
-                 ignore (count_new_cells seen snaps);
-                 Mi_obs.Coverage.merge corpus_cov
-                   (Mi_obs.Coverage.of_snapshots snaps);
-                 let fp = Mi_obs.Coverage.fingerprint snaps in
-                 if fp = e.Corpus.en_fingerprint then []
-                 else
-                   [
-                     {
-                       Oracle.f_seed = e.Corpus.en_seed;
-                       f_setup = "O0";
-                       f_kind = "fingerprint-mismatch";
-                       f_detail =
-                         Printf.sprintf
-                           "entry %s: recorded fingerprint %s, replayed %s"
-                           (short_id e.Corpus.en_id)
-                           e.Corpus.en_fingerprint fp;
-                     };
-                   ]
-             | _ -> []
-           in
-           fs @ fp_fs)
-         entries jobs_per_entry)
+    List.concat_map
+      (fun ((e : Corpus.entry), fs, snaps) ->
+        match snaps with
+        | None -> fs
+        | Some snaps ->
+            ignore (count_new_cells seen snaps);
+            Mi_obs.Coverage.merge corpus_cov
+              (Mi_obs.Coverage.of_snapshots snaps);
+            let fp = Mi_obs.Coverage.fingerprint snaps in
+            if fp = e.Corpus.en_fingerprint then fs
+            else
+              fs
+              @ [
+                  {
+                    Oracle.f_seed = e.Corpus.en_seed;
+                    f_setup = "O0";
+                    f_kind = "fingerprint-mismatch";
+                    f_detail =
+                      Printf.sprintf
+                        "entry %s: recorded fingerprint %s, replayed %s"
+                        (short_id e.Corpus.en_id)
+                        e.Corpus.en_fingerprint fp;
+                  };
+                ])
+      (run_safe h
+         ~bench_of:(fun (e : Corpus.entry) ->
+           corpus_bench e.Corpus.en_id e.Corpus.en_sources)
+         ~seed_of:(fun (e : Corpus.entry) -> e.Corpus.en_seed)
+         entries)
   in
-  assert (!rest = []);
   let st = Corpus.load_state ~dir in
-  let vm = Mi_obs.Coverage.totals corpus_cov in
-  let seeded, spliced, grown = origin_counts entries in
-  let seeds =
-    List.filter_map
-      (fun (e : Corpus.entry) ->
-        match e.Corpus.en_origin with Corpus.Seeded s -> Some s | _ -> None)
-      entries
+  let r_vm_blocks, r_vm_edges = vm_totals corpus_cov in
+  let r_seed_lo, r_seed_hi =
+    span ~empty:(0, -1)
+      (List.filter_map
+         (fun (e : Corpus.entry) ->
+           match e.Corpus.en_origin with Corpus.Seeded s -> Some s | _ -> None)
+         entries)
   in
   {
-    r_seed_lo = (match seeds with [] -> 0 | s :: r -> List.fold_left min s r);
-    r_seed_hi = (match seeds with [] -> -1 | s :: r -> List.fold_left max s r);
+    r_seed_lo;
+    r_seed_hi;
     r_mutant_lo = 0;
     r_mutant_hi = -1;
     r_inject = Fault.to_string faults;
@@ -1012,22 +935,16 @@ let replay ?(jobs = 1) ?(faults = Fault.none) ?entry ~dir () : report =
         (List.concat_map
            (fun (e : Corpus.entry) -> e.Corpus.en_productions)
            entries);
-    r_vm_blocks = (vm.Mi_obs.Coverage.tt_blocks_hit, vm.Mi_obs.Coverage.tt_blocks);
-    r_vm_edges = (vm.Mi_obs.Coverage.tt_edges_hit, vm.Mi_obs.Coverage.tt_edges);
+    r_vm_blocks;
+    r_vm_edges;
     r_cells = Hashtbl.length seen;
     r_boost = [];
     r_corpus =
-      Some
-        {
-          cs_entries = List.length entries;
-          cs_seeded = seeded;
-          cs_spliced = spliced;
-          cs_grown = grown;
-          cs_rounds = st.Corpus.st_round;
-          cs_execs = st.Corpus.st_execs;
-        };
+      corpus_stats entries ~rounds:st.Corpus.st_round
+        ~execs:st.Corpus.st_execs;
     r_repros = [];
   }
+
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation and rendering                                           *)
@@ -1050,31 +967,6 @@ let missed_total r =
   missed
 
 let ok r = r.r_findings = [] && missed_total r = 0
-
-(** Merge two reports from consecutive blocks (the [--minutes] soak
-    loop).  Seed ranges are unioned as an envelope; VM coverage sums
-    block-wise (each block registered its functions independently). *)
-let merge a b =
-  let sum2 (h1, t1) (h2, t2) = (h1 + h2, t1 + t2) in
-  {
-    r_seed_lo = min a.r_seed_lo b.r_seed_lo;
-    r_seed_hi = max a.r_seed_hi b.r_seed_hi;
-    r_mutant_lo = min a.r_mutant_lo b.r_mutant_lo;
-    r_mutant_hi = max a.r_mutant_hi b.r_mutant_hi;
-    r_inject = a.r_inject;
-    r_safe_total = a.r_safe_total + b.r_safe_total;
-    r_findings = a.r_findings @ b.r_findings;
-    r_mutants = a.r_mutants @ b.r_mutants;
-    r_coverage = List.sort_uniq String.compare (a.r_coverage @ b.r_coverage);
-    r_vm_blocks = sum2 a.r_vm_blocks b.r_vm_blocks;
-    r_vm_edges = sum2 a.r_vm_edges b.r_vm_edges;
-    (* each block counted its cells against a fresh seen-set, so the sum
-       is an upper envelope, same as the block-wise VM totals *)
-    r_cells = a.r_cells + b.r_cells;
-    r_boost = List.sort_uniq compare (a.r_boost @ b.r_boost);
-    r_corpus = (match b.r_corpus with Some _ -> b.r_corpus | None -> a.r_corpus);
-    r_repros = a.r_repros @ b.r_repros;
-  }
 
 let render (r : report) : string =
   let b = Buffer.create 512 in
@@ -1219,6 +1111,15 @@ let report_to_json (r : report) : Json.t =
 
 module Experiments = Mi_bench_kit.Experiments
 
+(* fail experiment [name] unless its campaign held the oracle *)
+let require_ok name r =
+  if not (ok r) then
+    raise
+      (Harness.Benchmark_failed
+         ( name,
+           Printf.sprintf "%d oracle findings, %d missed mutant detections\n%s"
+             (List.length r.r_findings) (missed_total r) (render r) ))
+
 (** Register the [fuzz] experiment: a compact always-on differential
     campaign (it must stay cheap enough for [mi-experiments --all]; the
     CI fuzz gate runs the full-size campaign through [mifuzz]).  Call
@@ -1239,14 +1140,8 @@ let register_experiment () =
               ~mutants:(1, 16) ()
           in
           let r = run c in
+          require_ok "fuzz" r;
           let killed, whitelisted, missed = count_mutants r.r_mutants in
-          if not (ok r) then
-            raise
-              (Harness.Benchmark_failed
-                 ( "fuzz",
-                   Printf.sprintf
-                     "%d oracle findings, %d missed mutant detections\n%s"
-                     (List.length r.r_findings) missed (render r) ));
           {
             Experiments.title =
               "Differential fuzzing: full-surface generator vs the oracle \
@@ -1307,14 +1202,7 @@ let register_soak_experiment () =
           in
           Corpus.reset ~dir;
           (try Sys.rmdir dir with _ -> ());
-          let _, _, missed = count_mutants r.r_mutants in
-          if not (ok r) then
-            raise
-              (Harness.Benchmark_failed
-                 ( "fuzz-soak",
-                   Printf.sprintf
-                     "%d oracle findings, %d missed mutant detections\n%s"
-                     (List.length r.r_findings) missed (render r) ));
+          require_ok "fuzz-soak" r;
           if stats.cs_spliced + stats.cs_grown = 0 then
             raise
               (Harness.Benchmark_failed
@@ -1339,7 +1227,7 @@ let register_soak_experiment () =
                       ("execs", float_of_int stats.cs_execs);
                       ("cells", float_of_int r.r_cells);
                       ("findings", float_of_int (List.length r.r_findings));
-                      ("missed", float_of_int missed);
+                      ("missed", float_of_int (missed_total r));
                     ];
                 };
               ];

@@ -34,6 +34,32 @@ let test_safe_block () =
         (List.length r.Fuzz.r_findings));
   Alcotest.(check bool) "campaign ok" true (Fuzz.ok r)
 
+(* {1 Golden report bytes}
+
+   goldens/fuzz_block.json is the JSON report of this exact campaign
+   (the two-wave safe block plus a mutant block), recorded before the
+   campaign drivers were folded onto one batch executor.  The report is
+   a pure function of the campaign parameters, so regenerating it must
+   reproduce the file byte for byte. *)
+
+let read_golden name =
+  (* under `dune runtest` the cwd is the staged test directory (the dune
+     deps glob copies the golden there); under `dune exec` from the
+     project root, fall back to the source-tree copy *)
+  let path =
+    List.find Sys.file_exists [ "goldens/" ^ name; "test/goldens/" ^ name ]
+  in
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_block_golden () =
+  let r = Fuzz.run (Fuzz.campaign ~jobs:2 ~seeds:(1, 12) ~mutants:(1, 4) ()) in
+  Alcotest.(check string) "block report byte-identical to the golden"
+    (read_golden "fuzz_block.json")
+    (Mi_obs.Json.to_string (Fuzz.report_to_json r) ^ "\n")
+
 (* {1 Coverage feedback: the scheduler's boost decision is pinned}
 
    The second half of every campaign is generated with the top-scoring
@@ -353,6 +379,8 @@ let () =
             test_safe_block;
           Alcotest.test_case "coverage boost deterministic across -j" `Slow
             test_coverage_boost_deterministic;
+          Alcotest.test_case "seeds 1..12, mutants 1..4: golden report" `Slow
+            test_block_golden;
         ] );
       ( "unsafe mutants",
         [

@@ -31,6 +31,17 @@ let soak ?faults ?(jobs = 1) ~max_execs dir =
 
 let report_bytes r = Json.to_string (Fuzz.report_to_json r)
 
+(* same lookup as test_engine's golden: the staged copy under
+   `dune runtest`, the source-tree copy under `dune exec` *)
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "goldens/" ^ name; "test/goldens/" ^ name ]
+  in
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 (* {1 Round-trip: save/load is the identity} *)
 
 let test_entry_roundtrip () =
@@ -160,13 +171,20 @@ let test_crash_and_resume () =
     (report_bytes rp1) (report_bytes rp4);
   rm_rf dir
 
-(* {1 -j determinism: the corpus itself is worker-count independent} *)
+(* {1 -j determinism: the corpus itself is worker-count independent}
+
+   The 16-exec report is also pinned to fixed bytes:
+   goldens/fuzz_soak.json was recorded from a fresh corpus before the
+   soak loop moved onto the shared batch executor. *)
 
 let test_jobs_corpus_determinism () =
   let d1 = tmp_dir "mi-corpus-j1" in
   let d8 = tmp_dir "mi-corpus-j8" in
   let r1 = soak ~jobs:1 ~max_execs:16 d1 in
   let r8 = soak ~jobs:8 ~max_execs:16 d8 in
+  Alcotest.(check string) "soak report byte-identical to the golden"
+    (read_golden "fuzz_soak.json")
+    (report_bytes r1 ^ "\n");
   Alcotest.(check string) "soak report byte-identical at -j1 and -j8"
     (report_bytes r1) (report_bytes r8);
   let ls d =

@@ -214,6 +214,75 @@ let test_shrunk_repro_deterministic () =
   rm_rf dir1;
   rm_rf dir2
 
+(* {1 Soak repro emission}
+
+   A soak queues one repro per failing candidate (and per missed
+   mutant) in discovery order and spends its [max_shrinks] budget on
+   the head of that queue.  The fuel=3000 plan starves the reference
+   run of three candidates within 20 execs (one fresh seed in the first
+   round, two offspring in the second): more than a budget of 2
+   admits. *)
+
+let soak_with_fuel_plan ~max_shrinks ~corpus_dir ~repro_dir =
+  rm_rf corpus_dir;
+  rm_rf repro_dir;
+  let faults =
+    match Fault.parse "fuel=3000" with Ok p -> p | Error e -> failwith e
+  in
+  Fuzz.soak_run
+    (Fuzz.soak_config ~jobs:2 ~faults ~repro_dir ~max_shrinks ~max_execs:20
+       ~corpus_dir ())
+
+let is_soak_slug slug =
+  (* soak-<12 hex>-ref-failed *)
+  let hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  String.length slug = String.length "soak-" + 12 + String.length "-ref-failed"
+  && String.sub slug 0 5 = "soak-"
+  && String.for_all hex (String.sub slug 5 12)
+  && String.sub slug 17 (String.length slug - 17) = "-ref-failed"
+
+let test_soak_repro_emission () =
+  let tmp = Filename.get_temp_dir_name () in
+  let corpus_dir = Filename.concat tmp "mi-fuzz-soak-repro-corpus" in
+  let repro_dir = Filename.concat tmp "mi-fuzz-soak-repro" in
+  let r = soak_with_fuel_plan ~max_shrinks:2 ~corpus_dir ~repro_dir in
+  Alcotest.(check bool) "more failing candidates than the budget" true
+    (List.length r.Fuzz.r_findings > 2);
+  let repros = r.Fuzz.r_repros in
+  Alcotest.(check int) "exactly max_shrinks repros" 2 (List.length repros);
+  (* discovery order: every starved candidate yields a single ref-failed
+     finding, so the repros reproduce the first two findings *)
+  Alcotest.(check (list string)) "repros in discovery order"
+    (List.filteri (fun i _ -> i < 2)
+       (List.map Mi_fuzz.Oracle.finding_to_string r.Fuzz.r_findings))
+    (List.map (fun (rp : Fuzz.repro) -> rp.Fuzz.rp_finding) repros);
+  List.iter
+    (fun (rp : Fuzz.repro) ->
+      let slug = rp.Fuzz.rp_slug in
+      Alcotest.(check bool) (slug ^ " is soak-<12 hex>-ref-failed") true
+        (is_soak_slug slug);
+      let info =
+        read_file (Filename.concat (Filename.concat repro_dir slug) "INFO.txt")
+      in
+      let cmd =
+        Printf.sprintf
+          "reproduce: feed the .c files to mic (soak candidate %s --inject \
+           'fuel=3000')"
+          (String.sub slug 5 12)
+      in
+      Alcotest.(check bool) (slug ^ " INFO.txt names the mic command") true
+        (List.mem cmd (String.split_on_char '\n' info)))
+    repros;
+  rm_rf corpus_dir;
+  let r0 = soak_with_fuel_plan ~max_shrinks:0 ~corpus_dir ~repro_dir in
+  Alcotest.(check bool) "max_shrinks 0: failures still found" true
+    (r0.Fuzz.r_findings <> []);
+  Alcotest.(check int) "max_shrinks 0: no repro" 0
+    (List.length r0.Fuzz.r_repros);
+  Alcotest.(check bool) "max_shrinks 0: no repro directory" false
+    (Sys.file_exists repro_dir);
+  rm_rf corpus_dir
+
 let () =
   Alcotest.run "fuzz-shrink"
     [
@@ -232,5 +301,7 @@ let () =
             `Slow test_offspring_minimize_preserves_verdict;
           Alcotest.test_case "minimized repro deterministic" `Slow
             test_shrunk_repro_deterministic;
+          Alcotest.test_case "soak emits budgeted repros in discovery order"
+            `Slow test_soak_repro_emission;
         ] );
     ]
