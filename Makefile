@@ -17,7 +17,7 @@ ci:
 	sh bench/ci.sh
 
 bench:
-	dune exec bench/main.exe
+	dune exec bin/experiments.exe -- --all
 
 # end-to-end observability demo: run one experiment with a persistent
 # profile (check-site hits + VM coverage), then render the offline

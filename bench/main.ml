@@ -1,194 +1,17 @@
-(* The benchmark harness.
+(* Timed measurements of the system itself, one "prefix: key=value ..."
+   line each, collected by bench/ci.sh and judged by bench/gate.exe:
 
-   Part 1 regenerates every table and figure of the paper's evaluation on
-   the 20-benchmark suite (the numbers EXPERIMENTS.md records).
+     --vm-steps       VM engine throughput           ("vm_steps: ...")
+     --vm-steps-cov   the same with coverage on      ("vm_steps_cov: ...")
+     --fuzz-scaling   fuzz cells at a fixed budget   ("fuzz_scaling: ...")
 
-   Part 2 runs Bechamel wall-clock microbenchmarks of the framework
-   itself — one Test.make per reproduced table/figure exercising the
-   pipeline that produces it, plus component benchmarks (parser,
-   dominator tree, optimizer, interpreter, and both runtimes). *)
+   The paper's tables and figures come from [experiments --all]. *)
 
-open Bechamel
-open Toolkit
 module E = Mi_bench_kit.Experiments
-module Config = Mi_core.Config
+module Harness = Mi_bench_kit.Harness
+module Fuzz = Mi_fuzz.Fuzz
 
-(* ------------------------------------------------------------------ *)
-(* Part 1: the paper's experiments                                     *)
-(* ------------------------------------------------------------------ *)
-
-let regenerate_reports () =
-  print_endline "=================================================================";
-  print_endline " Reproduction of the paper's evaluation (tables and figures)";
-  print_endline "=================================================================";
-  List.iter
-    (fun (r : E.report) -> Printf.printf "\n== %s ==\n%s%!" r.E.title r.E.text)
-    (E.all_reports ())
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel microbenchmarks                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One representative benchmark per experiment keeps the wall-clock
-   microbenchmarks fast while still exercising the full path that
-   regenerates the corresponding table/figure. *)
-let sample_bench () = Mi_bench_kit.Suite.find_exn "186crafty"
-
-let compile_only (b : Mi_bench_kit.Bench.t) =
-  List.map
-    (fun (s : Mi_bench_kit.Bench.source) ->
-      Mi_minic.Lower.compile ~name:s.src_name s.code)
-    b.sources
-
-let run_setup setup =
-  let b = sample_bench () in
-  ignore (Mi_bench_kit.Harness.run_benchmark setup b)
-
-let test_fig9_sb =
-  Test.make ~name:"fig9: softbound end-to-end (1 bench)"
-    (Staged.stage (fun () -> run_setup E.sb_opt))
-
-let test_fig9_lf =
-  Test.make ~name:"fig9: lowfat end-to-end (1 bench)"
-    (Staged.stage (fun () -> run_setup E.lf_opt))
-
-let test_fig10_meta =
-  Test.make ~name:"fig10: softbound metadata-only (1 bench)"
-    (Staged.stage (fun () ->
-         run_setup
-           (Mi_bench_kit.Harness.with_config
-              (Config.metadata_only Config.softbound)
-              Mi_bench_kit.Harness.baseline)))
-
-let test_fig11_meta =
-  Test.make ~name:"fig11: lowfat metadata-only (1 bench)"
-    (Staged.stage (fun () ->
-         run_setup
-           (Mi_bench_kit.Harness.with_config
-              (Config.metadata_only Config.lowfat)
-              Mi_bench_kit.Harness.baseline)))
-
-let test_fig12_early =
-  Test.make ~name:"fig12/13: instrument at ModuleOptimizerEarly (1 bench)"
-    (Staged.stage (fun () ->
-         run_setup
-           {
-             (Mi_bench_kit.Harness.with_config
-                (Config.optimized Config.softbound)
-                Mi_bench_kit.Harness.baseline)
-             with
-             ep = Mi_passes.Pipeline.ModuleOptimizerEarly;
-           }))
-
-let test_table2_counters =
-  Test.make ~name:"table2: wide-bounds accounting (1 bench)"
-    (Staged.stage (fun () -> run_setup E.sb_full))
-
-(* framework component microbenchmarks *)
-
-let crafty_ir =
-  lazy
-    (let m = List.hd (compile_only (sample_bench ())) in
-     Mi_mir.Printer.module_to_string m)
-
-let test_minic_compile =
-  Test.make ~name:"component: minic compile (crafty)"
-    (Staged.stage (fun () -> ignore (compile_only (sample_bench ()))))
-
-let test_mir_parse =
-  Test.make ~name:"component: MIR parse (crafty)"
-    (Staged.stage (fun () ->
-         ignore (Mi_mir.Parser.parse_module (Lazy.force crafty_ir))))
-
-let test_pipeline_o3 =
-  Test.make ~name:"component: -O3 pipeline (crafty)"
-    (Staged.stage (fun () ->
-         let m = Mi_mir.Parser.parse_module (Lazy.force crafty_ir) in
-         Mi_passes.Pipeline.run ~level:Mi_passes.Pipeline.O3 m))
-
-let test_instrument_pass =
-  Test.make ~name:"component: instrumentation pass (softbound, crafty)"
-    (Staged.stage (fun () ->
-         let m = Mi_mir.Parser.parse_module (Lazy.force crafty_ir) in
-         ignore (Mi_core.Instrument.run Config.softbound m)))
-
-let test_domtree =
-  Test.make ~name:"component: dominator tree (crafty)"
-    (Staged.stage
-       (let m = Mi_mir.Parser.parse_module (Lazy.force crafty_ir) in
-        fun () ->
-          List.iter
-            (fun f ->
-              ignore (Mi_analysis.Dom.build (Mi_analysis.Cfg.build f)))
-            (Mi_mir.Irmod.defined_funcs m)))
-
-let test_lowfat_alloc =
-  Test.make ~name:"component: lowfat malloc/free cycle"
-    (Staged.stage
-       (let st = Mi_vm.State.create () in
-        Mi_vm.Builtins.install st;
-        let t = Mi_lowfat.Lowfat_rt.install st in
-        fun () ->
-          let a = st.Mi_vm.State.malloc_hook st 100 in
-          Mi_lowfat.Lowfat_rt.lf_free t st a))
-
-let test_sb_trie =
-  Test.make ~name:"component: softbound trie store+load"
-    (Staged.stage
-       (let st = Mi_vm.State.create () in
-        Mi_vm.Builtins.install st;
-        let t = Mi_softbound.Softbound_rt.install st in
-        let addr = ref Mi_vm.Layout.heap_base in
-        fun () ->
-          addr := Mi_vm.Layout.heap_base + ((!addr + 8) mod 65536);
-          Mi_softbound.Softbound_rt.trie_store t !addr ~base:1 ~bound:2;
-          ignore (Mi_softbound.Softbound_rt.trie_load t !addr)))
-
-let tests =
-  [
-    test_fig9_sb;
-    test_fig9_lf;
-    test_fig10_meta;
-    test_fig11_meta;
-    test_fig12_early;
-    test_table2_counters;
-    test_minic_compile;
-    test_mir_parse;
-    test_pipeline_o3;
-    test_instrument_pass;
-    test_domtree;
-    test_lowfat_alloc;
-    test_sb_trie;
-  ]
-
-let run_microbenchmarks () =
-  print_endline "\n=================================================================";
-  print_endline " Bechamel microbenchmarks (framework wall-clock performance)";
-  print_endline "=================================================================";
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-          (Instance.monotonic_clock)
-          results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-55s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "%-55s (no estimate)\n%!" name)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Part 3: VM engine throughput (the BENCH_vm.json perf gate)          *)
-(* ------------------------------------------------------------------ *)
+let now = Mi_support.Mclock.now
 
 (* Steps/second of the interpreter on the fixed `hotchecks` workload:
    sb_opt and lf_opt over the full suite.  One warm-up pass through a
@@ -196,18 +19,12 @@ let run_microbenchmarks () =
    timed repetitions measure VM execution, not compilation.  The VM is
    deterministic — total steps per pass are a fixed number — which makes
    steps/sec a pure wall-clock measure of the execution engine.
-   Machine-readable output: one "vm_steps: ..." line, parsed by
-   bench/ci.sh against the baseline recorded in BENCH_vm.json.
 
    [~coverage:true] runs the identical workload with a VM coverage
-   registry attached ("vm_steps_cov: ..."), so ci.sh can gate the
-   block/edge-recording overhead against BENCH_coverage.json. *)
+   registry attached, so the gate can bound the block/edge-recording
+   overhead (BENCH_coverage.json). *)
 let run_vm_steps ?(coverage = false) () =
-  let h =
-    Mi_bench_kit.Harness.create ~jobs:1
-      ~obs:(Mi_obs.Obs.create ~coverage ())
-      ()
-  in
+  let h = Harness.create ~jobs:1 ~obs:(Mi_obs.Obs.create ~coverage ()) () in
   let jobs =
     List.concat_map
       (fun b -> [ (E.sb_opt, b); (E.lf_opt, b) ])
@@ -216,22 +33,22 @@ let run_vm_steps ?(coverage = false) () =
   let pass () =
     List.fold_left
       (fun acc (setup, b) ->
-        match Mi_bench_kit.Harness.run h setup b with
-        | Ok r -> acc + r.Mi_bench_kit.Harness.steps
+        match Harness.run h setup b with
+        | Ok r -> acc + r.Harness.steps
         | Error e ->
             failwith
-              (Printf.sprintf "vm-steps job failed: %s: %s"
-                 e.Mi_bench_kit.Harness.bench e.Mi_bench_kit.Harness.reason))
+              (Printf.sprintf "vm-steps job failed: %s: %s" e.Harness.bench
+                 e.Harness.reason))
       0 jobs
   in
   let steps_per_pass = pass () (* warm-up; also fixes the step count *) in
   let reps = 3 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   for _ = 1 to reps do
     let s = pass () in
     if s <> steps_per_pass then failwith "vm-steps: nondeterministic steps"
   done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = now () -. t0 in
   let total = reps * steps_per_pass in
   Printf.printf
     "%s: benches=%d steps_per_pass=%d reps=%d elapsed_s=%.3f \
@@ -242,70 +59,54 @@ let run_vm_steps ?(coverage = false) () =
     steps_per_pass reps dt
     (float_of_int total /. dt)
 
-(* ------------------------------------------------------------------ *)
-(* Part 4: fuzz throughput (the BENCH_fuzz.json gate)                  *)
-(* ------------------------------------------------------------------ *)
-
 (* Scaling study of the two fuzzing modes at an identical execution
    budget: the coverage-guided evolutionary soak (fresh throwaway
    corpus, exact [--max-execs] budget, no mutants) against blind seed
    enumeration (the same number of programs, also mutant-free), each at
    -j 1/2/4/8.  Both arms are deterministic for a fixed budget and
    independent of the worker count, so the cell counts are exact
-   numbers ci.sh gates against BENCH_fuzz.json — only the elapsed
-   seconds vary with the machine.  One "fuzz_scaling: ..." line per
-   worker count. *)
+   numbers the gate checks against BENCH_fuzz.json — only the elapsed
+   seconds vary with the machine.  One line per worker count. *)
 let fuzz_budget_execs = 40
 
 let run_fuzz_scaling () =
   List.iter
     (fun j ->
-      let dir =
-        let f = Filename.temp_file "mi-fuzz-scale" "" in
-        Sys.remove f;
-        Sys.mkdir f 0o755;
-        f
-      in
-      let t0 = Unix.gettimeofday () in
+      let dir = Filename.temp_dir "mi-fuzz-scale" "" in
+      let t0 = now () in
       let g =
-        Mi_fuzz.Fuzz.soak_run
-          (Mi_fuzz.Fuzz.soak_config ~jobs:j ~max_execs:fuzz_budget_execs
+        Fuzz.soak_run
+          (Fuzz.soak_config ~jobs:j ~max_execs:fuzz_budget_execs
              ~mutants_per_round:0 ~corpus_dir:dir ())
       in
-      let g_dt = Unix.gettimeofday () -. t0 in
+      let g_dt = now () -. t0 in
       let stats =
-        match g.Mi_fuzz.Fuzz.r_corpus with Some c -> c | None -> assert false
+        match g.Fuzz.r_corpus with Some c -> c | None -> assert false
       in
       Mi_fuzz.Corpus.reset ~dir;
       (try Sys.rmdir dir with _ -> ());
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       let b =
-        Mi_fuzz.Fuzz.run
-          (Mi_fuzz.Fuzz.campaign ~jobs:j ~seeds:(1, fuzz_budget_execs) ())
+        Fuzz.run (Fuzz.campaign ~jobs:j ~seeds:(1, fuzz_budget_execs) ())
       in
-      let b_dt = Unix.gettimeofday () -. t0 in
+      let b_dt = now () -. t0 in
       Printf.printf
         "fuzz_scaling: j=%d execs=%d guided_cells=%d blind_cells=%d \
          corpus_entries=%d rounds=%d findings=%d guided_s=%.3f blind_s=%.3f \
          guided_cells_per_s=%.0f\n\
          %!"
-        j stats.Mi_fuzz.Fuzz.cs_execs g.Mi_fuzz.Fuzz.r_cells
-        b.Mi_fuzz.Fuzz.r_cells stats.Mi_fuzz.Fuzz.cs_entries
-        stats.Mi_fuzz.Fuzz.cs_rounds
-        (List.length g.Mi_fuzz.Fuzz.r_findings
-        + List.length b.Mi_fuzz.Fuzz.r_findings)
+        j stats.Fuzz.cs_execs g.Fuzz.r_cells b.Fuzz.r_cells
+        stats.Fuzz.cs_entries stats.Fuzz.cs_rounds
+        (List.length g.Fuzz.r_findings + List.length b.Fuzz.r_findings)
         g_dt b_dt
-        (float_of_int g.Mi_fuzz.Fuzz.r_cells /. g_dt))
+        (float_of_int g.Fuzz.r_cells /. g_dt))
     [ 1; 2; 4; 8 ]
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let micro_only = List.mem "--micro-only" args in
-  let reports_only = List.mem "--reports-only" args in
-  if List.mem "--vm-steps" args then run_vm_steps ()
-  else if List.mem "--vm-steps-cov" args then run_vm_steps ~coverage:true ()
-  else if List.mem "--fuzz-scaling" args then run_fuzz_scaling ()
-  else begin
-    if not micro_only then regenerate_reports ();
-    if not reports_only then run_microbenchmarks ()
-  end
+  match Array.to_list Sys.argv with
+  | [ _; "--vm-steps" ] -> run_vm_steps ()
+  | [ _; "--vm-steps-cov" ] -> run_vm_steps ~coverage:true ()
+  | [ _; "--fuzz-scaling" ] -> run_fuzz_scaling ()
+  | _ ->
+      prerr_endline "usage: main.exe --vm-steps | --vm-steps-cov | --fuzz-scaling";
+      exit 2
