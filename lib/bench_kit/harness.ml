@@ -105,27 +105,140 @@ let counter (r : run) key =
 let counters_alist (r : run) = Array.to_list r.counters
 
 (* ------------------------------------------------------------------ *)
+(* Stage memo                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every variant of a program lowers each unit the same way and runs the
+   same pipeline prefix up to its extension point ({!Pipeline.prefix}).
+   Within one job matrix such a stage — the lowering, or the module
+   after a prefix phase — is computed once when several jobs need it,
+   and each job forks the rest of its compile from a copy of the
+   deepest stage it shares.  Stored modules are never mutated:
+   consumers take an {!Mi_mir.Irmod.copy}. *)
+type stage_state =
+  | Unclaimed
+  | Computing
+  | Settled of (Mi_mir.Irmod.t, exn) result
+
+type stage = {
+  st_key : string;
+  mutable st_uses : int;  (** jobs that have not yet released it *)
+  mutable st_state : stage_state;
+}
+
+(* The memo of one session: shared stages, and the Icache keys whose
+   lookup-or-compile some job is running (see [with_turn]). *)
+type memo = {
+  lock : Mutex.t;
+  cond : Condition.t;  (** broadcast when a stage settles or a turn ends *)
+  stages : (string, stage) Hashtbl.t;
+  turns : (string, unit) Hashtbl.t;
+}
+
+(* The snapshot of shared stage [st]: computed with [get] by the first
+   job to claim it, awaited by the others.  A failure is stored and
+   re-raised to every consumer.  [get] never waits on another stage, so
+   no job holds one claim while waiting for another. *)
+let claim memo st get =
+  let rec settle () =
+    match st.st_state with
+    | Computing ->
+        Condition.wait memo.cond memo.lock;
+        settle ()
+    | Unclaimed ->
+        st.st_state <- Computing;
+        None
+    | Settled r -> Some r
+  in
+  let r =
+    match Mutex.protect memo.lock settle with
+    | Some r -> r
+    | None ->
+        let r = try Ok (get ()) with e -> Error e in
+        Mutex.protect memo.lock (fun () ->
+            st.st_state <- Settled r;
+            Condition.broadcast memo.cond);
+        r
+  in
+  match r with Ok m -> m | Error e -> raise e
+
+(* The memo key of a unit's lowering: everything [Lower.compile] reads.
+   The key of the stage after prefix phase [k] appends the ids of phases
+   [0..k], so variants share exactly the stages they have in common. *)
+let stage_keys (setup : setup) (s : Bench.source) =
+  let mode = Option.value ~default:setup.lowering s.mode_override in
+  let lowered =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\000"
+            [
+              s.src_name;
+              string_of_bool mode.Mi_minic.Lower.ptr_mem_as_i64;
+              s.code;
+            ]))
+  in
+  let _, phased =
+    List.fold_left_map
+      (fun k (ph : Pipeline.phase) ->
+        let k = k ^ "/" ^ ph.id in
+        (k, k))
+      lowered
+      (Pipeline.prefix setup.level setup.ep)
+  in
+  lowered :: phased
+
+(* ------------------------------------------------------------------ *)
 (* Compile and execute phases                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Lower + instrument + optimize every translation unit.  Returns the
    modules (with their instrumented flags) and per-unit static stats.
-   All sites registered during this phase land in [obs.sites]. *)
-let compile ?(faults = Fault.none) ~obs (setup : setup)
-    (sources : Bench.source list) :
+   All sites registered during this phase land in [obs.sites].
+   [stages] holds, per unit, the shared stages of its chain (lowering,
+   then each prefix phase; [None] where this job alone needs the
+   stage), resolved through [memo]; unshared stages run in place. *)
+let compile ?(faults = Fault.none) ?memo ?(stages = []) ~obs
+    (setup : setup) (sources : Bench.source list) :
     (Mi_mir.Irmod.t * bool) list * Mi_core.Instrument.mod_stats list =
   let tracer = obs.Obs.trace in
   let stats = ref [] in
+  let phases = Pipeline.prefix setup.level setup.ep in
+  (* the unit's module at [setup.ep], private to this job; work is
+     composed lazily, so nothing runs below a stage another job has
+     already computed *)
+  let fork chain ~lower =
+    let rec from j get phases =
+      let get =
+        match (memo, if j < Array.length chain then chain.(j) else None) with
+        | Some memo, Some st ->
+            let snap = claim memo st get in
+            fun () -> Mi_mir.Irmod.copy snap
+        | _ -> get
+      in
+      match phases with
+      | [] -> get ()
+      | ph :: rest ->
+          from (j + 1)
+            (fun () ->
+              let m = get () in
+              Pipeline.run_phase ~tracer ph m;
+              m)
+            rest
+    in
+    from 0 lower phases
+  in
   let modules =
     Mi_obs.Trace.with_span tracer ~cat:"harness" "compile" (fun () ->
-        List.map
-          (fun (s : Bench.source) ->
+        List.mapi
+          (fun i (s : Bench.source) ->
             let mode = Option.value ~default:setup.lowering s.mode_override in
+            let chain = Option.value ~default:[||] (List.nth_opt stages i) in
             let m =
-              Mi_obs.Trace.with_span tracer ~cat:"harness"
-                ("lower:" ^ s.src_name)
-                (fun () ->
-                  Mi_minic.Lower.compile ~mode ~name:s.src_name s.code)
+              fork chain ~lower:(fun () ->
+                  Mi_obs.Trace.with_span tracer ~cat:"harness"
+                    ("lower:" ^ s.src_name)
+                    (fun () ->
+                      Mi_minic.Lower.compile ~mode ~name:s.src_name s.code))
             in
             let instrument =
               match setup.config with
@@ -136,8 +249,8 @@ let compile ?(faults = Fault.none) ~obs (setup : setup)
                       stats := st :: !stats)
               | _ -> None
             in
-            Pipeline.run ~level:setup.level ?instrument ~ep:setup.ep ~tracer
-              m;
+            Pipeline.resume ~level:setup.level ?instrument ~ep:setup.ep
+              ~tracer m;
             (m, s.instrument))
           sources)
   in
@@ -308,6 +421,7 @@ type t = {
   mutable s_failures : job_failure list;  (** newest first; see {!failures} *)
   mutable s_corrupt_seen : int;
       (** cache corruptions already folded into the session metrics *)
+  s_memo : memo;  (** shared compile stages of the running matrix *)
 }
 
 type cache_stats = Icache.stats = { hits : int; misses : int; corrupt : int }
@@ -338,6 +452,13 @@ let create ?jobs ?cache_dir ?cache ?obs ?(faults = Fault.none) ?job_timeout
     s_backoff_cap_ms = max 1 retry_backoff_ms;
     s_failures = [];
     s_corrupt_seen = 0;
+    s_memo =
+      {
+        lock = Mutex.create ();
+        cond = Condition.create ();
+        stages = Hashtbl.create 64;
+        turns = Hashtbl.create 16;
+      };
   }
 
 let obs t = t.s_obs
@@ -345,6 +466,11 @@ let jobs t = t.s_jobs
 let cache t = t.s_cache
 let cache_stats t = Icache.stats t.s_cache
 let set_job_timeout t timeout = t.s_job_timeout <- timeout
+
+let memo_size t =
+  let m = t.s_memo in
+  Mutex.protect m.lock (fun () ->
+      Hashtbl.length m.stages + Hashtbl.length m.turns)
 
 (* The k-th (0-based) retry backoff in milliseconds: 10ms doubling,
    clamped to the session cap so a deep retry budget cannot sleep
@@ -423,36 +549,136 @@ let compile_key (setup : setup) (sources : Bench.source list) =
     sources;
   Buffer.contents b
 
+let cache_key t (setup : setup) (b : Bench.t) =
+  (* a mutated compile must never alias the unmutated entry *)
+  match Fault.compile_sig t.s_faults with
+  | "" -> compile_key setup b.sources
+  | sig_ -> compile_key setup b.sources ^ "\n--faults " ^ sig_ ^ "\n"
+
+(* One job's part in the matrix's compile sharing. *)
+type plan = {
+  p_key : string;  (** the job's Icache key *)
+  p_turn : bool;  (** another job of the matrix has the same key *)
+  mutable p_stages : stage option array list;
+      (** per unit, its shared stages; [[]] once released *)
+}
+
+(* Count every key's consumers over the (distinct) jobs up front.  A
+   stage only one job needs is never stored; a one-job matrix computes
+   no stage keys at all. *)
+let plan_jobs t (jobs : (setup * Bench.t) array) : plan array =
+  let keys = Array.map (fun (setup, b) -> cache_key t setup b) jobs in
+  if Array.length jobs < 2 then
+    Array.map (fun k -> { p_key = k; p_turn = false; p_stages = [] }) keys
+  else begin
+    let chains =
+      Array.map
+        (fun (setup, (b : Bench.t)) -> List.map (stage_keys setup) b.sources)
+        jobs
+    in
+    (* Icache keys and stage keys (hex digests) cannot collide *)
+    let uses = Hashtbl.create 256 in
+    let count k =
+      Hashtbl.replace uses k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt uses k))
+    in
+    Array.iter count keys;
+    Array.iter (List.iter (List.iter count)) chains;
+    let shared k = Hashtbl.find uses k > 1 in
+    let memo = t.s_memo in
+    let stage k =
+      if not (shared k) then None
+      else begin
+        let st =
+          match Hashtbl.find_opt memo.stages k with
+          | Some st -> st
+          | None ->
+              let st = { st_key = k; st_uses = 0; st_state = Unclaimed } in
+              Hashtbl.add memo.stages k st;
+              st
+        in
+        st.st_uses <- st.st_uses + 1;
+        Some st
+      end
+    in
+    Mutex.protect memo.lock (fun () ->
+        Array.mapi
+          (fun i k ->
+            {
+              p_key = k;
+              p_turn = shared k;
+              p_stages =
+                List.map
+                  (fun chain -> Array.of_list (List.map stage chain))
+                  chains.(i);
+            })
+          keys)
+  end
+
+(* A job gives up its stages once it has its modules (or has failed for
+   good); the last consumer of a stage drops it from the memo. *)
+let release t (p : plan) =
+  match p.p_stages with
+  | [] -> ()
+  | stages ->
+      p.p_stages <- [];
+      let memo = t.s_memo in
+      Mutex.protect memo.lock (fun () ->
+          List.iter
+            (Array.iter
+               (Option.iter (fun st ->
+                    st.st_uses <- st.st_uses - 1;
+                    if st.st_uses = 0 then
+                      Hashtbl.remove memo.stages st.st_key)))
+            stages)
+
+(* Jobs of one matrix with the same Icache key (they differ only in seed
+   or dispatch) take turns at its lookup-or-compile: the first to get
+   there compiles, the others hit, at every -j as at -j 1 — so cache
+   counts and compile spans do not depend on scheduling. *)
+let with_turn t (p : plan) f =
+  if not p.p_turn then f ()
+  else begin
+    let memo = t.s_memo in
+    Mutex.protect memo.lock (fun () ->
+        while Hashtbl.mem memo.turns p.p_key do
+          Condition.wait memo.cond memo.lock
+        done;
+        Hashtbl.replace memo.turns p.p_key ());
+    Fun.protect f ~finally:(fun () ->
+        Mutex.protect memo.lock (fun () ->
+            Hashtbl.remove memo.turns p.p_key;
+            Condition.broadcast memo.cond))
+  end
+
 (* One cache-aware run on a private (freshly created) obs context.  The
    context MUST be empty: a cache hit replays the cached site registry
    from id 0, which is what the site ids embedded in the cached modules
    refer to. *)
-let run_cached ?deadline t ~obs (setup : setup) (b : Bench.t) : run =
-  let key =
-    (* a mutated compile must never alias the unmutated entry *)
-    match Fault.compile_sig t.s_faults with
-    | "" -> compile_key setup b.sources
-    | sig_ -> compile_key setup b.sources ^ "\n--faults " ^ sig_ ^ "\n"
-  in
+let run_cached ?deadline t ~obs (p : plan) (setup : setup) (b : Bench.t) :
+    run =
   let modules, stats =
-    match Icache.find t.s_cache key with
-    | Some e ->
-        List.iter
-          (Mi_obs.Site.register_info obs.Obs.sites)
-          e.Icache.e_sites;
-        (e.Icache.e_modules, e.Icache.e_stats)
-    | None ->
-        let modules, stats =
-          compile ~faults:t.s_faults ~obs setup b.sources
-        in
-        Icache.add t.s_cache key
-          {
-            Icache.e_modules = modules;
-            e_stats = stats;
-            e_sites = Mi_obs.Site.infos obs.Obs.sites;
-          };
-        (modules, stats)
+    with_turn t p (fun () ->
+        match Icache.find t.s_cache p.p_key with
+        | Some e ->
+            List.iter
+              (Mi_obs.Site.register_info obs.Obs.sites)
+              e.Icache.e_sites;
+            (e.Icache.e_modules, e.Icache.e_stats)
+        | None ->
+            let modules, stats =
+              compile ~faults:t.s_faults ~memo:t.s_memo ~stages:p.p_stages
+                ~obs setup b.sources
+            in
+            Icache.add t.s_cache p.p_key
+              {
+                Icache.e_modules = modules;
+                e_stats = stats;
+                e_sites = Mi_obs.Site.infos obs.Obs.sites;
+              };
+            (modules, stats))
   in
+  release t p;
   Mi_obs.Trace.with_span obs.Obs.trace ~cat:"benchmark"
     ("benchmark:" ^ b.name)
     (fun () ->
@@ -470,7 +696,8 @@ let run_cached ?deadline t ~obs (setup : setup) (b : Bench.t) : run =
    fire first: a crash raises before any work, a hang busy-waits (still
    honouring the wall-clock deadline) and then runs the job normally.
    [wid] is the worker index, used only for trace thread labels. *)
-let attempt_job t ~job_desc ~wid (setup : setup) (b : Bench.t) : Obs.t * run =
+let attempt_job t ~job_desc ~wid plan (setup : setup) (b : Bench.t) :
+    Obs.t * run =
   let deadline =
     Option.map
       (fun budget -> (Mi_support.Mclock.deadline budget, budget))
@@ -492,7 +719,7 @@ let attempt_job t ~job_desc ~wid (setup : setup) (b : Bench.t) : Obs.t * run =
   let obs = new_obs ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
   Mi_obs.Trace.set_thread obs.Obs.trace ~tid:(wid + 1)
     ~name:(if wid = 0 then "main" else Printf.sprintf "worker-%d" wid);
-  (obs, run_cached ?deadline t ~obs setup b)
+  (obs, run_cached ?deadline t ~obs plan setup b)
 
 (* Classify an exception that escaped a job attempt.  Reasons must be
    deterministic (no measured times, no addresses): they feed the
@@ -542,6 +769,7 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
     jobs;
   let arr = Array.of_list (List.rev !distinct) in
   let n = Array.length arr in
+  let plans = plan_jobs t arr in
   let unscheduled =
     {
       jf_setup = "";
@@ -569,7 +797,7 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
            EVERYTHING, so no exception ever escapes the worker and the
            pool can neither orphan queued jobs nor hang Domain.join *)
         let rec attempt k =
-          match attempt_job t ~job_desc ~wid setup b with
+          match attempt_job t ~job_desc ~wid plans.(i) setup b with
           | obs, r ->
               obss.(i) <- Some obs;
               retried.(i) <- k;
@@ -606,6 +834,8 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
       ~finally:(fun () -> List.iter Domain.join domains)
       (fun () -> worker 0)
   end;
+  (* failed jobs never got their modules: drop what they still hold *)
+  Array.iter (release t) plans;
   (* fold per-job results into the session, strictly in job order *)
   Array.iteri
     (fun i res ->
@@ -658,3 +888,24 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
     {!expect_ok} for the strict behaviour). *)
 let run t (setup : setup) (b : Bench.t) : (run, error) result =
   match run_jobs t [ (setup, b) ] with [ r ] -> r | _ -> assert false
+
+let compile_jobs t jobs =
+  let arr = Array.of_list jobs in
+  let plans = plan_jobs t arr in
+  let out =
+    Array.mapi
+      (fun i (setup, (b : Bench.t)) ->
+        let p = plans.(i) in
+        match
+          compile ~faults:t.s_faults ~memo:t.s_memo ~stages:p.p_stages
+            ~obs:(new_obs ()) setup b.sources
+        with
+        | modules, _ ->
+            release t p;
+            Ok (List.map fst modules)
+        | exception e ->
+            Error { bench = b.name; reason = Printexc.to_string e })
+      arr
+  in
+  Array.iter (release t) plans;
+  Array.to_list out

@@ -202,6 +202,14 @@ val run_jobs : t -> (setup * Bench.t) list -> (run, error) result list
     private context, contexts merge in job order (never completion
     order), and the VM itself is deterministic.
 
+    Compile sharing: each translation unit is lowered once per call,
+    and each pipeline phase before an extension point runs once for
+    all the jobs that reach it; every job forks its instrumentation
+    and remaining passes from a copy of the deepest stage it shares
+    (see DESIGN.md, "Compile path").  Jobs with the same Icache key
+    take turns at its lookup-or-compile.  Outputs are byte-identical
+    to compiling every job alone; only trace span counts differ.
+
     Containment guarantee: no exception escapes a worker — a crashing,
     hanging or injected-fault job is captured as a typed
     {!job_failure} (surfaced here as an [Error] and recorded in
@@ -209,6 +217,19 @@ val run_jobs : t -> (setup * Bench.t) list -> (run, error) result list
     joined.  Only successful jobs' contexts are merged, so partial
     state from failed attempts can never skew the session metrics or
     the [-j] determinism. *)
+
+val memo_size : t -> int
+(** Compile stages (and same-key compile turns) the session currently
+    holds; [0] whenever no {!run_jobs} call is running. *)
+
+val compile_jobs :
+  t -> (setup * Bench.t) list -> (Mi_mir.Irmod.t list, error) result list
+(** The compile phase of {!run_jobs} alone: the jobs in order, each
+    forking from the stages it shares with the others exactly as in a
+    matrix, with the Icache neither read nor filled and nothing
+    executed.  Compiling each job in a fresh session shares nothing, so
+    both must yield the same modules — the check that no pass keeps
+    state between runs. *)
 
 (** {1 Classic per-call entry points} *)
 

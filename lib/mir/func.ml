@@ -27,6 +27,10 @@ let mk ?(is_external = false) ~name ~params ~ret_ty blocks =
   in
   { fname = name; params; ret_ty; blocks; next_id = max_id + 1; is_external }
 
+(** A function record of its own over the same (immutable) blocks: the
+    copy's [blocks] and [next_id] change independently of [f]'s. *)
+let copy f = { f with blocks = f.blocks }
+
 let entry f =
   match f.blocks with
   | [] -> invalid_arg ("Func.entry: external function " ^ f.fname)

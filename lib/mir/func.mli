@@ -21,6 +21,10 @@ val mk :
   t
 (** Builds the function and initializes [next_id] past every id used. *)
 
+val copy : t -> t
+(** Shallow copy: new mutable fields, shared immutable blocks.  Passes
+    and {!fresh_var} on the copy leave the original untouched. *)
+
 val entry : t -> Block.t
 val fresh_var : t -> ?name:string -> Ty.t -> Value.var
 val find_block : t -> string -> Block.t option

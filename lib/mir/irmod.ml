@@ -31,6 +31,11 @@ type t = {
 let mk ?(globals = []) ?(funcs = []) name =
   { mname = name; globals; funcs }
 
+(** Blocks, instructions, variables and globals are immutable, so a
+    module is copied by giving it and each of its functions fresh
+    mutable fields; everything below them is shared. *)
+let copy m = { m with funcs = List.map Func.copy m.funcs }
+
 let field_size = function
   | GBytes s -> String.length s
   | GPtr _ -> 8

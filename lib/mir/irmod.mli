@@ -28,6 +28,13 @@ type t = {
 
 val mk : ?globals:global list -> ?funcs:Func.t list -> string -> t
 
+val copy : t -> t
+(** [copy m] is a module whose [globals], [funcs] and per-function
+    [blocks] and [next_id] can change without touching [m]: new module and {!Func.t}
+    records over the shared immutable blocks, instructions and globals.
+    Mutating the copy (any pass, {!Func.fresh_var}, {!add_func}) never
+    shows in the original. *)
+
 val field_size : gfield -> int
 val fields_size : gfield list -> int
 

@@ -22,13 +22,34 @@ val all_extension_points : extension_point list
     evaluation; [O0] leaves the naive lowering untouched. *)
 type level = O0 | O1 | O3
 
-val canonicalize : Pass.t list
-(** The frontend per-function simplification that runs before any
-    extension point. *)
+(** A named group of passes.  Each phase runs under one trace span
+    ([name]); [id] is unique across levels (O1's and O3's
+    ["scalar-opts"] differ), so a sequence of ids names the module a
+    pipeline prefix produces. *)
+type phase = {
+  name : string;
+  id : string;
+  passes : Pass.t list;
+  rounds : int;  (** at most this many rounds, until nothing changes *)
+}
 
-val scalar_opts : Pass.t list
-val late_scalar : Pass.t list
-val late_cleanup : Pass.t list
+val prefix : level -> extension_point -> phase list
+(** The phases that run before [ep] at [level], in order: the part of
+    the pipeline every variant instrumented at [ep] (or not at all)
+    shares.  [[]] at [O0]. *)
+
+val run_phase : ?tracer:Mi_obs.Trace.t -> phase -> Irmod.t -> unit
+(** Run one phase in place, under a ["phase"] span when traced. *)
+
+val resume :
+  ?level:level ->
+  ?instrument:(Irmod.t -> unit) ->
+  ?ep:extension_point ->
+  ?tracer:Mi_obs.Trace.t ->
+  Irmod.t ->
+  unit
+(** Continue a module that has run [prefix level ep]: invoke
+    [instrument] at [ep], then run the rest of the pipeline. *)
 
 val run :
   ?level:level ->
@@ -38,7 +59,8 @@ val run :
   Irmod.t ->
   unit
 (** Optimize [m] in place at [level] (default [O3]), invoking
-    [instrument] at extension point [ep] (default [VectorizerStart]).
+    [instrument] at extension point [ep] (default [VectorizerStart]):
+    the phases of {!prefix}, then {!resume}.
     Instrumentation-inserted code is subject to every pass that runs
     after its extension point.  At [O0] the instrumentation runs on the
     unoptimized module (all extension points coincide).
@@ -46,4 +68,5 @@ val run :
     With [tracer], every pipeline phase and every pass within it is
     wrapped in a {!Mi_obs.Trace} span whose arguments record the
     instruction-count delta the pass caused, and an instant event marks
-    where the instrumentation extension point fired. *)
+    where the instrumentation extension point fired (not at [O0], which
+    has no extension points). *)

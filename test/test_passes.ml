@@ -781,6 +781,43 @@ let test_pipeline_preserves name src () =
         (run_at Mi_passes.Pipeline.O3 (Some cfg) src))
     [ Mi_core.Config.softbound; Mi_core.Config.lowfat ]
 
+(* ------------------------------------------------------------------ *)
+(* Irmod.copy                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A copy is the fork point of staged compiles: mutating passes, a new
+   function list and fresh ids on the copy must leave the original's
+   printed form and id counters alone. *)
+let test_copy_isolates () =
+  let m =
+    Mi_minic.Lower.compile ~name:"copy"
+      {|
+int sq(int x) { return x * x; }
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 4; i++) { s = s + sq(i) + sq(i); }
+  print_int(s);
+  return 0;
+}
+|}
+  in
+  let before = Printer.module_to_string m in
+  let ids (m : Irmod.t) = List.map (fun (f : Func.t) -> f.next_id) m.funcs in
+  let ids_before = ids m in
+  let c = Irmod.copy m in
+  Alcotest.(check string) "copy prints the same" before
+    (Printer.module_to_string c);
+  Alcotest.(check bool) "inline + gvn changed the copy" true
+    (P.Pass.run_list [ P.Inline.pass; P.Mem2reg.pass; P.Gvn.pass ] c);
+  ignore (Func.fresh_var (Irmod.find_func_exn c "main") Ty.I64);
+  c.funcs <- List.filter (fun (f : Func.t) -> f.fname <> "sq") c.funcs;
+  Alcotest.(check bool) "the copy differs" true
+    (Printer.module_to_string c <> before);
+  Alcotest.(check string) "original printed form" before
+    (Printer.module_to_string m);
+  Alcotest.(check (list int)) "original next_ids" ids_before (ids m)
+
 let () =
   Alcotest.run "passes"
     [
@@ -836,6 +873,8 @@ let () =
             "merge into loop header renames phi (fuzz seed 18)" `Quick
             test_simplifycfg_merge_into_loop_header_renames_phi;
         ] );
+      ( "copy",
+        [ Alcotest.test_case "copy isolates the original" `Quick test_copy_isolates ] );
       ( "semantic-preservation",
         List.map
           (fun (name, src) ->
