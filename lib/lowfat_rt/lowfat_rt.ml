@@ -17,8 +17,18 @@ open Mi_vm
 module Layout = Mi_vm.Layout
 module Util = Mi_support.Util
 
+(* per-step counters, resolved once at install *)
+type counters = {
+  n_checks : Mi_obs.Metrics.handle;
+  n_checks_wide : Mi_obs.Metrics.handle;
+  n_inv_checks : Mi_obs.Metrics.handle;
+  n_inv_checks_wide : Mi_obs.Metrics.handle;
+  n_base_recompute : Mi_obs.Metrics.handle;
+}
+
 type t = {
   st : State.t;
+  n : counters;
   bump : int array;  (** per region index: next unallocated address *)
   free : int list ref array;  (** per region: free list *)
   mutable frames : int list list;
@@ -43,9 +53,9 @@ let alloc_size addr =
     bits.  Non-low-fat pointers are returned unchanged (their region has
     no mask — they get wide bounds at check time). *)
 let base addr =
-  match alloc_size addr with
-  | Some size -> addr land lnot (size - 1)
-  | None -> addr
+  if is_low_fat addr then
+    addr land lnot (Layout.size_of_region (region_of_addr addr) - 1)
+  else addr
 
 (** Smallest region able to hold [padded] bytes. *)
 let class_of_size padded =
@@ -103,51 +113,59 @@ let lf_free (t : t) st addr =
 (* --- checks ----------------------------------------------------------- *)
 
 (* Dereference check, Figure 5 of the paper:
-   fail iff (ptr - base) > alloc_size - width, computed unsigned. *)
-let check ?(site = -1) st ptr width b =
+   fail iff (ptr - base) > alloc_size - width, computed unsigned.  The
+   size comes straight from the region (no [alloc_size] option), so an
+   executed check allocates nothing. *)
+let check t ~site ptr width b =
+  let st = t.st in
   State.charge st st.State.cost.Cost.lf_check;
-  State.bump st "lf.checks";
-  match alloc_size b with
-  | None ->
-      (* non-low-fat base: wide bounds, access unprotected (§4.6) *)
-      State.bump st "lf.checks_wide";
-      State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.lf_check
-  | Some size ->
-      State.site_hit st site ~wide:false ~cycles:st.State.cost.Cost.lf_check;
-      let off = ptr - b in
-      if off < 0 || off > size - width then
-        raise
-          (State.Safety_abort
-             {
-               checker = "lowfat";
-               reason =
-                 Printf.sprintf
-                   "out-of-bounds access: ptr=%#x base=%#x size=%d width=%d"
-                   ptr b size width;
-             })
+  Mi_obs.Metrics.bump t.n.n_checks;
+  if not (is_low_fat b) then begin
+    (* non-low-fat base: wide bounds, access unprotected (§4.6) *)
+    Mi_obs.Metrics.bump t.n.n_checks_wide;
+    State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.lf_check
+  end
+  else begin
+    State.site_hit st site ~wide:false ~cycles:st.State.cost.Cost.lf_check;
+    let size = Layout.size_of_region (region_of_addr b) in
+    let off = ptr - b in
+    if off < 0 || off > size - width then
+      raise
+        (State.Safety_abort
+           {
+             checker = "lowfat";
+             reason =
+               Printf.sprintf
+                 "out-of-bounds access: ptr=%#x base=%#x size=%d width=%d" ptr
+                 b size width;
+           })
+  end
 
 (* Escape check establishing the in-bounds invariant (Table 1, §4.2):
    a pointer leaving the function must point into its witness's object. *)
-let invariant_check ?(site = -1) st ptr b =
+let invariant_check t ~site ptr b =
+  let st = t.st in
   State.charge st st.State.cost.Cost.lf_check;
-  State.bump st "lf.inv_checks";
-  match alloc_size b with
-  | None ->
-      State.bump st "lf.inv_checks_wide";
-      State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.lf_check
-  | Some size ->
-      State.site_hit st site ~wide:false ~cycles:st.State.cost.Cost.lf_check;
-      let off = ptr - b in
-      if off < 0 || off > size - 1 then
-        raise
-          (State.Safety_abort
-             {
-               checker = "lowfat";
-               reason =
-                 Printf.sprintf
-                   "out-of-bounds pointer escapes: ptr=%#x base=%#x size=%d"
-                   ptr b size;
-             })
+  Mi_obs.Metrics.bump t.n.n_inv_checks;
+  if not (is_low_fat b) then begin
+    Mi_obs.Metrics.bump t.n.n_inv_checks_wide;
+    State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.lf_check
+  end
+  else begin
+    State.site_hit st site ~wide:false ~cycles:st.State.cost.Cost.lf_check;
+    let size = Layout.size_of_region (region_of_addr b) in
+    let off = ptr - b in
+    if off < 0 || off > size - 1 then
+      raise
+        (State.Safety_abort
+           {
+             checker = "lowfat";
+             reason =
+               Printf.sprintf
+                 "out-of-bounds pointer escapes: ptr=%#x base=%#x size=%d" ptr
+                 b size;
+           })
+  end
 
 (* --- installation ----------------------------------------------------- *)
 
@@ -160,6 +178,14 @@ let install ?(stack_protection = true) (st : State.t) : t =
   let t =
     {
       st;
+      n =
+        {
+          n_checks = State.handle st "lf.checks";
+          n_checks_wide = State.handle st "lf.checks_wide";
+          n_inv_checks = State.handle st "lf.inv_checks";
+          n_inv_checks_wide = State.handle st "lf.inv_checks_wide";
+          n_base_recompute = State.handle st "lf.base_recompute";
+        };
       bump = Array.init n (fun r -> Layout.region_start r);
       free = Array.init n (fun _ -> ref []);
       frames = [];
@@ -173,7 +199,7 @@ let install ?(stack_protection = true) (st : State.t) : t =
   st.free_hook <- (fun st a -> lf_free t st a);
   let base_recompute st ptr =
     State.charge st st.State.cost.Cost.lf_base;
-    State.bump st "lf.base_recompute";
+    Mi_obs.Metrics.bump t.n.n_base_recompute;
     base ptr
   in
   (* Each intrinsic's one typed implementation; the boxed builtin for
@@ -181,9 +207,9 @@ let install ?(stack_protection = true) (st : State.t) : t =
   let reg = State.register_intrinsic st in
   reg Mi_mir.Intrinsics.lf_base (State.FR1 base_recompute);
   reg Mi_mir.Intrinsics.lf_check
-    (State.F4 (fun st ptr width b site -> check ~site st ptr width b));
+    (State.F4 (fun _ ptr width b site -> check t ~site ptr width b));
   reg Mi_mir.Intrinsics.lf_invariant_check
-    (State.F3 (fun st ptr b site -> invariant_check ~site st ptr b));
+    (State.F3 (fun _ ptr b site -> invariant_check t ~site ptr b));
   if stack_protection then begin
     let alloca_impl st sz =
       let a = lf_malloc t st sz in

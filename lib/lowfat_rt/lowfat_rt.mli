@@ -44,15 +44,15 @@ val lf_free : t -> State.t -> int -> unit
 
 (** {1 Checks} *)
 
-val check : ?site:int -> State.t -> int -> int -> int -> unit
-(** [check st ptr width base]: the dereference check of Figure 5.
+val check : t -> site:int -> int -> int -> int -> unit
+(** [check t ~site ptr width base]: the dereference check of Figure 5.
     Raises {!State.Safety_abort} when [ptr..ptr+width) leaves the object;
     counts wide (unprotected) checks when [base] is not low-fat.  [site]
     attributes the execution to an instrumentation site
-    ({!Mi_obs.Site}). *)
+    ({!Mi_obs.Site}); -1 attributes it to none. *)
 
-val invariant_check : ?site:int -> State.t -> int -> int -> unit
-(** [invariant_check st ptr base]: the escape check establishing the
+val invariant_check : t -> site:int -> int -> int -> unit
+(** [invariant_check t ~site ptr base]: the escape check establishing the
     in-bounds invariant (Table 1, §4.2). *)
 
 (** {1 Installation} *)

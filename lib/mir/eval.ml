@@ -37,39 +37,41 @@ let unsigned (ty : Ty.t) x =
 (* Unsigned comparison of native ints viewed as 63-bit unsigned values. *)
 let ucmp_native a b = compare (a lxor min_int) (b lxor min_int)
 
+(* [normalize ty] is applied at each use rather than bound once as a
+   partial application: a local closure would be allocated on every
+   call, and the interpreter evaluates binops on its hot path. *)
 let binop (op : Instr.binop) (ty : Ty.t) a b =
-  let n = normalize ty in
   match op with
-  | Add -> n (a + b)
-  | Sub -> n (a - b)
-  | Mul -> n (a * b)
+  | Add -> normalize ty (a + b)
+  | Sub -> normalize ty (a - b)
+  | Mul -> normalize ty (a * b)
   | SDiv ->
       if b = 0 then raise Div_by_zero;
-      n (a / b)
+      normalize ty (a / b)
   | SRem ->
       if b = 0 then raise Div_by_zero;
-      n (a mod b)
+      normalize ty (a mod b)
   | UDiv ->
       if b = 0 then raise Div_by_zero;
       if ty = Ty.I64 || ty = Ty.Ptr then
         (* 63-bit unsigned division via Int64 *)
         Int64.to_int
           (Int64.unsigned_div (Int64.of_int a) (Int64.of_int b))
-      else n (unsigned ty a / unsigned ty b)
+      else normalize ty (unsigned ty a / unsigned ty b)
   | URem ->
       if b = 0 then raise Div_by_zero;
       if ty = Ty.I64 || ty = Ty.Ptr then
         Int64.to_int
           (Int64.unsigned_rem (Int64.of_int a) (Int64.of_int b))
-      else n (unsigned ty a mod unsigned ty b)
-  | Shl -> n (a lsl (b land 63))
+      else normalize ty (unsigned ty a mod unsigned ty b)
+  | Shl -> normalize ty (a lsl (b land 63))
   | LShr ->
       if ty = Ty.I64 || ty = Ty.Ptr then (a lsr (b land 63)) land max_int
-      else n (unsigned ty a lsr (b land 63))
-  | AShr -> n (a asr (b land 63))
-  | And -> n (a land b)
-  | Or -> n (a lor b)
-  | Xor -> n (a lxor b)
+      else normalize ty (unsigned ty a lsr (b land 63))
+  | AShr -> normalize ty (a asr (b land 63))
+  | And -> normalize ty (a land b)
+  | Or -> normalize ty (a lor b)
+  | Xor -> normalize ty (a lxor b)
 
 let fbinop (op : Instr.fbinop) a b =
   match op with
@@ -78,10 +80,11 @@ let fbinop (op : Instr.fbinop) a b =
   | FMul -> a *. b
   | FDiv -> a /. b
 
+(* Unsigned predicates: native unsigned order for [i64]/[ptr], the
+   unsigned view of the canonical value for narrower types.  No local
+   helper closure: this runs on the interpreter's hot path. *)
 let icmp (op : Instr.icmp) (ty : Ty.t) a b =
-  let u x =
-    match ty with Ty.I64 | Ty.Ptr -> x | _ -> unsigned ty x
-  in
+  let wide = ty = Ty.I64 || ty = Ty.Ptr in
   let r =
     match op with
     | Eq -> a = b
@@ -90,18 +93,12 @@ let icmp (op : Instr.icmp) (ty : Ty.t) a b =
     | Sle -> a <= b
     | Sgt -> a > b
     | Sge -> a >= b
-    | Ult ->
-        if ty = Ty.I64 || ty = Ty.Ptr then ucmp_native a b < 0
-        else u a < u b
+    | Ult -> if wide then ucmp_native a b < 0 else unsigned ty a < unsigned ty b
     | Ule ->
-        if ty = Ty.I64 || ty = Ty.Ptr then ucmp_native a b <= 0
-        else u a <= u b
-    | Ugt ->
-        if ty = Ty.I64 || ty = Ty.Ptr then ucmp_native a b > 0
-        else u a > u b
+        if wide then ucmp_native a b <= 0 else unsigned ty a <= unsigned ty b
+    | Ugt -> if wide then ucmp_native a b > 0 else unsigned ty a > unsigned ty b
     | Uge ->
-        if ty = Ty.I64 || ty = Ty.Ptr then ucmp_native a b >= 0
-        else u a >= u b
+        if wide then ucmp_native a b >= 0 else unsigned ty a >= unsigned ty b
   in
   if r then 1 else 0
 

@@ -86,6 +86,31 @@ let incr ?(by = 1) t name =
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
+(* A counter resolved once: [h_cell] is the counter's own cell once it
+   exists, [unresolved] (never written) until the first bump creates it
+   through [incr], so a handle never adds a zero entry. *)
+type handle = { h_reg : t; h_name : string; mutable h_cell : int ref }
+
+let unresolved = ref 0
+
+let handle t name =
+  {
+    h_reg = t;
+    h_name = name;
+    h_cell =
+      (match Hashtbl.find_opt t.counters name with
+      | Some r -> r
+      | None -> unresolved);
+  }
+
+let bump h =
+  let r = h.h_cell in
+  if r != unresolved then r := !r + 1
+  else begin
+    incr h.h_reg h.h_name;
+    h.h_cell <- Hashtbl.find h.h_reg.counters h.h_name
+  end
+
 (** All counters, sorted by name — the deterministic view report code
     must use (hash-table fold order is unspecified). *)
 let counters_alist t =

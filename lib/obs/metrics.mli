@@ -23,6 +23,16 @@ val labeled : string -> (string * string) list -> string
 val incr : ?by:int -> t -> string -> unit
 val counter : t -> string -> int
 
+type handle
+(** A counter resolved once, for hot paths: {!bump} through a handle
+    costs no name lookup.  The counter is created on the handle's first
+    bump, so a handle that is never bumped leaves no entry behind. *)
+
+val handle : t -> string -> handle
+
+val bump : handle -> unit
+(** [bump (handle t name)] is [incr t name]. *)
+
 val counters_alist : t -> (string * int) list
 (** All counters, sorted by name.  This is the only order the registry
     exposes; hash-table iteration order never leaks. *)

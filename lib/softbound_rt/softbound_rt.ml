@@ -23,8 +23,18 @@ module Intr = Mi_mir.Intrinsics
 let sec_bits = 16
 let slots_per_sec = 1 lsl (sec_bits - 3)
 
+(* per-step counters, resolved once at install *)
+type counters = {
+  n_checks : Mi_obs.Metrics.handle;
+  n_checks_wide : Mi_obs.Metrics.handle;
+  n_trie_store : Mi_obs.Metrics.handle;
+  n_trie_load : Mi_obs.Metrics.handle;
+  n_ss_frames : Mi_obs.Metrics.handle;
+}
+
 type t = {
   st : State.t;
+  n : counters;
   trie : (int, int array) Hashtbl.t;  (** primary: addr >> 16 -> secondary *)
   mutable ss : int array;  (** shadow stack: pairs of (base, bound) slots *)
   mutable ss_top : int;  (** next free pair index *)
@@ -34,33 +44,53 @@ type t = {
 
 (* --- trie ------------------------------------------------------------ *)
 
+(* Lookups go through [Hashtbl.find] rather than [find_opt]: metadata
+   loads and stores run per pointer access, and an option would be
+   allocated on each. *)
 let sec_for t addr =
   let key = addr lsr sec_bits in
-  match Hashtbl.find_opt t.trie key with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.trie key with
+  | s -> s
+  | exception Not_found ->
       let s = Array.make (slots_per_sec * 2) 0 in
       Hashtbl.add t.trie key s;
       s
+
+(* the secondary holding [addr]'s slot, or [no_sec] when none exists *)
+let no_sec = [||]
+
+let sec_find t addr =
+  match Hashtbl.find t.trie (addr lsr sec_bits) with
+  | s -> s
+  | exception Not_found -> no_sec
 
 let slot_index addr = (addr land ((1 lsl sec_bits) - 1)) lsr 3
 
 let trie_store t addr ~base ~bound =
   State.charge t.st t.st.State.cost.Cost.sb_trie_store;
-  State.bump t.st "sb.trie_store";
+  Mi_obs.Metrics.bump t.n.n_trie_store;
   let s = sec_for t addr in
   let i = slot_index addr in
   s.((i * 2)) <- base;
   s.((i * 2) + 1) <- bound
 
-let trie_load t addr =
+let load_sec t addr =
   State.charge t.st t.st.State.cost.Cost.sb_trie_load;
-  State.bump t.st "sb.trie_load";
-  match Hashtbl.find_opt t.trie (addr lsr sec_bits) with
-  | None -> (0, 0)
-  | Some s ->
-      let i = slot_index addr in
-      (s.(i * 2), s.((i * 2) + 1))
+  Mi_obs.Metrics.bump t.n.n_trie_load;
+  sec_find t addr
+
+let trie_load t addr =
+  let s = load_sec t addr in
+  if s == no_sec then (0, 0)
+  else
+    let i = slot_index addr in
+    (s.(i * 2), s.((i * 2) + 1))
+
+(* One half of [trie_load]: [half] 0 is the base, 1 the bound.  The
+   intrinsics use it, so a metadata load allocates no pair. *)
+let trie_load_half t addr half =
+  let s = load_sec t addr in
+  if s == no_sec then 0 else s.((slot_index addr * 2) + half)
 
 (** Copy metadata for every pointer-sized slot in [dst, dst+len) from the
     corresponding slot of [src] — the [copy_metadata] of Fig. 6. *)
@@ -72,11 +102,11 @@ let meta_copy t ~dst ~src len =
     State.charge t.st
       (t.st.State.cost.Cost.sb_trie_load + t.st.State.cost.Cost.sb_trie_store);
     let b, e =
-      match Hashtbl.find_opt t.trie (sa lsr sec_bits) with
-      | None -> (0, 0)
-      | Some s ->
-          let i = slot_index sa in
-          (s.(i * 2), s.((i * 2) + 1))
+      let s = sec_find t sa in
+      if s == no_sec then (0, 0)
+      else
+        let i = slot_index sa in
+        (s.(i * 2), s.((i * 2) + 1))
     in
     let s = sec_for t da in
     let i = slot_index da in
@@ -95,7 +125,7 @@ let ss_ensure t n =
 
 let ss_enter t nslots =
   State.charge t.st t.st.State.cost.Cost.ss_frame;
-  State.bump t.st "sb.ss_frames";
+  Mi_obs.Metrics.bump t.n.n_ss_frames;
   t.ss_saved <- t.ss_fp :: t.ss_saved;
   t.ss_fp <- t.ss_top;
   t.ss_top <- t.ss_top + nslots + 1;
@@ -134,11 +164,12 @@ let ss_get_bound t slot =
 
 (* --- check (Figure 2 of the paper) ------------------------------------- *)
 
-let check ?(site = -1) st ptr width ~base ~bound =
+let check t ~site ptr width ~base ~bound =
+  let st = t.st in
   State.charge st st.State.cost.Cost.sb_check;
-  State.bump st "sb.checks";
+  Mi_obs.Metrics.bump t.n.n_checks;
   let wide = bound >= Layout.wide_bound in
-  if wide then State.bump st "sb.checks_wide";
+  if wide then Mi_obs.Metrics.bump t.n.n_checks_wide;
   State.site_hit st site ~wide ~cycles:st.State.cost.Cost.sb_check;
   if ptr < base || ptr + width > bound then
     raise
@@ -205,6 +236,14 @@ let install ?(wrapper_checks = false) (st : State.t) : t =
   let t =
     {
       st;
+      n =
+        {
+          n_checks = State.handle st "sb.checks";
+          n_checks_wide = State.handle st "sb.checks_wide";
+          n_trie_store = State.handle st "sb.trie_store";
+          n_trie_load = State.handle st "sb.trie_load";
+          n_ss_frames = State.handle st "sb.ss_frames";
+        };
       trie = Hashtbl.create 256;
       ss = Array.make 8192 0;
       ss_top = 0;
@@ -217,14 +256,12 @@ let install ?(wrapper_checks = false) (st : State.t) : t =
   let reg = State.register_intrinsic st in
   reg Intr.sb_check
     (State.F5
-       (fun st ptr width base bound site ->
-         check ~site st ptr width ~base ~bound));
+       (fun _ ptr width base bound site -> check t ~site ptr width ~base ~bound));
   reg Intr.sb_trie_store
     (State.F3 (fun _ addr base bound -> trie_store t addr ~base ~bound));
-  reg Intr.sb_trie_load_base
-    (State.FR1 (fun _ addr -> fst (trie_load t addr)));
+  reg Intr.sb_trie_load_base (State.FR1 (fun _ addr -> trie_load_half t addr 0));
   reg Intr.sb_trie_load_bound
-    (State.FR1 (fun _ addr -> snd (trie_load t addr)));
+    (State.FR1 (fun _ addr -> trie_load_half t addr 1));
   reg Intr.sb_meta_copy
     (State.F3 (fun _ dst src len -> meta_copy t ~dst ~src len));
   reg Intr.ss_enter (State.F1 (fun _ n -> ss_enter t n));

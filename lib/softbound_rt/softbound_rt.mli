@@ -40,11 +40,11 @@ val ss_get_bound : t -> int -> int
 
 (** {1 Check (Figure 2)} *)
 
-val check : ?site:int -> State.t -> int -> int -> base:int -> bound:int -> unit
-(** [check st ptr width ~base ~bound] raises {!State.Safety_abort} when
-    [ptr < base] or [ptr + width > bound]; counts a wide check when the
-    bound is the wide sentinel.  [site] attributes the execution to an
-    instrumentation site ({!Mi_obs.Site}). *)
+val check : t -> site:int -> int -> int -> base:int -> bound:int -> unit
+(** [check t ~site ptr width ~base ~bound] raises {!State.Safety_abort}
+    when [ptr < base] or [ptr + width > bound]; counts a wide check when
+    the bound is the wide sentinel.  [site] attributes the execution to
+    an instrumentation site ({!Mi_obs.Site}); -1 attributes it to none. *)
 
 (** {1 Installation} *)
 

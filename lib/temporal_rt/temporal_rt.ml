@@ -28,8 +28,18 @@
 open Mi_vm
 module Intr = Mi_mir.Intrinsics
 
+(* per-step counters, resolved once at install *)
+type counters = {
+  n_checks : Mi_obs.Metrics.handle;
+  n_checks_wide : Mi_obs.Metrics.handle;
+  n_trie_store : Mi_obs.Metrics.handle;
+  n_trie_load : Mi_obs.Metrics.handle;
+  n_ss_frames : Mi_obs.Metrics.handle;
+}
+
 type t = {
   st : State.t;
+  n : counters;
   keys : (int, int) Hashtbl.t;  (** allocation base -> its (live) key *)
   live : (int, unit) Hashtbl.t;  (** keys not yet killed *)
   trie : (int, int) Hashtbl.t;  (** pointer location -> stored key *)
@@ -73,14 +83,14 @@ let key_of_alloc t addr =
 
 let trie_store t addr key =
   State.charge t.st t.st.State.cost.Cost.tp_meta;
-  State.bump t.st "tp.trie_store";
+  Mi_obs.Metrics.bump t.n.n_trie_store;
   if key = 0 then Hashtbl.remove t.trie addr
   else Hashtbl.replace t.trie addr key
 
 let trie_load t addr =
   State.charge t.st t.st.State.cost.Cost.tp_meta;
-  State.bump t.st "tp.trie_load";
-  Option.value ~default:0 (Hashtbl.find_opt t.trie addr)
+  Mi_obs.Metrics.bump t.n.n_trie_load;
+  match Hashtbl.find t.trie addr with k -> k | exception Not_found -> 0
 
 (** Copy keys for every pointer-sized slot of a moved memory range (the
     temporal half of the memcpy wrapper's [copy_metadata]). *)
@@ -106,7 +116,7 @@ let ss_ensure t n =
 
 let ss_enter t nslots =
   State.charge t.st t.st.State.cost.Cost.ss_frame;
-  State.bump t.st "tp.ss_frames";
+  Mi_obs.Metrics.bump t.n.n_ss_frames;
   t.ss_saved <- t.ss_fp :: t.ss_saved;
   t.ss_fp <- t.ss_top;
   t.ss_top <- t.ss_top + nslots + 1;
@@ -135,12 +145,13 @@ let ss_get t slot =
 
 (* --- check (CETS Figure 4) --------------------------------------------- *)
 
-let check ?(site = -1) t st ptr key =
+let check t ~site ptr key =
+  let st = t.st in
   State.charge st st.State.cost.Cost.tp_check;
-  State.bump st "tp.checks";
+  Mi_obs.Metrics.bump t.n.n_checks;
   if key = 0 then begin
     (* untracked: no allocation identity, access unprotected *)
-    State.bump st "tp.checks_wide";
+    Mi_obs.Metrics.bump t.n.n_checks_wide;
     State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.tp_check
   end
   else begin
@@ -182,6 +193,14 @@ let install ?(stack_protection = true) (st : State.t) : t =
   let t =
     {
       st;
+      n =
+        {
+          n_checks = State.handle st "tp.checks";
+          n_checks_wide = State.handle st "tp.checks_wide";
+          n_trie_store = State.handle st "tp.trie_store";
+          n_trie_load = State.handle st "tp.trie_load";
+          n_ss_frames = State.handle st "tp.ss_frames";
+        };
       keys = Hashtbl.create 256;
       live = Hashtbl.create 256;
       trie = Hashtbl.create 256;
@@ -203,7 +222,7 @@ let install ?(stack_protection = true) (st : State.t) : t =
      unfused calls is derived from it by [State.register_intrinsic]. *)
   let reg = State.register_intrinsic st in
   reg Intr.tp_check
-    (State.F3 (fun st ptr key site -> check ~site t st ptr key));
+    (State.F3 (fun _ ptr key site -> check t ~site ptr key));
   reg Intr.tp_alloc_key (State.FR1 (fun _ addr -> key_of_alloc t addr));
   reg Intr.tp_trie_store (State.F2 (fun _ addr key -> trie_store t addr key));
   reg Intr.tp_trie_load (State.FR1 (fun _ addr -> trie_load t addr));

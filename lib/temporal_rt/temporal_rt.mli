@@ -46,10 +46,11 @@ val ss_get : t -> int -> int
 
 (** {1 Check (CETS Figure 4)} *)
 
-val check : ?site:int -> t -> State.t -> int -> int -> unit
-(** [check t st ptr key] raises {!State.Safety_abort} when [key] is
+val check : t -> site:int -> int -> int -> unit
+(** [check t ~site ptr key] raises {!State.Safety_abort} when [key] is
     nonzero and dead; key 0 counts as a wide check and never reports.
-    [site] attributes the execution to an instrumentation site. *)
+    [site] attributes the execution to an instrumentation site; -1
+    attributes it to none. *)
 
 (** {1 Installation} *)
 

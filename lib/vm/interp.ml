@@ -1,54 +1,63 @@
 (** The MIR interpreter.
 
-    Functions are precompiled into a dense executable form: SSA variables
-    become slots in per-frame integer/float register banks, labels become
-    block indices, phi nodes become parallel move lists on the incoming
-    edges, and every operand is resolved (globals to their load addresses,
-    immediates inline).  Execution charges cycles according to the
-    {!Cost} model, which is what the runtime-overhead experiments
-    measure.
+    {!load} compiles every function into closures (Feeley & Lapalme,
+    "Using Closures for Code Generation", 1987).  SSA variables become
+    slots in per-frame integer/float register banks and labels become
+    block indices; then each instruction becomes one closure specialised
+    at load on its operation, its type and its operand kinds (register
+    or immediate), with its cycle cost bound as a constant.  A block is
+    its instructions' closures chained in order, each calling the next
+    in tail position, ending in its terminator's closure, which returns
+    the index of the next block.  Phi nodes become parallel moves on the
+    edge that feeds them, run by the terminator once it has picked the
+    edge.  Execution charges cycles according to the {!Cost} model,
+    which is what the runtime-overhead experiments measure.
 
-    {2 The fast-path execution engine}
+    Every instruction and terminator closure starts with one per-step
+    {!tick}, so traps, violations, fuel exhaustion and poll hooks land on
+    a fixed step with fixed cycles ([test/test_engine.ml] pins them for
+    runs that stop part-way).
+
+    {2 Calls}
 
     Dynamic calls never hash a name on the hot path.  At load time every
-    call site is resolved into a direct variant:
+    call site is resolved:
 
-    - [XCallX] — the callee is a function of the image: the site holds a
-      [ref] to its precompiled body (a ref, so mutually recursive
-      functions resolve in one pass) and arguments copy straight from
-      the caller's register banks into the callee's, with no boxing;
-    - fused superinstructions ([XFast0]..[XFast5], [XFastR]) — the
-      callee is a runtime intrinsic ({!State.register_intrinsic}) and
-      the site's arity matches its typed implementation
-      ({!State.fast_fn}): the call is one direct closure invocation on
-      unboxed integers;
-    - [XCallBuiltin] — everything else: a per-site inline cache holds
-      the resolved boxed builtin (pre-warmed at load when the name is
-      already registered, filled on first execution otherwise).  For an
-      intrinsic that is the adapter derived from the same typed
-      implementation, which traps on a malformed call.
+    - the callee is a function of the image: the site holds its compiled
+      record and arguments copy straight from the caller's register
+      banks into the callee's, with no boxing;
+    - fused superinstruction — the callee is a runtime intrinsic
+      ({!State.register_intrinsic}) and the site's arity matches its
+      typed implementation ({!State.fast_fn}): the call is one direct
+      closure invocation on unboxed integers;
+    - everything else: a per-site inline cache holds the resolved boxed
+      builtin (pre-warmed at load when the name is already registered,
+      filled on first execution otherwise).  For an intrinsic that is
+      the adapter derived from the same typed implementation, which
+      traps on a malformed call.
 
     Caches carry the {!State.t.builtin_gen} generation they were
     resolved at; registering a builtin after load bumps the generation
     and every affected site transparently re-resolves.  The contract
     throughout: resolution strategy is invisible to the cost model —
     modeled cycles, steps, counters and site profiles are identical on
-    the boxed lookup path, only wall-clock time changes. *)
+    the boxed lookup path, only wall-clock time changes.
+
+    An image is bound to the state it was loaded into: its closures
+    hold that state's memory, cost model and builtin tables. *)
 
 open Mi_mir
-module Rng = Mi_support.Rng
 
 (* ------------------------------------------------------------------ *)
-(* Executable form                                                     *)
+(* Compiled form                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* An operand, resolved at load. *)
 type xv =
   | XI of int  (** immediate integer / resolved address *)
   | XF of float
   | XR of int  (** integer-bank register *)
   | XFR of int  (** float-bank register *)
-
-type move = { mdst : int; mflt : bool; msrc : xv }
 
 type builtin = State.t -> State.value array -> State.value option
 
@@ -70,104 +79,151 @@ type fused = {
   fc : fcache;
 }
 
-type xinstr =
-  | XBin of Instr.binop * Ty.t * int * xv * xv
-  | XFBin of Instr.fbinop * int * xv * xv
-  | XIcmp of Instr.icmp * Ty.t * int * xv * xv
-  | XFcmp of Instr.fcmp * int * xv * xv
-  | XCastII of Instr.cast * Ty.t * Ty.t * int * xv
-  | XSiToFp of int * xv
-  | XFpToSi of Ty.t * int * xv
-  | XBitsIF of int * xv  (** bitcast i64 -> f64: dst is float reg *)
-  | XBitsFI of int * xv  (** bitcast f64 -> i64: dst is int reg *)
-  | XLoadI of Ty.t * int * xv  (** normalized integer load *)
-  | XLoadF of int * xv
-  | XStoreI of int * xv * xv  (** width, value, addr *)
-  | XStoreF of xv * xv
-  | XGep of int * xv * (int * xv) array
-  | XSelI of int * xv * xv * xv
-  | XSelF of int * xv * xv * xv
-  | XCallX of {
-      xdst : (bool * int) option;  (** (is_float, slot) *)
-      target : xfunc ref;  (** filled during [load]; no name lookup *)
-      xargs : xv array;
-    }
-  | XCallBuiltin of {
-      xdst : (bool * int) option;
-      xcallee : string;
-      xargs : xv array;
-      cache : bcache;  (** per-site inline cache *)
-    }
-  | XFast5 of fused  (** __mi_sb_check (ptr, width, base, bound, site) *)
-  | XFast4 of fused  (** __mi_lf_check (ptr, width, base, site) *)
-  | XFast0 of fused  (** nullary effectful intrinsic: ss_leave *)
-  | XFast1 of fused  (** unary effectful intrinsic: ss_enter *)
-  | XFast2 of fused  (** binary effectful intrinsic: ss_set_base/bound *)
-  | XFast3 of fused
-      (** ternary effectful intrinsic: trie_store, meta_copy,
-          lf_invariant_check, tp_check *)
-  | XFastR of fused
-      (** unary int-returning intrinsic: trie loads, ss_get_*, lf_base,
-          lf_alloca *)
-  | XAlloca of int * int * int  (** dst, size, align *)
-  | XMemcpy of xv * xv * xv
-  | XMemset of xv * xv * xv
+(* Compiled code runs on a frame's integer and float register banks and
+   returns the index of the next block to run, or -1 once the function
+   has returned. *)
+type code = int array -> float array -> int
 
-and xterm =
-  | XRet of xv option
-  | XBr of int
-  | XCbr of xv * int * int
-  | XUnreachable
-
-and xblock = {
-  xinstrs : xinstr array;
-  xterm : xterm;
-  (* parallel phi moves to perform when entering this block, indexed by
-     the predecessor block we arrive from: [||] when the block has no
-     phis, otherwise one (possibly empty) move array per block index *)
-  xmoves : move array array;
-}
-
-and xfunc = {
+type xfunc = {
   xname : string;
-  xblocks : xblock array;
-  n_iregs : int;
-  n_fregs : int;
   param_slots : (bool * int) array;  (** (is_float, slot) per parameter *)
-  ret_is_float : bool;
-  mutable xcov : Mi_obs.Coverage.fn option;
-      (** coverage counters for this function, filled by [load] when the
-          state carries a registry; [None] costs one option check per
-          executed block.  Recording is block/edge-granular and happens
-          before the block body runs, so it is identical under fast and
-          generic dispatch. *)
+  mutable n_iregs : int;
+  mutable n_fregs : int;
+      (** bank sizes; final once [load] returns (a discarded result
+          claims a scratch slot while its block compiles) *)
+  mutable xblocks : code array;
+  mutable xsucc : int array array;
+      (** successor block ids per block: the coverage geometry *)
+  mutable cov_blocks : int array;
+  mutable cov_edges : int array;
+      (** coverage counters, filled by [load] when the state carries a
+          registry ([[||]] otherwise).  Block 0 is counted at frame
+          entry; every other block entry and every edge is counted by
+          the terminator that takes the edge, at an edge slot computed
+          at load. *)
 }
+
+(* How the last frame returned: a [ret] terminator writes it and the
+   caller reads it right after the frame's loop ends, so results cross
+   calls unboxed. *)
+type ret = { mutable rkind : int; mutable ri : int; mutable rf : float }
+
+let r_void = 0
+let r_int = 1
+let r_float = 2
 
 type image = {
-  xfuncs : (string, xfunc ref) Hashtbl.t;
+  ist : State.t;  (** the state the image was loaded into *)
+  xfuncs : (string, xfunc) Hashtbl.t;
   global_addr : (string, int) Hashtbl.t;
   fn_addr : (string, int) Hashtbl.t;  (** fake code addresses *)
   merged : Irmod.t;
+  ret : ret;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Precompilation                                                      *)
-(* ------------------------------------------------------------------ *)
 
 exception Link_error of string
 
-(* Placeholder body the per-function refs point at until [load]'s second
-   pass fills them; never executed. *)
-let dummy_xfunc =
-  {
-    xname = "<unresolved>";
-    xblocks = [||];
-    n_iregs = 0;
-    n_fregs = 0;
-    param_slots = [||];
-    ret_is_float = false;
-    xcov = None;
-  }
+(* ------------------------------------------------------------------ *)
+(* Execution primitives                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One dynamic step: fuel accounting plus the poll-hook check that
+   fault injectors and wall-clock deadlines piggyback on.  Every
+   instruction and terminator closure starts with it. *)
+let[@inline] tick (st : State.t) =
+  st.steps <- st.steps + 1;
+  if st.steps > st.fuel then raise (State.Fuel_exhausted st.fuel);
+  if st.steps >= st.next_poll_step then State.run_polls st
+
+(* Register slots are assigned at load and every bank is allocated with
+   its function's final size, so slot accesses are in bounds by
+   construction. *)
+let[@inline] get (bank : int array) r = Array.unsafe_get bank r
+let[@inline] set (bank : int array) r v = Array.unsafe_set bank r v
+let[@inline] fget (bank : float array) r = Array.unsafe_get bank r
+let[@inline] fset (bank : float array) r v = Array.unsafe_set bank r v
+
+let ival iregs = function
+  | XI k -> k
+  | XR r -> get iregs r
+  | XF _ | XFR _ -> raise (State.Trap "float operand in integer context")
+
+let fval fregs = function
+  | XF f -> f
+  | XFR r -> fget fregs r
+  | XI _ | XR _ -> raise (State.Trap "int operand in float context")
+
+let[@inline] box_arg iregs fregs = function
+  | XI k -> State.I k
+  | XR r -> State.I (get iregs r)
+  | XF f -> State.F f
+  | XFR r -> State.F (fget fregs r)
+
+(* Write a call result into the caller's banks; the error messages here
+   are part of the engine's compatibility surface. *)
+let set_call_result name (xdst : (bool * int) option) iregs fregs
+    (res : State.value option) =
+  match (xdst, res) with
+  | None, _ -> ()
+  | Some (is_f, s), Some v ->
+      if is_f then fset fregs s (State.as_float v)
+      else set iregs s (State.as_int v)
+  | Some _, None ->
+      raise (State.Trap ("void result used from call to " ^ name))
+
+(* A direct call's result from the return channel, with the messages
+   [set_call_result] gives for the boxed value. *)
+let bad_result name (ret : ret) ~want_float =
+  if ret.rkind = r_void then
+    raise (State.Trap ("void result used from call to " ^ name))
+  else if want_float then State.trap "expected float value"
+  else State.trap "expected int value"
+
+(* Revalidate a fused site's fast function against the current builtin
+   generation (one int compare on the hot path). *)
+let[@inline] fused_fn (st : State.t) (f : fused) =
+  if f.fc.fgen <> st.builtin_gen then begin
+    f.fc.ffn <- State.find_fast_builtin st f.fname;
+    f.fc.fgen <- st.builtin_gen
+  end;
+  f.fc.ffn
+
+(* Cold path of a fused site: the typed intrinsic disappeared or changed
+   arity after load (a builtin was re-registered).  Execute through the
+   boxed builtin exactly like an unfused site would. *)
+let fused_slow (st : State.t) (f : fused) iregs fregs =
+  let vargs = Array.map (box_arg iregs fregs) f.fargs in
+  match State.find_builtin st f.fname with
+  | Some fn -> set_call_result f.fname f.fdst iregs fregs (fn st vargs)
+  | None -> raise (State.Trap ("unresolved external: " ^ f.fname))
+
+(* The frame loop.  [iregs]/[fregs] are the callee's banks, already
+   loaded with the arguments; the result is left in the image's return
+   channel. *)
+let exec_frame (st : State.t) (xf : xfunc) (iregs : int array)
+    (fregs : float array) =
+  let saved_sp = st.stack_ptr in
+  st.frame_enter_hook st;
+  (try
+     (* coverage side band: entry into block 0; never touches
+        cycles/steps/counters *)
+     let cb = xf.cov_blocks in
+     if Array.length cb > 0 then cb.(0) <- cb.(0) + 1;
+     let blocks = xf.xblocks in
+     let cur = ref 0 in
+     while !cur >= 0 do
+       cur := (Array.unsafe_get blocks !cur) iregs fregs
+     done
+   with e ->
+     st.frame_exit_hook st;
+     st.stack_ptr <- saved_sp;
+     raise e);
+  st.frame_exit_hook st;
+  st.stack_ptr <- saved_sp
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
 
 (* Decide whether a call to [callee] can fuse into a superinstruction:
    the state must hold a typed intrinsic of that name and the site's
@@ -175,7 +231,7 @@ let dummy_xfunc =
    exactly.  Anything else stays a boxed call, whose adapter traps on
    the mismatch. *)
 let fuse (st : State.t) callee (xdst : (bool * int) option)
-    (xargs : xv array) : xinstr option =
+    (xargs : xv array) : (fused * State.fast_fn) option =
   let ints_only =
     Array.for_all (function XI _ | XR _ -> true | XF _ | XFR _ -> false) xargs
   in
@@ -195,29 +251,283 @@ let fuse (st : State.t) callee (xdst : (bool * int) option)
           }
         in
         match (ff, xdst, Array.length xargs) with
-        | State.F0 _, None, 0 -> Some (XFast0 f)
-        | State.F1 _, None, 1 -> Some (XFast1 f)
-        | State.F2 _, None, 2 -> Some (XFast2 f)
-        | State.F3 _, None, 3 -> Some (XFast3 f)
-        | State.F4 _, None, 4 -> Some (XFast4 f)
-        | State.F5 _, None, 5 -> Some (XFast5 f)
-        | State.FR1 _, (None | Some (false, _)), 1 -> Some (XFastR f)
+        | State.F0 _, None, 0
+        | State.F1 _, None, 1
+        | State.F2 _, None, 2
+        | State.F3 _, None, 3
+        | State.F4 _, None, 4
+        | State.F5 _, None, 5
+        | State.FR1 _, (None | Some (false, _)), 1 ->
+            Some (f, ff)
         | _ -> None)
 
-let precompile_func (st : State.t) ~xfuncs ~global_addr ~fn_addr (f : Func.t)
-    : xfunc =
-  let blocks = Array.of_list f.blocks in
-  let n = Array.length blocks in
-  let block_idx = Hashtbl.create n in
-  Array.iteri
-    (fun i (b : Block.t) -> Hashtbl.replace block_idx b.label i)
-    blocks;
-  let bidx l =
-    match Hashtbl.find_opt block_idx l with
-    | Some i -> i
-    | None -> raise (Link_error (f.fname ^ ": unknown label " ^ l))
+(* A fused site's closure, by the arity its typed implementation had at
+   load.  Each execution revalidates the typed function and falls back
+   to the boxed builtin when it changed. *)
+let fused_code (st : State.t) (f : fused) (ff : State.fast_fn) (next : code) :
+    code =
+  let a = f.fargs in
+  match ff with
+  | State.F5 _ ->
+      let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3)
+      and a4 = a.(4) in
+      fun ir fr ->
+        tick st;
+        (match fused_fn st f with
+        | Some (State.F5 fn) ->
+            fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3)
+              (ival ir a4)
+        | _ -> fused_slow st f ir fr);
+        next ir fr
+  | State.F4 _ ->
+      let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3) in
+      fun ir fr ->
+        tick st;
+        (match fused_fn st f with
+        | Some (State.F4 fn) ->
+            fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3)
+        | _ -> fused_slow st f ir fr);
+        next ir fr
+  | State.F3 _ ->
+      let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) in
+      fun ir fr ->
+        tick st;
+        (match fused_fn st f with
+        | Some (State.F3 fn) -> fn st (ival ir a0) (ival ir a1) (ival ir a2)
+        | _ -> fused_slow st f ir fr);
+        next ir fr
+  | State.F2 _ ->
+      let a0 = a.(0) and a1 = a.(1) in
+      fun ir fr ->
+        tick st;
+        (match fused_fn st f with
+        | Some (State.F2 fn) -> fn st (ival ir a0) (ival ir a1)
+        | _ -> fused_slow st f ir fr);
+        next ir fr
+  | State.F1 _ ->
+      let a0 = a.(0) in
+      fun ir fr ->
+        tick st;
+        (match fused_fn st f with
+        | Some (State.F1 fn) -> fn st (ival ir a0)
+        | _ -> fused_slow st f ir fr);
+        next ir fr
+  | State.F0 _ ->
+      fun ir fr ->
+        tick st;
+        (match fused_fn st f with
+        | Some (State.F0 fn) -> fn st
+        | _ -> fused_slow st f ir fr);
+        next ir fr
+  | State.FR1 _ -> (
+      let a0 = a.(0) in
+      match f.fdst with
+      | Some (_, d) ->
+          fun ir fr ->
+            tick st;
+            (match fused_fn st f with
+            | Some (State.FR1 fn) -> set ir d (fn st (ival ir a0))
+            | _ -> fused_slow st f ir fr);
+            next ir fr
+      | None ->
+          fun ir fr ->
+            tick st;
+            (match fused_fn st f with
+            | Some (State.FR1 fn) -> ignore (fn st (ival ir a0))
+            | _ -> fused_slow st f ir fr);
+            next ir fr)
+
+(* An unfused call to a builtin, through its per-site inline cache. *)
+let builtin_code (st : State.t) callee xdst xargs (next : code) : code =
+  let cache = { bgen = st.State.builtin_gen; bfn = State.find_builtin st callee } in
+  fun ir fr ->
+    tick st;
+    let fn =
+      if cache.bgen = st.builtin_gen then cache.bfn
+      else begin
+        let f = State.find_builtin st callee in
+        cache.bfn <- f;
+        cache.bgen <- st.builtin_gen;
+        f
+      end
+    in
+    (match fn with
+    | Some fn ->
+        let vargs = Array.map (box_arg ir fr) xargs in
+        set_call_result callee xdst ir fr (fn st vargs)
+    | None -> raise (State.Trap ("unresolved external: " ^ callee)));
+    next ir fr
+
+(* One argument of a direct call, copied from the caller's banks into
+   the callee's. *)
+type arg = AReg of int * int | AImm of int * int | AFReg of int * int
+  | AFImm of int * float
+
+exception Bad_arg of string
+
+(* The float bank of a callee that has no float slot: nothing ever reads
+   or writes it, so every such call shares this one. *)
+let no_fregs = [| 0.0 |]
+
+(* A call to a function of the image.  Arity and argument kinds are
+   checked at load; a mismatch compiles to a closure that traps with the
+   message the call would give, after the same tick and charge. *)
+let direct_code (st : State.t) (ret : ret) (callee : xfunc)
+    (xdst : (bool * int) option) (xargs : xv array) (next : code) : code =
+  let overhead = st.State.cost.Cost.call_overhead in
+  let nparams = Array.length callee.param_slots in
+  let args =
+    if Array.length xargs <> nparams then
+      Error
+        (Printf.sprintf "call to %s with %d args, expected %d" callee.xname
+           (Array.length xargs) nparams)
+    else
+      try
+        Ok
+          (Array.mapi
+             (fun i (is_f, s) ->
+               match (is_f, xargs.(i)) with
+               | false, XI k -> AImm (s, k)
+               | false, XR r -> AReg (s, r)
+               | true, XF f -> AFImm (s, f)
+               | true, XFR r -> AFReg (s, r)
+               | false, (XF _ | XFR _) -> raise (Bad_arg "float arg for int param")
+               | true, (XI _ | XR _) -> raise (Bad_arg "int arg for float param"))
+             callee.param_slots)
+      with Bad_arg msg -> Error msg
   in
-  (* slot assignment *)
+  match args with
+  | Error msg ->
+      fun _ _ ->
+        tick st;
+        st.cycles <- st.cycles + overhead;
+        raise (State.Trap msg)
+  | Ok args ->
+      let name = callee.xname in
+      let call ir fr =
+        tick st;
+        st.cycles <- st.cycles + overhead;
+        let cir = Array.make (max callee.n_iregs 1) 0 in
+        let cfr =
+          if callee.n_fregs = 0 then no_fregs
+          else Array.make callee.n_fregs 0.0
+        in
+        for j = 0 to Array.length args - 1 do
+          match Array.unsafe_get args j with
+          | AReg (s, r) -> set cir s (get ir r)
+          | AImm (s, k) -> set cir s k
+          | AFReg (s, r) -> fset cfr s (fget fr r)
+          | AFImm (s, f) -> fset cfr s f
+        done;
+        exec_frame st callee cir cfr
+      in
+      (match xdst with
+      | None ->
+          fun ir fr ->
+            call ir fr;
+            next ir fr
+      | Some (false, d) ->
+          fun ir fr ->
+            call ir fr;
+            if ret.rkind = r_int then set ir d ret.ri
+            else bad_result name ret ~want_float:false;
+            next ir fr
+      | Some (true, d) ->
+          fun ir fr ->
+            call ir fr;
+            if ret.rkind = r_float then fset fr d ret.rf
+            else bad_result name ret ~want_float:true;
+            next ir fr)
+
+(* A phi move: the value [msrc] flows into slot [mdst] along an edge. *)
+type move = { mdst : int; mflt : bool; msrc : xv }
+
+(* Coverage side band of taking an edge: the edge at flat slot [slot]
+   and the entry into block [t].  Never touches cycles, steps or
+   counters. *)
+let[@inline] cover (xf : xfunc) slot t =
+  let e = xf.cov_edges and b = xf.cov_blocks in
+  Array.unsafe_set e slot (Array.unsafe_get e slot + 1);
+  Array.unsafe_set b t (Array.unsafe_get b t + 1)
+
+(* Taking the edge to block [t]: coverage when [cov], then the edge's
+   phi moves with parallel semantics — every source is read before any
+   destination is written, one ALU cycle per move.  [None] when there
+   is nothing to do but jump. *)
+let edge_code (st : State.t) (xf : xfunc) ~cov ~slot t (mv : move array) :
+    code option =
+  let alu = st.State.cost.Cost.alu in
+  match mv with
+  | [||] -> if cov then Some (fun _ _ -> cover xf slot t; t) else None
+  | [| { mdst = d; mflt = false; msrc = XR s } |] ->
+      if cov then
+        Some
+          (fun ir _ ->
+            cover xf slot t;
+            set ir d (get ir s);
+            st.cycles <- st.cycles + alu;
+            t)
+      else
+        Some
+          (fun ir _ ->
+            set ir d (get ir s);
+            st.cycles <- st.cycles + alu;
+            t)
+  | [|
+   { mdst = d1; mflt = false; msrc = XR s1 };
+   { mdst = d2; mflt = false; msrc = XR s2 };
+  |] ->
+      (* register reads cannot trap, so the two charges add at once *)
+      let k = 2 * alu in
+      if cov then
+        Some
+          (fun ir _ ->
+            cover xf slot t;
+            let x1 = get ir s1 and x2 = get ir s2 in
+            set ir d1 x1;
+            set ir d2 x2;
+            st.cycles <- st.cycles + k;
+            t)
+      else
+        Some
+          (fun ir _ ->
+            let x1 = get ir s1 and x2 = get ir s2 in
+            set ir d1 x1;
+            set ir d2 x2;
+            st.cycles <- st.cycles + k;
+            t)
+  | _ ->
+      let n = Array.length mv in
+      (* nothing runs between a read and its write-back, so one buffer
+         pair per edge serves every execution *)
+      let tmp_i = Array.make n 0 and tmp_f = Array.make n 0.0 in
+      let moves ir fr =
+        for k = 0 to n - 1 do
+          let m = Array.unsafe_get mv k in
+          if m.mflt then tmp_f.(k) <- fval fr m.msrc
+          else tmp_i.(k) <- ival ir m.msrc
+        done;
+        for k = 0 to n - 1 do
+          let m = Array.unsafe_get mv k in
+          if m.mflt then fset fr m.mdst tmp_f.(k) else set ir m.mdst tmp_i.(k);
+          st.cycles <- st.cycles + alu
+        done
+      in
+      if cov then
+        Some
+          (fun ir fr ->
+            cover xf slot t;
+            moves ir fr;
+            t)
+      else
+        Some
+          (fun ir fr ->
+            moves ir fr;
+            t)
+
+(* Slot assignment: parameters first, then phi and instruction results,
+   each bank numbered in order of first definition. *)
+let assign_slots (f : Func.t) =
   let slot_of : (bool * int) Value.VTbl.t = Value.VTbl.create 64 in
   let n_i = ref 0 and n_f = ref 0 in
   let assign (v : Value.var) =
@@ -232,13 +542,45 @@ let precompile_func (st : State.t) ~xfuncs ~global_addr ~fn_addr (f : Func.t)
       end
   in
   List.iter assign f.params;
-  Array.iter
+  List.iter
     (fun (b : Block.t) ->
       List.iter (fun (p : Instr.phi) -> assign p.pdst) b.phis;
-      List.iter
-        (fun (i : Instr.t) -> Option.iter assign i.dst)
-        b.body)
+      List.iter (fun (i : Instr.t) -> Option.iter assign i.dst) b.body)
+    f.blocks;
+  let xf =
+    {
+      xname = f.fname;
+      param_slots =
+        Array.of_list (List.map (Value.VTbl.find slot_of) f.params);
+      n_iregs = !n_i;
+      n_fregs = !n_f;
+      xblocks = [||];
+      xsucc = [||];
+      cov_blocks = [||];
+      cov_edges = [||];
+    }
+  in
+  (xf, slot_of)
+
+(* Compile [f] into [xf] (prepared by [assign_slots]).  Operands,
+   slots and labels resolve in program order — instructions, then the
+   terminator, block by block, then the phi moves — so a malformed
+   function fails with the first Link_error in that order. *)
+let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
+    ~(cov : bool) (xf : xfunc) slot_of (f : Func.t) =
+  let c = st.State.cost in
+  let mem = st.State.mem in
+  let blocks = Array.of_list f.blocks in
+  let n = Array.length blocks in
+  let block_idx = Hashtbl.create n in
+  Array.iteri
+    (fun i (b : Block.t) -> Hashtbl.replace block_idx b.label i)
     blocks;
+  let bidx l =
+    match Hashtbl.find_opt block_idx l with
+    | Some i -> i
+    | None -> raise (Link_error (f.fname ^ ": unknown label " ^ l))
+  in
   let slot v =
     match Value.VTbl.find_opt slot_of v with
     | Some s -> s
@@ -276,8 +618,8 @@ let precompile_func (st : State.t) ~xfuncs ~global_addr ~fn_addr (f : Func.t)
         s
     | None ->
         if !iscratch < 0 then begin
-          iscratch := !n_i;
-          incr n_i
+          iscratch := xf.n_iregs;
+          xf.n_iregs <- xf.n_iregs + 1
         end;
         !iscratch
   in
@@ -289,140 +631,680 @@ let precompile_func (st : State.t) ~xfuncs ~global_addr ~fn_addr (f : Func.t)
         s
     | None ->
         if !fscratch < 0 then begin
-          fscratch := !n_f;
-          incr n_f
+          fscratch := xf.n_fregs;
+          xf.n_fregs <- xf.n_fregs + 1
         end;
         !fscratch
   in
-  let xinstr (i : Instr.t) : xinstr =
+  (* an instruction resolves its slots and operands now and returns the
+     builder of its closure, given the code that follows it *)
+  let instr (i : Instr.t) : code -> code =
     match i.op with
-    | Bin (op, ty, a, b) ->
-        XBin (op, ty, int_slot ~what:"bin" i.dst, xval a, xval b)
-    | FBin (op, a, b) -> XFBin (op, flt_slot ~what:"fbin" i.dst, xval a, xval b)
-    | Icmp (op, ty, a, b) ->
-        XIcmp (op, ty, int_slot ~what:"icmp" i.dst, xval a, xval b)
-    | Fcmp (op, a, b) -> XFcmp (op, int_slot ~what:"fcmp" i.dst, xval a, xval b)
-    | Cast (c, from_ty, v, to_ty) -> (
-        match c with
-        | SiToFp -> XSiToFp (flt_slot ~what:"sitofp" i.dst, xval v)
-        | FpToSi -> XFpToSi (to_ty, int_slot ~what:"fptosi" i.dst, xval v)
-        | Bitcast when Ty.is_float to_ty && not (Ty.is_float from_ty) ->
-            XBitsIF (flt_slot ~what:"bitcast" i.dst, xval v)
-        | Bitcast when Ty.is_float from_ty && not (Ty.is_float to_ty) ->
-            XBitsFI (int_slot ~what:"bitcast" i.dst, xval v)
-        | _ ->
-            XCastII (c, from_ty, to_ty, int_slot ~what:"cast" i.dst, xval v))
-    | Load (ty, addr) ->
-        if Ty.is_float ty then XLoadF (flt_slot ~what:"load" i.dst, xval addr)
-        else XLoadI (ty, int_slot ~what:"load" i.dst, xval addr)
-    | Store (ty, v, addr) ->
-        if Ty.is_float ty then XStoreF (xval v, xval addr)
-        else XStoreI (Ty.size_of ty, xval v, xval addr)
-    | Gep (base, idxs) ->
-        XGep
-          ( int_slot ~what:"gep" i.dst,
-            xval base,
-            Array.of_list
-              (List.map (fun gi -> (gi.Instr.stride, xval gi.Instr.idx)) idxs)
-          )
-    | Select (ty, c, a, b) ->
-        if Ty.is_float ty then
-          XSelF (flt_slot ~what:"select" i.dst, xval c, xval a, xval b)
-        else XSelI (int_slot ~what:"select" i.dst, xval c, xval a, xval b)
-    | Call (callee, args) -> (
-        let xdst =
-          match i.dst with
-          | None -> None
-          | Some v -> Some (slot v)
+    | Bin (op, ty, a, b) -> (
+        let d = int_slot ~what:"bin" i.dst in
+        let a = xval a and b = xval b in
+        let k =
+          match op with
+          | Mul -> c.mul
+          | SDiv | UDiv | SRem | URem -> c.div
+          | _ -> c.alu
         in
+        let wide = ty = Ty.I64 || ty = Ty.Ptr in
+        fun next ->
+          match (op, a, b) with
+          | Add, XR x, XR y when wide ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (get ir x + get ir y);
+                next ir fr
+          | Add, XR x, XI y when wide ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (get ir x + y);
+                next ir fr
+          | Sub, XR x, XR y when wide ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (get ir x - get ir y);
+                next ir fr
+          | Sub, XR x, XI y when wide ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (get ir x - y);
+                next ir fr
+          | Mul, XR x, XR y when wide ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (get ir x * get ir y);
+                next ir fr
+          | Mul, XR x, XI y when wide ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (get ir x * y);
+                next ir fr
+          | Add, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (Eval.normalize ty (get ir x + get ir y));
+                next ir fr
+          | Add, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (Eval.normalize ty (get ir x + y));
+                next ir fr
+          | (SDiv | UDiv | SRem | URem), _, _ ->
+              (* [Eval.binop] raises only on a zero divisor *)
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                let x = ival ir a and y = ival ir b in
+                if y = 0 then raise (State.Trap "integer division by zero");
+                set ir d (Eval.binop op ty x y);
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                let x = ival ir a and y = ival ir b in
+                set ir d (Eval.binop op ty x y);
+                next ir fr)
+    | FBin (op, a, b) -> (
+        let d = flt_slot ~what:"fbin" i.dst in
+        let a = xval a and b = xval b in
+        let k = c.fpu in
+        fun next ->
+          match (op, a, b) with
+          | FAdd, XFR x, XFR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (fget fr x +. fget fr y);
+                next ir fr
+          | FSub, XFR x, XFR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (fget fr x -. fget fr y);
+                next ir fr
+          | FMul, XFR x, XFR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (fget fr x *. fget fr y);
+                next ir fr
+          | FDiv, XFR x, XFR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (fget fr x /. fget fr y);
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (Eval.fbinop op (fval fr a) (fval fr b));
+                next ir fr)
+    | Icmp (op, ty, a, b) -> (
+        let d = int_slot ~what:"icmp" i.dst in
+        let a = xval a and b = xval b in
+        let k = c.alu in
+        (* canonical values compare signed and for equality as plain
+           ints whatever their width; unsigned predicates go through
+           [Eval.icmp] *)
+        let b2i x = if x then 1 else 0 in
+        fun next ->
+          match (op, a, b) with
+          | Slt, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x < get ir y));
+                next ir fr
+          | Slt, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x < y));
+                next ir fr
+          | Sle, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x <= get ir y));
+                next ir fr
+          | Sle, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x <= y));
+                next ir fr
+          | Sgt, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x > get ir y));
+                next ir fr
+          | Sgt, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x > y));
+                next ir fr
+          | Sge, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x >= get ir y));
+                next ir fr
+          | Sge, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x >= y));
+                next ir fr
+          | Eq, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x = get ir y));
+                next ir fr
+          | Eq, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x = y));
+                next ir fr
+          | Ne, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x <> get ir y));
+                next ir fr
+          | Ne, XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (b2i (get ir x <> y));
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (Eval.icmp op ty (ival ir a) (ival ir b));
+                next ir fr)
+    | Fcmp (op, a, b) ->
+        let d = int_slot ~what:"fcmp" i.dst in
+        let a = xval a and b = xval b in
+        let k = c.fpu in
+        fun next ir fr ->
+          tick st;
+          st.cycles <- st.cycles + k;
+          set ir d (Eval.fcmp op (fval fr a) (fval fr b));
+          next ir fr
+    | Cast (cst, from_ty, v, to_ty) -> (
+        match cst with
+        | SiToFp ->
+            let d = flt_slot ~what:"sitofp" i.dst and v = xval v in
+            let k = c.fpu in
+            fun next ir fr ->
+              tick st;
+              st.cycles <- st.cycles + k;
+              fset fr d (float_of_int (ival ir v));
+              next ir fr
+        | FpToSi ->
+            let d = int_slot ~what:"fptosi" i.dst and v = xval v in
+            let k = c.fpu in
+            fun next ir fr ->
+              tick st;
+              st.cycles <- st.cycles + k;
+              let x = fval fr v in
+              set ir d
+                (if Float.is_nan x then 0
+                 else Eval.normalize to_ty (int_of_float x));
+              next ir fr
+        | Bitcast when Ty.is_float to_ty && not (Ty.is_float from_ty) ->
+            (* inverse of the f64 -> i64 case below: the integer holds the
+               pattern's top 63 bits, shifted back up; bit 0 reads as
+               zero *)
+            let d = flt_slot ~what:"bitcast" i.dst and v = xval v in
+            let k = c.alu in
+            fun next ir fr ->
+              tick st;
+              st.cycles <- st.cycles + k;
+              fset fr d
+                (Int64.float_of_bits
+                   (Int64.shift_left (Int64.of_int (ival ir v)) 1));
+              next ir fr
+        | Bitcast when Ty.is_float from_ty && not (Ty.is_float to_ty) ->
+            (* the IEEE pattern has 64 bits, the int substrate 63: keep
+               the top 63 (sign, exponent, mantissa bits 51..1) so the
+               round-trip preserves sign and magnitude to 1 ulp, and
+               sign tests on the integer pattern work.  Truncating via
+               Int64.to_int would instead clip the sign bit (so
+               bitcast(bitcast(-1.0)) read +1.0) — same full-width
+               discipline as Memory.load_i64_full. *)
+            let d = int_slot ~what:"bitcast" i.dst and v = xval v in
+            let k = c.alu in
+            fun next ir fr ->
+              tick st;
+              st.cycles <- st.cycles + k;
+              set ir d
+                (Int64.to_int
+                   (Int64.shift_right_logical
+                      (Int64.bits_of_float (fval fr v))
+                      1));
+              next ir fr
+        | _ -> (
+            let d = int_slot ~what:"cast" i.dst and v = xval v in
+            let k = c.alu in
+            match (cst, v) with
+            | (IntToPtr | PtrToInt | Bitcast), XR x ->
+                fun next ir fr ->
+                  tick st;
+                  st.cycles <- st.cycles + k;
+                  set ir d (get ir x);
+                  next ir fr
+            | _ ->
+                fun next ir fr ->
+                  tick st;
+                  st.cycles <- st.cycles + k;
+                  set ir d (Eval.cast_int cst from_ty to_ty (ival ir v));
+                  next ir fr))
+    | Load (ty, addr) when Ty.is_float ty -> (
+        let d = flt_slot ~what:"load" i.dst and a = xval addr in
+        let k = c.load in
+        fun next ->
+          match a with
+          | XR x ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (Memory.load_f64 mem (get ir x));
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                fset fr d (Memory.load_f64 mem (ival ir a));
+                next ir fr)
+    | Load (ty, addr) -> (
+        let d = int_slot ~what:"load" i.dst and a = xval addr in
+        let k = c.load in
+        let w = Ty.size_of ty in
+        fun next ->
+          match (ty, a) with
+          | (I64 | Ptr), XR x ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (Memory.load mem (get ir x) 8);
+                next ir fr
+          | _, XR x ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (Eval.normalize ty (Memory.load mem (get ir x) w));
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (Eval.normalize ty (Memory.load mem (ival ir a) w));
+                next ir fr)
+    | Store (ty, v, addr) when Ty.is_float ty -> (
+        let v = xval v and a = xval addr in
+        let k = c.store in
+        fun next ->
+          match (a, v) with
+          | XR x, XFR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                Memory.store_f64 mem (get ir x) (fget fr y);
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                Memory.store_f64 mem (ival ir a) (fval fr v);
+                next ir fr)
+    | Store (ty, v, addr) -> (
+        let v = xval v and a = xval addr in
+        let k = c.store in
+        let w = Ty.size_of ty in
+        fun next ->
+          match (a, v) with
+          | XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                Memory.store mem (get ir x) w (get ir y);
+                next ir fr
+          | XR x, XI y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                Memory.store mem (get ir x) w y;
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                Memory.store mem (ival ir a) w (ival ir v);
+                next ir fr)
+    | Gep (base, idxs) -> (
+        let d = int_slot ~what:"gep" i.dst in
+        let base = xval base in
+        let idxs =
+          Array.of_list
+            (List.map (fun gi -> (gi.Instr.stride, xval gi.Instr.idx)) idxs)
+        in
+        let k = c.gep_term in
+        fun next ->
+          match (base, idxs) with
+          | XR b, [| (s, XR x) |] ->
+              fun ir fr ->
+                tick st;
+                set ir d (get ir b + (s * get ir x));
+                st.cycles <- st.cycles + k;
+                next ir fr
+          | XR b, [| (s, XI x) |] ->
+              let off = s * x in
+              fun ir fr ->
+                tick st;
+                set ir d (get ir b + off);
+                st.cycles <- st.cycles + k;
+                next ir fr
+          | XR b, [| (s1, XR x1); (s2, XR x2) |] ->
+              let k2 = 2 * k in
+              fun ir fr ->
+                tick st;
+                set ir d (get ir b + (s1 * get ir x1) + (s2 * get ir x2));
+                st.cycles <- st.cycles + k2;
+                next ir fr
+          | XR b, [| (s1, XR x1); (s2, XI x2) |] ->
+              let k2 = 2 * k and off = s2 * x2 in
+              fun ir fr ->
+                tick st;
+                set ir d (get ir b + (s1 * get ir x1) + off);
+                st.cycles <- st.cycles + k2;
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                let acc = ref (ival ir base) in
+                for j = 0 to Array.length idxs - 1 do
+                  let stride, iv = idxs.(j) in
+                  acc := !acc + (stride * ival ir iv);
+                  st.cycles <- st.cycles + k
+                done;
+                set ir d !acc;
+                next ir fr)
+    | Select (ty, cnd, a, b) when Ty.is_float ty ->
+        let d = flt_slot ~what:"select" i.dst in
+        let cnd = xval cnd and a = xval a and b = xval b in
+        let k = c.select in
+        fun next ir fr ->
+          tick st;
+          st.cycles <- st.cycles + k;
+          fset fr d (if ival ir cnd <> 0 then fval fr a else fval fr b);
+          next ir fr
+    | Select (_, cnd, a, b) -> (
+        let d = int_slot ~what:"select" i.dst in
+        let cnd = xval cnd and a = xval a and b = xval b in
+        let k = c.select in
+        fun next ->
+          match (cnd, a, b) with
+          | XR r, XR x, XR y ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (if get ir r <> 0 then get ir x else get ir y);
+                next ir fr
+          | _ ->
+              fun ir fr ->
+                tick st;
+                st.cycles <- st.cycles + k;
+                set ir d (if ival ir cnd <> 0 then ival ir a else ival ir b);
+                next ir fr)
+    | Call (callee, args) -> (
+        let xdst = Option.map slot i.dst in
         let xargs = Array.of_list (List.map xval args) in
         (* resolve now: image function > fused intrinsic > builtin cache;
            names unknown at load keep a cold cache and resolve at run
            time (or trap, with the same message the lookup path gave) *)
         match Hashtbl.find_opt xfuncs callee with
-        | Some r -> XCallX { xdst; target = r; xargs }
+        | Some target -> direct_code st ret target xdst xargs
         | None -> (
             match fuse st callee xdst xargs with
-            | Some xi -> xi
-            | None ->
-                XCallBuiltin
-                  {
-                    xdst;
-                    xcallee = callee;
-                    xargs;
-                    cache =
-                      {
-                        bgen = st.State.builtin_gen;
-                        bfn = State.find_builtin st callee;
-                      };
-                  }))
+            | Some (f, ff) -> fused_code st f ff
+            | None -> builtin_code st callee xdst xargs))
     | Alloca { size; align } ->
-        XAlloca (int_slot ~what:"alloca" i.dst, size, align)
-    | Memcpy (d, s, n') -> XMemcpy (xval d, xval s, xval n')
-    | Memset (d, b, n') -> XMemset (xval d, xval b, xval n')
+        let d = int_slot ~what:"alloca" i.dst in
+        let k = c.alu in
+        let mask = lnot (max align 8 - 1) in
+        fun next ir fr ->
+          tick st;
+          st.cycles <- st.cycles + k;
+          let sp = (st.stack_ptr - size) land mask in
+          if sp < Layout.stack_limit then raise (State.Trap "stack overflow");
+          st.stack_ptr <- sp;
+          set ir d sp;
+          next ir fr
+    | Memcpy (dv, sv, nv) ->
+        let dv = xval dv and sv = xval sv and nv = xval nv in
+        fun next ir fr ->
+          tick st;
+          let len = ival ir nv in
+          st.cycles <- st.cycles + Cost.memop_cost c len;
+          Memory.copy mem ~dst:(ival ir dv) ~src:(ival ir sv) len;
+          next ir fr
+    | Memset (dv, bv, nv) ->
+        let dv = xval dv and bv = xval bv and nv = xval nv in
+        fun next ir fr ->
+          tick st;
+          let len = ival ir nv in
+          st.cycles <- st.cycles + Cost.memop_cost c len;
+          Memory.fill mem ~dst:(ival ir dv) ~byte:(ival ir bv land 0xff) len;
+          next ir fr
   in
-  let xblocks =
+  (* the terminator, given the code of each outgoing edge *)
+  let ret_is_float =
+    match f.ret_ty with Some ty -> Ty.is_float ty | None -> false
+  in
+  let branch = c.branch in
+  let term (t : Instr.term) :
+      [ `Ret of code | `Br of int | `Cbr of xv * int * int ] =
+    match t with
+    | Ret None ->
+        `Ret
+          (fun _ _ ->
+            tick st;
+            ret.rkind <- r_void;
+            -1)
+    | Ret (Some v) -> (
+        match (ret_is_float, xval v) with
+        | true, XFR r ->
+            `Ret
+              (fun _ fr ->
+                tick st;
+                ret.rf <- fget fr r;
+                ret.rkind <- r_float;
+                -1)
+        | true, XF x ->
+            `Ret
+              (fun _ _ ->
+                tick st;
+                ret.rf <- x;
+                ret.rkind <- r_float;
+                -1)
+        | false, XR r ->
+            `Ret
+              (fun ir _ ->
+                tick st;
+                ret.ri <- get ir r;
+                ret.rkind <- r_int;
+                -1)
+        | false, XI x ->
+            `Ret
+              (fun _ _ ->
+                tick st;
+                ret.ri <- x;
+                ret.rkind <- r_int;
+                -1)
+        | true, ((XI _ | XR _) as v) | false, ((XF _ | XFR _) as v) ->
+            (* the operand read traps, as it did when it was evaluated
+               at run time *)
+            `Ret
+              (fun ir fr ->
+                tick st;
+                if ret_is_float then ignore (fval fr v) else ignore (ival ir v);
+                -1))
+    | Br l -> `Br (bidx l)
+    | Cbr (cnd, l1, l2) ->
+        let cnd = xval cnd in
+        `Cbr (cnd, bidx l1, bidx l2)
+    | Unreachable ->
+        let msg = "reached unreachable in " ^ f.fname in
+        `Ret
+          (fun _ _ ->
+            tick st;
+            raise (State.Trap msg))
+  in
+  let compiled =
     Array.map
       (fun (b : Block.t) ->
-        let xinstrs = Array.of_list (List.map xinstr b.body) in
-        let xterm =
-          match b.term with
-          | Instr.Ret v -> XRet (Option.map xval v)
-          | Instr.Br l -> XBr (bidx l)
-          | Instr.Cbr (c, l1, l2) -> XCbr (xval c, bidx l1, bidx l2)
-          | Instr.Unreachable -> XUnreachable
-        in
-        (xinstrs, xterm, b))
+        let body = List.map instr b.body in
+        (body, term b.term))
       blocks
   in
-  (* phi moves: for each block with phis, one parallel move list per
-     predecessor block index — entering the block is a single array read
-     away from its edge's moves *)
-  let final_blocks =
-    Array.map
-      (fun (xinstrs, xterm, (b : Block.t)) ->
-        let preds = Hashtbl.create 4 in
-        List.iter
-          (fun (p : Instr.phi) ->
-            let is_f, dslot = slot p.pdst in
-            List.iter
-              (fun (lbl, v) ->
-                let pi = bidx lbl in
-                let mv = { mdst = dslot; mflt = is_f; msrc = xval v } in
-                match Hashtbl.find_opt preds pi with
-                | Some l -> l := mv :: !l
-                | None -> Hashtbl.add preds pi (ref [ mv ]))
-              p.incoming)
-          b.phis;
-        let xmoves =
-          if Hashtbl.length preds = 0 then [||]
-          else begin
-            let a = Array.make n [||] in
-            Hashtbl.iter
-              (fun pi l -> a.(pi) <- Array.of_list (List.rev !l))
-              preds;
-            a
-          end
-        in
-        { xinstrs; xterm; xmoves })
-      xblocks
+  (* phi moves, per (target block, predecessor block) *)
+  let moves = Array.make n [||] in
+  Array.iteri
+    (fun ti (b : Block.t) ->
+      if b.phis <> [] then begin
+      let preds = Hashtbl.create 4 in
+      List.iter
+        (fun (p : Instr.phi) ->
+          let is_f, dslot = slot p.pdst in
+          List.iter
+            (fun (lbl, v) ->
+              let pi = bidx lbl in
+              let mv = { mdst = dslot; mflt = is_f; msrc = xval v } in
+              match Hashtbl.find_opt preds pi with
+              | Some l -> l := mv :: !l
+              | None -> Hashtbl.add preds pi (ref [ mv ]))
+            p.incoming)
+        b.phis;
+      if Hashtbl.length preds > 0 then begin
+        let a = Array.make n [||] in
+        Hashtbl.iter
+          (fun pi l -> a.(pi) <- Array.of_list (List.rev !l))
+          preds;
+        moves.(ti) <- a
+      end
+      end)
+    blocks;
+  let edge_moves src t =
+    let a = moves.(t) in
+    if Array.length a = 0 then [||] else a.(src)
   in
-  {
-    xname = f.fname;
-    xblocks = final_blocks;
-    n_iregs = !n_i;
-    n_fregs = !n_f;
-    param_slots =
-      Array.of_list
-        (List.map
-           (fun p ->
-             let is_f, s = slot p in
-             (is_f, s))
-           f.params);
-    ret_is_float =
-      (match f.ret_ty with Some ty -> Ty.is_float ty | None -> false);
-    xcov = None;
-  }
+  (* coverage geometry: a conditional branch with both arms on one
+     target is a single edge *)
+  let succ =
+    Array.map
+      (fun (_, t) ->
+        match t with
+        | `Ret _ -> [||]
+        | `Br t -> [| t |]
+        | `Cbr (_, t1, t2) -> if t1 = t2 then [| t1 |] else [| t1; t2 |])
+      compiled
+  in
+  let ebase = Array.make n 0 in
+  for i = 1 to n - 1 do
+    ebase.(i) <- ebase.(i - 1) + Array.length succ.(i - 1)
+  done;
+  let edge src t k =
+    edge_code st xf ~cov ~slot:(ebase.(src) + k) t (edge_moves src t)
+  in
+  let jump t = function Some e -> e | None -> fun _ _ -> t in
+  xf.xsucc <- succ;
+  xf.xblocks <-
+    Array.mapi
+      (fun src (body, t) ->
+        let term : code =
+          match t with
+          | `Ret code -> code
+          | `Br t -> (
+              if cov && Array.length (edge_moves src t) = 0 then
+                let slot = ebase.(src) in
+                fun _ _ ->
+                  tick st;
+                  st.cycles <- st.cycles + branch;
+                  cover xf slot t;
+                  t
+              else
+                match edge src t 0 with
+                | None ->
+                    fun _ _ ->
+                      tick st;
+                      st.cycles <- st.cycles + branch;
+                      t
+                | Some e ->
+                    fun ir fr ->
+                      tick st;
+                      st.cycles <- st.cycles + branch;
+                      e ir fr)
+          | `Cbr (cnd, t1, t2) -> (
+              let k2 = if t1 = t2 then 0 else 1 in
+              let plain =
+                Array.length (edge_moves src t1) = 0
+                && Array.length (edge_moves src t2) = 0
+              in
+              match cnd with
+              | XR r when plain && not cov ->
+                  fun ir _ ->
+                    tick st;
+                    st.cycles <- st.cycles + branch;
+                    if get ir r <> 0 then t1 else t2
+              | XR r when plain ->
+                  let s1 = ebase.(src) and s2 = ebase.(src) + k2 in
+                  fun ir _ ->
+                    tick st;
+                    st.cycles <- st.cycles + branch;
+                    if get ir r <> 0 then begin
+                      cover xf s1 t1;
+                      t1
+                    end
+                    else begin
+                      cover xf s2 t2;
+                      t2
+                    end
+              | XR r ->
+                  let e1 = jump t1 (edge src t1 0)
+                  and e2 = jump t2 (edge src t2 k2) in
+                  fun ir fr ->
+                    tick st;
+                    st.cycles <- st.cycles + branch;
+                    if get ir r <> 0 then e1 ir fr else e2 ir fr
+              | _ ->
+                  let e1 = jump t1 (edge src t1 0)
+                  and e2 = jump t2 (edge src t2 k2) in
+                  fun ir fr ->
+                    tick st;
+                    st.cycles <- st.cycles + branch;
+                    if ival ir cnd <> 0 then e1 ir fr else e2 ir fr)
+        in
+        List.fold_right (fun build next -> build next) body term)
+      compiled
 
 (* ------------------------------------------------------------------ *)
 (* Linking and loading                                                 *)
@@ -550,50 +1432,50 @@ let load
   List.iteri
     (fun i (f : Func.t) -> Hashtbl.replace fn_addr f.fname (0x1000 + (i * 16)))
     merged.funcs;
-  (* two passes: create one ref per defined function first, so direct
-     call sites — including mutually recursive ones — resolve in the
-     single precompilation pass that then fills the refs *)
+  (* two passes: prepare every defined function's record (slots, bank
+     sizes, parameter slots) first, so call sites — including mutually
+     recursive ones — bind their callee's record in the single
+     compilation pass that follows *)
   let xfuncs = Hashtbl.create 32 in
+  let prepared =
+    List.filter_map
+      (fun (f : Func.t) ->
+        if f.is_external then None
+        else begin
+          let xf, slot_of = assign_slots f in
+          Hashtbl.replace xfuncs f.fname xf;
+          Some (xf, slot_of, f)
+        end)
+      merged.funcs
+  in
+  let ret = { rkind = r_void; ri = 0; rf = 0.0 } in
+  let cov = st.State.coverage <> None in
   List.iter
-    (fun (f : Func.t) ->
-      if not f.is_external then
-        Hashtbl.replace xfuncs f.fname (ref dummy_xfunc))
-    merged.funcs;
-  List.iter
-    (fun (f : Func.t) ->
-      if not f.is_external then
-        Hashtbl.find xfuncs f.fname
-        := precompile_func st ~xfuncs ~global_addr ~fn_addr f)
-    merged.funcs;
+    (fun (xf, slot_of, f) ->
+      compile_func st ~ret ~xfuncs ~global_addr ~fn_addr ~cov xf slot_of f)
+    prepared;
   (* register coverage geometry when the state carries a registry: the
-     successor lists of the precompiled blocks are the stable block/edge
-     id space (a conditional branch with both arms on one target is a
-     single edge) *)
+     successor lists of the compiled blocks are the stable block/edge id
+     space *)
   (match st.State.coverage with
   | None -> ()
-  | Some cov ->
+  | Some reg ->
       Hashtbl.iter
-        (fun _ r ->
-          let xf = !r in
-          let succ =
-            Array.map
-              (fun (b : xblock) ->
-                match b.xterm with
-                | XRet _ | XUnreachable -> [||]
-                | XBr t -> [| t |]
-                | XCbr (_, t1, t2) -> if t1 = t2 then [| t1 |] else [| t1; t2 |])
-              xf.xblocks
+        (fun _ xf ->
+          let blocks, _, _, edges =
+            Mi_obs.Coverage.counters
+              (Mi_obs.Coverage.register_fn reg ~name:xf.xname ~succ:xf.xsucc)
           in
-          xf.xcov <-
-            Some (Mi_obs.Coverage.register_fn cov ~name:xf.xname ~succ))
+          xf.cov_blocks <- blocks;
+          xf.cov_edges <- edges)
         xfuncs);
-  { xfuncs; global_addr; fn_addr; merged }
+  { ist = st; xfuncs; global_addr; fn_addr; merged; ret }
 
 (** [(n_iregs, n_fregs)] of a loaded function — the register-bank sizes
     every call of it allocates. *)
 let func_regs (img : image) name =
   Option.map
-    (fun r -> ((!r).n_iregs, (!r).n_fregs))
+    (fun xf -> (xf.n_iregs, xf.n_fregs))
     (Hashtbl.find_opt img.xfuncs name)
 
 (* ------------------------------------------------------------------ *)
@@ -617,334 +1499,10 @@ type result = {
   mem_pages : int;
 }
 
-(* One dynamic step: fuel accounting plus the poll-hook check that
-   fault injectors and wall-clock deadlines piggyback on.  The single
-   site for both the instruction loop and the terminator. *)
-let[@inline] tick (st : State.t) =
-  st.steps <- st.steps + 1;
-  if st.steps > st.fuel then raise (State.Fuel_exhausted st.fuel);
-  if st.steps >= st.next_poll_step then State.run_polls st
-
-let ival iregs = function
-  | XI k -> k
-  | XR r -> iregs.(r)
-  | XF _ | XFR _ -> raise (State.Trap "float operand in integer context")
-
-let fval fregs = function
-  | XF f -> f
-  | XFR r -> fregs.(r)
-  | XI _ | XR _ -> raise (State.Trap "int operand in float context")
-
-let[@inline] box_arg iregs fregs = function
-  | XI k -> State.I k
-  | XR r -> State.I iregs.(r)
-  | XF f -> State.F f
-  | XFR r -> State.F fregs.(r)
-
-(* Write a call result into the caller's banks; the error messages here
-   are part of the engine's compatibility surface. *)
-let set_call_result name (xdst : (bool * int) option) iregs fregs
-    (res : State.value option) =
-  match (xdst, res) with
-  | None, _ -> ()
-  | Some (is_f, s), Some v ->
-      if is_f then fregs.(s) <- State.as_float v
-      else iregs.(s) <- State.as_int v
-  | Some _, None ->
-      raise (State.Trap ("void result used from call to " ^ name))
-
-(* Revalidate a fused site's fast function against the current builtin
-   generation (one int compare on the hot path). *)
-let[@inline] fused_fn (st : State.t) (f : fused) =
-  if f.fc.fgen <> st.builtin_gen then begin
-    f.fc.ffn <- State.find_fast_builtin st f.fname;
-    f.fc.fgen <- st.builtin_gen
-  end;
-  f.fc.ffn
-
-(* Cold path of a fused site: the typed intrinsic disappeared or changed
-   arity after load (a builtin was re-registered).  Execute through the
-   boxed builtin exactly like an [XCallBuiltin] site would. *)
-let fused_slow (st : State.t) (f : fused) iregs fregs =
-  let vargs = Array.map (box_arg iregs fregs) f.fargs in
-  match State.find_builtin st f.fname with
-  | Some fn -> set_call_result f.fname f.fdst iregs fregs (fn st vargs)
-  | None -> raise (State.Trap ("unresolved external: " ^ f.fname))
-
-(* The frame loop.  [iregs]/[fregs] are the callee's banks, already
-   loaded with the arguments; the caller-facing prologues below differ
-   only in where the arguments come from. *)
-let rec exec_frame (st : State.t) (xf : xfunc) (iregs : int array)
-    (fregs : float array) : State.value option =
-  let c = st.cost in
-  let saved_sp = st.stack_ptr in
-  st.frame_enter_hook st;
-  let finish (r : State.value option) =
-    st.frame_exit_hook st;
-    st.stack_ptr <- saved_sp;
-    r
-  in
-  (* temp buffers for parallel phi moves *)
-  let tmp_i = Array.make 16 0 and tmp_f = Array.make 16 0.0 in
-  let result = ref None in
-  (* coverage counter arrays, hoisted so the per-block recording below
-     is a handful of array operations with no call; block ids come from
-     the precompiled CFG the geometry was registered from, so unsafe
-     indexing is in-bounds by construction.  [cov_on] costs the same
-     single branch per block as the previous option match. *)
-  let cov_blocks, cov_succ, cov_ebase, cov_edges =
-    match xf.xcov with
-    | None -> ([||], [||], [||], [||])
-    | Some cov -> Mi_obs.Coverage.counters cov
-  in
-  let cov_on = Array.length cov_blocks > 0 in
-  (try
-     let cur = ref 0 and prev = ref (-1) and running = ref true in
-     while !running do
-       let b = xf.xblocks.(!cur) in
-       (* coverage side band: block entry + traversed edge.  Never
-          touches cycles/steps/counters, so enabling it cannot perturb
-          any differential oracle. *)
-       if cov_on then begin
-         let cu = !cur in
-         Array.unsafe_set cov_blocks cu (Array.unsafe_get cov_blocks cu + 1);
-         let p = !prev in
-         if p >= 0 then begin
-           let succ = Array.unsafe_get cov_succ p in
-           let base = Array.unsafe_get cov_ebase p in
-           let n = Array.length succ in
-           let rec edge k =
-             if k < n then
-               if Array.unsafe_get succ k = cu then
-                 Array.unsafe_set cov_edges (base + k)
-                   (Array.unsafe_get cov_edges (base + k) + 1)
-               else edge (k + 1)
-           in
-           edge 0
-         end
-       end;
-       (* phi moves for the edge prev -> cur, parallel semantics *)
-       if !prev >= 0 && Array.length b.xmoves > 0 then begin
-         let mv = b.xmoves.(!prev) in
-         let n = Array.length mv in
-         if n > 0 then begin
-           let tmp_i = if n <= 16 then tmp_i else Array.make n 0 in
-           let tmp_f = if n <= 16 then tmp_f else Array.make n 0.0 in
-           for k = 0 to n - 1 do
-             if mv.(k).mflt then tmp_f.(k) <- fval fregs mv.(k).msrc
-             else tmp_i.(k) <- ival iregs mv.(k).msrc
-           done;
-           for k = 0 to n - 1 do
-             if mv.(k).mflt then fregs.(mv.(k).mdst) <- tmp_f.(k)
-             else iregs.(mv.(k).mdst) <- tmp_i.(k);
-             st.cycles <- st.cycles + c.alu
-           done
-         end
-       end;
-       (* body *)
-       let instrs = b.xinstrs in
-       for k = 0 to Array.length instrs - 1 do
-         tick st;
-         match instrs.(k) with
-         | XBin (op, ty, d, a, bb) ->
-             st.cycles <-
-               st.cycles
-               + (match op with
-                 | Mul -> c.mul
-                 | SDiv | UDiv | SRem | URem -> c.div
-                 | _ -> c.alu);
-             let x = ival iregs a and y = ival iregs bb in
-             iregs.(d) <-
-               (try Eval.binop op ty x y
-                with Eval.Div_by_zero ->
-                  raise (State.Trap "integer division by zero"))
-         | XFBin (op, d, a, bb) ->
-             st.cycles <- st.cycles + c.fpu;
-             fregs.(d) <- Eval.fbinop op (fval fregs a) (fval fregs bb)
-         | XIcmp (op, ty, d, a, bb) ->
-             st.cycles <- st.cycles + c.alu;
-             iregs.(d) <- Eval.icmp op ty (ival iregs a) (ival iregs bb)
-         | XFcmp (op, d, a, bb) ->
-             st.cycles <- st.cycles + c.fpu;
-             iregs.(d) <- Eval.fcmp op (fval fregs a) (fval fregs bb)
-         | XCastII (cst, from_ty, to_ty, d, v) ->
-             st.cycles <- st.cycles + c.alu;
-             iregs.(d) <- Eval.cast_int cst from_ty to_ty (ival iregs v)
-         | XSiToFp (d, v) ->
-             st.cycles <- st.cycles + c.fpu;
-             fregs.(d) <- float_of_int (ival iregs v)
-         | XFpToSi (to_ty, d, v) ->
-             st.cycles <- st.cycles + c.fpu;
-             let f = fval fregs v in
-             if Float.is_nan f then iregs.(d) <- 0
-             else iregs.(d) <- Eval.normalize to_ty (int_of_float f)
-         | XBitsIF (d, v) ->
-             (* inverse of XBitsFI below: the integer holds the pattern's
-                top 63 bits, shifted back up; bit 0 reads as zero *)
-             st.cycles <- st.cycles + c.alu;
-             fregs.(d) <-
-               Int64.float_of_bits
-                 (Int64.shift_left (Int64.of_int (ival iregs v)) 1)
-         | XBitsFI (d, v) ->
-             (* the IEEE pattern has 64 bits, the int substrate 63: keep
-                the top 63 (sign, exponent, mantissa bits 51..1) so the
-                round-trip preserves sign and magnitude to 1 ulp, and
-                sign tests on the integer pattern work.  Truncating via
-                Int64.to_int would instead clip the sign bit (so
-                bitcast(bitcast(-1.0)) read +1.0) — same full-width
-                discipline as Memory.load_i64_full. *)
-             st.cycles <- st.cycles + c.alu;
-             iregs.(d) <-
-               Int64.to_int
-                 (Int64.shift_right_logical
-                    (Int64.bits_of_float (fval fregs v))
-                    1)
-         | XLoadI (ty, d, a) ->
-             st.cycles <- st.cycles + c.load;
-             let addr = ival iregs a in
-             iregs.(d) <-
-               Eval.normalize ty
-                 (Memory.load st.mem addr (Ty.size_of ty))
-         | XLoadF (d, a) ->
-             st.cycles <- st.cycles + c.load;
-             fregs.(d) <- Memory.load_f64 st.mem (ival iregs a)
-         | XStoreI (w, v, a) ->
-             st.cycles <- st.cycles + c.store;
-             Memory.store st.mem (ival iregs a) w (ival iregs v)
-         | XStoreF (v, a) ->
-             st.cycles <- st.cycles + c.store;
-             Memory.store_f64 st.mem (ival iregs a) (fval fregs v)
-         | XGep (d, base, idxs) ->
-             let acc = ref (ival iregs base) in
-             for j = 0 to Array.length idxs - 1 do
-               let stride, iv = idxs.(j) in
-               acc := !acc + (stride * ival iregs iv);
-               st.cycles <- st.cycles + c.gep_term
-             done;
-             iregs.(d) <- !acc
-         | XSelI (d, cc, a, bb) ->
-             st.cycles <- st.cycles + c.select;
-             iregs.(d) <-
-               (if ival iregs cc <> 0 then ival iregs a else ival iregs bb)
-         | XSelF (d, cc, a, bb) ->
-             st.cycles <- st.cycles + c.select;
-             fregs.(d) <-
-               (if ival iregs cc <> 0 then fval fregs a else fval fregs bb)
-         | XCallX { xdst; target; xargs } ->
-             st.cycles <- st.cycles + c.call_overhead;
-             let callee = !target in
-             let res = exec_call_regs st callee xargs iregs fregs in
-             set_call_result callee.xname xdst iregs fregs res
-         | XCallBuiltin { xdst; xcallee; xargs; cache } -> (
-             let fn =
-               if cache.bgen = st.builtin_gen then cache.bfn
-               else begin
-                 let f = State.find_builtin st xcallee in
-                 cache.bfn <- f;
-                 cache.bgen <- st.builtin_gen;
-                 f
-               end
-             in
-             match fn with
-             | Some fn ->
-                 let vargs = Array.map (box_arg iregs fregs) xargs in
-                 set_call_result xcallee xdst iregs fregs (fn st vargs)
-             | None ->
-                 raise (State.Trap ("unresolved external: " ^ xcallee)))
-         | XFast5 f -> (
-             match fused_fn st f with
-             | Some (State.F5 fn) ->
-                 let a = f.fargs in
-                 fn st (ival iregs a.(0)) (ival iregs a.(1))
-                   (ival iregs a.(2)) (ival iregs a.(3)) (ival iregs a.(4))
-             | _ -> fused_slow st f iregs fregs)
-         | XFast4 f -> (
-             match fused_fn st f with
-             | Some (State.F4 fn) ->
-                 let a = f.fargs in
-                 fn st (ival iregs a.(0)) (ival iregs a.(1))
-                   (ival iregs a.(2)) (ival iregs a.(3))
-             | _ -> fused_slow st f iregs fregs)
-         | XFast0 f -> (
-             match fused_fn st f with
-             | Some (State.F0 fn) -> fn st
-             | _ -> fused_slow st f iregs fregs)
-         | XFast1 f -> (
-             match fused_fn st f with
-             | Some (State.F1 fn) -> fn st (ival iregs f.fargs.(0))
-             | _ -> fused_slow st f iregs fregs)
-         | XFast2 f -> (
-             match fused_fn st f with
-             | Some (State.F2 fn) ->
-                 fn st (ival iregs f.fargs.(0)) (ival iregs f.fargs.(1))
-             | _ -> fused_slow st f iregs fregs)
-         | XFast3 f -> (
-             match fused_fn st f with
-             | Some (State.F3 fn) ->
-                 let a = f.fargs in
-                 fn st (ival iregs a.(0)) (ival iregs a.(1))
-                   (ival iregs a.(2))
-             | _ -> fused_slow st f iregs fregs)
-         | XFastR f -> (
-             match fused_fn st f with
-             | Some (State.FR1 fn) -> (
-                 let r = fn st (ival iregs f.fargs.(0)) in
-                 match f.fdst with
-                 | None -> ()
-                 | Some (_, s) -> iregs.(s) <- r)
-             | _ -> fused_slow st f iregs fregs)
-         | XAlloca (d, size, align) ->
-             st.cycles <- st.cycles + c.alu;
-             let sp =
-               (st.stack_ptr - size) land lnot (max align 8 - 1)
-             in
-             if sp < Layout.stack_limit then
-               raise (State.Trap "stack overflow");
-             st.stack_ptr <- sp;
-             iregs.(d) <- sp
-         | XMemcpy (dv, sv, nv) ->
-             let n = ival iregs nv in
-             st.cycles <- st.cycles + Cost.memop_cost c n;
-             Memory.copy st.mem ~dst:(ival iregs dv) ~src:(ival iregs sv) n
-         | XMemset (dv, bv, nv) ->
-             let n = ival iregs nv in
-             st.cycles <- st.cycles + Cost.memop_cost c n;
-             Memory.fill st.mem ~dst:(ival iregs dv)
-               ~byte:(ival iregs bv land 0xff)
-               n
-       done;
-       (* terminator *)
-       tick st;
-       (match b.xterm with
-       | XRet v ->
-           result :=
-             (match v with
-             | None -> None
-             | Some xv ->
-                 Some
-                   (if xf.ret_is_float then State.F (fval fregs xv)
-                    else State.I (ival iregs xv)));
-           running := false
-       | XBr t ->
-           st.cycles <- st.cycles + c.branch;
-           prev := !cur;
-           cur := t
-       | XCbr (cc, t1, t2) ->
-           st.cycles <- st.cycles + c.branch;
-           prev := !cur;
-           cur := if ival iregs cc <> 0 then t1 else t2
-       | XUnreachable ->
-           raise (State.Trap ("reached unreachable in " ^ xf.xname)))
-     done
-   with e ->
-     ignore (finish None);
-     raise e);
-  finish !result
-
-(* Boxed-argument entry: [run] below and embedders call functions this
-   way; arguments arrive as {!State.value}s. *)
-and exec_call (st : State.t) (xf : xfunc) (args : State.value array) :
-    State.value option =
+(* Boxed-argument entry: [run] calls functions this way; arguments
+   arrive as {!State.value}s and the result is left in the image's
+   return channel. *)
+let exec_call (img : image) (xf : xfunc) (args : State.value array) =
   if Array.length args <> Array.length xf.param_slots then
     raise
       (State.Trap
@@ -963,37 +1521,7 @@ and exec_call (st : State.t) (xf : xfunc) (args : State.value array) :
           if is_f then fregs.(s) <- v
           else raise (State.Trap "float arg for int param"))
     xf.param_slots;
-  exec_frame st xf iregs fregs
-
-(* Direct entry for [XCallX]: arguments copy from the caller's banks
-   into the callee's without materializing a boxed value array. *)
-and exec_call_regs (st : State.t) (xf : xfunc) (xargs : xv array)
-    (ciregs : int array) (cfregs : float array) : State.value option =
-  if Array.length xargs <> Array.length xf.param_slots then
-    raise
-      (State.Trap
-         (Printf.sprintf "call to %s with %d args, expected %d" xf.xname
-            (Array.length xargs)
-            (Array.length xf.param_slots)));
-  let iregs = Array.make (max xf.n_iregs 1) 0 in
-  let fregs = Array.make (max xf.n_fregs 1) 0.0 in
-  Array.iteri
-    (fun i (is_f, s) ->
-      match xargs.(i) with
-      | XI k ->
-          if is_f then raise (State.Trap "int arg for float param")
-          else iregs.(s) <- k
-      | XR r ->
-          if is_f then raise (State.Trap "int arg for float param")
-          else iregs.(s) <- ciregs.(r)
-      | XF f ->
-          if is_f then fregs.(s) <- f
-          else raise (State.Trap "float arg for int param")
-      | XFR r ->
-          if is_f then fregs.(s) <- cfregs.(r)
-          else raise (State.Trap "float arg for int param"))
-    xf.param_slots;
-  exec_frame st xf iregs fregs
+  exec_frame img.ist xf iregs fregs
 
 let merged_module (img : image) = img.merged
 
@@ -1001,18 +1529,19 @@ let merged_module (img : image) = img.merged
     [__mi_global_init], it runs first (SoftBound metadata for pointers in
     global initializers — the constructor the instrumentation emits). *)
 let run ?(entry = "main") (st : State.t) (img : image) : result =
+  if st != img.ist then
+    invalid_arg "Interp.run: the image was loaded into another state";
   let outcome =
     try
       (match Hashtbl.find_opt img.xfuncs "__mi_global_init" with
-      | Some f -> ignore (exec_call st !f [||])
+      | Some f -> exec_call img f [||]
       | None -> ());
       match Hashtbl.find_opt img.xfuncs entry with
       | None -> Trapped ("no entry function " ^ entry)
-      | Some f -> (
-          match exec_call st !f [||] with
-          | Some (State.I code) -> Exited code
-          | Some (State.F _) -> Exited 0
-          | None -> Exited 0)
+      | Some f ->
+          exec_call img f [||];
+          (* a float or void result exits 0 *)
+          Exited (if img.ret.rkind = r_int then img.ret.ri else 0)
     with
     | State.Exit_program code -> Exited code
     | State.Safety_abort { checker; reason } ->
@@ -1026,12 +1555,12 @@ let run ?(entry = "main") (st : State.t) (img : image) : result =
      single serialized registry describes the whole run *)
   Mi_obs.Metrics.set_gauge st.metrics "vm.cycles" st.cycles;
   Mi_obs.Metrics.set_gauge st.metrics "vm.steps" st.steps;
-  Mi_obs.Metrics.set_gauge st.metrics "vm.mem_pages" st.mem.Memory.page_count;
+  Mi_obs.Metrics.set_gauge st.metrics "vm.mem_pages" (Memory.page_count st.mem);
   {
     outcome;
     cycles = st.cycles;
     steps = st.steps;
     output = State.output st;
     counters = State.counters_alist st;
-    mem_pages = st.mem.Memory.page_count;
+    mem_pages = Memory.page_count st.mem;
   }

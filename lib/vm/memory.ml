@@ -10,26 +10,58 @@
 exception Fault of int * string
 (** address, description *)
 
+(* Direct-mapped page cache in front of [pages]: slot [i land cache_mask]
+   holds the most recently touched page whose index [i] maps there.  A
+   slot is filled only from a page that already exists in [pages], so
+   first-touch zeroing, [page_count] and the page-limit fault are exactly
+   those of the table alone; pages are never removed, so a filled slot
+   never goes stale. *)
+let cache_slots = 256
+let cache_mask = cache_slots - 1
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
   mutable page_count : int;
   max_pages : int;
+  cache_idx : int array;  (** page index held by each slot; -1 when empty *)
+  cache_page : Bytes.t array;
 }
 
 let create ?(max_pages = 1 lsl 19) () =
-  { pages = Hashtbl.create 1024; page_count = 0; max_pages }
+  {
+    pages = Hashtbl.create 1024;
+    page_count = 0;
+    max_pages;
+    cache_idx = Array.make cache_slots (-1);
+    cache_page = Array.make cache_slots Bytes.empty;
+  }
 
-let page_of t addr =
+let page_count t = t.page_count
+
+let page_miss t addr idx slot =
+  let p =
+    match Hashtbl.find_opt t.pages idx with
+    | Some p -> p
+    | None ->
+        if t.page_count >= t.max_pages then
+          raise (Fault (addr, "out of VM memory (page limit)"));
+        let p = Bytes.make Layout.page_size '\000' in
+        Hashtbl.add t.pages idx p;
+        t.page_count <- t.page_count + 1;
+        p
+  in
+  Array.unsafe_set t.cache_idx slot idx;
+  Array.unsafe_set t.cache_page slot p;
+  p
+
+(* [idx] is non-negative (addresses below the null guard fault before
+   any page lookup), so it never matches an empty slot's -1 *)
+let[@inline] page_of t addr =
   let idx = addr lsr Layout.page_bits in
-  match Hashtbl.find_opt t.pages idx with
-  | Some p -> p
-  | None ->
-      if t.page_count >= t.max_pages then
-        raise (Fault (addr, "out of VM memory (page limit)"));
-      let p = Bytes.make Layout.page_size '\000' in
-      Hashtbl.add t.pages idx p;
-      t.page_count <- t.page_count + 1;
-      p
+  let slot = idx land cache_mask in
+  if Array.unsafe_get t.cache_idx slot = idx then
+    Array.unsafe_get t.cache_page slot
+  else page_miss t addr idx slot
 
 let check_addr t addr width =
   ignore t;

@@ -9,13 +9,17 @@
 exception Fault of int * string
 (** (address, description) *)
 
-type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
-  mutable page_count : int;
-  max_pages : int;
-}
+type t
+(** Pages live in a table keyed by page index, behind a direct-mapped
+    cache of recently touched pages that only ever holds pages already
+    in the table: the cache changes no value, page count or fault. *)
 
 val create : ?max_pages:int -> unit -> t
+(** [max_pages] (default 2^19) bounds the pages touched; touching one
+    more raises {!Fault} ["out of VM memory (page limit)"]. *)
+
+val page_count : t -> int
+(** Pages touched so far. *)
 
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit

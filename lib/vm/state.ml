@@ -68,9 +68,9 @@ and t = {
           attribution, otherwise an empty registry that ignores hits *)
   coverage : Mi_obs.Coverage.t option;
       (** block/edge coverage registry.  [None] (the default) means the
-          interpreter records nothing and the hot path pays only a
-          per-block option check; [Some] makes {!Mi_vm.Interp.load}
-          register every function's CFG geometry and the frame loop
+          interpreter records nothing: {!Mi_vm.Interp.load} compiles
+          terminators without coverage code.  [Some] makes it register
+          every function's CFG geometry and compile terminators that
           count block entries and edge traversals.  Recording is a pure
           side band: it never touches cycles, steps or counters, so
           coverage-on and coverage-off runs are observationally
@@ -125,6 +125,12 @@ let run_polls t =
 let bump ?(by = 1) t key = Mi_obs.Metrics.incr ~by t.metrics key
 
 let counter t key = Mi_obs.Metrics.counter t.metrics key
+
+(** [key]'s counter in [t]'s registry, resolved once: runtimes take
+    their per-step counters at install and bump them with
+    {!Mi_obs.Metrics.bump}, which costs no name lookup.  Cold paths keep
+    {!bump}. *)
+let handle t key = Mi_obs.Metrics.handle t.metrics key
 
 (** Counters sorted by key — {!Mi_obs.Metrics.counters_alist} is the
     only order the registry exposes, so reports are deterministic. *)

@@ -489,6 +489,225 @@ entry:
       Alcotest.(check int) "no float slots" 0 n_f
 
 (* ------------------------------------------------------------------ *)
+(* Exactness: runs that stop part-way                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every expected line below was recorded from the instruction-array
+   interpreter that the closure compiler replaced.  A trap, violation,
+   fuel exhaustion or injected fault must land on the same step with
+   the same cycles, counters and touched pages. *)
+
+let outcome_str = function
+  | Interp.Exited n -> Printf.sprintf "exited %d" n
+  | Interp.Trapped m -> "trapped: " ^ m
+  | Interp.Safety_violation { checker; reason } ->
+      Printf.sprintf "violation %s: %s" checker reason
+  | Interp.Exhausted n -> Printf.sprintf "exhausted %d" n
+
+let summary (r : Interp.result) =
+  Printf.sprintf "%s | cycles=%d steps=%d pages=%d | out=%S | %s"
+    (outcome_str r.outcome) r.cycles r.steps r.mem_pages r.output
+    (String.concat ","
+       (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) r.counters))
+
+let run_exact ?fuel ?prepare src =
+  let _, _, r = run_src ?fuel ?prepare src in
+  summary r
+
+let div_by_zero = {|
+module "dz"
+func @main() -> i64 {
+entry:
+  %p.0 = alloca 64 align 8
+  store i64 7:i64, %p.0
+  br loop
+loop:
+  %i.1 = phi i64 [entry 0:i64] [loop %i2.2]
+  %i2.2 = add i64 %i.1, 1:i64
+  %c.3 = icmp slt i64 %i2.2, 10:i64
+  cbr %c.3, loop, done
+done:
+  %z.4 = sub i64 %i2.2, 10:i64
+  %m.5 = mul i64 %i2.2, 3:i64
+  %d.6 = sdiv i64 %m.5, %z.4
+  %e.7 = add i64 %d.6, 1:i64
+  store i64 %e.7, %p.0
+  ret %e.7
+}
+|}
+
+let null_guard = {|
+module "ng"
+func @main() -> i64 {
+entry:
+  %p.0 = alloca 16 align 8
+  store i64 5:i64, %p.0
+  %a.1 = load i64 %p.0
+  %q.2 = inttoptr i64 8:i64 to ptr
+  %b.3 = load i64 %q.2
+  %s.4 = add i64 %a.1, %b.3
+  store i64 %s.4, %p.0
+  ret %s.4
+}
+|}
+
+let sb_abort = {|
+module "sa"
+func @main() -> i64 {
+entry:
+  %p.0 = alloca 32 align 8
+  store i64 1:i64, %p.0
+  %q.1 = gep %p.0 [1 x 40:i64]
+  %pi.2 = ptrtoint ptr %p.0 to i64
+  %b.3 = add i64 %pi.2, 32:i64
+  call @__mi_sb_check(%p.0, 8:i64, %p.0, %b.3, 0:i64)
+  call @__mi_sb_check(%q.1, 8:i64, %p.0, %b.3, 1:i64)
+  store i64 2:i64, %q.1
+  ret 0:i64
+}
+|}
+
+let lf_abort = {|
+module "la"
+func @main() -> i64 {
+entry:
+  %p.0 = call @malloc(24:i64) : ptr
+  store i64 1:i64, %p.0
+  %q.1 = gep %p.0 [1 x 32:i64]
+  call @__mi_lf_check(%p.0, 8:i64, %p.0, 0:i64)
+  call @__mi_lf_check(%q.1, 8:i64, %p.0, 1:i64)
+  store i64 2:i64, %q.1
+  ret 0:i64
+}
+|}
+
+let tp_abort = {|
+module "ta"
+func @main() -> i64 {
+entry:
+  %p.0 = call @malloc(24:i64) : ptr
+  %k.1 = call @__mi_tp_alloc_key(%p.0) : i64
+  call @__mi_tp_check(%p.0, %k.1, 0:i64)
+  call @free(%p.0)
+  %x.2 = add i64 %k.1, 0:i64
+  call @__mi_tp_check(%p.0, %x.2, 1:i64)
+  ret 0:i64
+}
+|}
+
+let stack_overflow = {|
+module "so"
+func @rec(%n.0 : i64) -> i64 {
+entry:
+  %buf.1 = alloca 8192 align 8
+  store i64 %n.0, %buf.1
+  %m.2 = add i64 %n.0, 1:i64
+  %r.3 = call @rec(%m.2) : i64
+  ret %r.3
+}
+func @main() -> i64 {
+entry:
+  %r.0 = call @rec(0:i64) : i64
+  ret %r.0
+}
+|}
+
+let spin = {|
+module "spin"
+global @g : 8 align 8 {
+  zero 8
+}
+func @main() -> i64 {
+entry:
+  br loop
+loop:
+  %i.0 = phi i64 [entry 0:i64] [loop %i2.1]
+  %v.2 = load i64 @g
+  %w.3 = add i64 %v.2, %i.0
+  store i64 %w.3, @g
+  %i2.1 = add i64 %i.0, 1:i64
+  %c.4 = icmp slt i64 %i2.1, 100:i64
+  cbr %c.4, loop, done
+done:
+  %r.5 = load i64 @g
+  call @print_int(%r.5)
+  ret 0:i64
+}
+|}
+
+let test_exact_stops () =
+  let sb st = ignore (Mi_softbound.Softbound_rt.install st)
+  and lf st = ignore (Mi_lowfat.Lowfat_rt.install st)
+  and tp st = ignore (Mi_temporal.Temporal_rt.install st) in
+  let boxed install st =
+    install st;
+    st.State.fast_dispatch <- false
+  in
+  let module Fault = Mi_faultkit.Fault in
+  let inject vm st = Inject.install { Fault.none with vm } st in
+  List.iter
+    (fun (what, expected, got) -> Alcotest.(check string) what expected got)
+    [
+      ( "div-by-zero mid-block",
+        "trapped: integer division by zero | cycles=70 steps=36 pages=1 | out=\"\" | ",
+        run_exact div_by_zero );
+      ( "null-guard load mid-block",
+        "trapped: memory fault at 0x8: access to null guard page | cycles=14 steps=5 pages=1 | out=\"\" | ",
+        run_exact null_guard );
+      ( "softbound abort mid-block",
+        "violation softbound: out-of-bounds access: ptr=0x300000800008 width=8 bounds=[0x3000007fffe0,0x300000800000) | cycles=28 steps=7 pages=1 | out=\"\" | sb.checks=2",
+        run_exact ~prepare:sb sb_abort );
+      ( "softbound abort, boxed dispatch",
+        "violation softbound: out-of-bounds access: ptr=0x300000800008 width=8 bounds=[0x3000007fffe0,0x300000800000) | cycles=28 steps=7 pages=1 | out=\"\" | sb.checks=2",
+        run_exact ~prepare:(boxed sb) sb_abort );
+      ( "lowfat abort mid-block",
+        "violation lowfat: out-of-bounds access: ptr=0x200000020 base=0x200000000 size=32 width=8 | cycles=93 steps=5 pages=1 | out=\"\" | lf.checks=2,lf.malloc=1",
+        run_exact ~prepare:lf lf_abort );
+      ( "lowfat abort, boxed dispatch",
+        "violation lowfat: out-of-bounds access: ptr=0x200000020 base=0x200000000 size=32 width=8 | cycles=93 steps=5 pages=1 | out=\"\" | lf.checks=2,lf.malloc=1",
+        run_exact ~prepare:(boxed lf) lf_abort );
+      ( "temporal abort mid-block",
+        "violation temporal: use-after-free: ptr=0x200000000000 key=1 is dead | cycles=201 steps=6 pages=0 | out=\"\" | std.free=1,std.malloc=1,tp.checks=2,tp.frees=1,tp.key_alloc=1",
+        run_exact ~prepare:tp tp_abort );
+      ( "stack overflow",
+        "trapped: stack overflow | cycles=14345 steps=4098 pages=1024 | out=\"\" | ",
+        run_exact stack_overflow );
+      ( "clean run",
+        "exited 0 | cycles=1305 steps=604 pages=1 | out=\"4950\" | ",
+        run_exact spin );
+      ( "fuel exhausted at 503",
+        "exhausted 503 | cycles=1091 steps=504 pages=1 | out=\"\" | ",
+        run_exact ~fuel:503 spin );
+      ( "injected trap at step 257",
+        "trapped: injected trap at step 257 | cycles=557 steps=257 pages=1 | out=\"\" | fault.injected=1",
+        run_exact ~prepare:(inject [ Fault.Trap_at 257 ]) spin );
+      ( "wild write at step 300",
+        "exited 0 | cycles=1305 steps=604 pages=1 | out=\"4725\" | fault.injected=1",
+        run_exact
+        ~prepare:
+          (inject
+             [
+               Fault.Wild_write
+                 { at_step = 300; addr = Layout.globals_base; value = 1000 };
+             ])
+        spin );
+    ]
+
+let test_run_other_state () =
+  let m = Parser.parse_module spin in
+  let st = State.create () in
+  Builtins.install st;
+  let img = Interp.load st [ m ] in
+  let other = State.create () in
+  Builtins.install other;
+  Alcotest.check_raises "run on another state"
+    (Invalid_argument "Interp.run: the image was loaded into another state")
+    (fun () -> ignore (Interp.run other img));
+  Alcotest.(check int) "the other state ran nothing" 0 other.State.steps;
+  Alcotest.(check string) "the image still runs on its own state"
+    "exited 0" (outcome_str (Interp.run st img).Interp.outcome)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -527,6 +746,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitcast_roundtrip;
           Alcotest.test_case "minic negative double global" `Quick
             test_bitcast_minic_negative_double_global;
+        ] );
+      ( "exactness",
+        [
+          Alcotest.test_case "runs that stop part-way" `Quick
+            test_exact_stops;
+          Alcotest.test_case "run on another state" `Quick
+            test_run_other_state;
         ] );
       ( "scratch",
         [

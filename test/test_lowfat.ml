@@ -82,35 +82,35 @@ let violation f =
   | () -> false
 
 let test_check_semantics () =
-  let st, _ = setup () in
+  let st, lf = setup () in
   let a = st.State.malloc_hook st 24 in
   (* class of 24 is 32 *)
-  Alcotest.(check bool) "in bounds ok" false (violation (fun () -> LF.check st a 8 a));
+  Alcotest.(check bool) "in bounds ok" false (violation (fun () -> LF.check lf ~site:(-1) a 8 a));
   Alcotest.(check bool) "last byte ok" false
-    (violation (fun () -> LF.check st (a + 31) 1 a));
+    (violation (fun () -> LF.check lf ~site:(-1) (a + 31) 1 a));
   Alcotest.(check bool) "padding access not detected" false
-    (violation (fun () -> LF.check st (a + 24) 8 a));
+    (violation (fun () -> LF.check lf ~site:(-1) (a + 24) 8 a));
   Alcotest.(check bool) "past class detected" true
-    (violation (fun () -> LF.check st (a + 32) 1 a));
+    (violation (fun () -> LF.check lf ~site:(-1) (a + 32) 1 a));
   Alcotest.(check bool) "underflow detected" true
-    (violation (fun () -> LF.check st (a - 1) 1 a));
+    (violation (fun () -> LF.check lf ~site:(-1) (a - 1) 1 a));
   Alcotest.(check bool) "width crossing end detected" true
-    (violation (fun () -> LF.check st (a + 28) 8 a))
+    (violation (fun () -> LF.check lf ~site:(-1) (a + 28) 8 a))
 
 let test_check_wide_for_nonfat () =
-  let st, _ = setup () in
+  let st, lf = setup () in
   let a = State.std_malloc st 8 in
   Alcotest.(check bool) "non-low-fat is wide (no report)" false
-    (violation (fun () -> LF.check st (a + 1000000) 8 a));
+    (violation (fun () -> LF.check lf ~site:(-1) (a + 1000000) 8 a));
   Alcotest.(check int) "counted as wide" 1 (State.counter st "lf.checks_wide")
 
 let test_invariant_check () =
-  let st, _ = setup () in
+  let st, lf = setup () in
   let a = st.State.malloc_hook st 24 in
   Alcotest.(check bool) "in-bounds pointer may escape" false
-    (violation (fun () -> LF.invariant_check st (a + 8) a));
+    (violation (fun () -> LF.invariant_check lf ~site:(-1) (a + 8) a));
   Alcotest.(check bool) "oob pointer escape detected" true
-    (violation (fun () -> LF.invariant_check st (a + 40) a))
+    (violation (fun () -> LF.invariant_check lf ~site:(-1) (a + 40) a))
 
 let test_frame_cleanup () =
   let st, _t = setup () in

@@ -189,6 +189,57 @@ let test_metrics_kind_collision () =
   Alcotest.(check int) "counter still counts" 2 (Metrics.counter m "x");
   Alcotest.(check int) "gauge still sets" 9 (Metrics.gauge m "g")
 
+(* Counter handles: resolved once, created on the first bump *)
+let test_handle_absent_until_bumped () =
+  let m = Metrics.create () in
+  let h = Metrics.handle m "rt.checks" in
+  Alcotest.(check (list (pair string int)))
+    "no entry before the first bump" [] (Metrics.counters_alist m);
+  Metrics.bump h;
+  Metrics.bump h;
+  Alcotest.(check (list (pair string int)))
+    "created by the first bump"
+    [ ("rt.checks", 2) ]
+    (Metrics.counters_alist m)
+
+let test_handle_equals_incr () =
+  (* the same bumps through [incr] and through handles taken before and
+     after the counter exists give the same registry *)
+  let by_name = Metrics.create () and by_handle = Metrics.create () in
+  let early = Metrics.handle by_handle "a" in
+  for i = 1 to 10 do
+    Metrics.incr by_name "a";
+    if i mod 2 = 0 then Metrics.bump early else Metrics.incr by_handle "a"
+  done;
+  let late = Metrics.handle by_handle "a" in
+  Metrics.bump late;
+  Metrics.incr by_name "a";
+  Metrics.bump early;
+  Metrics.incr by_name "a";
+  Alcotest.(check string)
+    "same serialization" (Metrics.to_string by_name)
+    (Metrics.to_string by_handle);
+  Alcotest.(check int) "all bumps counted" 12 (Metrics.counter by_handle "a");
+  (* a handle keeps the registry's kind check *)
+  Metrics.set_gauge by_handle "g" 1;
+  Alcotest.check_raises "handle on a gauge"
+    (Invalid_argument
+       "Metrics: \"g\" is already registered as a gauge (wanted counter)")
+    (fun () -> Metrics.bump (Metrics.handle by_handle "g"))
+
+let test_handle_merge () =
+  let src = Metrics.create () and dst = Metrics.create () in
+  let h = Metrics.handle src "sb.checks" in
+  Metrics.bump h;
+  Metrics.bump h;
+  Metrics.merge dst src;
+  Alcotest.(check int) "merge sees handle bumps" 2 (Metrics.counter dst "sb.checks");
+  Metrics.bump h;
+  Metrics.merge dst src;
+  Alcotest.(check int) "and later ones" 5 (Metrics.counter dst "sb.checks");
+  Alcotest.(check int) "source keeps its own count" 3
+    (Metrics.counter src "sb.checks")
+
 let test_labeled_canonical () =
   Alcotest.(check string)
     "label keys sorted" "c{a=\"1\",b=\"2\"}"
@@ -454,6 +505,12 @@ let () =
           Alcotest.test_case "kind collision rejected" `Quick
             test_metrics_kind_collision;
           Alcotest.test_case "labeled canonical" `Quick test_labeled_canonical;
+          Alcotest.test_case "handle absent until bumped" `Quick
+            test_handle_absent_until_bumped;
+          Alcotest.test_case "handle bump equals incr" `Quick
+            test_handle_equals_incr;
+          Alcotest.test_case "merge sees handle bumps" `Quick
+            test_handle_merge;
           Alcotest.test_case "deterministic serialization" `Quick
             test_metrics_deterministic;
           Alcotest.test_case "counters_alist sorted" `Quick

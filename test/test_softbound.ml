@@ -78,23 +78,23 @@ let violation f =
   | () -> false
 
 let test_check_semantics () =
-  let st, _ = setup () in
+  let _, sb = setup () in
   let base = Layout.heap_base and bound = Layout.heap_base + 24 in
   Alcotest.(check bool) "in bounds" false
-    (violation (fun () -> SB.check st base 8 ~base ~bound));
+    (violation (fun () -> SB.check sb ~site:(-1) base 8 ~base ~bound));
   Alcotest.(check bool) "exact end ok" false
-    (violation (fun () -> SB.check st (base + 16) 8 ~base ~bound));
+    (violation (fun () -> SB.check sb ~site:(-1) (base + 16) 8 ~base ~bound));
   Alcotest.(check bool) "one past end detected" true
-    (violation (fun () -> SB.check st (base + 17) 8 ~base ~bound));
+    (violation (fun () -> SB.check sb ~site:(-1) (base + 17) 8 ~base ~bound));
   Alcotest.(check bool) "underflow detected" true
-    (violation (fun () -> SB.check st (base - 1) 1 ~base ~bound));
+    (violation (fun () -> SB.check sb ~site:(-1) (base - 1) 1 ~base ~bound));
   Alcotest.(check bool) "null bounds always report" true
-    (violation (fun () -> SB.check st base 1 ~base:0 ~bound:0))
+    (violation (fun () -> SB.check sb ~site:(-1) base 1 ~base:0 ~bound:0))
 
 let test_check_wide_counting () =
-  let st, _ = setup () in
-  SB.check st Layout.heap_base 8 ~base:0 ~bound:Layout.wide_bound;
-  SB.check st Layout.heap_base 8 ~base:Layout.heap_base
+  let st, sb = setup () in
+  SB.check sb ~site:(-1) Layout.heap_base 8 ~base:0 ~bound:Layout.wide_bound;
+  SB.check sb ~site:(-1) Layout.heap_base 8 ~base:Layout.heap_base
     ~bound:(Layout.heap_base + 8);
   Alcotest.(check int) "two checks" 2 (State.counter st "sb.checks");
   Alcotest.(check int) "one wide" 1 (State.counter st "sb.checks_wide")

@@ -29,11 +29,11 @@ let test_key_lifecycle () =
   let k = TP.key_of_alloc tp a in
   Alcotest.(check bool) "fresh allocation is keyed" true (k <> 0);
   Alcotest.(check bool) "live key passes" false
-    (violation (fun () -> TP.check tp st a k));
+    (violation (fun () -> TP.check tp ~site:(-1) a k));
   st.State.free_hook st a;
   Alcotest.(check int) "freed allocation owns no key" 0 (TP.key_of_alloc tp a);
   Alcotest.(check bool) "dead key reports" true
-    (violation (fun () -> TP.check tp st a k))
+    (violation (fun () -> TP.check tp ~site:(-1) a k))
 
 let test_key_freshness () =
   let st, tp = setup () in
@@ -45,14 +45,14 @@ let test_key_freshness () =
   (* keys are never reused, even when the allocator recycles the address *)
   Alcotest.(check bool) "fresh key for fresh allocation" true (k1 <> k2);
   Alcotest.(check bool) "old key stays dead" true
-    (violation (fun () -> TP.check tp st b k1));
+    (violation (fun () -> TP.check tp ~site:(-1) b k1));
   Alcotest.(check bool) "new key is live" false
-    (violation (fun () -> TP.check tp st b k2))
+    (violation (fun () -> TP.check tp ~site:(-1) b k2))
 
 let test_key_zero_wide () =
   let st, tp = setup () in
   Alcotest.(check bool) "key 0 never reports" false
-    (violation (fun () -> TP.check tp st (Layout.heap_base + 123) 0));
+    (violation (fun () -> TP.check tp ~site:(-1) (Layout.heap_base + 123) 0));
   Alcotest.(check int) "one check" 1 (State.counter st "tp.checks");
   Alcotest.(check int) "counted wide" 1 (State.counter st "tp.checks_wide")
 

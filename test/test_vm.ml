@@ -150,7 +150,7 @@ let test_mem_copy_cross_page_overlap () =
         (Printf.sprintf "copy dst+%d src+%d len %d" doff soff len)
         (read_back r base n) (read_back m base n);
       Alcotest.(check int)
-        "same pages touched" r.Memory.page_count m.Memory.page_count)
+        "same pages touched" (Memory.page_count r) (Memory.page_count m))
     [
       (40, 0, 500);  (* forward-overlap, crosses the page edge *)
       (0, 40, 500);  (* backward-overlap, crosses the page edge *)
@@ -184,6 +184,173 @@ let test_mem_fill_cross_page () =
   done;
   Alcotest.(check int) "byte before intact" 0x77 (Memory.load8 m (base - 1));
   Alcotest.(check int) "byte after intact" 0x88 (Memory.load8 m (base + 10))
+
+(* --- page cache ------------------------------------------------------
+   A plain [Hashtbl] page model with no cache in front: every access
+   looks its page up by index, materializes it zero-filled on first
+   touch, and faults at the page limit.  Widths, straddles and the
+   copy/fill chunk order follow Memory's documented semantics.  Random
+   operation sequences over pages that alias one cache slot must
+   observe the same values, page counts and faults. *)
+module Page_model = struct
+  type t = { pages : (int, Bytes.t) Hashtbl.t; mutable count : int; max : int }
+
+  let create max = { pages = Hashtbl.create 16; count = 0; max }
+  let off a = a land (Layout.page_size - 1)
+
+  let page t a =
+    let idx = a lsr Layout.page_bits in
+    match Hashtbl.find_opt t.pages idx with
+    | Some p -> p
+    | None ->
+        if t.count >= t.max then
+          raise (Memory.Fault (a, "out of VM memory (page limit)"));
+        let p = Bytes.make Layout.page_size '\000' in
+        Hashtbl.add t.pages idx p;
+        t.count <- t.count + 1;
+        p
+
+  let fits a w = off a + w <= Layout.page_size
+  let load8 t a = Char.code (Bytes.get (page t a) (off a))
+  let store8 t a v = Bytes.set (page t a) (off a) (Char.chr (v land 0xff))
+
+  let load t a w =
+    if fits a w then begin
+      let p = page t a in
+      let v = ref 0 in
+      for i = w - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get p (off a + i))
+      done;
+      !v
+    end
+    else begin
+      let v = ref 0 in
+      for i = w - 1 downto 0 do
+        v := (!v lsl 8) lor load8 t (a + i)
+      done;
+      !v
+    end
+
+  let store t a w v =
+    if fits a w then begin
+      let p = page t a in
+      if w = 8 then Bytes.set_int64_le p (off a) (Int64.of_int v)
+      else
+        for i = 0 to w - 1 do
+          Bytes.set p (off a + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+        done
+    end
+    else
+      for i = 0 to w - 1 do
+        store8 t (a + i) ((v lsr (8 * i)) land 0xff)
+      done
+
+  (* chunks never cross a source or destination page; each materializes
+     its source page before its destination page *)
+  let copy t ~dst ~src len =
+    let ps = Layout.page_size in
+    if dst <= src then begin
+      let i = ref 0 in
+      while !i < len do
+        let s = src + !i and d = dst + !i in
+        let n = min (len - !i) (min (ps - off s) (ps - off d)) in
+        let sp = page t s in
+        let dp = page t d in
+        Bytes.blit sp (off s) dp (off d) n;
+        i := !i + n
+      done
+    end
+    else begin
+      let i = ref len in
+      while !i > 0 do
+        let n =
+          min !i (min (off (src + !i - 1) + 1) (off (dst + !i - 1) + 1))
+        in
+        let s = src + !i - n and d = dst + !i - n in
+        let sp = page t s in
+        let dp = page t d in
+        Bytes.blit sp (off s) dp (off d) n;
+        i := !i - n
+      done
+    end
+
+  let fill t ~dst ~byte len =
+    let i = ref 0 in
+    while !i < len do
+      let d = dst + !i in
+      let n = min (len - !i) (Layout.page_size - off d) in
+      Bytes.fill (page t d) (off d) n (Char.chr (byte land 0xff));
+      i := !i + n
+    done
+end
+
+type mem_op =
+  | Ld of int * int
+  | St of int * int * int
+  | Cp of int * int * int
+  | Fl of int * int * int
+
+(* addresses on a few pages whose indices map to one cache slot (256
+   pages apart), their neighbours, and offsets near page ends so that
+   accesses straddle *)
+let gen_mem_op =
+  let open QCheck.Gen in
+  let base_page = Layout.heap_base lsr Layout.page_bits in
+  let addr =
+    map3
+      (fun k nb o ->
+        ((base_page + (k * 256) + nb) lsl Layout.page_bits)
+        + if o < 24 then Layout.page_size - 1 - o else o)
+      (int_bound 3) (int_bound 1) (int_bound 60)
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  frequency
+    [
+      (4, map2 (fun a w -> Ld (a, w)) addr width);
+      (4, map3 (fun a w v -> St (a, w, v)) addr width int);
+      (1, map3 (fun d s n -> Cp (d, s, n)) addr addr (int_bound 5000));
+      (1, map3 (fun d b n -> Fl (d, b, n)) addr (int_bound 255) (int_bound 5000));
+    ]
+
+let show_mem_op = function
+  | Ld (a, w) -> Printf.sprintf "load %#x %d" a w
+  | St (a, w, v) -> Printf.sprintf "store %#x %d %d" a w v
+  | Cp (d, s, n) -> Printf.sprintf "copy %#x <- %#x %d" d s n
+  | Fl (d, b, n) -> Printf.sprintf "fill %#x %d %d" d b n
+
+let prop_page_cache_matches_model =
+  QCheck.Test.make ~name:"page cache == plain page table" ~count:300
+    (QCheck.make
+       ~print:(fun (mp, ops) ->
+         Printf.sprintf "max_pages=%d: %s" mp
+           (String.concat "; " (List.map show_mem_op ops)))
+       QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 1 60) gen_mem_op)))
+    (fun (max_pages, ops) ->
+      let m = Memory.create ~max_pages () and r = Page_model.create max_pages in
+      let observe f =
+        match f () with
+        | v -> Ok v
+        | exception Memory.Fault (a, msg) -> Error (a, msg)
+      in
+      List.for_all
+        (fun op ->
+          let got, want =
+            match op with
+            | Ld (a, w) ->
+                ( observe (fun () -> Memory.load m a w),
+                  observe (fun () -> Page_model.load r a w) )
+            | St (a, w, v) ->
+                ( observe (fun () -> Memory.store m a w v; 0),
+                  observe (fun () -> Page_model.store r a w v; 0) )
+            | Cp (d, s, n) ->
+                ( observe (fun () -> Memory.copy m ~dst:d ~src:s n; 0),
+                  observe (fun () -> Page_model.copy r ~dst:d ~src:s n; 0) )
+            | Fl (d, b, n) ->
+                ( observe (fun () -> Memory.fill m ~dst:d ~byte:b n; 0),
+                  observe (fun () -> Page_model.fill r ~dst:d ~byte:b n; 0) )
+          in
+          got = want && Memory.page_count m = r.Page_model.count)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Standard allocator                                                  *)
@@ -453,6 +620,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_mem_copy_matches_reference;
           Alcotest.test_case "cross-page fill" `Quick test_mem_fill_cross_page;
           QCheck_alcotest.to_alcotest prop_mem_f64_roundtrip;
+          QCheck_alcotest.to_alcotest prop_page_cache_matches_model;
         ] );
       ( "allocator",
         [
