@@ -41,9 +41,10 @@ run() {
 # experiments JSON on one benchmark; -j 2 with the on-disk cache must
 # match -j 1 byte for byte
 run json-j1 $bin/experiments.exe --benchmark 470lbm -j 1 \
-    --json "$out/json-j1.json" table2 hotchecks
+    --json "$out/json-j1.json" table2 hotchecks fig10 fig12
 run json-j2 $bin/experiments.exe --benchmark 470lbm -j 2 \
-    --cache-dir "$out/cache" --json "$out/json-j2.json" table2 hotchecks
+    --cache-dir "$out/cache" --json "$out/json-j2.json" table2 hotchecks \
+    fig10 fig12
 
 # VM throughput is compared with a fixed reference commit on this host,
 # exported (no worktree) and built in the scratch dir.  Every change is

@@ -159,13 +159,30 @@ let check_exits lines =
     fail "%d runs recorded, %d in the table" (List.length got) (List.length exits);
   Printf.sprintf "%d runs as required" (List.length got)
 
+(* Figures 10 and 12 share one column-table reduce: each series is a
+   column, in column order *)
+let columns =
+  [
+    ("fig10", [ "optimized"; "unoptimized"; "metadata" ]);
+    ( "fig12",
+      [ "ModuleOptimizerEarly"; "ScalarOptimizerLate"; "VectorizerStart" ] );
+  ]
+
 let json_smoke doc =
   ignore (report "hotchecks" doc);
-  let labels = List.map fst (series (report "table2" doc)) in
+  let labels name = List.map fst (series (report name doc)) in
+  let table2 = labels "table2" in
   List.iter
-    (fun want -> if not (List.mem want labels) then fail "table2 lacks %s" want)
+    (fun want -> if not (List.mem want table2) then fail "table2 lacks %s" want)
     [ "sb_checks_wide"; "lf_checks_wide"; "tp_checks_wide" ];
-  "table2 + hotchecks, sb/lf/tp _checks_wide series"
+  List.iter
+    (fun (name, want) ->
+      let got = labels name in
+      if got <> want then
+        fail "%s series [%s], want [%s]" name (String.concat "; " got)
+          (String.concat "; " want))
+    columns;
+  "table2 + hotchecks, sb/lf/tp _checks_wide series; fig10 + fig12 columns"
 
 (* bench/ci.sh runs [pairs] pairs, numbered 1..[pairs] (the paper's
    median of 7): base and candidate --vm-steps back to back, with a

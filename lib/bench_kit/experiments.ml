@@ -245,32 +245,23 @@ let fig9_reduce lookup benchmarks : report =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Figures 10/11: optimized vs unoptimized vs metadata-only            *)
+(* Figures 10-13: one overhead column per (label, setup)               *)
 (* ------------------------------------------------------------------ *)
 
-let opt_variant_setups (approach : Config.approach) =
-  let base_cfg = Config.of_approach approach in
-  [
-    ("optimized", Harness.with_config (Config.optimized base_cfg) Harness.baseline);
-    ("unoptimized", Harness.with_config base_cfg Harness.baseline);
-    ("metadata", Harness.with_config (Config.metadata_only base_cfg) Harness.baseline);
-  ]
-
-let fig_opt_variants_jobs ~approach benchmarks =
-  let setups = opt_variant_setups approach in
+let columns_jobs setups benchmarks =
   List.concat_map
     (fun b ->
       (Harness.baseline, b) :: List.map (fun (_, s) -> (s, b)) setups)
     benchmarks
 
-let fig_opt_variants_reduce ~title ~(approach : Config.approach) lookup
-    benchmarks : report =
+(* One row per benchmark of each column's overhead over -O3, a geomean
+   row, and one series per column, labelled like its column. *)
+let columns_reduce ~title setups lookup benchmarks : report =
   let run = strict lookup in
-  let setups = opt_variant_setups approach in
   let tbl =
     Table.create
-      ~aligns:[ Table.Left; Right; Right; Right ]
-      [ "Benchmark"; "optimized"; "unoptimized"; "metadata" ]
+      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) setups)
+      ("Benchmark" :: List.map fst setups)
   in
   let acc = List.map (fun (l, _) -> (l, ref [])) setups in
   let pts = List.map (fun (l, _) -> (l, ref [])) setups in
@@ -298,6 +289,15 @@ let fig_opt_variants_reduce ~title ~(approach : Config.approach) lookup
       List.map (fun (l, _) -> { label = l; points = List.rev !(List.assoc l pts) }) setups;
   }
 
+(* Figures 10/11: optimized vs unoptimized vs metadata-only *)
+let opt_variant_setups (approach : Config.approach) =
+  let base_cfg = Config.of_approach approach in
+  [
+    ("optimized", Harness.with_config (Config.optimized base_cfg) Harness.baseline);
+    ("unoptimized", Harness.with_config base_cfg Harness.baseline);
+    ("metadata", Harness.with_config (Config.metadata_only base_cfg) Harness.baseline);
+  ]
+
 let fig10_title =
   "Figure 10: SoftBound — optimized / unoptimized / metadata-only \
    overhead (normalized to -O3)"
@@ -306,60 +306,13 @@ let fig11_title =
   "Figure 11: Low-Fat Pointers — optimized / unoptimized / \
    metadata-only overhead (normalized to -O3)"
 
-(* ------------------------------------------------------------------ *)
-(* Figures 12/13: extension points                                     *)
-(* ------------------------------------------------------------------ *)
-
-let ep_setup (approach : Config.approach) ep =
+(* Figures 12/13: the optimized checker at each extension point *)
+let ep_setups (approach : Config.approach) =
   let cfg = Config.optimized (Config.of_approach approach) in
-  { (Harness.with_config cfg Harness.baseline) with ep }
-
-let fig_eps_jobs ~approach benchmarks =
-  List.concat_map
-    (fun b ->
-      (Harness.baseline, b)
-      :: List.map
-           (fun ep -> (ep_setup approach ep, b))
-           Pipeline.all_extension_points)
-    benchmarks
-
-let fig_eps_reduce ~title ~(approach : Config.approach) lookup benchmarks :
-    report =
-  let run = strict lookup in
-  let eps = Pipeline.all_extension_points in
-  let tbl =
-    Table.create
-      ~aligns:[ Table.Left; Right; Right; Right ]
-      ("Benchmark" :: List.map Pipeline.ep_name eps)
-  in
-  let acc = List.map (fun ep -> (ep, ref [])) eps in
-  let pts = List.map (fun ep -> (ep, ref [])) eps in
-  List.iter
-    (fun (b : Bench.t) ->
-      let base = run Harness.baseline b in
-      let cells =
-        List.map
-          (fun ep ->
-            let o = Harness.overhead ~baseline:base (run (ep_setup approach ep) b) in
-            (List.assoc ep acc) := o :: !(List.assoc ep acc);
-            (List.assoc ep pts) := (b.name, o) :: !(List.assoc ep pts);
-            fmt_x o)
-          eps
-      in
-      Table.add_row tbl (b.name :: cells))
-    benchmarks;
-  Table.add_row tbl
-    ("geomean"
-    :: List.map (fun ep -> fmt_x (Util.geomean !(List.assoc ep acc))) eps);
-  {
-    title;
-    text = Table.render tbl;
-    series =
-      List.map
-        (fun ep ->
-          { label = Pipeline.ep_name ep; points = List.rev !(List.assoc ep pts) })
-        eps;
-  }
+  List.map
+    (fun ep ->
+      (Pipeline.ep_name ep, { (Harness.with_config cfg Harness.baseline) with ep }))
+    Pipeline.all_extension_points
 
 let fig12_title =
   "Figure 12: Impact of Compiler Pipeline Extension Points on \
@@ -1055,6 +1008,17 @@ let mutation_opt_reduce _lookup _benchmarks : report =
 (* Registrations                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A column-table experiment.  [setups] is a thunk: checkers register
+   in their own modules, which may initialise after this one. *)
+let columns ~name ~alias ~descr ~title setups =
+  {
+    name;
+    aliases = [ alias ];
+    descr;
+    jobs = (fun benchmarks -> columns_jobs (setups ()) benchmarks);
+    reduce = (fun lookup -> columns_reduce ~title (setups ()) lookup);
+  }
+
 let () =
   List.iter register
     [
@@ -1072,38 +1036,18 @@ let () =
         jobs = fig9_jobs;
         reduce = fig9_reduce;
       };
-      {
-        name = "fig10";
-        aliases = [ "f10" ];
-        descr = "SoftBound optimized/unoptimized/metadata overhead";
-        jobs = fig_opt_variants_jobs ~approach:"softbound";
-        reduce =
-          fig_opt_variants_reduce ~title:fig10_title
-            ~approach:"softbound";
-      };
-      {
-        name = "fig11";
-        aliases = [ "f11" ];
-        descr = "Low-Fat optimized/unoptimized/metadata overhead";
-        jobs = fig_opt_variants_jobs ~approach:"lowfat";
-        reduce =
-          fig_opt_variants_reduce ~title:fig11_title ~approach:"lowfat";
-      };
-      {
-        name = "fig12";
-        aliases = [ "f12" ];
-        descr = "extension-point impact on SoftBound";
-        jobs = fig_eps_jobs ~approach:"softbound";
-        reduce =
-          fig_eps_reduce ~title:fig12_title ~approach:"softbound";
-      };
-      {
-        name = "fig13";
-        aliases = [ "f13" ];
-        descr = "extension-point impact on Low-Fat";
-        jobs = fig_eps_jobs ~approach:"lowfat";
-        reduce = fig_eps_reduce ~title:fig13_title ~approach:"lowfat";
-      };
+      columns ~name:"fig10" ~alias:"f10"
+        ~descr:"SoftBound optimized/unoptimized/metadata overhead"
+        ~title:fig10_title (fun () -> opt_variant_setups "softbound");
+      columns ~name:"fig11" ~alias:"f11"
+        ~descr:"Low-Fat optimized/unoptimized/metadata overhead"
+        ~title:fig11_title (fun () -> opt_variant_setups "lowfat");
+      columns ~name:"fig12" ~alias:"f12"
+        ~descr:"extension-point impact on SoftBound" ~title:fig12_title
+        (fun () -> ep_setups "softbound");
+      columns ~name:"fig13" ~alias:"f13"
+        ~descr:"extension-point impact on Low-Fat" ~title:fig13_title
+        (fun () -> ep_setups "lowfat");
       {
         name = "table2";
         aliases = [ "t2" ];

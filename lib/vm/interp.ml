@@ -20,8 +20,11 @@
 
     {2 Calls}
 
-    Dynamic calls never hash a name on the hot path.  At load time every
-    call site is resolved:
+    Every call site is resolved once, at load, against the state's one
+    builtin registry ({!State.t.builtins}); nothing re-resolves while
+    the program runs, and loading closes the registry (registering a
+    builtin afterwards raises [Invalid_argument]), as linking against
+    the checker runtime does in the paper's build (Fig. 8):
 
     - the callee is a function of the image: the site holds its compiled
       record and arguments copy straight from the caller's register
@@ -30,21 +33,18 @@
       ({!State.register_intrinsic}) and the site's arity matches its
       typed implementation ({!State.fast_fn}): the call is one direct
       closure invocation on unboxed integers;
-    - everything else: a per-site inline cache holds the resolved boxed
-      builtin (pre-warmed at load when the name is already registered,
-      filled on first execution otherwise).  For an intrinsic that is
-      the adapter derived from the same typed implementation, which
-      traps on a malformed call.
+    - any other registered builtin: the site holds its boxed function.
+      For an intrinsic that is the adapter derived from the same typed
+      implementation, which traps on a malformed call;
+    - an unregistered name: the site ticks and traps with
+      [unresolved external: NAME].
 
-    Caches carry the {!State.t.builtin_gen} generation they were
-    resolved at; registering a builtin after load bumps the generation
-    and every affected site transparently re-resolves.  The contract
-    throughout: resolution strategy is invisible to the cost model —
-    modeled cycles, steps, counters and site profiles are identical on
-    the boxed lookup path, only wall-clock time changes.
+    Resolution is invisible to the cost model: modeled cycles, steps,
+    counters and site profiles are identical on the fused and boxed
+    paths, only wall-clock time changes.
 
     An image is bound to the state it was loaded into: its closures
-    hold that state's memory, cost model and builtin tables. *)
+    hold that state's memory, cost model and builtins. *)
 
 open Mi_mir
 
@@ -58,26 +58,6 @@ type xv =
   | XF of float
   | XR of int  (** integer-bank register *)
   | XFR of int  (** float-bank register *)
-
-type builtin = State.t -> State.value array -> State.value option
-
-(* Per-call-site inline cache for names resolved against the builtin
-   table.  [bgen] is the State.builtin_gen the entry was captured at; a
-   registration after load invalidates it and the site re-resolves. *)
-type bcache = { mutable bgen : int; mutable bfn : builtin option }
-
-(* Cache for a fused superinstruction's typed fast function, revalidated
-   against builtin_gen exactly like [bcache]. *)
-type fcache = { mutable fgen : int; mutable ffn : State.fast_fn option }
-
-(* A fused runtime-intrinsic call; [fargs] has exactly the arity of the
-   intrinsic's typed implementation. *)
-type fused = {
-  fname : string;  (** intrinsic name, for revalidation and fallback *)
-  fdst : (bool * int) option;
-  fargs : xv array;
-  fc : fcache;
-}
 
 (* Compiled code runs on a frame's integer and float register banks and
    returns the index of the next block to run, or -1 once the function
@@ -179,24 +159,6 @@ let bad_result name (ret : ret) ~want_float =
   else if want_float then State.trap "expected float value"
   else State.trap "expected int value"
 
-(* Revalidate a fused site's fast function against the current builtin
-   generation (one int compare on the hot path). *)
-let[@inline] fused_fn (st : State.t) (f : fused) =
-  if f.fc.fgen <> st.builtin_gen then begin
-    f.fc.ffn <- State.find_fast_builtin st f.fname;
-    f.fc.fgen <- st.builtin_gen
-  end;
-  f.fc.ffn
-
-(* Cold path of a fused site: the typed intrinsic disappeared or changed
-   arity after load (a builtin was re-registered).  Execute through the
-   boxed builtin exactly like an unfused site would. *)
-let fused_slow (st : State.t) (f : fused) iregs fregs =
-  let vargs = Array.map (box_arg iregs fregs) f.fargs in
-  match State.find_builtin st f.fname with
-  | Some fn -> set_call_result f.fname f.fdst iregs fregs (fn st vargs)
-  | None -> raise (State.Trap ("unresolved external: " ^ f.fname))
-
 (* The frame loop.  [iregs]/[fregs] are the callee's banks, already
    loaded with the arguments; the result is left in the image's return
    channel. *)
@@ -231,7 +193,7 @@ let exec_frame (st : State.t) (xf : xfunc) (iregs : int array)
    exactly.  Anything else stays a boxed call, whose adapter traps on
    the mismatch. *)
 let fuse (st : State.t) callee (xdst : (bool * int) option)
-    (xargs : xv array) : (fused * State.fast_fn) option =
+    (xargs : xv array) : State.fast_fn option =
   let ints_only =
     Array.for_all (function XI _ | XR _ -> true | XF _ | XFR _ -> false) xargs
   in
@@ -242,14 +204,6 @@ let fuse (st : State.t) callee (xdst : (bool * int) option)
     match State.find_fast_builtin st callee with
     | None -> None
     | Some ff -> (
-        let f =
-          {
-            fname = callee;
-            fdst = xdst;
-            fargs = xargs;
-            fc = { fgen = st.State.builtin_gen; ffn = Some ff };
-          }
-        in
         match (ff, xdst, Array.length xargs) with
         | State.F0 _, None, 0
         | State.F1 _, None, 1
@@ -258,105 +212,79 @@ let fuse (st : State.t) callee (xdst : (bool * int) option)
         | State.F4 _, None, 4
         | State.F5 _, None, 5
         | State.FR1 _, (None | Some (false, _)), 1 ->
-            Some (f, ff)
+            Some ff
         | _ -> None)
 
-(* A fused site's closure, by the arity its typed implementation had at
-   load.  Each execution revalidates the typed function and falls back
-   to the boxed builtin when it changed. *)
-let fused_code (st : State.t) (f : fused) (ff : State.fast_fn) (next : code) :
-    code =
-  let a = f.fargs in
+(* A fused site's closure: one direct call of the typed implementation
+   on unboxed integers.  [fuse] has matched the site's shape to it. *)
+let fused_code (st : State.t) xdst (a : xv array) (ff : State.fast_fn)
+    (next : code) : code =
   match ff with
-  | State.F5 _ ->
+  | State.F5 fn ->
       let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3)
       and a4 = a.(4) in
       fun ir fr ->
         tick st;
-        (match fused_fn st f with
-        | Some (State.F5 fn) ->
-            fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3)
-              (ival ir a4)
-        | _ -> fused_slow st f ir fr);
+        fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3) (ival ir a4);
         next ir fr
-  | State.F4 _ ->
+  | State.F4 fn ->
       let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3) in
       fun ir fr ->
         tick st;
-        (match fused_fn st f with
-        | Some (State.F4 fn) ->
-            fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3)
-        | _ -> fused_slow st f ir fr);
+        fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3);
         next ir fr
-  | State.F3 _ ->
+  | State.F3 fn ->
       let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) in
       fun ir fr ->
         tick st;
-        (match fused_fn st f with
-        | Some (State.F3 fn) -> fn st (ival ir a0) (ival ir a1) (ival ir a2)
-        | _ -> fused_slow st f ir fr);
+        fn st (ival ir a0) (ival ir a1) (ival ir a2);
         next ir fr
-  | State.F2 _ ->
+  | State.F2 fn ->
       let a0 = a.(0) and a1 = a.(1) in
       fun ir fr ->
         tick st;
-        (match fused_fn st f with
-        | Some (State.F2 fn) -> fn st (ival ir a0) (ival ir a1)
-        | _ -> fused_slow st f ir fr);
+        fn st (ival ir a0) (ival ir a1);
         next ir fr
-  | State.F1 _ ->
+  | State.F1 fn ->
       let a0 = a.(0) in
       fun ir fr ->
         tick st;
-        (match fused_fn st f with
-        | Some (State.F1 fn) -> fn st (ival ir a0)
-        | _ -> fused_slow st f ir fr);
+        fn st (ival ir a0);
         next ir fr
-  | State.F0 _ ->
+  | State.F0 fn ->
       fun ir fr ->
         tick st;
-        (match fused_fn st f with
-        | Some (State.F0 fn) -> fn st
-        | _ -> fused_slow st f ir fr);
+        fn st;
         next ir fr
-  | State.FR1 _ -> (
+  | State.FR1 fn -> (
       let a0 = a.(0) in
-      match f.fdst with
+      match xdst with
       | Some (_, d) ->
           fun ir fr ->
             tick st;
-            (match fused_fn st f with
-            | Some (State.FR1 fn) -> set ir d (fn st (ival ir a0))
-            | _ -> fused_slow st f ir fr);
+            set ir d (fn st (ival ir a0));
             next ir fr
       | None ->
           fun ir fr ->
             tick st;
-            (match fused_fn st f with
-            | Some (State.FR1 fn) -> ignore (fn st (ival ir a0))
-            | _ -> fused_slow st f ir fr);
+            ignore (fn st (ival ir a0));
             next ir fr)
 
-(* An unfused call to a builtin, through its per-site inline cache. *)
+(* An unfused call to a builtin, bound at load.  A name with no builtin
+   traps when the call executes, after its step. *)
 let builtin_code (st : State.t) callee xdst xargs (next : code) : code =
-  let cache = { bgen = st.State.builtin_gen; bfn = State.find_builtin st callee } in
-  fun ir fr ->
-    tick st;
-    let fn =
-      if cache.bgen = st.builtin_gen then cache.bfn
-      else begin
-        let f = State.find_builtin st callee in
-        cache.bfn <- f;
-        cache.bgen <- st.builtin_gen;
-        f
-      end
-    in
-    (match fn with
-    | Some fn ->
+  match State.find_builtin st callee with
+  | Some fn ->
+      fun ir fr ->
+        tick st;
         let vargs = Array.map (box_arg ir fr) xargs in
-        set_call_result callee xdst ir fr (fn st vargs)
-    | None -> raise (State.Trap ("unresolved external: " ^ callee)));
-    next ir fr
+        set_call_result callee xdst ir fr (fn st vargs);
+        next ir fr
+  | None ->
+      let msg = "unresolved external: " ^ callee in
+      fun _ _ ->
+        tick st;
+        raise (State.Trap msg)
 
 (* One argument of a direct call, copied from the caller's banks into
    the callee's. *)
@@ -1078,14 +1006,13 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
     | Call (callee, args) -> (
         let xdst = Option.map slot i.dst in
         let xargs = Array.of_list (List.map xval args) in
-        (* resolve now: image function > fused intrinsic > builtin cache;
-           names unknown at load keep a cold cache and resolve at run
-           time (or trap, with the same message the lookup path gave) *)
+        (* resolve now, once: image function > fused intrinsic > boxed
+           builtin > unresolved trap *)
         match Hashtbl.find_opt xfuncs callee with
         | Some target -> direct_code st ret target xdst xargs
         | None -> (
             match fuse st callee xdst xargs with
-            | Some (f, ff) -> fused_code st f ff
+            | Some ff -> fused_code st xdst xargs ff
             | None -> builtin_code st callee xdst xargs))
     | Alloca { size; align } ->
         let d = int_slot ~what:"alloca" i.dst in
@@ -1375,6 +1302,8 @@ let load
     ?(alloc_global :
        (State.t -> name:string -> size:int -> align:int -> int option) option)
     (st : State.t) (modules : Irmod.t list) : image =
+  (* call sites resolve against the builtin table below, once: close it *)
+  st.State.loaded <- true;
   let merged = link modules in
   let global_addr = Hashtbl.create 32 in
   let gbase = ref Layout.globals_base in

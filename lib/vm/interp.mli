@@ -29,7 +29,12 @@ val load :
     [Some addr] to place it yourself (Low-Fat global mirroring), [None]
     for the default (non-low-fat) globals segment.  Extern globals with
     no definition anywhere model external-library globals and always land
-    in the globals segment. *)
+    in the globals segment.
+
+    Every call site resolves here, once, against the state's builtins, and
+    loading closes the state's registry: install the C library and the
+    checker runtimes first, since {!State.register_builtin} and
+    {!State.register_intrinsic} raise [Invalid_argument] afterwards. *)
 
 type outcome =
   | Exited of int

@@ -116,7 +116,9 @@ let store t addr width v =
   end
   else
     for i = 0 to width - 1 do
-      store8 t (addr + i) ((v lsr (8 * i)) land 0xff)
+      (* [asr]: byte 7 carries the sign, as the in-page path's
+         [Int64.of_int] writes it *)
+      store8 t (addr + i) ((v asr (8 * i)) land 0xff)
     done
 
 (* f64 values keep their full 64-bit pattern: they must not round-trip
@@ -180,8 +182,10 @@ let copy t ~dst ~src len =
         let slast = src + !i - 1 and dlast = dst + !i - 1 in
         let n = min !i (min (offset slast + 1) (offset dlast + 1)) in
         let s = src + !i - n and d = dst + !i - n in
-        let sp = page_of t s in
-        let dp = page_of t d in
+        (* the byte loop touches [slast] then [dlast] first: a page-limit
+           fault names those addresses *)
+        let sp = page_of t slast in
+        let dp = page_of t dlast in
         Bytes.blit sp (offset s) dp (offset d) n;
         i := !i - n
       done

@@ -50,6 +50,14 @@ type fast_fn =
   | F5 of (t -> int -> int -> int -> int -> int -> unit)
   | FR1 of (t -> int -> int)  (** one int argument, int result *)
 
+(** A registered builtin.  [boxed] serves every unfused call; a runtime
+    intrinsic also carries its [typed] implementation, which [boxed] is
+    derived from and fused call sites invoke directly. *)
+and builtin = {
+  boxed : t -> value array -> value option;
+  typed : fast_fn option;
+}
+
 and t = {
   mem : Memory.t;
   cost : Cost.t;
@@ -76,14 +84,12 @@ and t = {
           coverage-on and coverage-off runs are observationally
           identical everywhere else. *)
   rng : Mi_support.Rng.t;
-  builtins : (string, t -> value array -> value option) Hashtbl.t;
-  fast_builtins : (string, fast_fn) Hashtbl.t;
-      (** runtime intrinsics by name, for the interpreter's fused
-          superinstructions; each is also in [builtins] as the boxed
-          adapter {!register_intrinsic} derived from it *)
-  mutable builtin_gen : int;
-      (** bumped on every builtin (re)registration; interpreter
-          call-site caches revalidate when it changes *)
+  builtins : (string, builtin) Hashtbl.t;
+      (** the one builtin registry; {!Mi_vm.Interp.load} resolves every
+          call site against it once, and closes it *)
+  mutable loaded : bool;
+      (** set by {!Mi_vm.Interp.load}: registering a builtin afterwards
+          raises [Invalid_argument] *)
   mutable fast_dispatch : bool;
       (** when [false], {!Mi_vm.Interp.load} never fuses intrinsic calls
           into superinstructions: every runtime call dispatches through
@@ -142,22 +148,28 @@ let observe t key v = Mi_obs.Metrics.observe t.metrics key v
     negative or unknown id is ignored). *)
 let site_hit t id ~wide ~cycles = Mi_obs.Site.hit t.sites id ~wide ~cycles
 
-(** (Re)register a builtin.  Bumps [builtin_gen] so every resolved
-    call-site cache in already-loaded images revalidates, and drops any
-    typed intrinsic of the same name — a replacement builtin silently
-    shadowed by a stale typed entry would be a correctness bug. *)
-let register_builtin t name fn =
-  t.builtin_gen <- t.builtin_gen + 1;
-  Hashtbl.remove t.fast_builtins name;
-  Hashtbl.replace t.builtins name fn
+(* Registration closes when an image is loaded: its call sites were
+   resolved against the table as it stood then. *)
+let register t name b =
+  if t.loaded then
+    invalid_arg
+      (Printf.sprintf "State.register: builtin %s registered after Interp.load"
+         name);
+  Hashtbl.replace t.builtins name b
 
-let find_builtin t name = Hashtbl.find_opt t.builtins name
+(** Register (or replace) builtin [name]; raises [Invalid_argument] once
+    an image has been loaded into [t]. *)
+let register_builtin t name fn = register t name { boxed = fn; typed = None }
+
+let find_builtin t name =
+  Option.map (fun b -> b.boxed) (Hashtbl.find_opt t.builtins name)
 
 (** Register runtime intrinsic [name] from its one typed implementation:
     fused call sites run [ffn] directly, and a boxed adapter derived
     from it here serves every other call.  The adapter traps, naming the
     intrinsic, on a call with the wrong argument count or a float
-    argument. *)
+    argument.  Raises [Invalid_argument] once an image has been loaded
+    into [t]. *)
 let register_intrinsic t name ffn =
   let fail fmt = Printf.ksprintf (fun m -> trap (name ^ ": " ^ m)) fmt in
   let arity args n =
@@ -189,10 +201,10 @@ let register_intrinsic t name ffn =
           arity a 1;
           Some (I (f st (arg a 0)))
   in
-  register_builtin t name boxed;
-  Hashtbl.replace t.fast_builtins name ffn
+  register t name { boxed; typed = Some ffn }
 
-let find_fast_builtin t name = Hashtbl.find_opt t.fast_builtins name
+let find_fast_builtin t name =
+  Option.bind (Hashtbl.find_opt t.builtins name) (fun b -> b.typed)
 
 (* --- standard allocator -------------------------------------------- *)
 
@@ -256,8 +268,7 @@ let create ?(cost = Cost.default) ?(fuel = 2_000_000_000) ?(seed = 42)
       coverage;
       rng = Mi_support.Rng.create seed;
       builtins = Hashtbl.create 64;
-      fast_builtins = Hashtbl.create 16;
-      builtin_gen = 0;
+      loaded = false;
       fast_dispatch = true;
       malloc_hook = (fun _ _ -> 0);
       free_hook = (fun _ _ -> ());

@@ -2,9 +2,10 @@
    gate, error-message pins (including malformed calls to runtime
    intrinsics and C-library builtins, which trap with a typed message
    under both fused and boxed dispatch), the one-typed-implementation
-   contract of runtime intrinsics, and regression tests for the
-   interpreter bugs fixed alongside the engine (bitcast sign bit,
-   scratch-slot bloat, builtin-cache staleness). *)
+   contract of runtime intrinsics, load-time call resolution (the
+   builtin registry closes at load; unresolved names trap on their
+   step), and regression tests for the interpreter bugs fixed alongside
+   the engine (bitcast sign bit, scratch-slot bloat). *)
 
 open Mi_vm
 open Mi_mir
@@ -116,7 +117,8 @@ entry:
 
 let test_builtin_trap_msg () =
   (* a Trap raised inside a builtin (here the standard allocator)
-     propagates with its message intact through the cached call site *)
+     propagates with its message intact through the call site bound at
+     load *)
   expect_trap
     {|
 module "f"
@@ -274,100 +276,18 @@ let test_every_intrinsic_typed () =
            ~modules:[] st);
       let intrinsics =
         Hashtbl.fold
-          (fun name _ acc ->
-            if String.starts_with ~prefix:"__mi_" name then name :: acc
+          (fun name (b : State.builtin) acc ->
+            if String.starts_with ~prefix:"__mi_" name then (name, b) :: acc
             else acc)
           st.State.builtins []
       in
       if intrinsics = [] then Alcotest.failf "%s: no intrinsics" approach;
       List.iter
-        (fun name ->
-          if State.find_fast_builtin st name = None then
+        (fun (name, (b : State.builtin)) ->
+          if b.typed = None then
             Alcotest.failf "%s: %s has no typed entry" approach name)
         intrinsics)
     (Mi_core.Config.known_approaches ())
-
-(* ------------------------------------------------------------------ *)
-(* Inline caches vs late builtin registration                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_builtin_registered_after_load () =
-  (* call sites resolve against the builtin table at load time; the
-     generation counter must make them pick up registrations that happen
-     after the image was loaded *)
-  let m =
-    Parser.parse_module
-      {|
-module "late"
-extern func @late_fn() -> i64
-func @main() -> i64 {
-entry:
-  %x.0 = call @late_fn() : i64
-  ret %x.0
-}
-|}
-  in
-  let st = State.create () in
-  Builtins.install st;
-  let img = Interp.load st [ m ] in
-  State.register_builtin st "late_fn" (fun _ _ -> Some (State.I 7));
-  match (Interp.run st img).Interp.outcome with
-  | Interp.Exited 7 -> ()
-  | _ -> Alcotest.fail "late-registered builtin was not picked up"
-
-let test_builtin_reregistered_after_load () =
-  (* a pre-warmed cache entry must not survive re-registration *)
-  let m =
-    Parser.parse_module
-      {|
-module "re"
-func @main() -> i64 {
-entry:
-  call @print_int(1:i64)
-  ret 0:i64
-}
-|}
-  in
-  let st = State.create () in
-  Builtins.install st;
-  let img = Interp.load st [ m ] in
-  State.register_builtin st "print_int" (fun st _ ->
-      Buffer.add_string st.State.out "replaced";
-      None);
-  let r = Interp.run st img in
-  Alcotest.(check string) "replacement builtin ran" "replaced" r.Interp.output
-
-let test_intrinsic_reregistered_after_load () =
-  (* the check call fuses at load; re-registering its name as a plain
-     builtin drops the typed entry, so the fused site must fall back to
-     the boxed replacement instead of running the stale check *)
-  let m =
-    Parser.parse_module
-      {|
-module "rf"
-func @main() -> i64 {
-entry:
-  call @__mi_sb_check(100:i64, 8:i64, 0:i64, 16:i64, 0:i64)
-  ret 0:i64
-}
-|}
-  in
-  let st = State.create () in
-  Builtins.install st;
-  ignore (Mi_softbound.Softbound_rt.install st);
-  let img = Interp.load st [ m ] in
-  State.register_builtin st Intrinsics.sb_check (fun st args ->
-      Buffer.add_string st.State.out
-        (Printf.sprintf "replaced/%d" (Array.length args));
-      None);
-  let r = Interp.run st img in
-  (match r.Interp.outcome with
-  | Interp.Exited 0 -> ()
-  | _ -> Alcotest.fail "replacement did not run to completion");
-  Alcotest.(check string) "replacement ran" "replaced/5" r.Interp.output;
-  Alcotest.(check int)
-    "stale check did not run" 0
-    (State.counter st "sb.checks")
 
 (* ------------------------------------------------------------------ *)
 (* Regression: f64 <-> i64 bitcast sign bit                            *)
@@ -708,6 +628,95 @@ let test_run_other_state () =
     "exited 0" (outcome_str (Interp.run st img).Interp.outcome)
 
 (* ------------------------------------------------------------------ *)
+(* Load-time resolution                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Interp.load] resolves every call site once and closes the state's
+   builtin registry: a registration afterwards raises, naming the
+   builtin, and the image keeps running what it bound. *)
+let test_registration_closed_at_load () =
+  let m =
+    Parser.parse_module
+      {|
+module "closed"
+func @main() -> i64 {
+entry:
+  call @print_int(1:i64)
+  call @__mi_sb_check(100:i64, 8:i64, 0:i64, 128:i64, 0:i64)
+  ret 0:i64
+}
+|}
+  in
+  let st = State.create () in
+  Builtins.install st;
+  ignore (Mi_softbound.Softbound_rt.install st);
+  let img = Interp.load st [ m ] in
+  let closed name =
+    Invalid_argument
+      (Printf.sprintf "State.register: builtin %s registered after Interp.load"
+         name)
+  in
+  Alcotest.check_raises "register_builtin after load" (closed "print_int")
+    (fun () ->
+      State.register_builtin st "print_int" (fun st _ ->
+          Buffer.add_string st.State.out "replaced";
+          None));
+  Alcotest.check_raises "register_intrinsic after load"
+    (closed Intrinsics.sb_check) (fun () ->
+      State.register_intrinsic st Intrinsics.sb_check
+        (State.F5 (fun _ _ _ _ _ _ -> ())));
+  let r = Interp.run st img in
+  Alcotest.(check string)
+    "the image runs the builtins it bound" "exited 0 | out=\"1\" | sb.checks=1"
+    (Printf.sprintf "%s | out=%S | sb.checks=%d"
+       (outcome_str r.Interp.outcome)
+       r.Interp.output
+       (State.counter st "sb.checks"))
+
+(* A call to a name with no builtin compiles to a site that ticks and
+   then traps.  The expected lines were recorded from the interpreter
+   that resolved such names at run time, through a per-site cache. *)
+let unresolved call =
+  Printf.sprintf
+    {|
+module "un"
+func @main() -> i64 {
+entry:
+  %%p.0 = call @malloc(16:i64) : ptr
+  store i64 3:i64, %%p.0
+  %%v.1 = load i64 %%p.0
+  %%w.2 = add i64 %%v.1, 4:i64
+  call @print_int(%%w.2)
+  %s
+  ret 0:i64
+}
+|}
+    call
+
+let test_unresolved_external () =
+  let sb st = ignore (Mi_softbound.Softbound_rt.install st) in
+  List.iter
+    (fun (what, install, call, expected) ->
+      List.iter
+        (fun (mode, fast) ->
+          Alcotest.(check string)
+            (what ^ "/" ^ mode) expected
+            (run_exact ~prepare:(with_runtime install fast) (unresolved call)))
+        dispatches)
+    [
+      ( "unknown name",
+        ignore,
+        "call @nosuch(%w.2)",
+        "trapped: unresolved external: nosuch | cycles=89 steps=6 pages=1 | out=\"7\" | std.malloc=1"
+      );
+      ( "another checker's intrinsic",
+        sb,
+        "call @__mi_lf_check(%p.0, 8:i64, %p.0, 0:i64)",
+        "trapped: unresolved external: __mi_lf_check | cycles=89 steps=6 pages=1 | out=\"7\" | std.malloc=1"
+      );
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -730,14 +739,12 @@ let () =
           Alcotest.test_case "every intrinsic typed" `Quick
             test_every_intrinsic_typed;
         ] );
-      ( "caches",
+      ( "resolution",
         [
-          Alcotest.test_case "late registration" `Quick
-            test_builtin_registered_after_load;
-          Alcotest.test_case "re-registration" `Quick
-            test_builtin_reregistered_after_load;
-          Alcotest.test_case "fused intrinsic re-registration" `Quick
-            test_intrinsic_reregistered_after_load;
+          Alcotest.test_case "registration closed at load" `Quick
+            test_registration_closed_at_load;
+          Alcotest.test_case "unresolved external" `Quick
+            test_unresolved_external;
         ] );
       ( "bitcast",
         [

@@ -114,7 +114,10 @@ let scaling =
            j)
        [ 1; 2; 4; 8 ])
 
-let json_doc =
+let eps = [ "ModuleOptimizerEarly"; "ScalarOptimizerLate"; "VectorizerStart" ]
+
+let json_doc ?(fig12 = eps) () =
+  let labelled = List.map (fun l -> series l [ ("470lbm", 1.5) ]) in
   reports
     [
       ( "table2",
@@ -122,13 +125,15 @@ let json_doc =
           (fun l -> series l [])
           [ "sb_checks_wide"; "lf_checks_wide"; "tp_checks_wide" ] );
       ("hotchecks", []);
+      ("fig10", labelled [ "optimized"; "unoptimized"; "metadata" ]);
+      ("fig12", labelled fig12);
     ]
 
 let passing =
   [
     ("exit.txt", exit_txt exits);
-    ("json-j1.json", json_doc);
-    ("json-j2.json", json_doc);
+    ("json-j1.json", json_doc ());
+    ("json-j2.json", json_doc ());
     ("vm.txt", vm_txt passing_pairs);
     ( "mutation.json",
       reports
@@ -240,6 +245,10 @@ let () =
           Alcotest.test_case "json: static removal under the floor" `Quick
             (fails "checkelim-floors"
                (both "checkelim" (checkelim [ ("a", 19.9); ("b", 90.) ])));
+          Alcotest.test_case "json: fig12 lacks an extension point" `Quick
+            (fails "json-smoke"
+               (let doc = Some (json_doc ~fig12:(List.tl eps) ()) in
+                [ ("json-j1.json", doc); ("json-j2.json", doc) ]));
           Alcotest.test_case "json: one mutant missed" `Quick
             (fails "fuzz"
                (both "fuzz"

@@ -185,13 +185,42 @@ let test_mem_fill_cross_page () =
   Alcotest.(check int) "byte before intact" 0x77 (Memory.load8 m (base - 1));
   Alcotest.(check int) "byte after intact" 0x88 (Memory.load8 m (base + 10))
 
+(* Byte 7 of an 8-byte store is the same whether or not the store
+   straddles a page: a straddling path that shifted with [lsr] would
+   read back 0x7f there for a negative value, against 0xff in-page. *)
+let test_mem_store_sign_byte () =
+  List.iter
+    (fun a ->
+      let m = Memory.create () in
+      Memory.store m a 8 (-1);
+      Alcotest.(check int)
+        (Printf.sprintf "byte 7 of -1 at %#x" a)
+        0xff
+        (Memory.load8 m (a + 7)))
+    [ addr0; addr0 + Layout.page_size - 3 ]
+
+(* A backward copy (dst > src) faults where the byte loop does: at the
+   last destination byte, the first one it stores, not at the chunk's
+   lowest address. *)
+let test_mem_backward_copy_fault_addr () =
+  let m = Memory.create ~max_pages:1 () in
+  Alcotest.check_raises "page limit at the last destination byte"
+    (Memory.Fault (0x20000000106d, "out of VM memory (page limit)"))
+    (fun () -> Memory.copy m ~dst:(addr0 + 0x100a) ~src:(addr0 + 0xa) 100)
+
 (* --- page cache ------------------------------------------------------
-   A plain [Hashtbl] page model with no cache in front: every access
-   looks its page up by index, materializes it zero-filled on first
-   touch, and faults at the page limit.  Widths, straddles and the
-   copy/fill chunk order follow Memory's documented semantics.  Random
-   operation sequences over pages that alias one cache slot must
-   observe the same values, page counts and faults. *)
+   A reference page model: a plain [Hashtbl] page table with no cache in
+   front, accessed one byte at a time.  Every byte access looks its page
+   up by index, materializes it zero-filled on first touch, and faults at
+   the page limit.  A load or store inside one page touches it first at
+   its address; loads assemble their bytes from the highest down and
+   stores write [(v asr 8i) land 0xff] from the lowest up, so byte 7 of
+   an 8-byte store carries the sign; [copy] is memmove as load8 then
+   store8 per byte, descending when [dst > src]; [fill] stores byte by
+   byte.  Memory's page chunking and in-page fast paths must be
+   invisible: random operation sequences over pages that alias one
+   cache slot observe the same values, page counts and fault
+   addresses. *)
 module Page_model = struct
   type t = { pages : (int, Bytes.t) Hashtbl.t; mutable count : int; max : int }
 
@@ -210,77 +239,40 @@ module Page_model = struct
         t.count <- t.count + 1;
         p
 
-  let fits a w = off a + w <= Layout.page_size
   let load8 t a = Char.code (Bytes.get (page t a) (off a))
   let store8 t a v = Bytes.set (page t a) (off a) (Char.chr (v land 0xff))
 
+  (* an access inside one page touches it once, at its address *)
+  let touch t a w = if off a + w <= Layout.page_size then ignore (page t a)
+
   let load t a w =
-    if fits a w then begin
-      let p = page t a in
-      let v = ref 0 in
-      for i = w - 1 downto 0 do
-        v := (!v lsl 8) lor Char.code (Bytes.get p (off a + i))
-      done;
-      !v
-    end
-    else begin
-      let v = ref 0 in
-      for i = w - 1 downto 0 do
-        v := (!v lsl 8) lor load8 t (a + i)
-      done;
-      !v
-    end
+    touch t a w;
+    let v = ref 0 in
+    for i = w - 1 downto 0 do
+      v := (!v lsl 8) lor load8 t (a + i)
+    done;
+    !v
 
   let store t a w v =
-    if fits a w then begin
-      let p = page t a in
-      if w = 8 then Bytes.set_int64_le p (off a) (Int64.of_int v)
-      else
-        for i = 0 to w - 1 do
-          Bytes.set p (off a + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-        done
-    end
-    else
-      for i = 0 to w - 1 do
-        store8 t (a + i) ((v lsr (8 * i)) land 0xff)
-      done
+    touch t a w;
+    for i = 0 to w - 1 do
+      store8 t (a + i) ((v asr (8 * i)) land 0xff)
+    done
 
-  (* chunks never cross a source or destination page; each materializes
-     its source page before its destination page *)
   let copy t ~dst ~src len =
-    let ps = Layout.page_size in
-    if dst <= src then begin
-      let i = ref 0 in
-      while !i < len do
-        let s = src + !i and d = dst + !i in
-        let n = min (len - !i) (min (ps - off s) (ps - off d)) in
-        let sp = page t s in
-        let dp = page t d in
-        Bytes.blit sp (off s) dp (off d) n;
-        i := !i + n
+    let move i = store8 t (dst + i) (load8 t (src + i)) in
+    if dst <= src then
+      for i = 0 to len - 1 do
+        move i
       done
-    end
-    else begin
-      let i = ref len in
-      while !i > 0 do
-        let n =
-          min !i (min (off (src + !i - 1) + 1) (off (dst + !i - 1) + 1))
-        in
-        let s = src + !i - n and d = dst + !i - n in
-        let sp = page t s in
-        let dp = page t d in
-        Bytes.blit sp (off s) dp (off d) n;
-        i := !i - n
+    else
+      for i = len - 1 downto 0 do
+        move i
       done
-    end
 
   let fill t ~dst ~byte len =
-    let i = ref 0 in
-    while !i < len do
-      let d = dst + !i in
-      let n = min (len - !i) (Layout.page_size - off d) in
-      Bytes.fill (page t d) (off d) n (Char.chr (byte land 0xff));
-      i := !i + n
+    for i = 0 to len - 1 do
+      store8 t (dst + i) byte
     done
 end
 
@@ -619,6 +611,10 @@ let () =
             test_mem_copy_cross_page_overlap;
           QCheck_alcotest.to_alcotest prop_mem_copy_matches_reference;
           Alcotest.test_case "cross-page fill" `Quick test_mem_fill_cross_page;
+          Alcotest.test_case "straddling store sign byte" `Quick
+            test_mem_store_sign_byte;
+          Alcotest.test_case "backward copy fault address" `Quick
+            test_mem_backward_copy_fault_addr;
           QCheck_alcotest.to_alcotest prop_mem_f64_roundtrip;
           QCheck_alcotest.to_alcotest prop_page_cache_matches_model;
         ] );
