@@ -68,11 +68,18 @@ vm_steps() {
     esac
     echo "$("$exe" "$mode") side=$1 pair=$2" | tee -a "$out/vm.txt"
 }
+# the candidate's compile throughput, once per pair (the reference
+# commit has no --compile-units); the gate checks its MIR digest
+compile_units() {
+    echo "$("$main" --compile-units) pair=$1" | tee -a "$out/compile.txt"
+}
 echo "== vm-steps pairs =="
 for i in 1 2 3 4 5 6 7; do
     if [ $((i % 2)) -eq 1 ]; then
         vm_steps base "$i"; vm_steps cand "$i"; vm_steps cov "$i"
+        compile_units "$i"
     else
+        compile_units "$i"
         vm_steps cov "$i"; vm_steps cand "$i"; vm_steps base "$i"
     fi
 done

@@ -1,9 +1,11 @@
 (* The CI gate table.  bench/ci.sh builds, runs every gated workload and
    collects its output in one scratch directory; [gate.exe DIR] judges
    those artifacts against the rows below.  Floors come from the
-   BENCH_*.json files of the current directory, read by field name.  The tool prints the host fingerprint, then one
-   PASS/FAIL line per row, and exits 1 if any row fails.  A missing or
-   unparsable artifact fails its row: nothing is ever skipped. *)
+   BENCH_*.json files of the current directory, read by field name, and
+   the compile-path digest from test/goldens/compile_mir.json.  The tool
+   prints the host fingerprint, then one PASS/FAIL line per row, and
+   exits 1 if any row fails.  A missing or unparsable artifact fails its
+   row: nothing is ever skipped. *)
 
 module Json = Mi_obs.Json
 
@@ -229,6 +231,25 @@ let coverage lines =
     ~floor:(bench "BENCH_coverage.json" [ "min_ratio" ])
     (lines "vm_steps_cov") (side "cand" lines)
 
+(* bench/main.exe --compile-units, once per pair: the compiler it timed
+   must print the MIR test/goldens/compile_mir.json pins.  Units/s is
+   reported, not gated. *)
+let compile_units lines =
+  let golden = Json.of_string (read "test/goldens/compile_mir.json") in
+  let want = str (field [ "o3_digest" ] golden) in
+  let runs = lines "compile_units" in
+  if List.length runs <> pairs then
+    fail "%d runs, want %d" (List.length runs) pairs;
+  List.iter
+    (fun kv ->
+      if get kv "digest" <> want then
+        fail "pair %s: digest %s, want %s" (get kv "pair") (get kv "digest")
+          want)
+    runs;
+  Printf.sprintf "%d runs print the golden MIR (%s); median %.0f units/s" pairs
+    want
+    (median (List.map (fun kv -> fnum kv "units_per_s") runs))
+
 let mutants_killed doc =
   let n = point (report "mutation" doc) "mutants" in
   if n "survived" <> 0. then fail "%.0f survivors" (n "survived");
@@ -365,6 +386,7 @@ let rows =
     row "profile-det" "prof-j4.json" (Same_as "prof-j1.json");
     row "flamegraph" "flame.txt" (Contains [ [ "benchmark:470lbm;" ] ]);
     row "coverage" "vm.txt" (Fields coverage);
+    row "compile-digest" "compile.txt" (Fields compile_units);
     row "serve-crash" "drive-crash.txt" (Fields (drive 200 ("restarts", "4")));
     row "serve-corrupt" "drive-corrupt.txt"
       (Fields (drive 40 ("cache-corrupt", "40")));

@@ -4,6 +4,7 @@
      --vm-steps       VM engine throughput           ("vm_steps: ...")
      --vm-steps-cov   the same with coverage on      ("vm_steps_cov: ...")
      --fuzz-scaling   fuzz cells at a fixed budget   ("fuzz_scaling: ...")
+     --compile-units  frontend + O3 throughput       ("compile_units: ...")
 
    The paper's tables and figures come from [experiments --all]. *)
 
@@ -102,11 +103,41 @@ let run_fuzz_scaling () =
         (float_of_int g.Fuzz.r_cells /. g_dt))
     [ 1; 2; 4; 8 ]
 
+(* Units/second of the compile path a cache miss pays: [Lower.compile]
+   and an untraced O3 [Pipeline.run] of each unit of
+   [Compile_units.units] (the suite and fuzz seeds 1..50), uninstrumented.
+   The warm-up pass's MIR is digested; the gate requires the digest to be
+   test/goldens/compile_mir.json's [o3_digest], so the timed compiler is
+   the pinned one.  Timing is reported, not gated. *)
+let run_compile_units () =
+  let module U = Mi_fuzz.Compile_units in
+  let units = U.units () in
+  let pass () =
+    List.map (fun (_, s) -> U.compile Mi_passes.Pipeline.O3 s) units
+  in
+  let digest = U.combine (List.map U.unit_digest (pass ())) in
+  let reps = 10 in
+  let t0 = now () in
+  for _ = 1 to reps do
+    ignore (pass () : Mi_mir.Irmod.t list)
+  done;
+  let dt = now () -. t0 in
+  Printf.printf
+    "compile_units: units=%d reps=%d elapsed_s=%.3f units_per_s=%.0f \
+     digest=%s\n\
+     %!"
+    (List.length units) reps dt
+    (float_of_int (reps * List.length units) /. dt)
+    digest
+
 let () =
   match Array.to_list Sys.argv with
   | [ _; "--vm-steps" ] -> run_vm_steps ()
   | [ _; "--vm-steps-cov" ] -> run_vm_steps ~coverage:true ()
   | [ _; "--fuzz-scaling" ] -> run_fuzz_scaling ()
+  | [ _; "--compile-units" ] -> run_compile_units ()
   | _ ->
-      prerr_endline "usage: main.exe --vm-steps | --vm-steps-cov | --fuzz-scaling";
+      prerr_endline
+        "usage: main.exe --vm-steps | --vm-steps-cov | --fuzz-scaling | \
+         --compile-units";
       exit 2

@@ -111,6 +111,28 @@ let parse_abstract_type (s : stream) : Ctypes.t =
 
 (* --- expressions ----------------------------------------------------- *)
 
+(* binary operators by precedence, 0 binding loosest *)
+let binop = function
+  | "||" -> Some (0, Blor)
+  | "&&" -> Some (1, Bland)
+  | "|" -> Some (2, Bor)
+  | "^" -> Some (3, Bxor)
+  | "&" -> Some (4, Band)
+  | "==" -> Some (5, Beq)
+  | "!=" -> Some (5, Bne)
+  | "<" -> Some (6, Blt)
+  | "<=" -> Some (6, Ble)
+  | ">" -> Some (6, Bgt)
+  | ">=" -> Some (6, Bge)
+  | "<<" -> Some (7, Bshl)
+  | ">>" -> Some (7, Bshr)
+  | "+" -> Some (8, Badd)
+  | "-" -> Some (8, Bsub)
+  | "*" -> Some (9, Bmul)
+  | "/" -> Some (9, Bdiv)
+  | "%" -> Some (9, Bmod)
+  | _ -> None
+
 let rec parse_expr (s : stream) : expr = parse_assign s
 
 and parse_assign (s : stream) : expr =
@@ -152,38 +174,25 @@ and parse_cond (s : stream) : expr =
   end
   else c
 
-(* precedence table, lowest first *)
-and binop_levels =
-  [
-    [ ("||", Blor) ];
-    [ ("&&", Bland) ];
-    [ ("|", Bor) ];
-    [ ("^", Bxor) ];
-    [ ("&", Band) ];
-    [ ("==", Beq); ("!=", Bne) ];
-    [ ("<", Blt); ("<=", Ble); (">", Bgt); (">=", Bge) ];
-    [ ("<<", Bshl); (">>", Bshr) ];
-    [ ("+", Badd); ("-", Bsub) ];
-    [ ("*", Bmul); ("/", Bdiv); ("%", Bmod) ];
-  ]
-
-and parse_binary (s : stream) level : expr =
-  if level >= List.length binop_levels then parse_unary s
-  else begin
-    let ops = List.nth binop_levels level in
-    let p = pos_of s in
-    let lhs = ref (parse_binary s (level + 1)) in
-    let continue_ = ref true in
-    while !continue_ do
-      match peek s with
-      | Lexer.Tpunct op when List.mem_assoc op ops ->
-          advance s;
-          let rhs = parse_binary s (level + 1) in
-          lhs := { e = Ebin (List.assoc op ops, !lhs, rhs); epos = p }
-      | _ -> continue_ := false
-    done;
-    !lhs
-  end
+(* precedence climbing: the operators binding at least as tightly as
+   [min], left-associative; every node's position is that of its
+   leftmost operand *)
+and parse_binary (s : stream) min : expr =
+  let p = pos_of s in
+  let lhs = ref (parse_unary s) in
+  let continue_ = ref true in
+  while !continue_ do
+    match peek s with
+    | Lexer.Tpunct op -> (
+        match binop op with
+        | Some (prec, bop) when prec >= min ->
+            advance s;
+            let rhs = parse_binary s (prec + 1) in
+            lhs := { e = Ebin (bop, !lhs, rhs); epos = p }
+        | _ -> continue_ := false)
+    | _ -> continue_ := false
+  done;
+  !lhs
 
 and parse_unary (s : stream) : expr =
   let p = pos_of s in

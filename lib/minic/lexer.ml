@@ -1,4 +1,7 @@
-(** Hand-written lexer for MiniC. *)
+(** Hand-written lexer for MiniC: one scan loop over the source bytes.
+    Whitespace is skipped without building a position; punctuators are
+    dispatched on their first character, longest match first; keywords
+    are looked up in a table. *)
 
 type token =
   | Tint of int
@@ -13,27 +16,16 @@ type lexed = { tok : token; tpos : Ast.pos }
 
 exception Lex_error of Ast.pos * string
 
-let keywords =
-  [
-    "void"; "char"; "short"; "int"; "long"; "double"; "struct";
-    "if"; "else"; "while"; "for"; "do"; "return"; "break"; "continue";
-    "sizeof"; "extern"; "static"; "NULL";
-  ]
-
-(* longest-match punctuation, ordered by length *)
-let puncts3 = [ "<<="; ">>=" ]
-
-let puncts2 =
-  [
-    "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "+="; "-="; "*="; "/=";
-    "%="; "&="; "|="; "^="; "++"; "--"; "->";
-  ]
-
-let puncts1 =
-  [
-    "+"; "-"; "*"; "/"; "%"; "="; "<"; ">"; "!"; "&"; "|"; "^"; "~"; "(";
-    ")"; "{"; "}"; "["; "]"; ";"; ","; "."; "?"; ":";
-  ]
+let keywords : (string, unit) Hashtbl.t =
+  let t = Hashtbl.create 32 in
+  List.iter
+    (fun k -> Hashtbl.replace t k ())
+    [
+      "void"; "char"; "short"; "int"; "long"; "double"; "struct";
+      "if"; "else"; "while"; "for"; "do"; "return"; "break"; "continue";
+      "sizeof"; "extern"; "static"; "NULL";
+    ];
+  t
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
@@ -46,180 +38,201 @@ let is_ident_char c = is_ident_start c || is_digit c
 let tokenize (src : string) : lexed list =
   let n = String.length src in
   let toks = ref [] in
-  let line = ref 1 and col = ref 1 in
+  (* the column is the distance from the start of the current line *)
+  let line = ref 1 and line_start = ref 0 in
   let i = ref 0 in
-  let pos () = { Ast.line = !line; col = !col } in
-  let advance k =
-    for j = !i to min (n - 1) (!i + k - 1) do
-      if src.[j] = '\n' then begin
-        incr line;
-        col := 1
-      end
-      else incr col
-    done;
-    i := !i + k
+  let pos () = { Ast.line = !line; col = !i - !line_start + 1 } in
+  (* step over one byte that may be a newline *)
+  let step () =
+    if src.[!i] = '\n' then begin
+      incr line;
+      line_start := !i + 1
+    end;
+    incr i
   in
   let emit tok p = toks := { tok; tpos = p } :: !toks in
   let fail p msg = raise (Lex_error (p, msg)) in
-  while !i < n do
-    let c = src.[!i] in
+  let at k c = !i + k < n && src.[!i + k] = c in
+  (* emit punctuator [s], which starts at the cursor *)
+  let punct s =
     let p = pos () in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance 1
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then begin
-      while !i < n && src.[!i] <> '\n' do
-        advance 1
-      done
-    end
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
-      advance 2;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        if !i + 1 < n && src.[!i] = '*' && src.[!i + 1] = '/' then begin
-          advance 2;
-          closed := true
-        end
-        else advance 1
-      done;
-      if not !closed then fail p "unterminated comment"
-    end
-    else if is_digit c then begin
-      let start = !i in
-      if c = '0' && !i + 1 < n && (src.[!i + 1] = 'x' || src.[!i + 1] = 'X')
-      then begin
-        advance 2;
-        while !i < n && is_hex src.[!i] do
-          advance 1
+    i := !i + String.length s;
+    emit (Tpunct s) p
+  in
+  (* convert literal [s], which starts at [p] *)
+  let literal p convert s msg =
+    match convert s with Some v -> v | None -> fail p (msg ^ " " ^ s)
+  in
+  while !i < n do
+    match src.[!i] with
+    | ' ' | '\t' | '\r' -> incr i
+    | '\n' -> step ()
+    | '/' when at 1 '/' ->
+        while !i < n && src.[!i] <> '\n' do
+          incr i
+        done
+    | '/' when at 1 '*' ->
+        let p = pos () in
+        i := !i + 2;
+        let closed = ref false in
+        while (not !closed) && !i < n do
+          if at 0 '*' && at 1 '/' then begin
+            i := !i + 2;
+            closed := true
+          end
+          else step ()
         done;
-        emit (Tint (int_of_string (String.sub src start (!i - start)))) p
-      end
-      else begin
-        while !i < n && is_digit src.[!i] do
-          advance 1
-        done;
-        let is_float =
-          !i < n
-          && (src.[!i] = '.'
-             || src.[!i] = 'e' || src.[!i] = 'E')
-        in
-        if is_float then begin
-          if !i < n && src.[!i] = '.' then begin
-            advance 1;
-            while !i < n && is_digit src.[!i] do
-              advance 1
-            done
-          end;
-          if !i < n && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-            advance 1;
-            if !i < n && (src.[!i] = '+' || src.[!i] = '-') then advance 1;
-            while !i < n && is_digit src.[!i] do
-              advance 1
-            done
-          end;
-          emit (Tfloat (float_of_string (String.sub src start (!i - start)))) p
-        end
-        else begin
-          (* allow L/UL suffixes *)
-          let v = int_of_string (String.sub src start (!i - start)) in
-          while !i < n && (src.[!i] = 'L' || src.[!i] = 'U' || src.[!i] = 'l')
-          do
-            advance 1
+        if not !closed then fail p "unterminated comment"
+    | '0' .. '9' as c ->
+        let p = pos () and start = !i in
+        if c = '0' && (at 1 'x' || at 1 'X') then begin
+          i := !i + 2;
+          while !i < n && is_hex src.[!i] do
+            incr i
           done;
-          emit (Tint v) p
-        end
-      end
-    end
-    else if is_ident_start c then begin
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        advance 1
-      done;
-      let word = String.sub src start (!i - start) in
-      if List.mem word keywords then emit (Tkw word) p
-      else emit (Tident word) p
-    end
-    else if c = '"' then begin
-      advance 1;
-      let buf = Buffer.create 16 in
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        let ch = src.[!i] in
-        if ch = '"' then begin
-          advance 1;
-          closed := true
-        end
-        else if ch = '\\' then begin
-          if !i + 1 >= n then fail p "dangling escape";
-          (match src.[!i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | '0' -> Buffer.add_char buf '\000'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '"' -> Buffer.add_char buf '"'
-          | e -> fail p (Printf.sprintf "bad escape \\%c" e));
-          advance 2
+          if !i - start = 2 then fail p "hex literal without digits";
+          let s = String.sub src start (!i - start) in
+          emit
+            (Tint (literal p int_of_string_opt s "integer literal out of range"))
+            p
         end
         else begin
-          Buffer.add_char buf ch;
-          advance 1
+          while !i < n && is_digit src.[!i] do
+            incr i
+          done;
+          if at 0 '.' || at 0 'e' || at 0 'E' then begin
+            if at 0 '.' then begin
+              incr i;
+              while !i < n && is_digit src.[!i] do
+                incr i
+              done
+            end;
+            if at 0 'e' || at 0 'E' then begin
+              incr i;
+              if at 0 '+' || at 0 '-' then incr i;
+              while !i < n && is_digit src.[!i] do
+                incr i
+              done
+            end;
+            let s = String.sub src start (!i - start) in
+            emit
+              (Tfloat
+                 (literal p float_of_string_opt s "malformed floating literal"))
+              p
+          end
+          else begin
+            let s = String.sub src start (!i - start) in
+            let v =
+              literal p int_of_string_opt s "integer literal out of range"
+            in
+            (* allow L/UL suffixes *)
+            while at 0 'L' || at 0 'U' || at 0 'l' do
+              incr i
+            done;
+            emit (Tint v) p
+          end
         end
-      done;
-      if not !closed then fail p "unterminated string";
-      emit (Tstr (Buffer.contents buf)) p
-    end
-    else if c = '\'' then begin
-      advance 1;
-      if !i >= n then fail p "unterminated char literal";
-      let v =
-        if src.[!i] = '\\' then begin
-          if !i + 1 >= n then fail p "dangling escape";
-          let v =
-            match src.[!i + 1] with
-            | 'n' -> 10
-            | 't' -> 9
-            | 'r' -> 13
-            | '0' -> 0
-            | '\\' -> 92
-            | '\'' -> 39
-            | e -> fail p (Printf.sprintf "bad escape \\%c" e)
-          in
-          advance 2;
-          v
-        end
-        else begin
-          let v = Char.code src.[!i] in
-          advance 1;
-          v
-        end
-      in
-      if !i >= n || src.[!i] <> '\'' then fail p "unterminated char literal";
-      advance 1;
-      emit (Tint v) p
-    end
-    else begin
-      let try_puncts lst len =
-        if !i + len <= n then
-          let s = String.sub src !i len in
-          if List.mem s lst then Some s else None
-        else None
-      in
-      match try_puncts puncts3 3 with
-      | Some s ->
-          advance 3;
-          emit (Tpunct s) p
-      | None -> (
-          match try_puncts puncts2 2 with
-          | Some s ->
-              advance 2;
-              emit (Tpunct s) p
-          | None -> (
-              match try_puncts puncts1 1 with
-              | Some s ->
-                  advance 1;
-                  emit (Tpunct s) p
-              | None ->
-                  fail p (Printf.sprintf "unexpected character %c" c)))
-    end
+    | c when is_ident_start c ->
+        let p = pos () and start = !i in
+        while !i < n && is_ident_char src.[!i] do
+          incr i
+        done;
+        let word = String.sub src start (!i - start) in
+        emit (if Hashtbl.mem keywords word then Tkw word else Tident word) p
+    | '"' ->
+        let p = pos () in
+        incr i;
+        let buf = Buffer.create 16 in
+        let closed = ref false in
+        while (not !closed) && !i < n do
+          match src.[!i] with
+          | '"' ->
+              incr i;
+              closed := true
+          | '\\' ->
+              if !i + 1 >= n then fail p "dangling escape";
+              (match src.[!i + 1] with
+              | 'n' -> Buffer.add_char buf '\n'
+              | 't' -> Buffer.add_char buf '\t'
+              | 'r' -> Buffer.add_char buf '\r'
+              | '0' -> Buffer.add_char buf '\000'
+              | '\\' -> Buffer.add_char buf '\\'
+              | '"' -> Buffer.add_char buf '"'
+              | e -> fail p (Printf.sprintf "bad escape \\%c" e));
+              i := !i + 2
+          | ch ->
+              Buffer.add_char buf ch;
+              step ()
+        done;
+        if not !closed then fail p "unterminated string";
+        emit (Tstr (Buffer.contents buf)) p
+    | '\'' ->
+        let p = pos () in
+        incr i;
+        if !i >= n then fail p "unterminated char literal";
+        let v =
+          if src.[!i] = '\\' then begin
+            if !i + 1 >= n then fail p "dangling escape";
+            let v =
+              match src.[!i + 1] with
+              | 'n' -> 10
+              | 't' -> 9
+              | 'r' -> 13
+              | '0' -> 0
+              | '\\' -> 92
+              | '\'' -> 39
+              | e -> fail p (Printf.sprintf "bad escape \\%c" e)
+            in
+            i := !i + 2;
+            v
+          end
+          else begin
+            let v = Char.code src.[!i] in
+            step ();
+            v
+          end
+        in
+        if not (at 0 '\'') then fail p "unterminated char literal";
+        incr i;
+        emit (Tint v) p
+    | '<' ->
+        punct
+          (if at 1 '<' then if at 2 '=' then "<<=" else "<<"
+           else if at 1 '=' then "<="
+           else "<")
+    | '>' ->
+        punct
+          (if at 1 '>' then if at 2 '=' then ">>=" else ">>"
+           else if at 1 '=' then ">="
+           else ">")
+    | '=' -> punct (if at 1 '=' then "==" else "=")
+    | '!' -> punct (if at 1 '=' then "!=" else "!")
+    | '&' -> punct (if at 1 '&' then "&&" else if at 1 '=' then "&=" else "&")
+    | '|' -> punct (if at 1 '|' then "||" else if at 1 '=' then "|=" else "|")
+    | '+' -> punct (if at 1 '+' then "++" else if at 1 '=' then "+=" else "+")
+    | '-' ->
+        punct
+          (if at 1 '-' then "--"
+           else if at 1 '=' then "-="
+           else if at 1 '>' then "->"
+           else "-")
+    | '*' -> punct (if at 1 '=' then "*=" else "*")
+    | '/' -> punct (if at 1 '=' then "/=" else "/")
+    | '%' -> punct (if at 1 '=' then "%=" else "%")
+    | '^' -> punct (if at 1 '=' then "^=" else "^")
+    | '~' -> punct "~"
+    | '(' -> punct "("
+    | ')' -> punct ")"
+    | '{' -> punct "{"
+    | '}' -> punct "}"
+    | '[' -> punct "["
+    | ']' -> punct "]"
+    | ';' -> punct ";"
+    | ',' -> punct ","
+    | '.' -> punct "."
+    | '?' -> punct "?"
+    | ':' -> punct ":"
+    | c -> fail (pos ()) (Printf.sprintf "unexpected character %c" c)
   done;
   emit Teof (pos ());
   List.rev !toks

@@ -14,7 +14,7 @@ module Dom = Mi_analysis.Dom
 let run_func (f : Func.t) : bool =
   let cfg = Cfg.build f in
   let dom = Dom.build cfg in
-  let table : (string, Value.t) Hashtbl.t = Hashtbl.create 64 in
+  let table : (Putils.key, Value.t) Hashtbl.t = Hashtbl.create 64 in
   let subst : Value.t Value.VTbl.t = Value.VTbl.create 16 in
   let changed = ref false in
   let resolve (v : Value.t) =
@@ -23,13 +23,17 @@ let run_func (f : Func.t) : bool =
         match Value.VTbl.find_opt subst x with Some r -> r | None -> v)
     | _ -> v
   in
+  (* the new bodies, by block index; unreachable blocks keep theirs *)
+  let bodies = Array.map (fun (b : Block.t) -> b.body) cfg.Cfg.blocks in
   let rec walk bi =
-    let b = cfg.Cfg.blocks.(bi) in
     let added = ref [] in
-    let body =
+    bodies.(bi) <-
       List.filter_map
         (fun (i : Instr.t) ->
-          let i = Instr.map_operands resolve i in
+          let i =
+            if Value.VTbl.length subst = 0 then i
+            else Instr.map_operands resolve i
+          in
           match (i.dst, Putils.op_key i.op) with
           | Some d, Some key -> (
               match Hashtbl.find_opt table key with
@@ -42,13 +46,16 @@ let run_func (f : Func.t) : bool =
                   added := key :: !added;
                   Some i)
           | _ -> Some i)
-        b.body
-    in
-    Func.update_block f { b with body };
+        bodies.(bi);
     List.iter walk dom.Dom.children.(bi);
     List.iter (fun k -> Hashtbl.remove table k) !added
   in
   if Array.length cfg.Cfg.blocks > 0 then walk 0;
+  f.blocks <-
+    Array.to_list
+      (Array.mapi
+         (fun bi (b : Block.t) -> { b with body = bodies.(bi) })
+         cfg.Cfg.blocks);
   Putils.substitute f subst;
   !changed
 

@@ -97,46 +97,64 @@ let remove_unreachable (f : Func.t) : bool =
   if !changed then f.blocks <- blocks;
   !changed
 
-(** A canonical structural key for pure instructions (used by GVN). *)
-let op_key (op : Instr.op) : string option =
-  let v = Value.to_string in
+(** Structural keys of pure instructions, for GVN's hash table (Click's
+    hash-based value numbering).  Two keys are equal exactly when the
+    instructions compute the same value: the same op and types over the
+    same operands, commutative operands in key order.  Floats compare
+    by bits, except that every NaN of one sign shares a key; [-0.0] and
+    [0.0] stay distinct. *)
+type operand =
+  | K_var of int  (** [vid] *)
+  | K_int of Ty.t * int
+  | K_flt of int64
+  | K_glob of string
+  | K_fn of string
+
+type key =
+  | K_bin of Instr.binop * Ty.t * operand * operand
+  | K_fbin of Instr.fbinop * operand * operand
+  | K_icmp of Instr.icmp * Ty.t * operand * operand
+  | K_fcmp of Instr.fcmp * operand * operand
+  | K_cast of Instr.cast * Ty.t * operand * Ty.t
+  | K_gep of operand * (int * operand) list  (** (stride, index) *)
+  | K_select of Ty.t * operand * operand * operand
+  | K_call of string * operand list
+
+let nan_key = Int64.bits_of_float Float.nan
+let neg_nan_key = Int64.bits_of_float (-.Float.nan)
+
+let operand_key : Value.t -> operand = function
+  | Var x -> K_var x.vid
+  | Int (ty, k) -> K_int (ty, k)
+  | Flt f when Float.is_nan f ->
+      K_flt (if Float.sign_bit f then neg_nan_key else nan_key)
+  | Flt f -> K_flt (Int64.bits_of_float f)
+  | Glob g -> K_glob g
+  | Fn f -> K_fn f
+
+(** The key of a pure instruction; [None] for anything GVN must not
+    merge (memory access, allocation, impure calls). *)
+let op_key (op : Instr.op) : key option =
+  let k = operand_key in
   match op with
-  | Bin (o, ty, a, b) ->
-      let a, b =
-        (* normalize commutative operand order *)
-        match o with
-        | Add | Mul | And | Or | Xor ->
-            if compare (v a) (v b) <= 0 then (a, b) else (b, a)
-        | _ -> (a, b)
-      in
-      Some
-        (Printf.sprintf "bin:%s:%s:%s:%s" (Instr.binop_to_string o)
-           (Ty.to_string ty) (v a) (v b))
-  | FBin (o, a, b) ->
-      Some (Printf.sprintf "fbin:%s:%s:%s" (Instr.fbinop_to_string o) (v a) (v b))
-  | Icmp (o, ty, a, b) ->
-      Some
-        (Printf.sprintf "icmp:%s:%s:%s:%s" (Instr.icmp_to_string o)
-           (Ty.to_string ty) (v a) (v b))
-  | Fcmp (o, a, b) ->
-      Some (Printf.sprintf "fcmp:%s:%s:%s" (Instr.fcmp_to_string o) (v a) (v b))
-  | Cast (c, t1, x, t2) ->
-      Some
-        (Printf.sprintf "cast:%s:%s:%s:%s" (Instr.cast_to_string c)
-           (Ty.to_string t1) (v x) (Ty.to_string t2))
+  | Bin (o, ty, a, b) -> (
+      let a = k a and b = k b in
+      match o with
+      | Add | Mul | And | Or | Xor ->
+          Some
+            (if compare a b <= 0 then K_bin (o, ty, a, b)
+             else K_bin (o, ty, b, a))
+      | _ -> Some (K_bin (o, ty, a, b)))
+  | FBin (o, a, b) -> Some (K_fbin (o, k a, k b))
+  | Icmp (o, ty, a, b) -> Some (K_icmp (o, ty, k a, k b))
+  | Fcmp (o, a, b) -> Some (K_fcmp (o, k a, k b))
+  | Cast (c, t1, x, t2) -> Some (K_cast (c, t1, k x, t2))
   | Gep (base, idxs) ->
       Some
-        (Printf.sprintf "gep:%s:%s" (v base)
-           (String.concat ","
-              (List.map
-                 (fun gi ->
-                   Printf.sprintf "%d*%s" gi.Instr.stride (v gi.Instr.idx))
-                 idxs)))
-  | Select (ty, c, a, b) ->
-      Some
-        (Printf.sprintf "sel:%s:%s:%s:%s" (Ty.to_string ty) (v c) (v a) (v b))
+        (K_gep
+           ( k base,
+             List.map (fun gi -> (gi.Instr.stride, k gi.Instr.idx)) idxs ))
+  | Select (ty, c, a, b) -> Some (K_select (ty, k c, k a, k b))
   | Call (callee, args) when Pass.Effects.is_pure_call callee ->
-      Some
-        (Printf.sprintf "call:%s:%s" callee
-           (String.concat "," (List.map v args)))
+      Some (K_call (callee, List.map k args))
   | _ -> None

@@ -282,6 +282,9 @@ let execute t (job : job) : Proto.reply =
             Proto.R_failed
               { id = job.j_id; kind; reason = e.Harness.reason; retries })
   in
+  (* nothing reads a tenant's spans: drop the request's, so the daemon's
+     memory does not grow with the requests it has served *)
+  Mi_obs.Trace.clear (Harness.obs tn.tn_h).Mi_obs.Obs.trace;
   Mutex.unlock tn.tn_lock;
   reply
 
@@ -375,6 +378,13 @@ let stats_json t =
   Mutex.unlock t.q_lock;
   Mutex.lock t.tenants_lock;
   let tenants = Hashtbl.length t.tenants in
+  (* read without the tenants' locks: a count, not a snapshot *)
+  let trace_events =
+    Hashtbl.fold
+      (fun _ tn n ->
+        n + Mi_obs.Trace.event_count (Harness.obs tn.tn_h).Mi_obs.Obs.trace)
+      t.tenants 0
+  in
   Mutex.unlock t.tenants_lock;
   Json.Obj
     [
@@ -389,6 +399,7 @@ let stats_json t =
       ("workers", Json.Int t.cfg.workers);
       ("queue_cap", Json.Int t.cfg.queue_cap);
       ("tenants", Json.Int tenants);
+      ("trace_events", Json.Int trace_events);
       ( "cache",
         Json.Obj
           [

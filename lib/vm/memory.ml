@@ -95,9 +95,12 @@ let load t addr width =
     | _ -> raise (Fault (addr, "bad access width"))
   end
   else begin
+    (* ascending, as a byte loop touches them: a page-limit fault names
+       the first byte it cannot map; byte 7's top bit wraps away as in
+       the in-page path *)
     let v = ref 0 in
-    for i = width - 1 downto 0 do
-      v := (!v lsl 8) lor load8 t (addr + i)
+    for i = 0 to width - 1 do
+      v := !v lor (load8 t (addr + i) lsl (8 * i))
     done;
     !v
   end
@@ -128,8 +131,9 @@ let load_i64_full t addr =
   if fits_page addr 8 then Bytes.get_int64_le (page_of t addr) (offset addr)
   else begin
     let v = ref 0L in
-    for i = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (load8 t (addr + i)))
+    for i = 0 to 7 do
+      let b = Int64.of_int (load8 t (addr + i)) in
+      v := Int64.logor !v (Int64.shift_left b (8 * i))
     done;
     !v
   end

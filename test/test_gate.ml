@@ -67,6 +67,26 @@ let vm_txt ?(cov = 0.95) pairs =
    above BENCH_vm.json's min_ratio_vs_base *)
 let passing_pairs = List.init 7 (fun _ -> (64e6, 32e6))
 
+(* one --compile-units line per pair, printing [digest] *)
+let compile_txt digest =
+  String.concat ""
+    (List.init 7 (fun i ->
+         Printf.sprintf
+           "compile_units: units=107 reps=10 elapsed_s=1.5 units_per_s=700 \
+            digest=%s pair=%d\n"
+           digest (i + 1)))
+
+let golden_digest =
+  match
+    Mi_obs.Json.member "o3_digest"
+      (Mi_obs.Json.of_string
+         (read
+            (List.find Sys.file_exists
+               [ "goldens/compile_mir.json"; "test/goldens/compile_mir.json" ])))
+  with
+  | Some (Mi_obs.Json.Str d) -> d
+  | _ -> failwith "compile golden lacks o3_digest"
+
 let fuzz_case name tp =
   Printf.sprintf {|{"name":"%s","O3+sb":"killed","O3+lf":"killed","O3+tp":%s}|}
     name tp
@@ -135,6 +155,7 @@ let passing =
     ("json-j1.json", json_doc ());
     ("json-j2.json", json_doc ());
     ("vm.txt", vm_txt passing_pairs);
+    ("compile.txt", compile_txt golden_digest);
     ( "mutation.json",
       reports
         [ ("mutation", [ series "mutants" [ ("total", 10.); ("survived", 0.) ] ]) ]
@@ -223,7 +244,7 @@ let both run content =
 
 let test_all_pass () =
   let code, verdicts = gate [] in
-  Alcotest.(check int) "row count" 25 (List.length verdicts);
+  Alcotest.(check int) "row count" 26 (List.length verdicts);
   List.iter (fun (_, (v, line)) -> Alcotest.(check string) line "PASS" v) verdicts;
   Alcotest.(check int) "exit status" 0 code
 
@@ -271,6 +292,9 @@ let () =
           Alcotest.test_case "fields: coverage at 0.85 of plain" `Quick
             (fails "coverage"
                [ ("vm.txt", Some (vm_txt ~cov:0.85 passing_pairs)) ]);
+          Alcotest.test_case "fields: compile digest off the golden" `Quick
+            (fails "compile-digest"
+               [ ("compile.txt", Some (compile_txt (String.make 32 '0'))) ]);
           Alcotest.test_case "fields: drive dropped a job" `Quick
             (fails "serve-crash"
                [

@@ -40,6 +40,37 @@ let test_lexer_comments () =
   Alcotest.(check (list string)) "comments skipped" [ "i:1"; "i:2" ]
     (tok_strings "1 /* comment \n more */ 2 // trailing")
 
+let test_lexer_positions () =
+  Alcotest.(check (list (pair int int))) "line:col of every token"
+    [ (1, 1); (2, 3); (2, 4); (3, 5); (3, 11); (5, 3); (5, 4); (5, 7); (5, 8) ]
+    (List.map
+       (fun (l : Lexer.lexed) -> (l.tpos.line, l.tpos.col))
+       (Lexer.tokenize "a\n\t b+/* x\n */ \"s\\n\" 'c'\n\n\r x>>=1"))
+
+(* malformed or out-of-range numeric literals are lexical errors at the
+   literal, which the compiler reports as compile errors *)
+let test_lexer_literal_errors () =
+  List.iter
+    (fun (src, col, msg) ->
+      (match Lexer.tokenize src with
+      | exception Lexer.Lex_error (p, m) ->
+          Alcotest.(check (pair int int)) (src ^ ": position") (1, col)
+            (p.line, p.col);
+          Alcotest.(check string) (src ^ ": message") msg m
+      | _ -> Alcotest.failf "%s: lexed" src);
+      match Mi_minic.Lower.compile src with
+      | exception Mi_minic.Lower.Compile_error m ->
+          Alcotest.(check string) (src ^ ": compile error")
+            (Printf.sprintf "lex error at 1:%d: %s" col msg)
+            m
+      | _ -> Alcotest.failf "%s: compiled" src)
+    [
+      ( "long x = 99999999999999999999;", 10,
+        "integer literal out of range 99999999999999999999" );
+      ("double x = 1e;", 12, "malformed floating literal 1e");
+      ("long x = 0x;", 10, "hex literal without digits");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Struct layout                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -389,6 +420,9 @@ let () =
           Alcotest.test_case "literals" `Quick test_lexer_literals;
           Alcotest.test_case "operators" `Quick test_lexer_operators;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
+          Alcotest.test_case "positions" `Quick test_lexer_positions;
+          Alcotest.test_case "literal errors are typed" `Quick
+            test_lexer_literal_errors;
         ] );
       ( "layout",
         [

@@ -286,6 +286,158 @@ entry:
   ignore (P.Dce.run_func f);
   Alcotest.(check int) "both trie loads survive" 6 (Func.instr_count f)
 
+(* GVN keys: two pure ops share a key exactly when their printed forms
+   (the textual key GVN once used, kept here as the reference) agree,
+   commutative operands sorted *)
+let printed_key (op : Instr.op) =
+  let v = Value.to_string in
+  match op with
+  | Bin (o, ty, a, b) ->
+      let a, b =
+        match o with
+        | Add | Mul | And | Or | Xor ->
+            if compare (v a) (v b) <= 0 then (a, b) else (b, a)
+        | _ -> (a, b)
+      in
+      Some
+        (Printf.sprintf "bin:%s:%s:%s:%s" (Instr.binop_to_string o)
+           (Ty.to_string ty) (v a) (v b))
+  | FBin (o, a, b) ->
+      Some (Printf.sprintf "fbin:%s:%s:%s" (Instr.fbinop_to_string o) (v a) (v b))
+  | Icmp (o, ty, a, b) ->
+      Some
+        (Printf.sprintf "icmp:%s:%s:%s:%s" (Instr.icmp_to_string o)
+           (Ty.to_string ty) (v a) (v b))
+  | Fcmp (o, a, b) ->
+      Some (Printf.sprintf "fcmp:%s:%s:%s" (Instr.fcmp_to_string o) (v a) (v b))
+  | Cast (c, t1, x, t2) ->
+      Some
+        (Printf.sprintf "cast:%s:%s:%s:%s" (Instr.cast_to_string c)
+           (Ty.to_string t1) (v x) (Ty.to_string t2))
+  | Gep (base, idxs) ->
+      Some
+        (Printf.sprintf "gep:%s:%s" (v base)
+           (String.concat ","
+              (List.map
+                 (fun gi ->
+                   Printf.sprintf "%d*%s" gi.Instr.stride (v gi.Instr.idx))
+                 idxs)))
+  | Select (ty, c, a, b) ->
+      Some
+        (Printf.sprintf "sel:%s:%s:%s:%s" (Ty.to_string ty) (v c) (v a) (v b))
+  | Call (callee, args) when P.Pass.Effects.is_pure_call callee ->
+      Some
+        (Printf.sprintf "call:%s:%s" callee
+           (String.concat "," (List.map v args)))
+  | _ -> None
+
+let key_cases =
+  let x = Value.Var { vid = 1; vname = "x"; vty = Ty.I64 }
+  and y = Value.Var { vid = 2; vname = "y"; vty = Ty.I64 }
+  and p = Value.Var { vid = 3; vname = "p"; vty = Ty.Ptr } in
+  let flt bits = Value.Flt (Int64.float_of_bits bits) in
+  let nans =
+    [ 0x7ff8000000000000L; 0x7ff0000000000001L; 0x7ff4000000000123L;
+      0xfff8000000000000L; 0xfff0000000000001L ]
+  in
+  (* [n] indices, the last one [k] *)
+  let gep n k =
+    Instr.Gep
+      ( p,
+        List.init n (fun i ->
+            { Instr.stride = 8; idx = Value.i64 (if i = n - 1 then k else i) }) )
+  in
+  [
+    ("x+y", Instr.Bin (Add, Ty.I64, x, y));
+    ("y+x", Bin (Add, Ty.I64, y, x));
+    ("x-y", Bin (Sub, Ty.I64, x, y));
+    ("y-x", Bin (Sub, Ty.I64, y, x));
+    ("x*7", Bin (Mul, Ty.I64, x, Value.i64 7));
+    ("7*x", Bin (Mul, Ty.I64, Value.i64 7, x));
+    ("x*7:i32", Bin (Mul, Ty.I32, x, Value.i32 7));
+    ("x^null", Bin (Xor, Ty.Ptr, x, Value.null));
+    ("-0.0+x", FBin (FAdd, Value.Flt (-0.0), x));
+    ("0.0+x", FBin (FAdd, Value.Flt 0.0, x));
+    ("inf+x", FBin (FAdd, Value.Flt Float.infinity, x));
+    ("call base(p)", Call ("__mi_lf_base", [ p ]));
+    ("call base(x)", Call ("__mi_lf_base", [ x ]));
+    ("call base(@g)", Call ("__mi_lf_base", [ Value.Glob "g" ]));
+    ("call base(&g)", Call ("__mi_lf_base", [ Value.Fn "g" ]));
+    ("gep 40 a", gep 40 3);
+    ("gep 40 b", gep 40 3);
+    ("gep 40 c", gep 40 4);
+    ("gep 39", gep 39 3);
+    ("select", Select (Ty.I64, Value.i1 true, x, y));
+    ("select swapped", Select (Ty.I64, Value.i1 true, y, x));
+    ("cast", Cast (PtrToInt, Ty.Ptr, p, Ty.I64));
+  ]
+  @ List.map
+      (fun b -> (Printf.sprintf "nan %Lx+x" b, Instr.FBin (FAdd, flt b, x)))
+      nans
+
+let test_gvn_keys_match_printed () =
+  List.iter
+    (fun (na, a) ->
+      List.iter
+        (fun (nb, b) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s ~ %s" na nb)
+            (printed_key a = printed_key b)
+            (P.Putils.op_key a = P.Putils.op_key b))
+        key_cases)
+    key_cases
+
+let test_gvn_keys () =
+  let key name = P.Putils.op_key (List.assoc name key_cases) in
+  let same what a b = Alcotest.(check bool) what true (key a = key b) in
+  let differ what a b = Alcotest.(check bool) what false (key a = key b) in
+  same "commutative swap" "x+y" "y+x";
+  same "commutative swap, constant" "x*7" "7*x";
+  differ "non-commutative swap" "x-y" "y-x";
+  differ "typed immediates" "x*7" "x*7:i32";
+  same "quiet and signalling NaN" "nan 7ff8000000000000+x" "nan 7ff0000000000001+x";
+  same "NaN payloads" "nan 7ff8000000000000+x" "nan 7ff4000000000123+x";
+  differ "nan vs -nan" "nan 7ff8000000000000+x" "nan fff8000000000000+x";
+  same "-nan payloads" "nan fff8000000000000+x" "nan fff0000000000001+x";
+  differ "-0.0 vs 0.0" "-0.0+x" "0.0+x";
+  differ "pure call args" "call base(p)" "call base(x)";
+  differ "global vs function" "call base(@g)" "call base(&g)";
+  same "long gep" "gep 40 a" "gep 40 b";
+  differ "long gep, last index" "gep 40 a" "gep 40 c";
+  differ "long gep, length" "gep 40 a" "gep 39";
+  differ "select arms" "select" "select swapped";
+  Alcotest.(check bool) "impure call has no key" true
+    (P.Putils.op_key (Call ("malloc", [ Value.i64 8 ])) = None)
+
+(* The printed MIR of every suite unit at O0/O1/O3 and of fuzz seeds
+   1..50, after [Lower.compile] + [Pipeline.run], digested per unit.
+   goldens/compile_mir.json was recorded before the structural GVN keys,
+   the table-driven lexer and the precedence-climbing parser; the
+   compile path must reproduce it byte for byte. *)
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "goldens/" ^ name; "test/goldens/" ^ name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_compile_golden () =
+  let golden = Mi_obs.Json.of_string (read_golden "compile_mir.json") in
+  let got = Mi_fuzz.Compile_units.golden () in
+  let units j =
+    match Mi_obs.Json.member "units" j with
+    | Some (Mi_obs.Json.Obj us) -> us
+    | _ -> Alcotest.fail "no units"
+  in
+  Alcotest.(check (list string)) "units" (List.map fst (units golden))
+    (List.map fst (units got));
+  List.iter2
+    (fun (name, want) (_, have) ->
+      Alcotest.(check string) name (Mi_obs.Json.to_string want)
+        (Mi_obs.Json.to_string have))
+    (units golden) (units got);
+  Alcotest.(check string) "golden bytes" (read_golden "compile_mir.json")
+    (Mi_obs.Json.to_string got)
+
 (* ------------------------------------------------------------------ *)
 (* LICM                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -847,6 +999,14 @@ let () =
           Alcotest.test_case "commutative normalization" `Quick test_gvn_commutative;
           Alcotest.test_case "trie loads not merged across store" `Quick
             test_gvn_does_not_merge_trie_loads_across_store;
+          Alcotest.test_case "keys" `Quick test_gvn_keys;
+          Alcotest.test_case "keys agree with printed ops" `Quick
+            test_gvn_keys_match_printed;
+        ] );
+      ( "compile-path golden",
+        [
+          Alcotest.test_case "suite + 50 fuzz seeds, O0/O1/O3" `Quick
+            test_compile_golden;
         ] );
       ( "licm",
         [

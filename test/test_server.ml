@@ -125,6 +125,55 @@ let test_run_matches_batch () =
   Alcotest.(check int) "one accepted" 1 fin.Server.f_accepted;
   Alcotest.(check int) "one completed" 1 fin.Server.f_completed
 
+(* {1 Bounded daemon memory: tenant sessions keep no spans} *)
+
+(* A tenant session's trace is read by nobody, so each request's spans
+   are dropped once it is answered: after a run of requests (compiles
+   and cache hits, two tenants, two approaches) the sessions hold no
+   trace events, and every reply is still the batch harness's result. *)
+let test_tenant_trace_bounded () =
+  let reqs =
+    List.mapi
+      (fun i (tenant, approach, value) ->
+        (i + 1, tenant, Corpus.setup approach, tiny_bench "bounded" value))
+      [
+        ("t0", "softbound", 1); ("t0", "softbound", 1); ("t0", "lowfat", 2);
+        ("t1", "softbound", 1); ("t1", "lowfat", 3); ("t0", "softbound", 4);
+      ]
+  in
+  let (replies, events), _fin =
+    with_server (fun fd ->
+        let replies =
+          List.map
+            (fun (id, tenant, setup, bench) ->
+              send fd (run_req ~id ~tenant setup bench);
+              match recv fd with
+              | Proto.R_ok { id = id'; result } when id' = id ->
+                  Json.to_string result
+              | _ -> Alcotest.fail "expected ok")
+            reqs
+        in
+        send fd (Proto.Stats { id = 100 });
+        match recv fd with
+        | Proto.R_stats { id = 100; stats } -> (
+            match Json.member "trace_events" stats with
+            | Some (Json.Int n) -> (replies, n)
+            | _ -> Alcotest.fail "stats lacks trace_events")
+        | _ -> Alcotest.fail "expected stats")
+  in
+  Alcotest.(check int) "tenant traces empty" 0 events;
+  let h = Harness.create ~jobs:1 () in
+  List.iter2
+    (fun (id, _, setup, bench) reply ->
+      match Harness.run h setup bench with
+      | Ok r ->
+          Alcotest.(check string)
+            (Printf.sprintf "reply %d = batch result" id)
+            (Json.to_string (Proto.run_to_json r))
+            reply
+      | Error e -> Alcotest.failf "batch run failed: %s" e.Harness.reason)
+    reqs replies
+
 (* {1 Backpressure: bounded queue, typed overload, no drops} *)
 
 let test_overload_typed_and_recoverable () =
@@ -272,6 +321,8 @@ let () =
         [
           Alcotest.test_case "server run = batch run" `Slow
             test_run_matches_batch;
+          Alcotest.test_case "tenant traces bounded, replies unchanged" `Slow
+            test_tenant_trace_bounded;
         ] );
       ( "backpressure",
         [

@@ -208,12 +208,34 @@ let test_mem_backward_copy_fault_addr () =
     (Memory.Fault (0x20000000106d, "out of VM memory (page limit)"))
     (fun () -> Memory.copy m ~dst:(addr0 + 0x100a) ~src:(addr0 + 0xa) 100)
 
+(* A straddling load touches its bytes in ascending order, as a byte
+   loop does: at the page limit it maps the first page and faults at the
+   first byte of the second; with no page left it faults at its address,
+   as in-page loads and every store do. *)
+let test_mem_straddling_load_fault_addr () =
+  let a = addr0 + Layout.page_size - 3 in
+  let limit = "out of VM memory (page limit)" in
+  List.iter
+    (fun (what, load) ->
+      let m = Memory.create ~max_pages:1 () in
+      Alcotest.check_raises (what ^ ": at the second page")
+        (Memory.Fault (a + 3, limit))
+        (fun () -> load m a);
+      Alcotest.(check int) (what ^ ": first page mapped") 1 (Memory.page_count m);
+      let m = Memory.create ~max_pages:0 () in
+      Alcotest.check_raises (what ^ ": at the address") (Memory.Fault (a, limit))
+        (fun () -> load m a))
+    [
+      ("load", fun m a -> ignore (Memory.load m a 8));
+      ("load_f64", fun m a -> ignore (Memory.load_f64 m a));
+    ]
+
 (* --- page cache ------------------------------------------------------
    A reference page model: a plain [Hashtbl] page table with no cache in
    front, accessed one byte at a time.  Every byte access looks its page
    up by index, materializes it zero-filled on first touch, and faults at
    the page limit.  A load or store inside one page touches it first at
-   its address; loads assemble their bytes from the highest down and
+   its address; loads assemble their bytes from the lowest up and
    stores write [(v asr 8i) land 0xff] from the lowest up, so byte 7 of
    an 8-byte store carries the sign; [copy] is memmove as load8 then
    store8 per byte, descending when [dst > src]; [fill] stores byte by
@@ -248,8 +270,8 @@ module Page_model = struct
   let load t a w =
     touch t a w;
     let v = ref 0 in
-    for i = w - 1 downto 0 do
-      v := (!v lsl 8) lor load8 t (a + i)
+    for i = 0 to w - 1 do
+      v := !v lor (load8 t (a + i) lsl (8 * i))
     done;
     !v
 
@@ -615,6 +637,8 @@ let () =
             test_mem_store_sign_byte;
           Alcotest.test_case "backward copy fault address" `Quick
             test_mem_backward_copy_fault_addr;
+          Alcotest.test_case "straddling load fault address" `Quick
+            test_mem_straddling_load_fault_addr;
           QCheck_alcotest.to_alcotest prop_mem_f64_roundtrip;
           QCheck_alcotest.to_alcotest prop_page_cache_matches_model;
         ] );
