@@ -116,19 +116,27 @@ run flame $bin/mireport.exe report "$out/prof-j4.json" --top 5 \
     --flame "$out/flame.txt"
 
 # mi-serve under injected worker crashes and a hung request, then a
-# second daemon on the same cache with every entry bit-flipped
+# second daemon on the same cache with every entry bit-flipped, then a
+# fault-free daemon serving every request for one tenant on four
+# workers at once.  serve_drive NAME SEEDS TENANTS [DAEMON FLAGS...]
 serve_drive() {
+    sd_name=$1 sd_seeds=$2 sd_tenants=$3
+    shift 3
     $bin/miserve.exe --socket "$out/serve.sock" --workers 4 --queue 8 \
-        --cache-dir "$out/serve-cache" --job-timeout 30 --inject "$2" &
+        --job-timeout 30 "$@" &
     pid=$!
-    run "$1" $bin/miserve.exe --socket "$out/serve.sock" --drive \
-        --seeds "$3" -j 4 --burst 4 --tenants 2 --timeout-ms 30000 --shutdown
+    run "$sd_name" $bin/miserve.exe --socket "$out/serve.sock" --drive \
+        --seeds "$sd_seeds" -j 4 --burst 4 --tenants "$sd_tenants" \
+        --timeout-ms 30000 --shutdown
     code=0
     wait "$pid" || code=$?
-    echo "exit: run=$1-daemon code=$code" >> "$out/exit.txt"
+    echo "exit: run=$sd_name-daemon code=$code" >> "$out/exit.txt"
 }
-serve_drive drive-crash 'crash=fuzz-17,hang=fuzz-23:0.2' 1..50
-serve_drive drive-corrupt 'corrupt-cache=bitflip' 1..10
+serve_drive drive-crash 1..50 2 --cache-dir "$out/serve-cache" \
+    --inject 'crash=fuzz-17,hang=fuzz-23:0.2'
+serve_drive drive-corrupt 1..10 2 --cache-dir "$out/serve-cache" \
+    --inject 'corrupt-cache=bitflip'
+serve_drive drive-one-tenant 1..10 1
 
 run mutation-opt $bin/experiments.exe --json "$out/mutation-opt.json" \
     mutation-opt

@@ -145,7 +145,8 @@ let exits =
     ("probe-entry", 2); ("probe-replay", 2); ("probe-no-corpus", 0);
     ("prof-j4", 0); ("prof-j1", 0); ("profile-diff", 0); ("flame", 0);
     ("drive-crash", 0); ("drive-crash-daemon", 0); ("drive-corrupt", 0);
-    ("drive-corrupt-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
+    ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);
+    ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
     ("checkelim-j1", 0); ("soak", 0); ("replay-j4", 0); ("replay-j1", 0);
     ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0);
   ]
@@ -390,6 +391,8 @@ let rows =
     row "serve-crash" "drive-crash.txt" (Fields (drive 200 ("restarts", "4")));
     row "serve-corrupt" "drive-corrupt.txt"
       (Fields (drive 40 ("cache-corrupt", "40")));
+    row "serve-one-tenant" "drive-one-tenant.txt"
+      (Fields (drive 40 ("restarts", "0")));
     row "checkelim-sound" "mutation-opt.json" (Json checkelim_sound);
     row "checkelim-sound-text" "mutation-opt.txt"
       (Contains [ [ "0 mismatches" ]; [ "\nsoftbound/" ]; [ "\nlowfat/" ] ]);

@@ -21,7 +21,10 @@ let () =
     benches;
   print_newline ();
   let baselines =
-    List.map (fun b -> Harness.run_benchmark Harness.baseline b) benches
+    List.map
+      (fun (b : Mi_bench_kit.Bench.t) ->
+        Harness.run_sources Harness.baseline b.sources)
+      benches
   in
   (* overhead geomean of one (approach, extension point) cell *)
   let cell approach ep =
@@ -37,7 +40,8 @@ let () =
               ep;
             }
           in
-          Harness.overhead ~baseline:base (Harness.run_benchmark setup b))
+          Harness.overhead ~baseline:base
+            (Harness.run_sources setup b.Mi_bench_kit.Bench.sources))
         benches baselines
     in
     Mi_support.Util.geomean overheads

@@ -327,12 +327,6 @@ let run_sources ?(obs = new_obs ()) ?(faults = Fault.none) ?budget
   in
   execute ~faults ?deadline ~obs setup modules ~static_stats:stats
 
-let run_benchmark ?(obs = new_obs ()) (setup : setup) (b : Bench.t) : run
-    =
-  Mi_obs.Trace.with_span obs.Obs.trace ~cat:"benchmark"
-    ("benchmark:" ^ b.name)
-    (fun () -> run_sources ~obs setup b.sources)
-
 (** Normalized execution time (cycles / baseline cycles), the y-axis of
     Figures 9-13. *)
 let overhead ~(baseline : run) (r : run) : float =
@@ -413,9 +407,7 @@ type t = {
   s_cache : Icache.t;
   s_jobs : int;
   s_faults : Fault.t;
-  mutable s_job_timeout : float option;
-      (** mutable so a long-lived session (the server) can apply a
-          per-request deadline override; see {!set_job_timeout} *)
+  s_job_timeout : float option;
   s_retries : int;
   s_backoff_cap_ms : int;  (** upper bound on one retry backoff sleep *)
   mutable s_failures : job_failure list;  (** newest first; see {!failures} *)
@@ -465,7 +457,6 @@ let obs t = t.s_obs
 let jobs t = t.s_jobs
 let cache t = t.s_cache
 let cache_stats t = Icache.stats t.s_cache
-let set_job_timeout t timeout = t.s_job_timeout <- timeout
 
 let memo_size t =
   let m = t.s_memo in

@@ -1,9 +1,9 @@
 (** Experiment harness: compile, instrument, link, run, collect — and,
     through {!t} sessions, cache and parallelize.
 
-    The classic per-call entry points ({!run_sources}, {!run_benchmark})
-    still exist for one-off runs and for sharing a single observability
-    context across heterogeneous work (as [memsafe] does).  Everything
+    The classic per-call entry point {!run_sources} still exists for
+    one-off runs and for sharing a single observability context across
+    heterogeneous work (as [memsafe] does).  Everything
     at experiment scale goes through a session: [create] one, submit a
     job matrix with {!run_jobs} (or single jobs with {!run}), and read
     the aggregated observability off {!obs}. *)
@@ -102,6 +102,10 @@ type failure_kind =
   | Timeout  (** the per-job wall-clock budget ran out *)
   | Injected  (** an injected crash from the fault plan *)
 
+val kind_name : failure_kind -> string
+(** ["crash"], ["timeout"] or ["injected"]: the [cause] column of
+    {!failure_manifest}. *)
+
 type job_failure = {
   jf_setup : string;  (** {!setup_key} of the failed job *)
   jf_bench : string;
@@ -135,9 +139,10 @@ val create :
     at least 1).  [cache_dir] additionally persists the instrumentation
     cache on disk, giving hits across processes.  [cache] makes the
     session use an existing instrumentation cache instead of creating
-    its own — the sharing mechanism behind the server's per-tenant
-    sessions over one content-addressed cache ([cache_dir] is ignored
-    when given; the cache's own directory governs persistence).  [obs]
+    its own, so short-lived sessions share compiled modules: the server
+    runs every request in a fresh one-job session over its one
+    content-addressed cache ([cache_dir] is ignored when given; the
+    cache's own directory governs persistence).  [obs]
     is the session context every run's private context is merged into
     (a fresh one by default).
 
@@ -164,11 +169,6 @@ val jobs : t -> int
 val cache : t -> Icache.t
 (** The session's instrumentation cache — pass it to another session's
     [create ~cache] to share compiled modules across sessions. *)
-
-val set_job_timeout : t -> float option -> unit
-(** Replace the session's per-job budget.  Not synchronized: callers
-    that share a session across domains (the server's per-tenant
-    sessions) must serialize runs themselves. *)
 
 type cache_stats = Icache.stats = { hits : int; misses : int; corrupt : int }
 
@@ -245,5 +245,3 @@ val run_sources :
     [faults] applies the plan's check mutations and VM faults to this
     run; [budget] arms a wall-clock deadline (seconds) that raises
     {!Mi_faultkit.Fault.Job_timeout} when exceeded. *)
-
-val run_benchmark : ?obs:Mi_obs.Obs.t -> setup -> Bench.t -> run

@@ -43,9 +43,6 @@ type t = {
           runtime comparability (§5.1.2) *)
   lf_stack : bool;  (** Low-Fat stack-variable protection [12] *)
   lf_globals : bool;  (** Low-Fat global-variable protection [11] *)
-  tp_stack : bool;
-      (** temporal stack protection: key stack variables so dangling
-          references to dead frames are detected *)
 }
 
 (** The paper's SoftBound configuration basis (appendix A.6). *)
@@ -61,7 +58,6 @@ let softbound =
     sb_wrapper_checks = false;
     lf_stack = false;
     lf_globals = false;
-    tp_stack = true;
   }
 
 (** The paper's Low-Fat Pointers configuration basis (appendix A.6). *)
@@ -77,7 +73,6 @@ let lowfat =
     sb_wrapper_checks = false;
     lf_stack = true;
     lf_globals = true;
-    tp_stack = true;
   }
 
 (** The temporal lock-and-key configuration basis (CETS-style). *)
@@ -93,7 +88,6 @@ let temporal =
     sb_wrapper_checks = false;
     lf_stack = false;
     lf_globals = false;
-    tp_stack = true;
   }
 
 (* --- approach-basis registry ---------------------------------------- *)
@@ -171,5 +165,4 @@ let to_string c =
          (if c.lf_stack then "" else "+nostack")
          ^ if c.lf_globals then "" else "+noglobals"
        else "");
-      (if c.approach = "temporal" && not c.tp_stack then "+nostack" else "");
     ]

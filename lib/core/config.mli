@@ -42,7 +42,6 @@ type t = {
           comparability (§5.1.2) *)
   lf_stack : bool;  (** Low-Fat stack-variable protection *)
   lf_globals : bool;  (** Low-Fat global-variable protection *)
-  tp_stack : bool;  (** temporal keying of stack variables *)
 }
 
 val softbound : t

@@ -136,8 +136,8 @@ let checker : C.t =
     w_param;
     w_alloca =
       (fun _ _ _ ~size:_ ->
-        (* reachable only with tp_stack off: conventional stack slots
-           are not keyed *)
+        (* unreachable: [prepare_func] turns every alloca into a keyed
+           [__mi_tp_alloca] call *)
         untracked);
     w_load =
       (fun ctx anchor _x ~addr ->
@@ -157,10 +157,7 @@ let checker : C.t =
     emit_escape = (fun _ _ -> ());
     emit_memop_invariant;
     check_op;
-    prepare_func =
-      (fun config f ->
-        if config.Config.tp_stack then
-          C.replace_allocas Intrinsics.tp_alloca f);
+    prepare_func = (fun _ f -> C.replace_allocas Intrinsics.tp_alloca f);
     module_ctor = (fun _ _ -> None);
   }
 

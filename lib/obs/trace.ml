@@ -121,7 +121,6 @@ let instant ?(cat = "mark") ?(args = []) t name =
     :: t.events
 
 let event_count t = List.length t.events
-let clear t = t.events <- []
 
 (** Merge the completed events of [src] into [dst] (spans still open in
     [src] are not copied).  Timestamps keep their origin tracer's epoch;

@@ -53,9 +53,6 @@ val balanced : t -> bool
 
 val event_count : t -> int
 
-val clear : t -> unit
-(** Drop the completed events; open spans and thread labels stay. *)
-
 val merge : t -> t -> unit
 (** [merge dst src] appends the completed events of [src] (open spans
     are not copied) and unions thread labels.  Raises when

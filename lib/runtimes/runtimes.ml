@@ -54,10 +54,8 @@ let install (config : Config.t) ~modules (st : Mi_vm.State.t) :
 (* --- built-in installers ---------------------------------------------- *)
 
 let () =
-  register "softbound" (fun cfg ~modules:_ st ->
-      ignore
-        (Mi_softbound.Softbound_rt.install
-           ~wrapper_checks:cfg.Config.sb_wrapper_checks st);
+  register "softbound" (fun _ ~modules:_ st ->
+      ignore (Mi_softbound.Softbound_rt.install st);
       None);
   register "lowfat" (fun cfg ~modules st ->
       let lf =
@@ -82,8 +80,6 @@ let () =
             else None)
       end
       else None);
-  register "temporal" (fun cfg ~modules:_ st ->
-      ignore
-        (Mi_temporal.Temporal_rt.install
-           ~stack_protection:cfg.Config.tp_stack st);
+  register "temporal" (fun _ ~modules:_ st ->
+      ignore (Mi_temporal.Temporal_rt.install st);
       None)

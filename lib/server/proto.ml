@@ -399,9 +399,9 @@ type reply =
       (** admission control: the request was NOT accepted — resubmit *)
   | R_failed of { id : int; kind : string; reason : string; retries : int }
       (** the job was accepted and ran, but failed after [retries]
-          retries; [kind] is the harness classification (["crash"],
-          ["timeout"], ["injected"]) or ["error"] for compile/link
-          failures *)
+          retries; [kind] is the harness classification: ["crash"]
+          (compile and link failures included), ["timeout"] or
+          ["injected"] *)
   | R_degraded of { id : int; approach : string; reason : string }
       (** the tenant's circuit breaker has this approach disabled *)
   | R_pong of { id : int }

@@ -11,9 +11,14 @@
       a full queue yields an immediate typed [overloaded] reply and the
       request is {e not} accepted.  Nothing ever queues without bound,
       and an accepted request is never dropped.
-    - {b Worker pool}: [workers] domains pop jobs and run them through
-      per-tenant {!Mi_bench_kit.Harness.t} sessions that all share one
-      content-addressed instrumentation cache.
+    - {b Worker pool}: [workers] domains pop jobs and run each one in
+      its own one-job {!Mi_bench_kit.Harness.t} session over the one
+      shared content-addressed instrumentation cache.  The session lives
+      as long as the request: it carries the request's deadline, holds
+      at most its one failure, and is dropped with its metrics and trace
+      once the reply is posted, so the daemon's memory does not grow
+      with the requests it has served.  Requests of one tenant run
+      concurrently like any others.
     - {b Supervisor}: an injected worker crash ([--inject crash=SUBSTR])
       kills the worker domain for real — the job is requeued at the
       front first, the event loop reaps the dead domain, restarts the
@@ -21,13 +26,14 @@
     - {b Degraded modes}: a corrupted cache entry is quarantined and
       recomputed by the cache itself; a tenant approach that keeps
       failing trips a circuit breaker and answers [degraded] while every
-      other approach keeps serving.
+      other approach keeps serving.  A tenant is nothing but its
+      breakers: one consecutive-failure count per (tenant, approach).
 
     Determinism: per-request results are {!Proto.run_to_json} documents,
-    byte-identical to the batch harness on the same job.  Tenant
-    sessions aggregate observability in completion order, but every
-    merge ({!Mi_obs}) is commutative and associative, so final counter
-    values are schedule-independent; only trace event order is not. *)
+    byte-identical to the batch harness on the same job, whatever the
+    schedule: a request's session shares nothing with other requests but
+    the cache, whose entries are the same bytes however often they are
+    computed. *)
 
 module Harness = Mi_bench_kit.Harness
 module Icache = Mi_bench_kit.Icache
@@ -45,11 +51,14 @@ type cfg = {
       (** chaos plan: [crash=]/[hang=] clauses fire in server workers
           (matched against ["tenant/<setup_key>/<bench>"]),
           [corrupt-cache=] is applied to the shared cache at startup,
-          and check/VM clauses flow into every tenant session *)
-  job_timeout : float option;  (** default per-request budget, seconds *)
-  retries : int;  (** harness-level retries inside tenant sessions *)
+          and check/VM clauses flow into every request's session *)
+  job_timeout : float option;
+      (** per-request budget in seconds when a request names none *)
+  retries : int;  (** harness-level retries inside a request's session *)
   retry_backoff_ms : int;
-  trip : int;  (** consecutive failures that trip a tenant's breaker *)
+  trip : int;
+      (** consecutive crashes (compile failures included) that trip a
+          tenant's approach *)
   verbose : bool;
 }
 
@@ -93,18 +102,42 @@ type job = {
   mutable j_crashes : int;  (* injected worker crashes already suffered *)
 }
 
-type tenant = {
-  tn_h : Harness.t;
-  tn_lock : Mutex.t;  (* serializes runs (and set_job_timeout) *)
-  tn_breaker : (string, int) Hashtbl.t;  (* approach -> consecutive fails *)
-  tn_disabled : (string, string) Hashtbl.t;  (* approach -> reason *)
-}
+(** Request latencies in ms, admission to reply: a fixed window of the
+    latest samples plus the total count and the running max, so the
+    record does not grow with the requests served.  Percentiles are
+    exact while at most [window] requests have been served. *)
+module Latency = struct
+  type t = { ring : float array; mutable count : int; mutable max : float }
+
+  let window = 4096
+  let create () = { ring = Array.make window 0.; count = 0; max = 0. }
+
+  let add l ms =
+    l.ring.(l.count mod Array.length l.ring) <- ms;
+    l.count <- l.count + 1;
+    if ms > l.max then l.max <- ms
+
+  (** The samples in the window, sorted ascending (a copy). *)
+  let sorted l =
+    let a = Array.sub l.ring 0 (min l.count (Array.length l.ring)) in
+    Array.sort compare a;
+    a
+
+  (** Nearest-rank-below [p]-quantile of an ascending array; 0 when
+      empty. *)
+  let percentile sorted p =
+    match Array.length sorted with
+    | 0 -> 0.
+    | n -> sorted.(Float.to_int (Float.of_int (n - 1) *. p))
+end
 
 type t = {
   cfg : cfg;
   cache : Icache.t;
-  tenants : (string, tenant) Hashtbl.t;
-  tenants_lock : Mutex.t;
+  tenants : (string, unit) Hashtbl.t;  (* names admitted, for [stats] *)
+  breakers : (string * string, int) Hashtbl.t;
+      (* (tenant, approach) -> consecutive crashes; open at [cfg.trip] *)
+  tenants_lock : Mutex.t;  (* guards [tenants] and [breakers] *)
   q : job Queue.t;
   mutable requeued : job list;  (* crash-requeued: served first, no cap *)
   q_lock : Mutex.t;
@@ -122,7 +155,7 @@ type t = {
   degraded : int Atomic.t;
   restarts : int Atomic.t;
   lat_lock : Mutex.t;
-  mutable latencies : float list;  (* ms, admission to reply *)
+  latencies : Latency.t;
 }
 
 let job_desc (job : job) =
@@ -185,108 +218,75 @@ let post_reply t (job : job) reply =
   t.outbox <- (job.j_conn, frame) :: t.outbox;
   Mutex.unlock t.out_lock;
   let ms = (Mclock.now () -. job.j_admitted) *. 1000. in
-  Mutex.lock t.lat_lock;
-  t.latencies <- ms :: t.latencies;
-  Mutex.unlock t.lat_lock
+  Mutex.protect t.lat_lock (fun () -> Latency.add t.latencies ms)
 
-let get_tenant t name =
-  Mutex.lock t.tenants_lock;
-  let tn =
-    match Hashtbl.find_opt t.tenants name with
-    | Some tn -> tn
-    | None ->
-        (* job chaos is the server's business and the cache was
-           corrupted once at startup — tenant sessions get the plan
-           minus both, over the shared cache *)
-        let faults = { t.cfg.faults with Fault.jobs = []; cache = None } in
-        let h =
-          Harness.create ~jobs:1 ~cache:t.cache ~faults
-            ?job_timeout:t.cfg.job_timeout ~retries:t.cfg.retries
-            ~retry_backoff_ms:t.cfg.retry_backoff_ms ()
-        in
-        let tn =
-          {
-            tn_h = h;
-            tn_lock = Mutex.create ();
-            tn_breaker = Hashtbl.create 7;
-            tn_disabled = Hashtbl.create 7;
-          }
-        in
-        Hashtbl.replace t.tenants name tn;
-        tn
-  in
-  Mutex.unlock t.tenants_lock;
-  tn
+(* consecutive crashes of a (tenant, approach); [cfg.trip] opens it *)
+let breaker t key =
+  Mutex.protect t.tenants_lock (fun () ->
+      Option.value ~default:0 (Hashtbl.find_opt t.breakers key))
 
-let failure_kind_name = function
-  | Harness.Crash -> "crash"
-  | Harness.Timeout -> "timeout"
-  | Harness.Injected -> "injected"
-
-(* the failure the run just recorded, if any (compile/link errors yield
-   an [Error] without a job_failure entry) *)
-let fresh_failure h ~before =
-  let fs = Harness.failures h in
-  if List.length fs > before then
-    match List.rev fs with f :: _ -> Some f | [] -> None
-  else None
+(* a crash counts towards the trip, a success resets the count; an open
+   breaker stays open.  Requests of one tenant run concurrently and are
+   checked against the breaker when they start but settle when they
+   finish, so "consecutive" is in completion order: a request that
+   passed the check before the trip still runs and is answered, and a
+   success finishing between two crashes resets the count even if it
+   started after them. *)
+let settle t key ~crashed =
+  Mutex.protect t.tenants_lock (fun () ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt t.breakers key) in
+      if n < t.cfg.trip then
+        if crashed then Hashtbl.replace t.breakers key (n + 1)
+        else Hashtbl.remove t.breakers key)
 
 let execute t (job : job) : Proto.reply =
-  let tn = get_tenant t job.j_tenant in
-  let approach =
+  let key =
     Option.map
-      (fun c -> c.Mi_core.Config.approach)
+      (fun c -> (job.j_tenant, c.Mi_core.Config.approach))
       job.j_setup.Harness.config
   in
-  Mutex.lock tn.tn_lock;
-  let reply =
-    match approach with
-    | Some a when Hashtbl.mem tn.tn_disabled a ->
-        Atomic.incr t.degraded;
-        Proto.R_degraded
-          { id = job.j_id; approach = a; reason = Hashtbl.find tn.tn_disabled a }
-    | _ -> (
-        Harness.set_job_timeout tn.tn_h (effective_timeout t job);
-        let before = List.length (Harness.failures tn.tn_h) in
-        match Harness.run tn.tn_h job.j_setup job.j_bench with
-        | Ok r ->
-            Option.iter (fun a -> Hashtbl.remove tn.tn_breaker a) approach;
-            Atomic.incr t.completed;
-            Proto.R_ok { id = job.j_id; result = Proto.run_to_json r }
-        | Error e ->
-            Atomic.incr t.failed;
-            let kind, retries =
-              match fresh_failure tn.tn_h ~before with
-              | Some jf ->
-                  (failure_kind_name jf.Harness.jf_kind, jf.Harness.jf_retries)
-              | None -> ("error", 0)
-            in
-            (* breaker: only genuine crashes and compile failures count —
-               timeouts and injected chaos are not the checker's fault *)
-            (match (approach, kind) with
-            | Some a, ("crash" | "error") ->
-                let n =
-                  (match Hashtbl.find_opt tn.tn_breaker a with
-                  | Some n -> n
-                  | None -> 0)
-                  + 1
-                in
-                Hashtbl.replace tn.tn_breaker a n;
-                if n >= t.cfg.trip then
-                  Hashtbl.replace tn.tn_disabled a
-                    (Printf.sprintf
-                       "approach disabled for this tenant after %d \
-                        consecutive failures"
-                       n)
-            | _ -> ());
-            Proto.R_failed
-              { id = job.j_id; kind; reason = e.Harness.reason; retries })
-  in
-  (* nothing reads a tenant's spans: drop the request's, so the daemon's
-     memory does not grow with the requests it has served *)
-  Mi_obs.Trace.clear (Harness.obs tn.tn_h).Mi_obs.Obs.trace;
-  Mutex.unlock tn.tn_lock;
-  reply
+  match key with
+  | Some ((_, a) as k) when breaker t k >= t.cfg.trip ->
+      Atomic.incr t.degraded;
+      Proto.R_degraded
+        {
+          id = job.j_id;
+          approach = a;
+          reason =
+            Printf.sprintf
+              "approach disabled for this tenant after %d consecutive \
+               failures"
+              t.cfg.trip;
+        }
+  | _ -> (
+      (* job chaos is the server's business and the cache was corrupted
+         once at startup: the session gets the plan minus both *)
+      let faults = { t.cfg.faults with Fault.jobs = []; cache = None } in
+      let h =
+        Harness.create ~jobs:1 ~cache:t.cache ~faults
+          ?job_timeout:(effective_timeout t job) ~retries:t.cfg.retries
+          ~retry_backoff_ms:t.cfg.retry_backoff_ms ()
+      in
+      match Harness.run h job.j_setup job.j_bench with
+      | Ok r ->
+          Option.iter (settle t ~crashed:false) key;
+          Atomic.incr t.completed;
+          Proto.R_ok { id = job.j_id; result = Proto.run_to_json r }
+      | Error _ ->
+          Atomic.incr t.failed;
+          (* a one-job session records exactly the failure of its [Error] *)
+          let jf = List.hd (Harness.failures h) in
+          (* breaker: only crashes (compile failures among them) count —
+             timeouts and injected chaos are not the checker's fault *)
+          if jf.Harness.jf_kind = Harness.Crash then
+            Option.iter (settle t ~crashed:true) key;
+          Proto.R_failed
+            {
+              id = job.j_id;
+              kind = Harness.kind_name jf.Harness.jf_kind;
+              reason = jf.Harness.jf_reason;
+              retries = jf.Harness.jf_retries;
+            })
 
 let rec worker_loop t slot =
   match take_job t with
@@ -360,32 +360,19 @@ let rec worker_loop t slot =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.
-  | n ->
-      let idx = Float.to_int (Float.of_int (n - 1) *. p) in
-      sorted.(idx)
-
 let stats_json t =
   let cs = Icache.stats t.cache in
-  Mutex.lock t.lat_lock;
-  let lats = Array.of_list t.latencies in
-  Mutex.unlock t.lat_lock;
-  Array.sort compare lats;
+  let count, max_ms, lats =
+    Mutex.protect t.lat_lock (fun () ->
+        let l = t.latencies in
+        (l.Latency.count, l.Latency.max, Latency.sorted l))
+  in
   Mutex.lock t.q_lock;
   let depth = queue_depth_unlocked t in
   Mutex.unlock t.q_lock;
-  Mutex.lock t.tenants_lock;
-  let tenants = Hashtbl.length t.tenants in
-  (* read without the tenants' locks: a count, not a snapshot *)
-  let trace_events =
-    Hashtbl.fold
-      (fun _ tn n ->
-        n + Mi_obs.Trace.event_count (Harness.obs tn.tn_h).Mi_obs.Obs.trace)
-      t.tenants 0
+  let tenants =
+    Mutex.protect t.tenants_lock (fun () -> Hashtbl.length t.tenants)
   in
-  Mutex.unlock t.tenants_lock;
   Json.Obj
     [
       ("accepted", Json.Int (Atomic.get t.accepted));
@@ -399,7 +386,6 @@ let stats_json t =
       ("workers", Json.Int t.cfg.workers);
       ("queue_cap", Json.Int t.cfg.queue_cap);
       ("tenants", Json.Int tenants);
-      ("trace_events", Json.Int trace_events);
       ( "cache",
         Json.Obj
           [
@@ -410,13 +396,10 @@ let stats_json t =
       ( "latency_ms",
         Json.Obj
           [
-            ("count", Json.Int (Array.length lats));
-            ("p50", Json.Float (percentile lats 0.5));
-            ("p99", Json.Float (percentile lats 0.99));
-            ( "max",
-              Json.Float
-                (if Array.length lats = 0 then 0.
-                 else lats.(Array.length lats - 1)) );
+            ("count", Json.Int count);
+            ("p50", Json.Float (Latency.percentile lats 0.5));
+            ("p99", Json.Float (Latency.percentile lats 0.99));
+            ("max", Json.Float max_ms);
           ] );
     ]
 
@@ -453,6 +436,7 @@ let run (cfg : cfg) : final =
       cfg;
       cache;
       tenants = Hashtbl.create 16;
+      breakers = Hashtbl.create 16;
       tenants_lock = Mutex.create ();
       q = Queue.create ();
       requeued = [];
@@ -471,7 +455,7 @@ let run (cfg : cfg) : final =
       degraded = Atomic.make 0;
       restarts = Atomic.make 0;
       lat_lock = Mutex.create ();
-      latencies = [];
+      latencies = Latency.create ();
     }
   in
   let handles =
@@ -523,7 +507,9 @@ let run (cfg : cfg) : final =
               t.q;
             Atomic.incr t.accepted;
             Condition.signal t.q_cond;
-            Mutex.unlock t.q_lock
+            Mutex.unlock t.q_lock;
+            Mutex.protect t.tenants_lock (fun () ->
+                Hashtbl.replace t.tenants tenant ())
           end
         end
   in

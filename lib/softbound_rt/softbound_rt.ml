@@ -184,11 +184,12 @@ let check t ~site ptr width ~base ~bound =
 
 (* --- wrappers (Fig. 6) -------------------------------------------------- *)
 
-(* The wrappers call the original builtin and then fix up metadata.  Checks
-   inside wrappers are disabled by default for runtime comparability
-   (§5.1.2); [wrapper_checks] turns them on. *)
+(* The wrappers call the original builtin and then fix up metadata.
+   Checks inside wrappers are the instrumenter's business
+   ([Config.sb_wrapper_checks], off by default for runtime comparability,
+   §5.1.2); the runtime wrappers never check. *)
 
-let install_wrappers ?(wrapper_checks = false) (t : t) =
+let install_wrappers (t : t) =
   let st = t.st in
   let orig name = Option.get (State.find_builtin st name) in
   let wrap name fixup =
@@ -198,7 +199,6 @@ let install_wrappers ?(wrapper_checks = false) (t : t) =
         fixup st args r;
         r)
   in
-  ignore wrapper_checks;
   (* strcpy/strncpy/strcat move bytes that cannot contain pointers in
      well-typed C, but the returned pointer's bounds must go to the shadow
      stack return slot, which the instrumented caller reads. *)
@@ -232,7 +232,7 @@ let install_wrappers ?(wrapper_checks = false) (t : t) =
 
 (* --- installation ------------------------------------------------------- *)
 
-let install ?(wrapper_checks = false) (st : State.t) : t =
+let install (st : State.t) : t =
   let t =
     {
       st;
@@ -270,5 +270,5 @@ let install ?(wrapper_checks = false) (st : State.t) : t =
   reg Intr.ss_set_bound (State.F2 (fun _ slot v -> ss_set_bound t slot v));
   reg Intr.ss_get_base (State.FR1 (fun _ slot -> ss_get_base t slot));
   reg Intr.ss_get_bound (State.FR1 (fun _ slot -> ss_get_bound t slot));
-  install_wrappers ~wrapper_checks t;
+  install_wrappers t;
   t

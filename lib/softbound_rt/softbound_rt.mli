@@ -48,11 +48,6 @@ val check : t -> site:int -> int -> int -> base:int -> bound:int -> unit
 
 (** {1 Installation} *)
 
-val install : ?wrapper_checks:bool -> State.t -> t
+val install : State.t -> t
 (** Register the [__mi_sb_*]/[__mi_ss_*] builtins and the libc wrappers
-    ([__sbw_strcpy], [__sbw_realloc], ...).  [wrapper_checks] enables the
-    safety checks inside wrappers that the paper disables for runtime
-    comparability (§5.1.2). *)
-
-val install_wrappers : ?wrapper_checks:bool -> t -> unit
-(** Exposed for testing; [install] calls it. *)
+    ([__sbw_strcpy], [__sbw_realloc], ...). *)

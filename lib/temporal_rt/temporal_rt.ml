@@ -189,7 +189,7 @@ let tp_free t st addr =
 
 (* --- installation ------------------------------------------------------- *)
 
-let install ?(stack_protection = true) (st : State.t) : t =
+let install (st : State.t) : t =
   let t =
     {
       st;
@@ -232,37 +232,35 @@ let install ?(stack_protection = true) (st : State.t) : t =
   reg Intr.tp_ss_leave (State.F0 (fun _ -> ss_leave t));
   reg Intr.tp_ss_set (State.F2 (fun _ slot v -> ss_set t slot v));
   reg Intr.tp_ss_get (State.FR1 (fun _ slot -> ss_get t slot));
-  if stack_protection then begin
-    (* keyed stack variables: instrumented allocas move to the heap
-       allocator (which keys them) and die at frame exit, making
-       dangling-stack-reference dereferences detectable *)
-    let alloca_impl st sz =
-      let a = tp_malloc t st sz in
+  (* keyed stack variables: instrumented allocas move to the heap
+     allocator (which keys them) and die at frame exit, making
+     dangling-stack-reference dereferences detectable *)
+  let alloca_impl st sz =
+    let a = tp_malloc t st sz in
+    (match t.frames with
+    | f :: rest -> t.frames <- (a :: f) :: rest
+    | [] -> t.frames <- [ [ a ] ]);
+    a
+  in
+  reg Intr.tp_alloca (State.FR1 alloca_impl);
+  st.frame_enter_hook <-
+    (fun st ->
+      t.saved_frame_enter st;
+      t.frames <- [] :: t.frames);
+  st.frame_exit_hook <-
+    (fun st ->
       (match t.frames with
-      | f :: rest -> t.frames <- (a :: f) :: rest
-      | [] -> t.frames <- [ [ a ] ]);
-      a
-    in
-    reg Intr.tp_alloca (State.FR1 alloca_impl);
-    st.frame_enter_hook <-
-      (fun st ->
-        t.saved_frame_enter st;
-        t.frames <- [] :: t.frames);
-    st.frame_exit_hook <-
-      (fun st ->
-        (match t.frames with
-        | f :: rest ->
-            (* tolerate an explicit free of a keyed stack object: only
-               still-live allocations are killed and released *)
-            List.iter
-              (fun a ->
-                if kill t a then begin
-                  State.bump t.st "tp.frees";
-                  t.saved_free st a
-                end)
-              f;
-            t.frames <- rest
-        | [] -> ());
-        t.saved_frame_exit st)
-  end;
+      | f :: rest ->
+          (* tolerate an explicit free of a keyed stack object: only
+             still-live allocations are killed and released *)
+          List.iter
+            (fun a ->
+              if kill t a then begin
+                State.bump t.st "tp.frees";
+                t.saved_free st a
+              end)
+            f;
+          t.frames <- rest
+      | [] -> ());
+      t.saved_frame_exit st);
   t

@@ -54,9 +54,8 @@ val check : t -> site:int -> int -> int -> unit
 
 (** {1 Installation} *)
 
-val install : ?stack_protection:bool -> State.t -> t
+val install : State.t -> t
 (** Attach the runtime: chain the allocator hooks (fresh key per
     allocation; the free hook kills keys and reports double/invalid
-    frees), register the [__mi_tp_*] intrinsics,
-    and — with [stack_protection] — the keyed [__mi_tp_alloca] whose
-    allocations die at frame exit. *)
+    frees) and register the [__mi_tp_*] intrinsics, among them the
+    keyed [__mi_tp_alloca] whose allocations die at frame exit. *)

@@ -20,7 +20,8 @@ let exits =
     ("probe-entry", 2); ("probe-replay", 2); ("probe-no-corpus", 0);
     ("prof-j4", 0); ("prof-j1", 0); ("profile-diff", 0); ("flame", 0);
     ("drive-crash", 0); ("drive-crash-daemon", 0); ("drive-corrupt", 0);
-    ("drive-corrupt-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
+    ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);
+    ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
     ("checkelim-j1", 0); ("soak", 0); ("replay-j4", 0); ("replay-j1", 0);
     ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0);
   ]
@@ -170,6 +171,7 @@ let passing =
     ("flame.txt", "benchmark:470lbm;execute 3\n");
     ("drive-crash.txt", drive 200 "restarts=4 cache-corrupt=0");
     ("drive-corrupt.txt", drive 40 "restarts=0 cache-corrupt=40");
+    ("drive-one-tenant.txt", drive 40 "restarts=0 cache-corrupt=0");
     ( "mutation-opt.json",
       reports
         [
@@ -244,7 +246,7 @@ let both run content =
 
 let test_all_pass () =
   let code, verdicts = gate [] in
-  Alcotest.(check int) "row count" 26 (List.length verdicts);
+  Alcotest.(check int) "row count" 27 (List.length verdicts);
   List.iter (fun (_, (v, line)) -> Alcotest.(check string) line "PASS" v) verdicts;
   Alcotest.(check int) "exit status" 0 code
 
@@ -302,6 +304,14 @@ let () =
                    Some
                      "drive: jobs=200 ok=200 failed=0 degraded=0 errors=0 \
                       dropped=1 mismatches=0\nserver: restarts=4\n" );
+               ]);
+          Alcotest.test_case "fields: one-tenant reply mismatched" `Quick
+            (fails "serve-one-tenant"
+               [
+                 ( "drive-one-tenant.txt",
+                   Some
+                     "drive: jobs=40 ok=40 failed=0 degraded=0 errors=0 \
+                      dropped=0 mismatches=1\nserver: restarts=0\n" );
                ]);
           Alcotest.test_case "fields: a chaos run exited 0" `Quick
             (fails "exits"

@@ -268,7 +268,7 @@ int main(void) {
 
 let run_once setup =
   let obs = Obs.create () in
-  let r = Harness.run_benchmark ~obs setup (bench_for_determinism ()) in
+  let r = Harness.run_sources ~obs setup (bench_for_determinism ()).sources in
   (r, obs)
 
 let test_metrics_deterministic () =

@@ -1,7 +1,8 @@
 (* mi-serve daemon: protocol round trips, batch-harness byte-identity,
    bounded-queue backpressure, supervisor restarts after injected worker
-   crashes, per-tenant circuit breaking, and the clean-drain shutdown
-   invariant (accepted = answered). *)
+   crashes, request-scoped deadlines, per-tenant circuit breaking, the
+   fixed-window latency record, and the clean-drain shutdown invariant
+   (accepted = answered). *)
 
 module Server = Mi_server.Server
 module Proto = Mi_server.Proto
@@ -125,12 +126,26 @@ let test_run_matches_batch () =
   Alcotest.(check int) "one accepted" 1 fin.Server.f_accepted;
   Alcotest.(check int) "one completed" 1 fin.Server.f_completed
 
-(* {1 Bounded daemon memory: tenant sessions keep no spans} *)
+(* the batch harness's result for every [(id, _, setup, bench)] request,
+   against the server's replies in the same order *)
+let check_against_batch reqs replies =
+  let h = Harness.create ~jobs:1 () in
+  List.iter2
+    (fun (id, _, setup, bench) reply ->
+      match Harness.run h setup bench with
+      | Ok r ->
+          Alcotest.(check string)
+            (Printf.sprintf "reply %d = batch result" id)
+            (Json.to_string (Proto.run_to_json r))
+            reply
+      | Error e -> Alcotest.failf "batch run failed: %s" e.Harness.reason)
+    reqs replies
 
-(* A tenant session's trace is read by nobody, so each request's spans
-   are dropped once it is answered: after a run of requests (compiles
-   and cache hits, two tenants, two approaches) the sessions hold no
-   trace events, and every reply is still the batch harness's result. *)
+(* {1 Request-scoped sessions: replies do not depend on what ran before} *)
+
+(* Compiles and cache hits, two tenants, two approaches, one after the
+   other: every reply is still the batch harness's result, and [stats]
+   counts the two tenant names. *)
 let test_tenant_trace_bounded () =
   let reqs =
     List.mapi
@@ -141,7 +156,7 @@ let test_tenant_trace_bounded () =
         ("t1", "softbound", 1); ("t1", "lowfat", 3); ("t0", "softbound", 4);
       ]
   in
-  let (replies, events), _fin =
+  let (replies, tenants), _fin =
     with_server (fun fd ->
         let replies =
           List.map
@@ -156,23 +171,46 @@ let test_tenant_trace_bounded () =
         send fd (Proto.Stats { id = 100 });
         match recv fd with
         | Proto.R_stats { id = 100; stats } -> (
-            match Json.member "trace_events" stats with
+            match Json.member "tenants" stats with
             | Some (Json.Int n) -> (replies, n)
-            | _ -> Alcotest.fail "stats lacks trace_events")
+            | _ -> Alcotest.fail "stats lacks tenants")
         | _ -> Alcotest.fail "expected stats")
   in
-  Alcotest.(check int) "tenant traces empty" 0 events;
-  let h = Harness.create ~jobs:1 () in
-  List.iter2
-    (fun (id, _, setup, bench) reply ->
-      match Harness.run h setup bench with
-      | Ok r ->
-          Alcotest.(check string)
-            (Printf.sprintf "reply %d = batch result" id)
-            (Json.to_string (Proto.run_to_json r))
-            reply
-      | Error e -> Alcotest.failf "batch run failed: %s" e.Harness.reason)
-    reqs replies
+  Alcotest.(check int) "two tenants admitted" 2 tenants;
+  check_against_batch reqs replies
+
+(* Requests of one tenant run concurrently (no per-tenant lock): with
+   two workers and everything pipelined, every reply is still the batch
+   harness's result. *)
+let test_one_tenant_two_workers () =
+  let reqs =
+    List.mapi
+      (fun i (approach, value) ->
+        (i + 1, "t0", Corpus.setup approach, tiny_bench "shared" value))
+      [
+        ("softbound", 1); ("lowfat", 1); ("temporal", 1); ("softbound", 2);
+        ("softbound", 1); ("lowfat", 3); ("temporal", 2); ("lowfat", 1);
+      ]
+  in
+  let configure c = { c with Server.workers = 2 } in
+  let replies, fin =
+    with_server ~configure (fun fd ->
+        List.iter
+          (fun (id, tenant, setup, bench) ->
+            send fd (run_req ~id ~tenant setup bench))
+          reqs;
+        let got = Hashtbl.create 8 in
+        while Hashtbl.length got < List.length reqs do
+          match recv fd with
+          | Proto.R_ok { id; result } ->
+              Hashtbl.replace got id (Json.to_string result)
+          | _ -> Alcotest.fail "expected ok replies"
+        done;
+        List.map (fun (id, _, _, _) -> Hashtbl.find got id) reqs)
+  in
+  Alcotest.(check int) "all completed" (List.length reqs)
+    fin.Server.f_completed;
+  check_against_batch reqs replies
 
 (* {1 Backpressure: bounded queue, typed overload, no drops} *)
 
@@ -276,6 +314,39 @@ let test_request_deadline () =
   in
   ()
 
+(* A request's own deadline lives and dies with its session: after a
+   request of a tenant times out under a tiny [timeout_ms], the same
+   program from the same tenant without one runs to completion under
+   the daemon default. *)
+let test_timeout_does_not_leak () =
+  let setup = Corpus.setup "softbound" in
+  let long_loop =
+    Bench.mk ~suite:Bench.CPU2000 ~descr:"a few million steps" "longloop"
+      [
+        Bench.src "m"
+          "int main(void) { long a[4]; long i; a[0] = 0; for (i = 0; i < \
+           300000; i = i + 1) { a[i % 4] = a[i % 4] + i; } print_int(a[0]); \
+           return 0; }";
+      ]
+  in
+  let configure c = { c with Server.job_timeout = Some 60. } in
+  let (), fin =
+    with_server ~configure (fun fd ->
+        send fd (run_req ~id:1 ~timeout_ms:1 setup long_loop);
+        (match recv fd with
+        | Proto.R_failed { id = 1; kind = "timeout"; _ } -> ()
+        | Proto.R_failed { kind; reason; _ } ->
+            Alcotest.failf "expected timeout, got %s: %s" kind reason
+        | _ -> Alcotest.fail "expected a failed reply");
+        send fd (run_req ~id:2 setup long_loop);
+        match recv fd with
+        | Proto.R_ok { id = 2; _ } -> ()
+        | Proto.R_failed { kind; reason; _ } ->
+            Alcotest.failf "second request failed (%s): %s" kind reason
+        | _ -> Alcotest.fail "expected the second request to succeed")
+  in
+  Alcotest.(check int) "one failed, one completed" 1 fin.Server.f_completed
+
 (* {1 Circuit breaker: degraded per (tenant, approach), others serve} *)
 
 let test_breaker_degrades_per_tenant_approach () =
@@ -312,6 +383,82 @@ let test_breaker_degrades_per_tenant_approach () =
     fin.Server.f_accepted
     (fin.Server.f_completed + fin.Server.f_failed + fin.Server.f_degraded)
 
+(* With two workers, requests of one (tenant, approach) run at once and
+   settle in completion order.  When all of them crash the order does
+   not matter: each reply is a crash or, once the breaker has tripped,
+   degraded; at least [trip] of them ran; and the breaker ends open. *)
+let test_breaker_two_workers () =
+  let sb = Corpus.setup "softbound" in
+  let lf = Corpus.setup "lowfat" in
+  let fine = tiny_bench "fine" 3 in
+  let configure c = { c with Server.workers = 2; trip = 2 } in
+  let n = 4 in
+  let crashed, fin =
+    with_server ~configure (fun fd ->
+        for id = 1 to n do
+          send fd (run_req ~id ~tenant:"t0" sb broken)
+        done;
+        let crashed = ref 0 in
+        for _ = 1 to n do
+          match recv fd with
+          | Proto.R_failed { kind = "crash"; _ } -> incr crashed
+          | Proto.R_degraded { approach = "softbound"; _ } -> ()
+          | _ -> Alcotest.fail "expected crash or degraded replies"
+        done;
+        send fd (run_req ~id:(n + 1) ~tenant:"t0" sb fine);
+        (match recv fd with
+        | Proto.R_degraded { id; _ } when id = n + 1 -> ()
+        | _ -> Alcotest.fail "expected softbound@t0 to stay degraded");
+        send fd (run_req ~id:(n + 2) ~tenant:"t0" lf fine);
+        (match recv fd with
+        | Proto.R_ok { id; _ } when id = n + 2 -> ()
+        | _ -> Alcotest.fail "lowfat@t0 should still serve");
+        !crashed)
+  in
+  Alcotest.(check bool) "at least trip crashes ran" true (crashed >= 2);
+  Alcotest.(check int) "failed = crashes" crashed fin.Server.f_failed;
+  Alcotest.(check int) "degraded = the rest" (n + 1 - crashed)
+    fin.Server.f_degraded;
+  Alcotest.(check int) "accounting: accepted = ok + failed + degraded"
+    fin.Server.f_accepted
+    (fin.Server.f_completed + fin.Server.f_failed + fin.Server.f_degraded)
+
+(* {1 Stats: the fixed-window latency record} *)
+
+let test_latency_window () =
+  let module L = Server.Latency in
+  let l = L.create () in
+  Alcotest.(check (float 0.)) "empty p50" 0. (L.percentile (L.sorted l) 0.5);
+  (* below the window the percentiles are those of every sample *)
+  let xs = List.init 1000 (fun i -> Float.of_int ((i * 7919) mod 1000)) in
+  List.iter (L.add l) xs;
+  let all = Array.of_list (List.sort compare xs) in
+  List.iter
+    (fun p ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "p%g exact" (p *. 100.))
+        all.(Float.to_int (999. *. p))
+        (L.percentile (L.sorted l) p))
+    [ 0.; 0.5; 0.99; 1. ];
+  (* past the window the oldest samples fall out; count and max cover
+     every sample *)
+  let l = L.create () in
+  let k = 3 in
+  L.add l 1e6;
+  for i = 1 to L.window + k - 1 do
+    L.add l (Float.of_int i)
+  done;
+  let s = L.sorted l in
+  Alcotest.(check int) "window size" L.window (Array.length s);
+  Alcotest.(check (float 0.)) "oldest gone" (Float.of_int k) s.(0);
+  Alcotest.(check (float 0.))
+    "newest kept" (Float.of_int (L.window + k - 1)) s.(L.window - 1);
+  Alcotest.(check (float 0.)) "p50 of the window"
+    (Float.of_int (k + ((L.window - 1) / 2)))
+    (L.percentile s 0.5);
+  Alcotest.(check int) "count" (L.window + k) l.L.count;
+  Alcotest.(check (float 0.)) "max" 1e6 l.L.max
+
 let () =
   Alcotest.run "server"
     [
@@ -323,6 +470,8 @@ let () =
             test_run_matches_batch;
           Alcotest.test_case "tenant traces bounded, replies unchanged" `Slow
             test_tenant_trace_bounded;
+          Alcotest.test_case "one tenant, two workers" `Slow
+            test_one_tenant_two_workers;
         ] );
       ( "backpressure",
         [
@@ -334,10 +483,17 @@ let () =
           Alcotest.test_case "crash, restart, zero drops" `Slow
             test_crash_restart_zero_drops;
           Alcotest.test_case "per-request deadline" `Slow test_request_deadline;
+          Alcotest.test_case "per-request timeout does not leak" `Slow
+            test_timeout_does_not_leak;
         ] );
       ( "degraded",
         [
           Alcotest.test_case "circuit breaker per tenant+approach" `Slow
             test_breaker_degrades_per_tenant_approach;
+          Alcotest.test_case "breaker with two workers" `Slow
+            test_breaker_two_workers;
         ] );
+      ( "stats",
+        [ Alcotest.test_case "latency window, percentiles" `Quick
+            test_latency_window ] );
     ]
