@@ -96,17 +96,6 @@ let list_experiments () =
     (E.all ());
   0
 
-let list_approaches () =
-  List.iter
-    (fun (c : Mi_core.Checker.t) ->
-      Printf.printf "%-12s %s%s\n" c.Mi_core.Checker.name
-        c.Mi_core.Checker.descr
-        (match c.Mi_core.Checker.aliases with
-        | [] -> ""
-        | al -> Printf.sprintf " (aliases: %s)" (String.concat ", " al)))
-    (Mi_core.Checker.all ());
-  0
-
 (* narrow the registry enumeration — and with it every registry-driven
    experiment matrix — to the selected approaches; unknown names print
    the registry and exit 2 (a lookup miss, not a parse error) *)
@@ -116,23 +105,21 @@ let restrict_approaches = function
       Mi_core.Config.restrict_approaches
         (List.map
            (fun n ->
-             match Mi_core.Config.find_approach n with
-             | Some cfg -> cfg.Mi_core.Config.approach
-             | None ->
-                 Printf.eprintf
-                   "mi-experiments: unknown approach %s; registered \
-                    approaches:\n"
-                   n;
-                 List.iter
-                   (fun k -> Printf.eprintf "  %s\n" k)
-                   (Mi_core.Config.known_approaches ());
+             match Mi_core.Checker.resolve n with
+             | Ok cfg -> cfg.Mi_core.Config.approach
+             | Error msg ->
+                 prerr_string ("mi-experiments: " ^ msg);
                  exit 2)
            names)
 
 let run_experiments names benchmark_names approach_names csv_dir json_path
-    jobs cache_dir all list list_approaches_flag ocli fcli =
+    jobs cache_dir all list list_approaches_flag ocli faults job_timeout
+    retries keep_going =
   if list then list_experiments ()
-  else if list_approaches_flag then list_approaches ()
+  else if list_approaches_flag then begin
+    Mi_core.Checker.print_registry ();
+    0
+  end
   else begin
     restrict_approaches approach_names;
     let benchmarks =
@@ -169,17 +156,20 @@ let run_experiments names benchmark_names approach_names csv_dir json_path
     ignore
       (Mi_obs_cli.load_profile_in ~app:"mi-experiments" ocli
         : Mi_obs.Profile.t option);
+    let cache = Mi_bench_kit.Icache.create ?dir:cache_dir () in
+    (* the plan's cache clause damages the persisted entries once, up
+       front, so the first lookups exercise the detection path *)
+    Option.iter
+      (fun how -> ignore (Mi_bench_kit.Icache.corrupt cache how : int))
+      faults.Mi_faultkit.Fault.cache;
     let h =
-      Harness.create ~jobs ?cache_dir
+      Harness.create ~jobs ~cache
         ~obs:(Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli)
-        ~faults:fcli.Mi_fault_cli.faults
-        ?job_timeout:fcli.Mi_fault_cli.job_timeout
-        ~retries:fcli.Mi_fault_cli.retries
-        ~retry_backoff_ms:fcli.Mi_fault_cli.retry_backoff_ms ()
+        ~faults ?job_timeout ~retries ()
     in
     let reports =
       try
-        E.run_reports ?benchmarks ~keep_going:fcli.Mi_fault_cli.keep_going h
+        E.run_reports ?benchmarks ~keep_going h
           (List.map snd selected)
       with Harness.Benchmark_failed (bench, reason) ->
         Printf.eprintf "mi-experiments: benchmark %s failed: %s\n" bench
@@ -299,7 +289,9 @@ let cmd =
     Term.(
       const run_experiments $ names_arg $ bench_arg $ approach_arg $ csv_arg
       $ json_arg $ jobs_arg $ cache_dir_arg $ all_arg $ list_arg
-      $ list_approaches_arg $ Mi_obs_cli.term $ Mi_fault_cli.term)
+      $ list_approaches_arg $ Mi_obs_cli.term $ Mi_fault_cli.inject_arg
+      $ Mi_fault_cli.job_timeout_arg $ Mi_fault_cli.retries_arg
+      $ Mi_fault_cli.keep_going_arg)
 
 (* the fuzz experiment lives outside mi_bench_kit (the fuzz library
    depends on the bench kit, not vice versa) and registers here *)

@@ -14,14 +14,15 @@
 
     Exit status: 0 when the program runs to completion under every
     selected checker, 1 when any reports a safety violation or traps, 2
-    on usage errors, 3 on resource exhaustion (fuel budget spent —
-    e.g. an infinite loop — or a [--job-timeout] exceeded) without any
-    violation. *)
+    on usage errors and when the program does not compile or link (one
+    [memsafe: FILE: ...] line), 3 on resource exhaustion (fuel budget
+    spent — e.g. an infinite loop — or a [--job-timeout] exceeded)
+    without any violation. *)
 
 open Cmdliner
 module Config = Mi_core.Config
+module Harness = Mi_bench_kit.Harness
 module Usability = Mi_bench_kit.Usability
-module Fault = Mi_faultkit.Fault
 
 let read_file path =
   let ic = open_in_bin path in
@@ -30,7 +31,7 @@ let read_file path =
   close_in ic;
   s
 
-let verdict_string (r : Mi_bench_kit.Harness.run) =
+let verdict_string (r : Harness.run) =
   match r.outcome with
   | Mi_vm.Interp.Exited code -> Printf.sprintf "ran to completion (exit %d)" code
   | Mi_vm.Interp.Safety_violation { checker; reason } ->
@@ -40,16 +41,6 @@ let verdict_string (r : Mi_bench_kit.Harness.run) =
       Printf.sprintf "RESOURCE EXHAUSTION: fuel budget of %d spent \
                       (infinite loop?)" budget
 
-let list_approaches () =
-  List.iter
-    (fun (c : Mi_core.Checker.t) ->
-      Printf.printf "%-12s %s%s\n" c.Mi_core.Checker.name
-        c.Mi_core.Checker.descr
-        (match c.Mi_core.Checker.aliases with
-        | [] -> ""
-        | al -> Printf.sprintf " (aliases: %s)" (String.concat ", " al)))
-    (Mi_core.Checker.all ())
-
 (* resolve the [--approach] selections against the registry; [] means
    every registered approach.  Unknown names print the registry and
    exit 2 — an unknown checker is a lookup miss, not a parse error. *)
@@ -58,25 +49,26 @@ let resolve_approaches = function
   | names ->
       List.map
         (fun n ->
-          match Config.find_approach n with
-          | Some cfg -> cfg.Config.approach
-          | None ->
-              Printf.eprintf
-                "memsafe: unknown approach %s; registered approaches:\n" n;
-              List.iter
-                (fun k -> Printf.eprintf "  %s\n" k)
-                (Config.known_approaches ());
+          match Mi_core.Checker.resolve n with
+          | Ok cfg -> cfg.Config.approach
+          | Error msg ->
+              prerr_string ("memsafe: " ^ msg);
               exit 2)
         names
 
-let run_file ~ocli ~(fcli : Mi_fault_cli.t) ~approaches ~optimize file =
-  let code = read_file file in
-  let sources = [ Mi_bench_kit.Bench.src (Filename.basename file) code ] in
-  (* one observability context across every approach: counters are
-     prefixed (sb./lf./tp.) and sites carry their approach, so the
-     registries compose; the trace then shows each compile+run pipeline *)
+let run_file ~ocli ~faults ~job_timeout ~approaches ~optimize file =
+  let name = Filename.basename file in
+  let bench =
+    Mi_bench_kit.Bench.mk ~suite:Mi_bench_kit.Bench.CPU2006 ~descr:file name
+      [ Mi_bench_kit.Bench.src name (read_file file) ]
+  in
+  (* one session, so one observability context across every approach:
+     counters are prefixed (sb./lf./tp.) and sites carry their approach,
+     so the registries compose; the trace then shows each compile+run
+     pipeline.  The session arms the deadline and types every failure. *)
   let obs = Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli in
   ignore (Mi_obs_cli.load_profile_in ~app:"memsafe" ocli : Mi_obs.Profile.t option);
+  let h = Harness.create ~jobs:1 ~obs ~faults ?job_timeout () in
   let bad = ref false in
   let exhausted = ref false in
   List.iter
@@ -86,15 +78,23 @@ let run_file ~ocli ~(fcli : Mi_fault_cli.t) ~approaches ~optimize file =
       (* the capability veto masks passes a checker declares unsound,
          so requesting everything is safe for every approach *)
       let cfg = if optimize then Config.optimized_full cfg else cfg in
-      let setup =
-        Mi_bench_kit.Harness.with_config cfg Mi_bench_kit.Harness.baseline
-      in
+      let setup = Harness.with_config cfg Harness.baseline in
       let r =
-        Mi_obs.Trace.with_span obs.Mi_obs.Obs.trace ~cat:"memsafe" label
-          (fun () ->
-            Mi_bench_kit.Harness.run_sources ~obs
-              ~faults:fcli.Mi_fault_cli.faults
-              ?budget:fcli.Mi_fault_cli.job_timeout setup sources)
+        match
+          Mi_obs.Trace.with_span obs.Mi_obs.Obs.trace ~cat:"memsafe" label
+            (fun () -> Harness.run h setup bench)
+        with
+        | Ok r -> r
+        | Error e -> (
+            (* a timeout is resource exhaustion; a compile or link
+               error is the program's, like a usage error *)
+            match (List.hd (Harness.failures h)).Harness.jf_kind with
+            | Harness.Timeout ->
+                Printf.eprintf "memsafe: %s\n" e.Harness.reason;
+                exit 3
+            | Harness.Crash | Harness.Injected ->
+                Printf.eprintf "memsafe: %s: %s\n" file e.Harness.reason;
+                exit 2)
       in
       (match r.outcome with
       | Mi_vm.Interp.Exited _ -> ()
@@ -129,9 +129,10 @@ let run_cases ~approaches =
     (Usability.all @ Mi_bench_kit.Excluded.all);
   0
 
-let main file cases approach_names optimize list_approaches_flag ocli fcli =
+let main file cases approach_names optimize list_approaches_flag ocli faults
+    job_timeout =
   if list_approaches_flag then begin
-    list_approaches ();
+    Mi_core.Checker.print_registry ();
     0
   end
   else
@@ -139,11 +140,8 @@ let main file cases approach_names optimize list_approaches_flag ocli fcli =
     if cases then run_cases ~approaches
     else
       match file with
-      | Some f when Sys.file_exists f -> (
-          try run_file ~ocli ~fcli ~approaches ~optimize f
-          with Fault.Job_timeout budget ->
-            Printf.eprintf "memsafe: wall-clock budget exceeded (%gs)\n" budget;
-            3)
+      | Some f when Sys.file_exists f ->
+          run_file ~ocli ~faults ~job_timeout ~approaches ~optimize f
       | Some f ->
           Printf.eprintf "memsafe: no such file %s\n" f;
           2
@@ -189,6 +187,10 @@ let cmd =
        ~exits:
          (Cmd.Exit.info 0 ~doc:"ran to completion under every selected checker"
          :: Cmd.Exit.info 1 ~doc:"a safety violation or VM trap was reported"
+         :: Cmd.Exit.info 2
+              ~doc:
+                "usage error (missing file, unknown approach, bad output \
+                 path), or the program does not compile or link"
          :: Cmd.Exit.info 3
               ~doc:
                 "resource exhaustion: the fuel budget was spent (infinite \
@@ -196,6 +198,7 @@ let cmd =
          :: Cmd.Exit.defaults))
     Term.(
       const main $ file_arg $ cases_arg $ approach_arg $ optimize_arg
-      $ list_approaches_arg $ Mi_obs_cli.term $ Mi_fault_cli.term)
+      $ list_approaches_arg $ Mi_obs_cli.term $ Mi_fault_cli.inject_arg
+      $ Mi_fault_cli.job_timeout_arg)
 
 let () = exit (Cmd.eval' cmd)

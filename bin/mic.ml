@@ -18,28 +18,6 @@ let read_file path =
   close_in ic;
   s
 
-let level_of_string = function
-  | "0" | "O0" -> Some Pipeline.O0
-  | "1" | "O1" -> Some Pipeline.O1
-  | "3" | "O3" -> Some Pipeline.O3
-  | _ -> None
-
-let ep_of_string = function
-  | "ModuleOptimizerEarly" | "early" -> Some Pipeline.ModuleOptimizerEarly
-  | "ScalarOptimizerLate" | "scalar-late" -> Some Pipeline.ScalarOptimizerLate
-  | "VectorizerStart" | "vectorizer-start" -> Some Pipeline.VectorizerStart
-  | _ -> None
-
-let list_approaches () =
-  List.iter
-    (fun (c : Mi_core.Checker.t) ->
-      Printf.printf "%-12s %s%s\n" c.Mi_core.Checker.name
-        c.Mi_core.Checker.descr
-        (match c.Mi_core.Checker.aliases with
-        | [] -> ""
-        | al -> Printf.sprintf " (aliases: %s)" (String.concat ", " al)))
-    (Mi_core.Checker.all ())
-
 (* --check-opt: comma-separated elimination passes layered onto the
    instrumentation config.  The checker's capability flags still veto
    passes it declares unsound (e.g. the temporal checker rejects all
@@ -63,9 +41,9 @@ let apply_check_opt spec (cfg : Config.t) : Config.t =
     (List.map String.trim (String.split_on_char ',' spec))
 
 let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
-    i64_ptrs diagnose list_approaches_flag ocli (fcli : Mi_fault_cli.t) =
+    i64_ptrs diagnose list_approaches_flag ocli faults job_timeout =
   if list_approaches_flag then begin
-    list_approaches ();
+    Mi_core.Checker.print_registry ();
     exit 0
   end;
   let file =
@@ -76,14 +54,14 @@ let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
         exit 2
   in
   let level =
-    match level_of_string level_s with
+    match Pipeline.level_of_name level_s with
     | Some l -> l
     | None ->
         Printf.eprintf "bad -O level %s\n" level_s;
         exit 2
   in
   let ep =
-    match ep_of_string ep_s with
+    match Pipeline.ep_of_name ep_s with
     | Some e -> e
     | None ->
         Printf.eprintf "bad extension point %s\n" ep_s;
@@ -95,13 +73,10 @@ let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
     | s -> (
         (* any registered checker name or alias; unknown names list the
            registry rather than failing as a parse error *)
-        match Config.find_approach s with
-        | Some cfg -> Some cfg
-        | None ->
-            Printf.eprintf "unknown approach %s; registered approaches:\n" s;
-            List.iter
-              (fun n -> Printf.eprintf "  %s\n" n)
-              (Config.known_approaches ());
+        match Mi_core.Checker.resolve s with
+        | Ok cfg -> Some cfg
+        | Error msg ->
+            prerr_string ("mic: " ^ msg);
             exit 2)
   in
   let config =
@@ -135,9 +110,7 @@ let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
   let finish_obs () = Mi_obs_cli.finish ~app:"mic" ocli obs in
   let instrument =
     Option.map
-      (fun cfg m ->
-        ignore
-          (Mi_core.Instrument.run ~obs ~faults:fcli.Mi_fault_cli.faults cfg m))
+      (fun cfg m -> ignore (Mi_core.Instrument.run ~obs ~faults cfg m))
       config
   in
   Pipeline.run ~level ?instrument ~ep ~tracer:obs.Mi_obs.Obs.trace m;
@@ -162,13 +135,13 @@ let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
           Mi_runtimes.Runtimes.install cfg ~modules:[ (m, true) ] st
       | None -> None
     in
-    Mi_vm.Inject.install fcli.Mi_fault_cli.faults st;
+    Mi_vm.Inject.install faults st;
     Option.iter
       (fun budget ->
         Mi_vm.Inject.arm_deadline st
           ~deadline:(Mi_support.Mclock.deadline budget)
           ~budget)
-      fcli.Mi_fault_cli.job_timeout;
+      job_timeout;
     let img = Mi_vm.Interp.load ?alloc_global st [ m ] in
     let res =
       try
@@ -271,6 +244,7 @@ let cmd =
     Term.(
       const run_mic $ file_arg $ level_arg $ instr_arg $ check_opt_arg
       $ ep_arg $ emit_arg $ norun_arg $ i64_arg $ diagnose_arg
-      $ list_approaches_arg $ Mi_obs_cli.term $ Mi_fault_cli.term)
+      $ list_approaches_arg $ Mi_obs_cli.term $ Mi_fault_cli.inject_arg
+      $ Mi_fault_cli.job_timeout_arg)
 
 let () = exit (Cmd.eval' cmd)

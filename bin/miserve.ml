@@ -152,8 +152,8 @@ let shutdown_arg =
         ~doc:"Drive mode: ask the daemon to shut down after the run.")
 
 let main socket drive workers queue cache_dir trip verbose seeds variants
-    conns burst tenants timeout_ms verify_jobs shutdown
-    (fcli : Mi_fault_cli.t) =
+    conns burst tenants timeout_ms verify_jobs shutdown faults job_timeout
+    retries =
   if drive then begin
     let cfg =
       {
@@ -163,7 +163,7 @@ let main socket drive workers queue cache_dir trip verbose seeds variants
         d_conns = max 1 conns;
         d_burst = max 1 burst;
         d_tenants = max 1 tenants;
-        d_faults = fcli.Mi_fault_cli.faults;
+        d_faults = faults;
         d_timeout_ms = timeout_ms;
         d_verify_jobs = max 1 verify_jobs;
         d_shutdown = shutdown;
@@ -172,16 +172,21 @@ let main socket drive workers queue cache_dir trip verbose seeds variants
     if Drive.clean (Drive.run cfg) then 0 else 1
   end
   else begin
+    let cache = Mi_bench_kit.Icache.create ?dir:cache_dir () in
+    (* chaos: damage the persisted entries once, at startup — they are
+       quarantined and recomputed on first access *)
+    Option.iter
+      (fun how -> ignore (Mi_bench_kit.Icache.corrupt cache how : int))
+      faults.Mi_faultkit.Fault.cache;
     let cfg =
       {
         (Server.default_cfg ~socket) with
         Server.workers = max 1 workers;
         queue_cap = max 1 queue;
-        cache_dir;
-        faults = fcli.Mi_fault_cli.faults;
-        job_timeout = fcli.Mi_fault_cli.job_timeout;
-        retries = fcli.Mi_fault_cli.retries;
-        retry_backoff_ms = fcli.Mi_fault_cli.retry_backoff_ms;
+        cache;
+        faults;
+        job_timeout;
+        retries;
         trip = max 1 trip;
         verbose;
       }
@@ -201,6 +206,7 @@ let cmd =
       const main $ socket_arg $ drive_arg $ workers_arg $ queue_arg
       $ cache_dir_arg $ trip_arg $ verbose_arg $ seeds_arg $ variants_arg
       $ conns_arg $ burst_arg $ tenants_arg $ timeout_ms_arg $ verify_jobs_arg
-      $ shutdown_arg $ Mi_fault_cli.term)
+      $ shutdown_arg $ Mi_fault_cli.inject_arg $ Mi_fault_cli.job_timeout_arg
+      $ Mi_fault_cli.retries_arg)
 
 let () = exit (Cmd.eval' cmd)

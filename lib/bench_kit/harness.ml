@@ -53,17 +53,12 @@ let baseline =
 
 let with_config c s = { s with config = Some c }
 
-let level_name = function
-  | Pipeline.O0 -> "O0"
-  | Pipeline.O1 -> "O1"
-  | Pipeline.O3 -> "O3"
-
 (** Canonical setup description: injective over every field, so it
     doubles as a job key. *)
 let setup_key (s : setup) =
   Printf.sprintf "%s/%s/%s/%s/seed=%d%s"
     (match s.config with None -> "base" | Some c -> Config.to_string c)
-    (level_name s.level) (Pipeline.ep_name s.ep)
+    (Pipeline.level_name s.level) (Pipeline.ep_name s.ep)
     (if s.lowering.Mi_minic.Lower.ptr_mem_as_i64 then "i64ptr" else "std")
     s.seed
     (* suffix only in the non-default case, so every pre-existing key
@@ -319,13 +314,10 @@ let execute ?(faults = Fault.none) ?deadline ~obs (setup : setup)
     share one across runs (e.g. to export a trace spanning compile and
     execute, or to accumulate metrics).  This entry point never consults
     a cache — sessions do ({!run}, {!run_jobs}). *)
-let run_sources ?(obs = new_obs ()) ?(faults = Fault.none) ?budget
-    (setup : setup) (sources : Bench.source list) : run =
+let run_sources ?(obs = new_obs ()) ?(faults = Fault.none) (setup : setup)
+    (sources : Bench.source list) : run =
   let modules, stats = compile ~faults ~obs setup sources in
-  let deadline =
-    Option.map (fun b -> (Mi_support.Mclock.deadline b, b)) budget
-  in
-  execute ~faults ?deadline ~obs setup modules ~static_stats:stats
+  execute ~faults ~obs setup modules ~static_stats:stats
 
 (** Normalized execution time (cycles / baseline cycles), the y-axis of
     Figures 9-13. *)
@@ -409,7 +401,6 @@ type t = {
   s_faults : Fault.t;
   s_job_timeout : float option;
   s_retries : int;
-  s_backoff_cap_ms : int;  (** upper bound on one retry backoff sleep *)
   mutable s_failures : job_failure list;  (** newest first; see {!failures} *)
   mutable s_corrupt_seen : int;
       (** cache corruptions already folded into the session metrics *)
@@ -419,20 +410,9 @@ type t = {
 type cache_stats = Icache.stats = { hits : int; misses : int; corrupt : int }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
-let default_backoff_cap_ms = 250
 
-let create ?jobs ?cache_dir ?cache ?obs ?(faults = Fault.none) ?job_timeout
-    ?(retries = 0) ?(retry_backoff_ms = default_backoff_cap_ms) () =
-  let cache =
-    match cache with
-    | Some c -> c  (* shared with other sessions; [cache_dir] ignored *)
-    | None -> Icache.create ?dir:cache_dir ()
-  in
-  (* the fault plan corrupts persisted entries up front, so the first
-     lookups of this session exercise the detection path *)
-  (match faults.Fault.cache with
-  | Some how -> ignore (Icache.corrupt cache how)
-  | None -> ());
+let create ?jobs ?(cache = Icache.create ()) ?obs ?(faults = Fault.none)
+    ?job_timeout ?(retries = 0) () =
   {
     s_obs = (match obs with Some o -> o | None -> new_obs ());
     s_cache = cache;
@@ -441,7 +421,6 @@ let create ?jobs ?cache_dir ?cache ?obs ?(faults = Fault.none) ?job_timeout
     s_faults = faults;
     s_job_timeout = job_timeout;
     s_retries = max 0 retries;
-    s_backoff_cap_ms = max 1 retry_backoff_ms;
     s_failures = [];
     s_corrupt_seen = 0;
     s_memo =
@@ -464,15 +443,15 @@ let memo_size t =
       Hashtbl.length m.stages + Hashtbl.length m.turns)
 
 (* The k-th (0-based) retry backoff in milliseconds: 10ms doubling,
-   clamped to the session cap so a deep retry budget cannot sleep
-   unboundedly (2^k grows past any useful delay within a dozen
-   retries).  Pure, so the session metric can account sleeps exactly
-   without measuring them. *)
-let backoff_ms t k = min t.s_backoff_cap_ms (10 * (1 lsl min k 20))
+   clamped at 250ms so a deep retry budget cannot sleep unboundedly
+   (2^k grows past any useful delay within a dozen retries).  Pure, so
+   the session metric can account sleeps exactly without measuring
+   them. *)
+let backoff_ms k = min 250 (10 * (1 lsl min k 20))
 
 (* total backoff consumed by a job that went through [retries] retries *)
-let backoff_total_ms t retries =
-  let rec go k acc = if k >= retries then acc else go (k + 1) (acc + backoff_ms t k) in
+let backoff_total_ms retries =
+  let rec go k acc = if k >= retries then acc else go (k + 1) (acc + backoff_ms k) in
   go 0 0
 
 let failures t = List.rev t.s_failures
@@ -506,20 +485,6 @@ let failure_manifest t =
         fs;
       Mi_support.Table.render tbl
 
-let failures_to_json t : Mi_obs.Json.t =
-  Mi_obs.Json.List
-    (List.map
-       (fun f ->
-         Mi_obs.Json.Obj
-           [
-             ("setup", Mi_obs.Json.Str f.jf_setup);
-             ("benchmark", Mi_obs.Json.Str f.jf_bench);
-             ("cause", Mi_obs.Json.Str (kind_name f.jf_kind));
-             ("retries", Mi_obs.Json.Int f.jf_retries);
-             ("reason", Mi_obs.Json.Str f.jf_reason);
-           ])
-       (failures t))
-
 (* Everything the compile phase depends on, as cache-key content; the
    seed only affects execution and is deliberately left out. *)
 let compile_key (setup : setup) (sources : Bench.source list) =
@@ -527,7 +492,7 @@ let compile_key (setup : setup) (sources : Bench.source list) =
   Buffer.add_string b
     (match setup.config with None -> "base" | Some c -> Config.to_string c);
   Buffer.add_string b
-    (Printf.sprintf "\n%s/%s\n" (level_name setup.level)
+    (Printf.sprintf "\n%s/%s\n" (Pipeline.level_name setup.level)
        (Pipeline.ep_name setup.ep));
   List.iter
     (fun (s : Bench.source) ->
@@ -684,9 +649,12 @@ let run_cached ?deadline t ~obs (p : plan) (setup : setup) (b : Bench.t) :
     returned runs and the session context are byte-identical no matter
     how many domains ran, or how the scheduler interleaved them. *)
 (* One attempt of one job, on a fresh obs context.  Injected job faults
-   fire first: a crash raises before any work, a hang busy-waits (still
-   honouring the wall-clock deadline) and then runs the job normally.
-   [wid] is the worker index, used only for trace thread labels. *)
+   fire first: a crash raises before any work; a hang stalls, capped at
+   the job's budget.  A hang at least as long as the budget is a
+   timeout, decided from the two numbers rather than from a clock read
+   after the stall; a shorter one runs the job on what is left of its
+   budget.  [wid] is the worker index, used only for trace thread
+   labels. *)
 let attempt_job t ~job_desc ~wid plan (setup : setup) (b : Bench.t) :
     Obs.t * run =
   let deadline =
@@ -696,16 +664,12 @@ let attempt_job t ~job_desc ~wid plan (setup : setup) (b : Bench.t) :
   in
   (match Fault.job_fault_for t.s_faults job_desc with
   | Some (Fault.Crash_job _) -> raise (Fault.Injected_crash job_desc)
-  | Some (Fault.Hang_job (_, dur)) ->
-      let until = Mi_support.Mclock.deadline dur in
-      while not (Mi_support.Mclock.expired until) do
-        (match deadline with
-        | Some (at, budget) ->
-            if Mi_support.Mclock.expired at then
-              raise (Fault.Job_timeout budget)
-        | None -> ());
-        Domain.cpu_relax ()
-      done
+  | Some (Fault.Hang_job (_, secs)) -> (
+      match t.s_job_timeout with
+      | Some budget when secs >= budget ->
+          Mi_support.Mclock.sleep budget;
+          raise (Fault.Job_timeout budget)
+      | _ -> Mi_support.Mclock.sleep secs)
   | None -> ());
   let obs = new_obs ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
   Mi_obs.Trace.set_thread obs.Obs.trace ~tid:(wid + 1)
@@ -715,32 +679,23 @@ let attempt_job t ~job_desc ~wid plan (setup : setup) (b : Bench.t) :
 (* Classify an exception that escaped a job attempt.  Reasons must be
    deterministic (no measured times, no addresses): they feed the
    failure manifest, which is part of the byte-identical output. *)
-let classify_failure ~setup_key:sk ~bench ~retries = function
-  | Fault.Injected_crash what ->
-      {
-        jf_setup = sk;
-        jf_bench = bench;
-        jf_kind = Injected;
-        jf_reason = "injected crash: " ^ what;
-        jf_retries = retries;
-      }
-  | Fault.Job_timeout budget ->
-      {
-        jf_setup = sk;
-        jf_bench = bench;
-        jf_kind = Timeout;
-        jf_reason =
-          Printf.sprintf "wall-clock budget exceeded (%gs)" budget;
-        jf_retries = retries;
-      }
-  | e ->
-      {
-        jf_setup = sk;
-        jf_bench = bench;
-        jf_kind = Crash;
-        jf_reason = Printexc.to_string e;
-        jf_retries = retries;
-      }
+let classify_failure ~setup_key ~bench ~retries e =
+  let kind, reason =
+    match e with
+    | Fault.Injected_crash what -> (Injected, "injected crash: " ^ what)
+    | Fault.Job_timeout budget ->
+        (Timeout, Printf.sprintf "wall-clock budget exceeded (%gs)" budget)
+    | Mi_minic.Lower.Compile_error msg -> (Crash, "compile error: " ^ msg)
+    | Mi_vm.Interp.Link_error msg -> (Crash, "link error: " ^ msg)
+    | e -> (Crash, Printexc.to_string e)
+  in
+  {
+    jf_setup = setup_key;
+    jf_bench = bench;
+    jf_kind = kind;
+    jf_reason = reason;
+    jf_retries = retries;
+  }
 
 let run_jobs t (jobs : (setup * Bench.t) list) :
     (run, error) result list =
@@ -798,7 +753,7 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
                 (* capped exponential backoff (see [backoff_ms]); the
                    slept total is accounted in harness.backoff_ms when
                    the job folds into the session *)
-                Unix.sleepf (Float.of_int (backoff_ms t k) /. 1000.);
+                Unix.sleepf (Float.of_int (backoff_ms k) /. 1000.);
                 attempt (k + 1)
               end
               else
@@ -836,7 +791,7 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
       let account_backoff retries =
         if retries > 0 then
           Mi_obs.Metrics.incr
-            ~by:(backoff_total_ms t retries)
+            ~by:(backoff_total_ms retries)
             t.s_obs.Obs.metrics "harness.backoff_ms"
       in
       match res with

@@ -2,9 +2,9 @@
     through {!t} sessions, cache and parallelize.
 
     The classic per-call entry point {!run_sources} still exists for
-    one-off runs and for sharing a single observability context across
-    heterogeneous work (as [memsafe] does).  Everything
-    at experiment scale goes through a session: [create] one, submit a
+    one-off runs that want no session: no cache, no containment, no
+    deadline.  Everything at experiment scale, and every run whose
+    failure must come back typed, goes through a session: [create] one, submit a
     job matrix with {!run_jobs} (or single jobs with {!run}), and read
     the aggregated observability off {!obs}. *)
 
@@ -98,7 +98,10 @@ val expect_ok : Bench.t -> (run, error) result -> run
     manifest. *)
 
 type failure_kind =
-  | Crash  (** the worker raised (a bug, or an un-typed injected fault) *)
+  | Crash
+      (** the worker raised: a compile or link error (reason
+          ["compile error: ..."] or ["link error: ..."]), a bug, or an
+          un-typed injected fault *)
   | Timeout  (** the per-job wall-clock budget ran out *)
   | Injected  (** an injected crash from the fault plan *)
 
@@ -126,39 +129,39 @@ val default_jobs : unit -> int
 
 val create :
   ?jobs:int ->
-  ?cache_dir:string ->
   ?cache:Icache.t ->
   ?obs:Mi_obs.Obs.t ->
   ?faults:Mi_faultkit.Fault.t ->
   ?job_timeout:float ->
   ?retries:int ->
-  ?retry_backoff_ms:int ->
   unit ->
   t
 (** [jobs] is the worker-pool size (default {!default_jobs}; clamped to
-    at least 1).  [cache_dir] additionally persists the instrumentation
-    cache on disk, giving hits across processes.  [cache] makes the
-    session use an existing instrumentation cache instead of creating
-    its own, so short-lived sessions share compiled modules: the server
-    runs every request in a fresh one-job session over its one
-    content-addressed cache ([cache_dir] is ignored when given; the
-    cache's own directory governs persistence).  [obs]
-    is the session context every run's private context is merged into
-    (a fresh one by default).
+    at least 1).  [cache] is the instrumentation cache the session
+    looks up and fills (default: a fresh in-memory one).  Pass
+    [Icache.create ~dir ()] to persist it on disk, giving hits across
+    processes, or another session's {!cache} so short-lived sessions
+    share compiled modules: the server runs every request in a fresh
+    one-job session over its one content-addressed cache.  [obs] is the
+    session context every run's private context is merged into (a
+    fresh one by default).
 
     [faults] is the fault plan every run of the session suffers: check
     mutations apply during instrumentation (and key the cache, so
     mutants never alias clean entries), VM faults install on every VM,
-    job faults fire in {!run_jobs} workers, and a cache corruption is
-    applied to the persisted cache right here, at session creation.
+    and job faults fire in {!run_jobs} workers: a [crash=] job fails
+    {!failure_kind.Injected}, a [hang=] job stalls, capped at its
+    budget, and fails {!failure_kind.Timeout} when the hang is at
+    least the budget.  The plan's cache clause is not read here: the
+    code that opens a disk cache applies it ({!Icache.corrupt}).
     [job_timeout] is a per-job budget in seconds on the monotonic
     timeline ({!Mi_support.Mclock}), enforced from the VM's poll hook;
     a job over budget fails with {!failure_kind.Timeout}.  [retries]
     (default 0) re-attempts a failed job with exponential backoff
     before recording a failure; each backoff sleep doubles from 10ms
-    and is clamped to [retry_backoff_ms] (default 250), and the total
-    slept is accounted — from the deterministic schedule, not measured
-    — in the session's [harness.backoff_ms] counter. *)
+    and is clamped at 250ms, and the total slept is accounted — from
+    the deterministic schedule, not measured — in the session's
+    [harness.backoff_ms] counter. *)
 
 val obs : t -> Mi_obs.Obs.t
 (** The session context: metrics, check sites and trace events of every
@@ -184,9 +187,6 @@ val failures : t -> job_failure list
 val failure_manifest : t -> string
 (** Deterministic plain-text table of {!failures} (setup, benchmark,
     cause, retries, reason); [""] when nothing failed. *)
-
-val failures_to_json : t -> Mi_obs.Json.t
-(** {!failures} as a JSON list, same fields as the manifest. *)
 
 val run : t -> setup -> Bench.t -> (run, error) result
 (** The session entry point: one cache-aware run.  [Error] means the
@@ -234,14 +234,9 @@ val compile_jobs :
 (** {1 Classic per-call entry points} *)
 
 val run_sources :
-  ?obs:Mi_obs.Obs.t ->
-  ?faults:Mi_faultkit.Fault.t ->
-  ?budget:float ->
-  setup ->
-  Bench.source list ->
-  run
+  ?obs:Mi_obs.Obs.t -> ?faults:Mi_faultkit.Fault.t -> setup -> Bench.source list -> run
 (** Compile the translation units under [setup], link, execute — no
-    session, no cache.  Pass [obs] to share one context across runs.
-    [faults] applies the plan's check mutations and VM faults to this
-    run; [budget] arms a wall-clock deadline (seconds) that raises
-    {!Mi_faultkit.Fault.Job_timeout} when exceeded. *)
+    session, no cache, no containment: compile and link errors raise.
+    Pass [obs] to share one context across runs.  [faults] applies the
+    plan's check mutations and VM faults to this run; its job clauses
+    and deadlines are a session's ({!create}). *)

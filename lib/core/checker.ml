@@ -189,3 +189,21 @@ let find_exn name =
 
 let known_names () = List.map (fun c -> c.name) !registry
 let all () = !registry
+
+let print_registry () =
+  List.iter
+    (fun c ->
+      Printf.printf "%-12s %s%s\n" c.name c.descr
+        (match c.aliases with
+        | [] -> ""
+        | al -> Printf.sprintf " (aliases: %s)" (String.concat ", " al)))
+    !registry
+
+let resolve name =
+  match Config.find_approach name with
+  | Some cfg -> Ok cfg
+  | None ->
+      Error
+        (Printf.sprintf "unknown approach %s; registered approaches:\n%s" name
+           (String.concat ""
+              (List.map (Printf.sprintf "  %s\n") (Config.known_approaches ()))))

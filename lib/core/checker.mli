@@ -108,3 +108,12 @@ val known_names : unit -> string list
 (** Registered checker names, in registration order. *)
 
 val all : unit -> t list
+
+val print_registry : unit -> unit
+(** The [--list-approaches] output of every command: one line per
+    registered checker on stdout (name, description, aliases). *)
+
+val resolve : string -> (Config.t, string) result
+(** {!Config.find_approach}, or the message every command prints (after
+    its own name) before exiting 2 on an unregistered approach: the name
+    and the registered approaches, one per line. *)

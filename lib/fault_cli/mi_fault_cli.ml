@@ -1,37 +1,21 @@
-(** Shared fault-injection and fault-tolerance command line.
+(** Shared fault-injection and fault-tolerance options.
 
-    Every driver (mic, memsafe, mi-experiments) accepts the same four
-    options through this one {!term}:
+    Each command takes only the options it honours:
 
     - [--inject SPEC] parses a {!Mi_faultkit.Fault.t} plan (see the
-      spec grammar in {!Mi_faultkit.Fault.parse});
-    - [--job-timeout SECONDS] arms a per-job wall-clock budget;
-    - [--retries N] re-attempts failed jobs with exponential backoff;
-    - [--retry-backoff-ms MS] caps one backoff sleep (default 250);
+      spec grammar in {!Mi_faultkit.Fault.parse}); every command;
+    - [--job-timeout SECONDS] arms a per-job wall-clock budget; every
+      command but mifuzz;
+    - [--retries N] re-attempts failed jobs with exponential backoff
+      (mi-experiments, mi-serve);
     - [--keep-going] degrades gracefully: failed jobs yield partial
-      results plus a failure manifest instead of aborting.
+      results plus a failure manifest instead of aborting
+      (mi-experiments).
 
     A malformed [--inject] spec is a cmdliner CLI error (exit 124). *)
 
 open Cmdliner
 module Fault = Mi_faultkit.Fault
-
-type t = {
-  faults : Fault.t;
-  job_timeout : float option;
-  retries : int;
-  retry_backoff_ms : int;
-  keep_going : bool;
-}
-
-let quiet =
-  {
-    faults = Fault.none;
-    job_timeout = None;
-    retries = 0;
-    retry_backoff_ms = 250;
-    keep_going = false;
-  }
 
 let fault_conv : Fault.t Arg.conv =
   let parse s =
@@ -69,16 +53,8 @@ let retries_arg =
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "re-attempt a failed job up to N times with exponential \
-           backoff before recording the failure (default 0)")
-
-let retry_backoff_ms_arg =
-  Arg.(
-    value & opt int 250
-    & info [ "retry-backoff-ms" ] ~docv:"MS"
-        ~doc:
-          "cap one retry backoff sleep at MS milliseconds (default \
-           250); the backoff doubles from 10ms per retry and the \
-           slept total lands in the harness.backoff_ms metric")
+           backoff (10ms doubling, at most 250ms per sleep) before \
+           recording the failure (default 0)")
 
 let keep_going_arg =
   Arg.(
@@ -87,17 +63,3 @@ let keep_going_arg =
         ~doc:
           "do not abort on a failed job: complete the matrix, report \
            partial results, print the failure manifest, exit nonzero")
-
-let term : t Term.t =
-  let mk faults job_timeout retries retry_backoff_ms keep_going =
-    {
-      faults;
-      job_timeout;
-      retries = max 0 retries;
-      retry_backoff_ms = max 1 retry_backoff_ms;
-      keep_going;
-    }
-  in
-  Term.(
-    const mk $ inject_arg $ job_timeout_arg $ retries_arg
-    $ retry_backoff_ms_arg $ keep_going_arg)

@@ -55,7 +55,8 @@ type job_fault =
   | Crash_job of string
       (** raise in the worker before the job runs; matched when the
           string occurs in ["<setup_key>/<bench>"] *)
-  | Hang_job of string * float  (** busy-wait this many seconds first *)
+  | Hang_job of string * float
+      (** stall this many seconds first, capped at the job's budget *)
 
 type t = {
   seed : int;  (** seeds any sampling done on top of the plan *)

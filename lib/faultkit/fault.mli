@@ -3,8 +3,8 @@
     A {!t} plan is plain data describing every fault a run should
     suffer; each layer of the stack consults it at its own injection
     point (check mutation in the instrumenter, VM faults in the
-    interpreter, cache corruption in the instrumentation cache, job
-    crashes/hangs in the harness).  Plans parse from the [--inject]
+    interpreter, cache corruption where a command opens its disk cache,
+    job crashes/hangs in the harness session).  Plans parse from the [--inject]
     command-line spec and render back canonically, and the same plan
     against the same inputs always produces the same faults. *)
 
@@ -36,14 +36,22 @@ type job_fault =
   | Crash_job of string
       (** raise in the worker before the job runs; matched when the
           string occurs in ["<setup_key>/<bench>"] *)
-  | Hang_job of string * float  (** busy-wait this many seconds first *)
+  | Hang_job of string * float
+      (** stall this many seconds before the job runs (same matching),
+          capped at the job's budget: a hang at least as long as the
+          budget fails the job with a timeout *)
 
+(** Each clause has one reader. *)
 type t = {
-  seed : int;  (** seeds any sampling done on top of the plan *)
-  checks : check_mutation list;
-  vm : vm_fault list;
+  seed : int;
+      (** for sampling a caller does on top of the plan; only parsed
+          and rendered in this tree *)
+  checks : check_mutation list;  (** read by [Mi_core.Instrument] *)
+  vm : vm_fault list;  (** read by [Mi_vm.Inject] *)
   cache : cache_corruption option;
-  jobs : job_fault list;
+      (** read where mi-experiments and mi-serve open their disk
+          cache, once, through [Icache.corrupt] *)
+  jobs : job_fault list;  (** read by the harness session's workers *)
 }
 
 val none : t

@@ -19,6 +19,16 @@ let ep_name = function
   | ScalarOptimizerLate -> "ScalarOptimizerLate"
   | VectorizerStart -> "VectorizerStart"
 
+(* [ep_name], [level_name] and their parsers are the one name table of
+   extension points and levels: setup keys, the server protocol and
+   mic's flags all go through it.  The parsers also take mic's short
+   spellings. *)
+let ep_of_name = function
+  | "ModuleOptimizerEarly" | "early" -> Some ModuleOptimizerEarly
+  | "ScalarOptimizerLate" | "scalar-late" -> Some ScalarOptimizerLate
+  | "VectorizerStart" | "vectorizer-start" -> Some VectorizerStart
+  | _ -> None
+
 let all_extension_points =
   [ ModuleOptimizerEarly; ScalarOptimizerLate; VectorizerStart ]
 
@@ -100,6 +110,14 @@ let late_cleanup =
 (** Optimization levels.  [O3] is the baseline of the runtime evaluation;
     [O0] leaves the naive lowering untouched. *)
 type level = O0 | O1 | O3
+
+let level_name = function O0 -> "O0" | O1 -> "O1" | O3 -> "O3"
+
+let level_of_name = function
+  | "O0" | "0" -> Some O0
+  | "O1" | "1" -> Some O1
+  | "O3" | "3" -> Some O3
+  | _ -> None
 
 (* The phase table: per level, each extension point with the phase that
    runs between the previous point and it, then the phases after the

@@ -16,11 +16,25 @@ type extension_point =
   | VectorizerStart
 
 val ep_name : extension_point -> string
+(** ["ModuleOptimizerEarly"], ["ScalarOptimizerLate"] or
+    ["VectorizerStart"]: the spelling of setup keys and the server
+    protocol. *)
+
+val ep_of_name : string -> extension_point option
+(** The inverse of {!ep_name}; also accepts ["early"], ["scalar-late"]
+    and ["vectorizer-start"]. *)
+
 val all_extension_points : extension_point list
 
 (** Optimization levels.  [O3] is the baseline of the paper's runtime
     evaluation; [O0] leaves the naive lowering untouched. *)
 type level = O0 | O1 | O3
+
+val level_name : level -> string
+(** ["O0"], ["O1"] or ["O3"]. *)
+
+val level_of_name : string -> level option
+(** The inverse of {!level_name}; also accepts ["0"], ["1"] and ["3"]. *)
 
 (** A named group of passes.  Each phase runs under one trace span
     ([name]); [id] is unique across levels (O1's and O3's

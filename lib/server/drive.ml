@@ -202,9 +202,10 @@ let run_conn cfg (slice : (int * djob) array) : conn_result =
 (* ------------------------------------------------------------------ *)
 
 (* compute every job locally, in one batch session suffering the same
-   compile/VM faults (job and cache chaos stays on the server side) *)
+   compile/VM faults (job chaos stays on the server side, and the
+   session's own in-memory cache has nothing to corrupt) *)
 let local_results cfg (jobs : djob array) =
-  let faults = { cfg.d_faults with Fault.jobs = []; cache = None } in
+  let faults = { cfg.d_faults with Fault.jobs = [] } in
   let h =
     Harness.create ~jobs:cfg.d_verify_jobs ~faults
       ?job_timeout:

@@ -182,23 +182,13 @@ let config_of_json j =
   | "noop" -> { base with Config.mode = Config.Noop }
   | m -> fail "unknown mode %S" m
 
-let level_name = function
-  | Pipeline.O0 -> "O0"
-  | Pipeline.O1 -> "O1"
-  | Pipeline.O3 -> "O3"
-
-let level_of_name = function
-  | "O0" -> Pipeline.O0
-  | "O1" -> Pipeline.O1
-  | "O3" -> Pipeline.O3
-  | l -> fail "unknown level %S" l
+let level_of_name l =
+  match Pipeline.level_of_name l with
+  | Some l -> l
+  | None -> fail "unknown level %S" l
 
 let ep_of_name name =
-  match
-    List.find_opt
-      (fun ep -> Pipeline.ep_name ep = name)
-      Pipeline.all_extension_points
-  with
+  match Pipeline.ep_of_name name with
   | Some ep -> ep
   | None -> fail "unknown extension point %S" name
 
@@ -209,7 +199,7 @@ let setup_to_json (s : Harness.setup) =
         match s.Harness.config with
         | None -> Json.Null
         | Some c -> config_to_json c );
-      ("level", Json.Str (level_name s.Harness.level));
+      ("level", Json.Str (Pipeline.level_name s.Harness.level));
       ("ep", Json.Str (Pipeline.ep_name s.Harness.ep));
       ("i64ptr", Json.Bool s.Harness.lowering.Mi_minic.Lower.ptr_mem_as_i64);
       ("seed", Json.Int s.Harness.seed);
@@ -400,8 +390,9 @@ type reply =
   | R_failed of { id : int; kind : string; reason : string; retries : int }
       (** the job was accepted and ran, but failed after [retries]
           retries; [kind] is the harness classification: ["crash"]
-          (compile and link failures included), ["timeout"] or
-          ["injected"] *)
+          (compile and link failures included) or ["timeout"].  An
+          ["injected"] failure never makes a reply: it kills the
+          worker, and the request is rerun. *)
   | R_degraded of { id : int; approach : string; reason : string }
       (** the tenant's circuit breaker has this approach disabled *)
   | R_pong of { id : int }

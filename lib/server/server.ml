@@ -14,15 +14,19 @@
     - {b Worker pool}: [workers] domains pop jobs and run each one in
       its own one-job {!Mi_bench_kit.Harness.t} session over the one
       shared content-addressed instrumentation cache.  The session lives
-      as long as the request: it carries the request's deadline, holds
-      at most its one failure, and is dropped with its metrics and trace
-      once the reply is posted, so the daemon's memory does not grow
-      with the requests it has served.  Requests of one tenant run
-      concurrently like any others.
-    - {b Supervisor}: an injected worker crash ([--inject crash=SUBSTR])
-      kills the worker domain for real — the job is requeued at the
-      front first, the event loop reaps the dead domain, restarts the
-      slot and counts it.  Queue intact, zero requests dropped.
+      as long as the request: it carries the request's deadline and the
+      chaos plan, holds at most its one failure, and is dropped with its
+      metrics and trace once the reply is posted, so the daemon's memory
+      does not grow with the requests it has served.  Every deadline,
+      injected hang and failure kind is the session's: the server only
+      turns the session's typed failure into a reply.  Requests of one
+      tenant run concurrently like any others.
+    - {b Supervisor}: when a request's session fails with an injected
+      crash ([--inject crash=SUBSTR]), its worker domain dies for real —
+      the job is requeued at the front first, the event loop reaps the
+      dead domain, restarts the slot and counts it.  The rerun's session
+      gets the plan without its job clauses, so it makes progress.
+      Queue intact, zero requests dropped.
     - {b Degraded modes}: a corrupted cache entry is quarantined and
       recomputed by the cache itself; a tenant approach that keeps
       failing trips a circuit breaker and answers [degraded] while every
@@ -46,16 +50,18 @@ type cfg = {
   socket : string;
   workers : int;
   queue_cap : int;  (** admission bound: queued (not in-flight) requests *)
-  cache_dir : string option;  (** persist the shared instrumentation cache *)
+  cache : Icache.t;
+      (** the instrumentation cache every request's session shares;
+          whoever opens it on disk applies the plan's [corrupt-cache=]
+          clause ([mi-serve] does, once, before {!run}) *)
   faults : Fault.t;
-      (** chaos plan: [crash=]/[hang=] clauses fire in server workers
-          (matched against ["tenant/<setup_key>/<bench>"]),
-          [corrupt-cache=] is applied to the shared cache at startup,
-          and check/VM clauses flow into every request's session *)
+      (** chaos plan, handed to every request's session: check/VM
+          clauses apply to the run, and [crash=]/[hang=] clauses match
+          the session's ["<setup_key>/<bench>"] on a request's first
+          attempt.  The server never reads [corrupt-cache=]. *)
   job_timeout : float option;
       (** per-request budget in seconds when a request names none *)
   retries : int;  (** harness-level retries inside a request's session *)
-  retry_backoff_ms : int;
   trip : int;
       (** consecutive crashes (compile failures included) that trip a
           tenant's approach *)
@@ -67,11 +73,10 @@ let default_cfg ~socket =
     socket;
     workers = 2;
     queue_cap = 16;
-    cache_dir = None;
+    cache = Icache.create ();
     faults = Fault.none;
     job_timeout = None;
     retries = 0;
-    retry_backoff_ms = 250;
     trip = 3;
     verbose = false;
   }
@@ -99,7 +104,7 @@ type job = {
   j_bench : Bench.t;
   j_timeout_ms : int option;
   j_admitted : float;  (* Mclock.now at admission, for latency *)
-  mutable j_crashes : int;  (* injected worker crashes already suffered *)
+  mutable j_crashed : bool;  (* an injected crash already killed a worker *)
 }
 
 (** Request latencies in ms, admission to reply: a fixed window of the
@@ -133,7 +138,6 @@ end
 
 type t = {
   cfg : cfg;
-  cache : Icache.t;
   tenants : (string, unit) Hashtbl.t;  (* names admitted, for [stats] *)
   breakers : (string * string, int) Hashtbl.t;
       (* (tenant, approach) -> consecutive crashes; open at [cfg.trip] *)
@@ -157,11 +161,6 @@ type t = {
   lat_lock : Mutex.t;
   latencies : Latency.t;
 }
-
-let job_desc (job : job) =
-  job.j_tenant ^ "/"
-  ^ Harness.setup_key job.j_setup
-  ^ "/" ^ job.j_bench.Bench.name
 
 let effective_timeout t (job : job) =
   match job.j_timeout_ms with
@@ -239,7 +238,9 @@ let settle t key ~crashed =
         if crashed then Hashtbl.replace t.breakers key (n + 1)
         else Hashtbl.remove t.breakers key)
 
-let execute t (job : job) : Proto.reply =
+(* The request's reply, or [None] when its session failed with an
+   injected crash: the worker must then die. *)
+let execute t (job : job) : Proto.reply option =
   let key =
     Option.map
       (fun c -> (job.j_tenant, c.Mi_core.Config.approach))
@@ -248,107 +249,81 @@ let execute t (job : job) : Proto.reply =
   match key with
   | Some ((_, a) as k) when breaker t k >= t.cfg.trip ->
       Atomic.incr t.degraded;
-      Proto.R_degraded
-        {
-          id = job.j_id;
-          approach = a;
-          reason =
-            Printf.sprintf
-              "approach disabled for this tenant after %d consecutive \
-               failures"
-              t.cfg.trip;
-        }
+      Some
+        (Proto.R_degraded
+           {
+             id = job.j_id;
+             approach = a;
+             reason =
+               Printf.sprintf
+                 "approach disabled for this tenant after %d consecutive \
+                  failures"
+                 t.cfg.trip;
+           })
   | _ -> (
-      (* job chaos is the server's business and the cache was corrupted
-         once at startup: the session gets the plan minus both *)
-      let faults = { t.cfg.faults with Fault.jobs = []; cache = None } in
+      (* a request rerun after an injected crash runs immune: the chaos
+         already hit it, and the restarted worker must make progress *)
+      let faults =
+        if job.j_crashed then { t.cfg.faults with Fault.jobs = [] }
+        else t.cfg.faults
+      in
       let h =
-        Harness.create ~jobs:1 ~cache:t.cache ~faults
-          ?job_timeout:(effective_timeout t job) ~retries:t.cfg.retries
-          ~retry_backoff_ms:t.cfg.retry_backoff_ms ()
+        Harness.create ~jobs:1 ~cache:t.cfg.cache ~faults
+          ?job_timeout:(effective_timeout t job) ~retries:t.cfg.retries ()
       in
       match Harness.run h job.j_setup job.j_bench with
       | Ok r ->
           Option.iter (settle t ~crashed:false) key;
           Atomic.incr t.completed;
-          Proto.R_ok { id = job.j_id; result = Proto.run_to_json r }
-      | Error _ ->
-          Atomic.incr t.failed;
+          Some (Proto.R_ok { id = job.j_id; result = Proto.run_to_json r })
+      | Error _ -> (
           (* a one-job session records exactly the failure of its [Error] *)
           let jf = List.hd (Harness.failures h) in
-          (* breaker: only crashes (compile failures among them) count —
-             timeouts and injected chaos are not the checker's fault *)
-          if jf.Harness.jf_kind = Harness.Crash then
-            Option.iter (settle t ~crashed:true) key;
-          Proto.R_failed
-            {
-              id = job.j_id;
-              kind = Harness.kind_name jf.Harness.jf_kind;
-              reason = jf.Harness.jf_reason;
-              retries = jf.Harness.jf_retries;
-            })
+          match jf.Harness.jf_kind with
+          | Harness.Injected -> None
+          | kind ->
+              Atomic.incr t.failed;
+              (* breaker: only crashes (compile failures among them)
+                 count — timeouts are not the checker's fault *)
+              if kind = Harness.Crash then
+                Option.iter (settle t ~crashed:true) key;
+              Some
+                (Proto.R_failed
+                   {
+                     id = job.j_id;
+                     kind = Harness.kind_name kind;
+                     reason = jf.Harness.jf_reason;
+                     retries = jf.Harness.jf_retries;
+                   })))
 
 let rec worker_loop t slot =
   match take_job t with
   | None -> ()
   | Some job -> (
-      let fault =
-        (* a job retried after an injected crash runs immune: the chaos
-           already hit it, and the restarted worker must make progress *)
-        if job.j_crashes = 0 then Fault.job_fault_for t.cfg.faults (job_desc job)
-        else None
+      let reply =
+        try execute t job
+        with exn ->
+          (* last-resort containment: a worker domain only ever dies on
+             purpose (an injected crash, below) *)
+          Atomic.incr t.failed;
+          Some
+            (Proto.R_failed
+               {
+                 id = job.j_id;
+                 kind = "crash";
+                 reason = Printexc.to_string exn;
+                 retries = 0;
+               })
       in
-      match fault with
-      | Some (Fault.Crash_job _) ->
+      match reply with
+      | None ->
           (* injected worker crash: requeue the request, then die for
              real — the supervisor restarts this slot *)
-          job.j_crashes <- 1;
+          job.j_crashed <- true;
           requeue t job;
           Atomic.set t.dead.(slot) true;
           wake t
-      | fault ->
-          let timed_out_in_hang =
-            match fault with
-            | Some (Fault.Hang_job (_, secs)) ->
-                let budget = effective_timeout t job in
-                let stall =
-                  match budget with
-                  | Some b -> Float.min secs b
-                  | None -> secs
-                in
-                Mclock.sleep stall;
-                (match budget with Some b -> secs >= b | None -> false)
-            | _ -> false
-          in
-          let reply =
-            if timed_out_in_hang then begin
-              Atomic.incr t.failed;
-              Proto.R_failed
-                {
-                  id = job.j_id;
-                  kind = "timeout";
-                  reason =
-                    (match effective_timeout t job with
-                    | Some b ->
-                        Printf.sprintf "wall-clock budget exceeded (%gs)" b
-                    | None -> "wall-clock budget exceeded");
-                  retries = 0;
-                }
-            end
-            else
-              try execute t job
-              with exn ->
-                (* last-resort containment: a worker domain only ever
-                   dies on purpose (injected crash above) *)
-                Atomic.incr t.failed;
-                Proto.R_failed
-                  {
-                    id = job.j_id;
-                    kind = "crash";
-                    reason = Printexc.to_string exn;
-                    retries = 0;
-                  }
-          in
+      | Some reply ->
           post_reply t job reply;
           Mutex.lock t.q_lock;
           Atomic.decr t.in_flight;
@@ -361,7 +336,7 @@ let rec worker_loop t slot =
 (* ------------------------------------------------------------------ *)
 
 let stats_json t =
-  let cs = Icache.stats t.cache in
+  let cs = Icache.stats t.cfg.cache in
   let count, max_ms, lats =
     Mutex.protect t.lat_lock (fun () ->
         let l = t.latencies in
@@ -425,16 +400,9 @@ let run (cfg : cfg) : final =
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  let cache = Icache.create ?dir:cfg.cache_dir () in
-  (* chaos: corrupt the persisted cache once, at startup — entries are
-     quarantined and recomputed on first access *)
-  (match cfg.faults.Fault.cache with
-  | Some how -> ignore (Icache.corrupt cache how : int)
-  | None -> ());
   let t =
     {
       cfg;
-      cache;
       tenants = Hashtbl.create 16;
       breakers = Hashtbl.create 16;
       tenants_lock = Mutex.create ();
@@ -502,7 +470,7 @@ let run (cfg : cfg) : final =
                 j_bench = bench;
                 j_timeout_ms = timeout_ms;
                 j_admitted = Mclock.now ();
-                j_crashes = 0;
+                j_crashed = false;
               }
               t.q;
             Atomic.incr t.accepted;
@@ -655,7 +623,7 @@ let run (cfg : cfg) : final =
       f_failed = Atomic.get t.failed;
       f_degraded = Atomic.get t.degraded;
       f_restarts = Atomic.get t.restarts;
-      f_cache = Icache.stats t.cache;
+      f_cache = Icache.stats t.cfg.cache;
     }
   in
   if cfg.verbose then

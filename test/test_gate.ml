@@ -18,6 +18,7 @@ let exits =
     ("json-j1", 0); ("json-j2", 0); ("mutation", 0); ("chaos-j4", 1);
     ("chaos-j1", 1); ("fuzz-j4", 0); ("fuzz-j1", 0); ("probe-minutes", 2);
     ("probe-entry", 2); ("probe-replay", 2); ("probe-no-corpus", 0);
+    ("probe-memsafe-compile", 2); ("probe-mic-retries", 124);
     ("prof-j4", 0); ("prof-j1", 0); ("profile-diff", 0); ("flame", 0);
     ("drive-crash", 0); ("drive-crash-daemon", 0); ("drive-corrupt", 0);
     ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);

@@ -109,12 +109,12 @@ let temp_cache_dir () =
 let test_disk_cache_across_sessions () =
   let b = Lazy.force lbm in
   let dir = temp_cache_dir () in
-  let h1 = Harness.create ~jobs:1 ~cache_dir:dir () in
+  let h1 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   let r1 = Harness.expect_ok b (Harness.run h1 E.sb_opt b) in
   Alcotest.(check int) "cold session misses" 1
     (Harness.cache_stats h1).Harness.misses;
   (* a fresh session over the same directory compiles nothing *)
-  let h2 = Harness.create ~jobs:1 ~cache_dir:dir () in
+  let h2 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   let r2 = Harness.expect_ok b (Harness.run h2 E.sb_opt b) in
   let s2 = Harness.cache_stats h2 in
   Alcotest.(check int) "warm session hits" 1 s2.Harness.hits;
@@ -131,16 +131,17 @@ let test_disk_cache_across_sessions () =
 let test_disk_cache_corruption () =
   let b = Lazy.force lbm in
   let dir = temp_cache_dir () in
-  let h0 = Harness.create ~jobs:1 ~cache_dir:dir () in
+  let h0 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   let r0 = Harness.expect_ok b (Harness.run h0 E.sb_opt b) in
   Alcotest.(check int) "seed session misses" 1
     (Harness.cache_stats h0).Harness.misses;
   List.iter
     (fun (name, how) ->
-      (* the harness applies the plan's cache corruption at session
-         creation — the same path `--inject corrupt-cache=...` takes *)
-      let faults = { Fault.none with Fault.cache = Some how } in
-      let h = Harness.create ~jobs:1 ~cache_dir:dir ~faults () in
+      (* damage the entries as the code that opens a disk cache does
+         for `--inject corrupt-cache=...` *)
+      let cache = Icache.create ~dir () in
+      ignore (Icache.corrupt cache how : int);
+      let h = Harness.create ~jobs:1 ~cache () in
       let r = Harness.expect_ok b (Harness.run h E.sb_opt b) in
       let s = Harness.cache_stats h in
       Alcotest.(check int) (name ^ ": recorded as a miss") 1 s.Harness.misses;

@@ -42,8 +42,7 @@ let chaos =
 
 let test_classification_under_retries () =
   let h =
-    Harness.create ~jobs:2 ~faults:chaos ~job_timeout:0.05 ~retries:2
-      ~retry_backoff_ms:5 ()
+    Harness.create ~jobs:2 ~faults:chaos ~job_timeout:0.05 ~retries:2 ()
   in
   let setup = Corpus.setup "softbound" in
   let results =
@@ -82,8 +81,7 @@ let digest results =
 
 let run_matrix jobs =
   let h =
-    Harness.create ~jobs ~faults:chaos ~job_timeout:0.05 ~retries:1
-      ~retry_backoff_ms:5 ()
+    Harness.create ~jobs ~faults:chaos ~job_timeout:0.05 ~retries:1 ()
   in
   let sb = Corpus.setup "softbound" in
   let lf = Corpus.setup "lowfat" in
@@ -134,7 +132,7 @@ let test_corrupt_entry_recomputed_once () =
   with_temp_dir @@ fun dir ->
   let setup = Corpus.setup "softbound" in
   (* populate the on-disk cache *)
-  let h0 = Harness.create ~jobs:1 ~cache_dir:dir () in
+  let h0 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   (match Harness.run h0 setup good with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "populate failed: %s" e.Harness.reason);
@@ -143,10 +141,12 @@ let test_corrupt_entry_recomputed_once () =
     (Array.exists
        (fun f -> Filename.check_suffix f ".micache")
        (Sys.readdir dir));
-  (* corrupt every persisted entry at session creation, then run the
-     same job twice *)
-  let faults = { Fault.none with Fault.cache = Some Fault.Bitflip } in
-  let h = Harness.create ~jobs:1 ~cache_dir:dir ~faults () in
+  (* corrupt every persisted entry, as the code that opens the disk
+     cache does for the plan's cache clause, then run the same job
+     twice *)
+  let cache = Icache.create ~dir () in
+  ignore (Icache.corrupt cache Fault.Bitflip : int);
+  let h = Harness.create ~jobs:1 ~cache () in
   let r1 = Harness.run h setup good in
   let r2 = Harness.run h setup good in
   (match (r1, r2) with
@@ -166,25 +166,22 @@ let test_corrupt_entry_recomputed_once () =
 
 (* {1 Deterministic backoff accounting} *)
 
-let backoff_metric ~retries ~cap =
-  let h =
-    Harness.create ~jobs:1 ~faults:chaos ~job_timeout:0.05 ~retries
-      ~retry_backoff_ms:cap ()
-  in
+let backoff_metric ~retries =
+  let h = Harness.create ~jobs:1 ~faults:chaos ~job_timeout:0.05 ~retries () in
   let setup = Corpus.setup "softbound" in
   ignore (Harness.run h setup crashy : (Harness.run, Harness.error) result);
   Metrics.counter (Harness.obs h).Mi_obs.Obs.metrics "harness.backoff_ms"
 
 let test_backoff_capped_and_accounted () =
-  (* schedule: 10, 20, 40, ... doubling, each sleep clamped to the cap;
+  (* schedule: 10, 20, 40, ... doubling, each sleep clamped at 250ms;
      the metric reflects the schedule, not a measured duration *)
-  Alcotest.(check int) "retries=1" 10 (backoff_metric ~retries:1 ~cap:250);
-  Alcotest.(check int) "retries=3" 70 (backoff_metric ~retries:3 ~cap:250);
+  Alcotest.(check int) "retries=1" 10 (backoff_metric ~retries:1);
+  Alcotest.(check int) "retries=3" 70 (backoff_metric ~retries:3);
   Alcotest.(check int)
-    "retries=3, cap=15" (10 + 15 + 15)
-    (backoff_metric ~retries:3 ~cap:15);
+    "retries=6 reaches the cap" (10 + 20 + 40 + 80 + 160 + 250)
+    (backoff_metric ~retries:6);
   Alcotest.(check int) "retries=0 sleeps nothing" 0
-    (backoff_metric ~retries:0 ~cap:250)
+    (backoff_metric ~retries:0)
 
 (* {1 Monotonic clock} *)
 

@@ -1,6 +1,7 @@
 (* mi-serve daemon: protocol round trips, batch-harness byte-identity,
    bounded-queue backpressure, supervisor restarts after injected worker
-   crashes, request-scoped deadlines, per-tenant circuit breaking, the
+   crashes (also under retries), request-scoped deadlines, injected
+   hangs classified as in a batch session, per-tenant circuit breaking, the
    fixed-window latency record, and the clean-drain shutdown invariant
    (accepted = answered). *)
 
@@ -314,6 +315,89 @@ let test_request_deadline () =
   in
   ()
 
+let plan spec =
+  match Fault.parse spec with Ok f -> f | Error m -> invalid_arg m
+
+(* The one-job failure of a batch session: what mi-experiments
+   records for the same job under the same plan and budget. *)
+let batch_failure ~faults ~budget setup bench =
+  let h = Harness.create ~jobs:1 ~faults ~job_timeout:budget () in
+  match Harness.run h setup bench with
+  | Ok _ -> Alcotest.fail "expected the batch job to fail"
+  | Error _ -> List.hd (Harness.failures h)
+
+(* A hang is the session's to stall and classify, so a request fails
+   with the batch harness's timeout kind and reason; a hang shorter
+   than the budget stalls, then runs to the batch result. *)
+let test_hang_same_as_batch () =
+  let setup = Corpus.setup "softbound" in
+  let slow = tiny_bench "slowpoke" 1 in
+  let long = plan "hang=slowpoke:30" in
+  let jf = batch_failure ~faults:long ~budget:0.1 setup slow in
+  let (), _ =
+    with_server
+      ~configure:(fun c -> { c with Server.faults = long })
+      (fun fd ->
+        send fd (run_req ~id:1 ~timeout_ms:100 setup slow);
+        match recv fd with
+        | Proto.R_failed { id = 1; kind; reason; _ } ->
+            Alcotest.(check string) "kind as in a batch session"
+              (Harness.kind_name jf.Harness.jf_kind) kind;
+            Alcotest.(check string) "kind" "timeout" kind;
+            Alcotest.(check string) "reason as in a batch session"
+              jf.Harness.jf_reason reason
+        | _ -> Alcotest.fail "expected a failed reply")
+  in
+  let short = plan "hang=slowpoke:0.05" in
+  let reply, fin =
+    with_server
+      ~configure:(fun c -> { c with Server.faults = short })
+      (fun fd ->
+        send fd (run_req ~id:1 ~timeout_ms:30_000 setup slow);
+        match recv fd with
+        | Proto.R_ok { id = 1; result } -> Json.to_string result
+        | _ -> Alcotest.fail "a hang shorter than the budget must run")
+  in
+  Alcotest.(check int) "completed" 1 fin.Server.f_completed;
+  check_against_batch [ (1, "t0", setup, slow) ] [ reply ]
+
+(* Under [retries = 1] the session retries the injected crash before
+   recording it; the worker still dies once per matching request, and
+   the requeued rerun, immune, answers ok. *)
+let test_crash_under_retries () =
+  let setup = Corpus.setup "softbound" in
+  let reqs =
+    List.map
+      (fun (id, b) -> (id, "t0", setup, b))
+      [
+        (1, tiny_bench "victim-a" 5);
+        (2, tiny_bench "bystander" 6);
+        (3, tiny_bench "victim-b" 7);
+      ]
+  in
+  let configure c =
+    { c with Server.workers = 2; retries = 1; faults = plan "crash=victim" }
+  in
+  let replies, fin =
+    with_server ~configure (fun fd ->
+        List.iter
+          (fun (id, tenant, setup, bench) ->
+            send fd (run_req ~id ~tenant setup bench))
+          reqs;
+        let got = Hashtbl.create 4 in
+        while Hashtbl.length got < List.length reqs do
+          match recv fd with
+          | Proto.R_ok { id; result } ->
+              Hashtbl.replace got id (Json.to_string result)
+          | _ -> Alcotest.fail "expected ok replies despite the crashes"
+        done;
+        List.map (fun (id, _, _, _) -> Hashtbl.find got id) reqs)
+  in
+  Alcotest.(check int) "one restart per matching request" 2
+    fin.Server.f_restarts;
+  Alcotest.(check int) "nothing failed" 0 fin.Server.f_failed;
+  check_against_batch reqs replies
+
 (* A request's own deadline lives and dies with its session: after a
    request of a tenant times out under a tiny [timeout_ms], the same
    program from the same tenant without one runs to completion under
@@ -485,6 +569,10 @@ let () =
           Alcotest.test_case "per-request deadline" `Slow test_request_deadline;
           Alcotest.test_case "per-request timeout does not leak" `Slow
             test_timeout_does_not_leak;
+          Alcotest.test_case "hang: batch kind and reason, or the run" `Slow
+            test_hang_same_as_batch;
+          Alcotest.test_case "crash under retries: one restart each" `Slow
+            test_crash_under_retries;
         ] );
       ( "degraded",
         [

@@ -158,7 +158,7 @@ let test_shared_failure () =
   let jobs = Oracle.safe_jobs_of bad in
   Alcotest.(check int) "17 jobs" 17 (List.length jobs);
   let at j =
-    let h = Harness.create ~jobs:j ~retries:1 ~retry_backoff_ms:1 () in
+    let h = Harness.create ~jobs:j ~retries:1 () in
     let rs = Harness.run_jobs h jobs in
     let reasons =
       List.map
