@@ -105,11 +105,13 @@ run probe-entry $bin/mifuzz.exe --corpus "$out/probe-corpus" --entry 0
 run probe-no-corpus test ! -e "$out/probe-corpus"
 run probe-replay $bin/mifuzz.exe --corpus "$out/missing" --replay
 # memsafe on a program that does not compile: one typed line, exit 2;
-# mic honours no --retries, so the flag is a cmdliner usage error (124)
+# mic honours no --retries, so the flag is a cmdliner usage error (124),
+# and it refuses the --inject clauses it cannot act on (2)
 printf 'int main() { return y; }\n' > "$out/bad.c"
 printf 'int main() { return 0; }\n' > "$out/ok.c"
 run probe-memsafe-compile $bin/memsafe.exe "$out/bad.c"
 run probe-mic-retries $bin/mic.exe --retries 1 "$out/ok.c"
+run probe-mic-inject $bin/mic.exe --inject crash=main "$out/ok.c"
 
 # no shared --cache-dir: a profile records compile spans and static.*
 # counters, so byte-identity needs equal starting cache state

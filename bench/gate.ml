@@ -138,15 +138,17 @@ let median xs =
 (* Every run bench/ci.sh records in exit.txt, with its required status:
    the chaos runs must flag their injected failures (1), misused mifuzz
    flags are usage errors (2), memsafe on a program that does not
-   compile exits 2, and a fault-tolerance flag mic does not honour is a
-   cmdliner usage error (124). *)
+   compile exits 2, a fault-tolerance flag mic does not honour is a
+   cmdliner usage error (124), and an --inject clause it does not honour
+   is refused (2). *)
 let exits =
   [
     ("json-j1", 0); ("json-j2", 0); ("mutation", 0); ("chaos-j4", 1);
     ("chaos-j1", 1); ("fuzz-j4", 0); ("fuzz-j1", 0); ("probe-minutes", 2);
     ("probe-entry", 2); ("probe-replay", 2); ("probe-no-corpus", 0);
     ("probe-memsafe-compile", 2); ("probe-mic-retries", 124);
-    ("prof-j4", 0); ("prof-j1", 0); ("profile-diff", 0); ("flame", 0);
+    ("probe-mic-inject", 2); ("prof-j4", 0); ("prof-j1", 0);
+    ("profile-diff", 0); ("flame", 0);
     ("drive-crash", 0); ("drive-crash-daemon", 0); ("drive-corrupt", 0);
     ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);
     ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
@@ -236,23 +238,31 @@ let coverage lines =
     (lines "vm_steps_cov") (side "cand" lines)
 
 (* bench/main.exe --compile-units, once per pair: the compiler it timed
-   must print the MIR test/goldens/compile_mir.json pins.  Units/s is
-   reported, not gated. *)
+   must print the MIR test/goldens/compile_mir.json pins, uninstrumented
+   ([digest]) and along the instrumented suffix ([instrumented_digest]).
+   Units/s is reported, not gated. *)
 let compile_units lines =
   let golden = Json.of_string (read "test/goldens/compile_mir.json") in
-  let want = str (field [ "o3_digest" ] golden) in
+  let want key = str (field [ key ] golden) in
+  let o3 = want "o3_digest" and instrumented = want "instrumented_digest" in
   let runs = lines "compile_units" in
   if List.length runs <> pairs then
     fail "%d runs, want %d" (List.length runs) pairs;
   List.iter
     (fun kv ->
-      if get kv "digest" <> want then
-        fail "pair %s: digest %s, want %s" (get kv "pair") (get kv "digest")
-          want)
+      List.iter
+        (fun (key, want) ->
+          if get kv key <> want then
+            fail "pair %s: %s %s, want %s" (get kv "pair") key (get kv key)
+              want)
+        [ ("digest", o3); ("instrumented_digest", instrumented) ])
     runs;
-  Printf.sprintf "%d runs print the golden MIR (%s); median %.0f units/s" pairs
-    want
-    (median (List.map (fun kv -> fnum kv "units_per_s") runs))
+  let med key = median (List.map (fun kv -> fnum kv key) runs) in
+  Printf.sprintf
+    "%d runs print the golden MIR (%s, instrumented %s); median %.0f \
+     units/s, %.0f instrumented units/s"
+    pairs o3 instrumented (med "units_per_s")
+    (med "instrumented_units_per_s")
 
 let mutants_killed doc =
   let n = point (report "mutation" doc) "mutants" in

@@ -4,7 +4,8 @@
      --vm-steps       VM engine throughput           ("vm_steps: ...")
      --vm-steps-cov   the same with coverage on      ("vm_steps_cov: ...")
      --fuzz-scaling   fuzz cells at a fixed budget   ("fuzz_scaling: ...")
-     --compile-units  frontend + O3 throughput       ("compile_units: ...")
+     --compile-units  frontend + O3 throughput, and
+                      the instrumented suffix's      ("compile_units: ...")
 
    The paper's tables and figures come from [experiments --all]. *)
 
@@ -105,30 +106,49 @@ let run_fuzz_scaling () =
 
 (* Units/second of the compile path a cache miss pays: [Lower.compile]
    and an untraced O3 [Pipeline.run] of each unit of
-   [Compile_units.units] (the suite and fuzz seeds 1..50), uninstrumented.
-   The warm-up pass's MIR is digested; the gate requires the digest to be
-   test/goldens/compile_mir.json's [o3_digest], so the timed compiler is
-   the pinned one.  Timing is reported, not gated. *)
+   [Compile_units.units] (the suite and fuzz seeds 1..50), uninstrumented;
+   then of the instrumented suffix: [Instrument.run] and
+   [Pipeline.resume] for sb, lf and tp, each from a copy of the unit's
+   O3 prefix (computed once, untimed), counted per unit and checker.
+   The warm-up passes' MIR is digested; the gate requires the digests to
+   be test/goldens/compile_mir.json's [o3_digest] and
+   [instrumented_digest], so the timed compiler is the pinned one.
+   Timing is reported, not gated. *)
 let run_compile_units () =
   let module U = Mi_fuzz.Compile_units in
   let units = U.units () in
-  let pass () =
-    List.map (fun (_, s) -> U.compile Mi_passes.Pipeline.O3 s) units
-  in
-  let digest = U.combine (List.map U.unit_digest (pass ())) in
   let reps = 10 in
-  let t0 = now () in
-  for _ = 1 to reps do
-    ignore (pass () : Mi_mir.Irmod.t list)
-  done;
-  let dt = now () -. t0 in
+  let timed pass =
+    let out = pass () in
+    let t0 = now () in
+    for _ = 1 to reps do
+      ignore (pass () : Mi_mir.Irmod.t list)
+    done;
+    (U.combine (List.map U.unit_digest out), now () -. t0)
+  in
+  let digest, dt =
+    timed (fun () ->
+        List.map (fun (_, s) -> U.compile Mi_passes.Pipeline.O3 s) units)
+  in
+  let prefixes = List.map (fun (_, s) -> (s, U.suffix_prefix s)) units in
+  let idigest, idt =
+    timed (fun () ->
+        List.concat_map
+          (fun (s, prefix) ->
+            List.map (fun tag -> U.compile_suffix tag s prefix) U.suffix_tags)
+          prefixes)
+  in
+  let per_s n dt = float_of_int (reps * n) /. dt in
   Printf.printf
     "compile_units: units=%d reps=%d elapsed_s=%.3f units_per_s=%.0f \
-     digest=%s\n\
+     digest=%s instrumented_elapsed_s=%.3f instrumented_units_per_s=%.0f \
+     instrumented_digest=%s\n\
      %!"
     (List.length units) reps dt
-    (float_of_int (reps * List.length units) /. dt)
-    digest
+    (per_s (List.length units) dt)
+    digest idt
+    (per_s (List.length units * List.length U.suffix_tags) idt)
+    idigest
 
 let () =
   match Array.to_list Sys.argv with

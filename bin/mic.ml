@@ -53,6 +53,19 @@ let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
         prerr_endline "mic: required argument FILE.c is missing";
         exit 2
   in
+  (* mic compiles once and runs once: the check and VM clauses of the
+     plan apply, the job (crash=, hang=) and cache (corrupt-cache=)
+     clauses would have nothing to act on *)
+  (match
+     Mi_faultkit.Fault.to_string { faults with checks = []; vm = [] }
+   with
+  | "" -> ()
+  | unhonoured ->
+      Printf.eprintf
+        "mic: --inject %s: mic runs no job session and opens no cache \
+         (it honours del-check, weaken-check, wild-write, fuel, trap-at)\n"
+        (List.hd (String.split_on_char ',' unhonoured));
+      exit 2);
   let level =
     match Pipeline.level_of_name level_s with
     | Some l -> l

@@ -5,10 +5,18 @@
 
 open Mi_mir
 
+(* label tables compare with [String.equal], not the generic compare *)
+module Labels = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   func : Func.t;
   blocks : Block.t array;  (** index -> block *)
-  index_of : (string, int) Hashtbl.t;  (** label -> index *)
+  index_of : int Labels.t;  (** label -> index *)
   succs : int list array;
   preds : int list array;
   reachable : bool array;  (** from entry *)
@@ -17,24 +25,23 @@ type t = {
 let build (f : Func.t) : t =
   let blocks = Array.of_list f.blocks in
   let n = Array.length blocks in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i (b : Block.t) -> Hashtbl.replace index_of b.label i) blocks;
+  let index_of = Labels.create n in
+  Array.iteri (fun i (b : Block.t) -> Labels.replace index_of b.label i) blocks;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
-  Array.iteri
-    (fun i (b : Block.t) ->
-      let ss =
-        List.map
-          (fun l ->
-            match Hashtbl.find_opt index_of l with
-            | Some j -> j
-            | None -> invalid_arg ("Cfg.build: unknown label " ^ l))
-          (Instr.successors b.term)
-      in
-      succs.(i) <- ss;
-      List.iter (fun j -> preds.(j) <- i :: preds.(j)) ss)
-    blocks;
-  Array.iteri (fun i ps -> preds.(i) <- List.rev ps) preds;
+  (* backwards, so that each preds list comes out in ascending order *)
+  for i = n - 1 downto 0 do
+    let ss =
+      List.map
+        (fun l ->
+          match Labels.find_opt index_of l with
+          | Some j -> j
+          | None -> invalid_arg ("Cfg.build: unknown label " ^ l))
+        (Instr.successors blocks.(i).Block.term)
+    in
+    succs.(i) <- ss;
+    List.iter (fun j -> preds.(j) <- i :: preds.(j)) ss
+  done;
   let reachable = Array.make n false in
   let rec dfs i =
     if not reachable.(i) then begin
@@ -47,8 +54,10 @@ let build (f : Func.t) : t =
 
 let n_blocks t = Array.length t.blocks
 
+let find t label = Labels.find_opt t.index_of label
+
 let index t label =
-  match Hashtbl.find_opt t.index_of label with
+  match find t label with
   | Some i -> i
   | None -> invalid_arg ("Cfg.index: unknown label " ^ label)
 

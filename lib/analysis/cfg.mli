@@ -4,10 +4,12 @@
 
 open Mi_mir
 
+module Labels : Hashtbl.S with type key = string
+
 type t = {
   func : Func.t;
   blocks : Block.t array;  (** index -> block *)
-  index_of : (string, int) Hashtbl.t;  (** label -> index *)
+  index_of : int Labels.t;  (** label -> index *)
   succs : int list array;
   preds : int list array;
   reachable : bool array;  (** from entry *)
@@ -15,6 +17,9 @@ type t = {
 
 val build : Func.t -> t
 val n_blocks : t -> int
+
+val find : t -> string -> int option
+(** Index of the block with the given label, if any. *)
 
 val index : t -> string -> int
 (** Index of the block with the given label; raises on unknown labels. *)

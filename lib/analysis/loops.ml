@@ -34,23 +34,24 @@ let build (cfg : Cfg.t) (dom : Dom.t) : t =
           succs)
     cfg.Cfg.succs;
   (* natural loop of each header *)
+  let n = Cfg.n_blocks cfg in
   let raw_loops =
     Hashtbl.fold
       (fun header latches acc ->
-        let in_loop = Hashtbl.create 8 in
-        Hashtbl.replace in_loop header ();
+        let in_loop = Array.make n false in
+        in_loop.(header) <- true;
         let rec walk b =
-          if not (Hashtbl.mem in_loop b) then begin
-            Hashtbl.replace in_loop b ();
+          if not in_loop.(b) then begin
+            in_loop.(b) <- true;
             List.iter walk cfg.Cfg.preds.(b)
           end
         in
         List.iter walk !latches;
-        let body =
-          Hashtbl.fold (fun b () acc -> b :: acc) in_loop []
-          |> List.sort compare
-        in
-        (header, body, List.sort compare !latches) :: acc)
+        let body = ref [] in
+        for b = n - 1 downto 0 do
+          if in_loop.(b) then body := b :: !body
+        done;
+        (header, !body, List.sort compare !latches) :: acc)
       by_header []
   in
   (* nesting: loop A contains loop B if A's body contains B's header and

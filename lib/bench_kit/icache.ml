@@ -57,8 +57,10 @@ type stats = { hits : int; misses : int; corrupt : int }
 
 (* Marshal gives no type safety across versions; refuse anything not
    written by this exact magic + compiler version.  v2 adds the key
-   digest and payload checksum to the header. *)
-let magic = "mi-icache-v2"
+   digest and payload checksum to the header; v3 marks the layout where
+   [Func.t] carries [settled].  Bump it whenever a marshalled type
+   changes shape. *)
+let magic = "mi-icache-v3"
 
 let create ?dir () =
   Option.iter

@@ -126,7 +126,7 @@ let vptr k = Value.Int (Ty.Ptr, k)
 let call1 name args = Instr.Call (name, args)
 
 let anchor_str (a : Edit.anchor) =
-  Printf.sprintf "%s:%d" a.Edit.ablock a.Edit.apos
+  a.Edit.ablock ^ ":" ^ string_of_int a.Edit.apos
 
 (* slot index of a pointer parameter on the shadow stack: 1 + its rank
    among the pointer-typed parameters *)

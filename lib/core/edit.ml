@@ -12,47 +12,81 @@ open Mi_mir
 
 type anchor = { ablock : string; apos : int }
 
+(* the edits of one block: per instruction position, what goes before
+   and after it (both reversed) and its replacement *)
+type slot = {
+  mutable before : Instr.t list;
+  mutable after : Instr.t list;
+  mutable repl : Instr.t option;
+}
+
+type block_edits = {
+  slots : slot option array;  (** by position in the original body *)
+  mutable at_end : Instr.t list;  (** before the terminator; reversed *)
+  mutable phis : Instr.phi list;  (** reversed *)
+}
+
 type t = {
   func : Func.t;
   entry_pre : Instr.t list ref;  (** reversed *)
-  before : (anchor, Instr.t list ref) Hashtbl.t;  (** reversed *)
-  after : (anchor, Instr.t list ref) Hashtbl.t;  (** reversed *)
-  replace : (anchor, Instr.t) Hashtbl.t;
-  at_end : (string, Instr.t list ref) Hashtbl.t;
-      (** before the terminator; reversed *)
-  new_phis : (string, Instr.phi list ref) Hashtbl.t;
+  sizes : (string, int) Hashtbl.t;  (** body length by label *)
+  edits : (string, block_edits) Hashtbl.t;  (** edited blocks only *)
 }
 
-let create func =
-  {
-    func;
-    entry_pre = ref [];
-    before = Hashtbl.create 32;
-    after = Hashtbl.create 32;
-    replace = Hashtbl.create 8;
-    at_end = Hashtbl.create 8;
-    new_phis = Hashtbl.create 8;
-  }
+let create (func : Func.t) =
+  let sizes = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Block.t) -> Hashtbl.replace sizes b.label (List.length b.body))
+    func.blocks;
+  { func; entry_pre = ref []; sizes; edits = Hashtbl.create 16 }
 
-let push tbl key i =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> l := i :: !l
-  | None -> Hashtbl.add tbl key (ref [ i ])
+let block_edits t label =
+  match Hashtbl.find_opt t.edits label with
+  | Some e -> e
+  | None ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt t.sizes label) in
+      let e = { slots = Array.make n None; at_end = []; phis = [] } in
+      Hashtbl.add t.edits label e;
+      e
+
+let slot t (a : anchor) =
+  let e = block_edits t a.ablock in
+  if a.apos < 0 || a.apos >= Array.length e.slots then
+    invalid_arg
+      (Printf.sprintf "Edit: no instruction %s:%d" a.ablock a.apos);
+  match e.slots.(a.apos) with
+  | Some s -> s
+  | None ->
+      let s = { before = []; after = []; repl = None } in
+      e.slots.(a.apos) <- Some s;
+      s
 
 (** Fresh SSA variable in the function being edited. *)
 let fresh t ?name ty = Func.fresh_var t.func ?name ty
 
 let insert_entry t i = t.entry_pre := i :: !(t.entry_pre)
-let insert_before t anchor i = push t.before anchor i
-let insert_after t anchor i = push t.after anchor i
-let insert_at_end t block i = push t.at_end block i
+
+let insert_before t anchor i =
+  let s = slot t anchor in
+  s.before <- i :: s.before
+
+let insert_after t anchor i =
+  let s = slot t anchor in
+  s.after <- i :: s.after
+
+let insert_at_end t block i =
+  let e = block_edits t block in
+  e.at_end <- i :: e.at_end
 
 let set_replacement t anchor i =
-  if Hashtbl.mem t.replace anchor then
+  let s = slot t anchor in
+  if s.repl <> None then
     invalid_arg "Edit.set_replacement: anchor already replaced";
-  Hashtbl.replace t.replace anchor i
+  s.repl <- Some i
 
-let add_phi t block (p : Instr.phi) = push t.new_phis block p
+let add_phi t block (p : Instr.phi) =
+  let e = block_edits t block in
+  e.phis <- p :: e.phis
 
 (* convenience emitters returning the defined value *)
 
@@ -73,39 +107,35 @@ let emit_before t anchor ?name ty op : Value.t =
 
 (** Rebuild the function with all recorded edits applied.  The edited
     function is rebuilt in place (same [Func.t]); anchors refer to the
-    original layout. *)
+    original layout, and blocks without edits are kept as they are. *)
 let apply (t : t) : unit =
   let f = t.func in
   let entry_label =
     match f.blocks with b :: _ -> b.Block.label | [] -> ""
   in
-  let get tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some l -> List.rev !l
-    | None -> []
-  in
-  f.blocks <-
-    List.map
-      (fun (b : Block.t) ->
-        let body =
-          List.concat
-            (List.mapi
-               (fun pos (i : Instr.t) ->
-                 let a = { ablock = b.label; apos = pos } in
-                 let mid =
-                   match Hashtbl.find_opt t.replace a with
-                   | Some r -> r
-                   | None -> i
-                 in
-                 get t.before a @ (mid :: get t.after a))
-               b.body)
-        in
-        let body =
-          if String.equal b.label entry_label then
-            List.rev !(t.entry_pre) @ body
-          else body
-        in
-        let body = body @ get t.at_end b.label in
-        let phis = b.phis @ get t.new_phis b.label in
-        { b with phis; body })
-      f.blocks
+  ignore
+    (Func.map_blocks f (fun (b : Block.t) ->
+         let pre =
+           if String.equal b.label entry_label then List.rev !(t.entry_pre)
+           else []
+         in
+         match Hashtbl.find_opt t.edits b.label with
+         | None -> if pre = [] then b else { b with body = pre @ b.body }
+         | Some e ->
+             let rec rebuild pos = function
+               | [] -> List.rev e.at_end
+               | i :: rest -> (
+                   let rest = rebuild (pos + 1) rest in
+                   match e.slots.(pos) with
+                   | None -> i :: rest
+                   | Some s ->
+                       List.rev_append s.before
+                         (Option.value ~default:i s.repl
+                         :: List.rev_append s.after rest))
+             in
+             {
+               b with
+               phis = b.phis @ List.rev e.phis;
+               body = pre @ rebuild 0 b.body;
+             })
+      : bool)

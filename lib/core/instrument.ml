@@ -60,25 +60,27 @@ type defsite =
   | Dinstr of Edit.anchor * Instr.t
   | Dphi of string * Instr.phi
 
-let value_key = Optimize.value_key
 let vi64 = Checker.vi64
 let anchor_str = Checker.anchor_str
 
-let build_defsites (f : Func.t) : defsite Value.VTbl.t =
-  let t = Value.VTbl.create 64 in
-  List.iteri (fun i p -> Value.VTbl.replace t p (Dparam i)) f.params;
+let access_name = function Itarget.Aload -> "load" | Astore -> "store"
+
+(* the defsite of each variable of [f], by [vid]; [None] past the
+   function's ids *)
+let build_defsites (f : Func.t) : defsite option array =
+  let t = Array.make f.next_id None in
+  List.iteri (fun i (p : Value.var) -> t.(p.vid) <- Some (Dparam i)) f.params;
   List.iter
     (fun (b : Block.t) ->
       List.iter
-        (fun (p : Instr.phi) ->
-          Value.VTbl.replace t p.pdst (Dphi (b.label, p)))
+        (fun (p : Instr.phi) -> t.(p.pdst.vid) <- Some (Dphi (b.label, p)))
         b.phis;
       List.iteri
         (fun pos (i : Instr.t) ->
           match i.dst with
           | Some d ->
-              Value.VTbl.replace t d
-                (Dinstr ({ Edit.ablock = b.label; apos = pos }, i))
+              t.(d.vid) <-
+                Some (Dinstr ({ Edit.ablock = b.label; apos = pos }, i))
           | None -> ())
         b.body)
     f.blocks;
@@ -111,7 +113,7 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
   let opt_stats = opt.Optimize.stats in
   let edit = Edit.create f in
   let defsites = build_defsites f in
-  let memo : (string, Checker.witness) Hashtbl.t = Hashtbl.create 64 in
+  let memo : (Value.key, Checker.witness) Hashtbl.t = Hashtbl.create 64 in
   let call_ret : (Edit.anchor, Checker.witness) Hashtbl.t =
     Hashtbl.create 16
   in
@@ -143,7 +145,7 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
   in
   (* --- witness computation (generic over the checker's components) --- *)
   let rec witness_of (v : Value.t) : Checker.witness =
-    let key = value_key v in
+    let key = Value.key v in
     match Hashtbl.find_opt memo key with
     | Some w -> w
     | None ->
@@ -158,7 +160,9 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
     | Value.Flt _ -> invalid_arg "witness of float"
     | Value.Glob g -> checker.Checker.w_global ctx g
     | Value.Var x -> (
-        match Value.VTbl.find_opt defsites x with
+        match
+          if x.vid < Array.length defsites then defsites.(x.vid) else None
+        with
         | None ->
             invalid_arg
               (Printf.sprintf "witness: no defsite for %s in %s"
@@ -175,7 +179,7 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
             checker.Checker.components
         in
         let w = Array.map (fun v -> Value.Var v) vars in
-        Hashtbl.replace memo (value_key (Value.Var x)) w;
+        Hashtbl.replace memo (Value.K_var x.vid) w;
         let parts =
           List.map (fun (lbl, v) -> (lbl, witness_of v)) p.Instr.incoming
         in
@@ -262,12 +266,7 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
         let weakened = mutation <> None in
         if weakened then incr mutated;
         let site =
-          new_site
-            (Printf.sprintf "%s@%s"
-               (match c.c_access with
-               | Itarget.Aload -> "load"
-               | Astore -> "store")
-               (anchor_str c.c_anchor))
+          new_site (access_name c.c_access ^ "@" ^ anchor_str c.c_anchor)
         in
         let w =
           if weakened then checker.Checker.wide else witness_of c.c_ptr
@@ -297,11 +296,8 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
         if weakened then incr mutated;
         let site =
           new_site
-            (Printf.sprintf "%s@hoist:%s"
-               (match h.Optimize.h_access with
-               | Itarget.Aload -> "load"
-               | Astore -> "store")
-               (anchor_str h.Optimize.h_origin))
+            (access_name h.Optimize.h_access ^ "@hoist:"
+            ^ anchor_str h.Optimize.h_origin)
         in
         let w =
           if weakened then checker.Checker.wide

@@ -53,7 +53,7 @@ let emit_call (ctx : C.ctx) (c : Itarget.call) =
       invariant_check ctx
         ~before:(fun i -> Edit.insert_before ctx.edit c.l_anchor i)
         ~construct:
-          (Printf.sprintf "call-arg%d@%s" idx (C.anchor_str c.l_anchor))
+          ("call-arg" ^ string_of_int idx ^ "@" ^ C.anchor_str c.l_anchor)
         v)
     c.l_ptr_args
 

@@ -81,15 +81,6 @@ type result = {
   stats : stats;
 }
 
-(* A stable key for grouping checks by checked pointer value. *)
-let value_key (v : Value.t) =
-  match v with
-  | Var x -> "v" ^ string_of_int x.vid
-  | Int (ty, k) -> Printf.sprintf "i%s:%d" (Ty.to_string ty) k
-  | Flt f -> Printf.sprintf "f%h" f
-  | Glob g -> "g" ^ g
-  | Fn g -> "fn" ^ g
-
 (* identity of a check: anchors are unique per discovered check *)
 let anchor_key (c : Itarget.check) =
   (c.Itarget.c_anchor.Edit.ablock, c.Itarget.c_anchor.Edit.apos)
@@ -110,7 +101,7 @@ type dentry = { e_bi : int; e_pos : int; e_w : int; e_id : string * int }
    all-pairs scan. *)
 let dominance_eliminate_sweep (cfg : Cfg.t) (dom : Dom.t)
     (checks : Itarget.check list) : Itarget.check list =
-  let groups : (string, dentry list ref) Hashtbl.t = Hashtbl.create 32 in
+  let groups : (Value.key, dentry list ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (c : Itarget.check) ->
       let bi = Cfg.index cfg c.c_anchor.Edit.ablock in
@@ -122,7 +113,7 @@ let dominance_eliminate_sweep (cfg : Cfg.t) (dom : Dom.t)
           e_id = anchor_key c;
         }
       in
-      let key = value_key c.c_ptr in
+      let key = Value.key c.c_ptr in
       match Hashtbl.find_opt groups key with
       | Some l -> l := e :: !l
       | None -> Hashtbl.add groups key (ref [ e ]))
@@ -441,8 +432,8 @@ type hacc = {
 
 let hoist_pass (a : actx) (checks : Itarget.check list) :
     Itarget.check list * hoisted list =
-  let groups : (int * string, hacc) Hashtbl.t = Hashtbl.create 8 in
-  let order : (int * string) list ref = ref [] in
+  let groups : (int * Value.key, hacc) Hashtbl.t = Hashtbl.create 8 in
+  let order : (int * Value.key) list ref = ref [] in
   (* counted info by loop header *)
   let counted_of_header : (int, Indvar.counted) Hashtbl.t = Hashtbl.create 8 in
   Value.VTbl.iter
@@ -479,7 +470,7 @@ let hoist_pass (a : actx) (checks : Itarget.check list) :
         match hoistable chk with
         | None -> true
         | Some (l, pre, base, lo, hi) ->
-            let key = (l.Loops.header, value_key base) in
+            let key = (l.Loops.header, Value.key base) in
             (match Hashtbl.find_opt groups key with
             | Some g ->
                 g.a_lo <- min g.a_lo lo;

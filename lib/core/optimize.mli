@@ -38,9 +38,6 @@ type result = {
   stats : stats;
 }
 
-val value_key : Value.t -> string
-(** Stable structural key used to group checks by checked pointer. *)
-
 val dominance_eliminate : Func.t -> Itarget.check list -> Itarget.check list
 (** Remove every check dominated by an equal-or-wider check on the same
     pointer SSA value — the elimination "frequently described in

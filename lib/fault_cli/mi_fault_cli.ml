@@ -32,7 +32,7 @@ let inject_arg =
     & info [ "inject" ] ~docv:"SPEC"
         ~doc:
           "inject deterministic faults: comma-separated clauses \
-           $(b,seed=N), $(b,del-check=K[@FUNC]), \
+           $(b,del-check=K[@FUNC]), \
            $(b,weaken-check=K[@FUNC]), $(b,wild-write=STEP:ADDR:VALUE), \
            $(b,fuel=N), $(b,trap-at=STEP), \
            $(b,corrupt-cache=truncate|bitflip|stale), $(b,crash=SUBSTR), \

@@ -59,14 +59,13 @@ type job_fault =
       (** stall this many seconds first, capped at the job's budget *)
 
 type t = {
-  seed : int;  (** seeds any sampling done on top of the plan *)
   checks : check_mutation list;
   vm : vm_fault list;
   cache : cache_corruption option;
   jobs : job_fault list;
 }
 
-let none = { seed = 0; checks = []; vm = []; cache = None; jobs = [] }
+let none = { checks = []; vm = []; cache = None; jobs = [] }
 
 let is_none p =
   p.checks = [] && p.vm = [] && p.cache = None && p.jobs = []
@@ -135,8 +134,7 @@ let corruption_name = function
 
 let to_string p =
   let parts =
-    (if p.seed <> 0 then [ Printf.sprintf "seed=%d" p.seed ] else [])
-    @ List.map check_mutation_to_string p.checks
+    List.map check_mutation_to_string p.checks
     @ List.map
         (function
           | Wild_write { at_step; addr; value } ->
@@ -209,9 +207,6 @@ let parse spec : (t, string) result =
             let key = String.sub clause 0 i in
             let v = String.sub clause (i + 1) (String.length clause - i - 1) in
             match key with
-            | "seed" ->
-                Result.bind (int_of v "seed") (fun s ->
-                    go { acc with seed = s } rest)
             | "del-check" ->
                 Result.bind (check_of Delete v) (fun cm ->
                     go { acc with checks = cm :: acc.checks } rest)

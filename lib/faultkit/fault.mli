@@ -43,9 +43,6 @@ type job_fault =
 
 (** Each clause has one reader. *)
 type t = {
-  seed : int;
-      (** for sampling a caller does on top of the plan; only parsed
-          and rendered in this tree *)
   checks : check_mutation list;  (** read by [Mi_core.Instrument] *)
   vm : vm_fault list;  (** read by [Mi_vm.Inject] *)
   cache : cache_corruption option;
@@ -73,7 +70,7 @@ val job_fault_for : t -> string -> job_fault option
 (** First job fault whose substring matches the given job description. *)
 
 val parse : string -> (t, string) result
-(** Parse an [--inject] spec: comma-separated clauses [seed=N],
+(** Parse an [--inject] spec: comma-separated clauses
     [del-check=K[@FUNC]] (with [K] a 0-based ordinal or [*] for every
     check; the bare clause [del-check] is shorthand for [del-check=*]),
     [weaken-check=K[@FUNC]] (same forms),

@@ -1,9 +1,11 @@
 (** The compile-path workload: every translation unit of the suite and of
     fuzz seeds 1..50, each lowered by [Lower.compile] and optimized by
-    [Pipeline.run] alone, uninstrumented.  The printed MIR of every unit
-    at O0, O1 and O3 is pinned by [test/goldens/compile_mir.json];
-    [bench/main.exe --compile-units] times the O3 compiles and prints
-    the digest of their MIR, which CI compares with the golden's. *)
+    [Pipeline.run].  The printed MIR of every unit at O0, O1 and O3, and
+    instrumented under seven variants of the fuzz oracle's matrix, is
+    pinned by [test/goldens/compile_mir.json];
+    [bench/main.exe --compile-units] times the O3 compiles and the
+    instrumented suffixes and prints the digests of their MIR, which CI
+    compares with the golden's. *)
 
 open Mi_bench_kit
 module Pipeline = Mi_passes.Pipeline
@@ -24,12 +26,60 @@ let units () : (string * Bench.source) list =
           (Gen.generate ~seed ()).Gen.p_sources)
       fuzz_seeds
 
+let lower ?(mode = Mi_minic.Lower.default_mode) (s : Bench.source) =
+  let mode = Option.value ~default:mode s.mode_override in
+  Mi_minic.Lower.compile ~mode ~name:s.src_name s.code
+
 let compile level (s : Bench.source) : Mi_mir.Irmod.t =
-  let mode =
-    Option.value ~default:Mi_minic.Lower.default_mode s.mode_override
-  in
-  let m = Mi_minic.Lower.compile ~mode ~name:s.src_name s.code in
+  let m = lower s in
   Pipeline.run ~level m;
+  m
+
+(** The instrumented variants pinned per unit, by their tags in
+    {!Oracle.variants}. *)
+let instrumented_tags =
+  [
+    "O3+sb"; "O3+lf"; "O3+tp"; "O3+sb+checkopt"; "O3+lf+checkopt";
+    "O3+lf@early"; "O3+sb@scalarlate";
+  ]
+
+(** The variants [--compile-units] times from one shared O3 prefix: the
+    three checkers at the default extension point. *)
+let suffix_tags = [ "O3+sb"; "O3+lf"; "O3+tp" ]
+
+(* the instrumentation hook of [setup] for [s], as the harness builds
+   it: units marked uninstrumented only run the pipeline *)
+let instrument_hook (setup : Harness.setup) (s : Bench.source) =
+  match setup.config with
+  | Some cfg when s.instrument ->
+      Some
+        (fun m ->
+          ignore (Mi_core.Instrument.run cfg m : Mi_core.Instrument.mod_stats))
+  | _ -> None
+
+let compile_variant tag (s : Bench.source) : Mi_mir.Irmod.t =
+  let setup = Oracle.variant_setup tag in
+  let m = lower ~mode:setup.lowering s in
+  Pipeline.run ~level:setup.level ?instrument:(instrument_hook setup s)
+    ~ep:setup.ep m;
+  m
+
+(** The module every {!suffix_tags} variant of [s] shares: lowered and
+    run through the O3 phases before [VectorizerStart]. *)
+let suffix_prefix (s : Bench.source) : Mi_mir.Irmod.t =
+  let m = lower s in
+  List.iter
+    (fun ph -> Pipeline.run_phase ph m)
+    (Pipeline.prefix Pipeline.O3 Pipeline.VectorizerStart);
+  m
+
+(** Variant [tag] of {!suffix_tags} compiled on from a copy of
+    [prefix]: instrumentation, then the phases after the point. *)
+let compile_suffix tag (s : Bench.source) prefix : Mi_mir.Irmod.t =
+  let setup = Oracle.variant_setup tag in
+  let m = Mi_mir.Irmod.copy prefix in
+  Pipeline.resume ~level:setup.level ?instrument:(instrument_hook setup s)
+    ~ep:setup.ep m;
   m
 
 let unit_digest m =
@@ -41,21 +91,31 @@ let combine hexes = Digest.to_hex (Digest.string (String.concat "" hexes))
 let levels = [ ("O0", Pipeline.O0); ("O1", Pipeline.O1); ("O3", Pipeline.O3) ]
 
 (** The golden document: per unit, the digest of its printed MIR at each
-    level, and [o3_digest], the {!combine}d O3 digests of every unit. *)
+    level and under each of {!instrumented_tags}; [o3_digest], the
+    {!combine}d O3 digests of every unit; and [instrumented_digest], the
+    {!combine}d {!suffix_tags} digests, unit by unit. *)
 let golden () : Mi_obs.Json.t =
   let per_unit =
     List.map
       (fun (name, s) ->
         ( name,
           List.map (fun (l, level) -> (l, unit_digest (compile level s))) levels
-        ))
+          @ List.map
+              (fun tag -> (tag, unit_digest (compile_variant tag s)))
+              instrumented_tags ))
       (units ())
   in
   let str s = Mi_obs.Json.Str s in
+  let digest_of tags =
+    combine
+      (List.concat_map
+         (fun (_, ds) -> List.map (fun t -> List.assoc t ds) tags)
+         per_unit)
+  in
   Mi_obs.Json.Obj
     [
-      ( "o3_digest",
-        str (combine (List.map (fun (_, ds) -> List.assoc "O3" ds) per_unit)) );
+      ("o3_digest", str (digest_of [ "O3" ]));
+      ("instrumented_digest", str (digest_of suffix_tags));
       ( "units",
         Mi_obs.Json.Obj
           (List.map

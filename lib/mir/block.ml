@@ -14,6 +14,15 @@ let defs b =
   List.map (fun (p : Instr.phi) -> p.pdst) b.phis
   @ List.filter_map (fun (i : Instr.t) -> i.dst) b.body
 
+(** Apply [g] to every operand read in the block: phi incoming values,
+    instruction operands, terminator operands. *)
+let iter_uses g b =
+  List.iter
+    (fun (p : Instr.phi) -> List.iter (fun (_, v) -> g v) p.incoming)
+    b.phis;
+  List.iter (Instr.iter_operands g) b.body;
+  Instr.iter_term_operands g b.term
+
 (** Rewrite every operand in the block (phi incoming values, instruction
     operands, terminator operands) with [f]. *)
 let map_operands f b =

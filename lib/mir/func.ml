@@ -13,6 +13,9 @@ type t = {
   is_external : bool;
       (** declaration only: body lives in an uninstrumented library or the
           runtime; calls to it dispatch to the VM's builtin table *)
+  mutable settled : Block.t list * string list;
+      (** the function passes that last found nothing to change in
+          exactly these blocks (compared physically) *)
 }
 
 let mk ?(is_external = false) ~name ~params ~ret_ty blocks =
@@ -25,7 +28,15 @@ let mk ?(is_external = false) ~name ~params ~ret_ty blocks =
       (List.fold_left (fun acc (v : Value.var) -> max acc v.vid) (-1) params)
       blocks
   in
-  { fname = name; params; ret_ty; blocks; next_id = max_id + 1; is_external }
+  {
+    fname = name;
+    params;
+    ret_ty;
+    blocks;
+    next_id = max_id + 1;
+    is_external;
+    settled = ([], []);
+  }
 
 (** A function record of its own over the same (immutable) blocks: the
     copy's [blocks] and [next_id] change independently of [f]'s. *)
@@ -50,12 +61,19 @@ let find_block_exn f label =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "no block %s in %s" label f.fname)
 
-(** Replace the block with the same label as [b] by [b]. *)
-let update_block f (b : Block.t) =
-  f.blocks <-
-    List.map
-      (fun (b' : Block.t) -> if String.equal b'.label b.label then b else b')
-      f.blocks
+(** Replace each block [b] by [g b] (dropping it on [None]), in order.
+    [f.blocks] keeps its list when [g] returns every block itself, so a
+    pass that changes nothing leaves the blocks physically as they were;
+    the result says whether anything changed. *)
+let filter_map_blocks f g =
+  let blocks = Mi_support.Util.filter_map_keep g f.blocks in
+  blocks != f.blocks
+  && begin
+       f.blocks <- blocks;
+       true
+     end
+
+let map_blocks f g = filter_map_blocks f (fun b -> Some (g b))
 
 (** Iterate over all instructions with their containing block. *)
 let iter_instrs f g =

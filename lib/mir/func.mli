@@ -10,6 +10,10 @@ type t = {
   is_external : bool;
       (** declaration only: the body lives in another translation unit or
           the runtime's builtin table *)
+  mutable settled : Block.t list * string list;
+      (** the function passes that last found nothing to change in
+          exactly these blocks (compared physically); kept by
+          [Mi_passes.Pass.func_pass] *)
 }
 
 val mk :
@@ -30,8 +34,13 @@ val fresh_var : t -> ?name:string -> Ty.t -> Value.var
 val find_block : t -> string -> Block.t option
 val find_block_exn : t -> string -> Block.t
 
-val update_block : t -> Block.t -> unit
-(** Replace the block with the same label. *)
+val filter_map_blocks : t -> (Block.t -> Block.t option) -> bool
+(** Replace each block [b] by [g b] (dropping it on [None]), in order.
+    [blocks] keeps its list — physically — when [g] returns every block
+    itself; the result says whether anything changed. *)
+
+val map_blocks : t -> (Block.t -> Block.t) -> bool
+(** {!filter_map_blocks} without dropping. *)
 
 val iter_instrs : t -> (Block.t -> Instr.t -> unit) -> unit
 val instr_count : t -> int

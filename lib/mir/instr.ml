@@ -72,6 +72,26 @@ let operands (i : t) : Value.t list =
   | Alloca _ -> []
   | Memcpy (a, b, c) | Memset (a, b, c) -> [ a; b; c ]
 
+(** [List.iter g (operands i)], without building the list. *)
+let iter_operands g (i : t) =
+  match i.op with
+  | Bin (_, _, a, b) | Icmp (_, _, a, b) | FBin (_, a, b) | Fcmp (_, a, b) ->
+      g a;
+      g b
+  | Cast (_, _, v, _) | Load (_, v) -> g v
+  | Store (_, v, addr) ->
+      g v;
+      g addr
+  | Gep (base, idxs) ->
+      g base;
+      List.iter (fun gi -> g gi.idx) idxs
+  | Select (_, c, a, b) | Memcpy (c, a, b) | Memset (c, a, b) ->
+      g c;
+      g a;
+      g b
+  | Call (_, args) -> List.iter g args
+  | Alloca _ -> ()
+
 (** Rewrite every operand of [i] with [f]. *)
 let map_operands f (i : t) : t =
   let op =
@@ -98,6 +118,10 @@ let map_term_operands f (t : term) : term =
   | Ret (Some v) -> Ret (Some (f v))
   | Ret None | Unreachable | Br _ -> t
   | Cbr (c, l1, l2) -> Cbr (f c, l1, l2)
+
+let iter_term_operands g = function
+  | Ret (Some v) | Cbr (v, _, _) -> g v
+  | Ret None | Unreachable | Br _ -> ()
 
 let term_operands = function
   | Ret (Some v) -> [ v ]

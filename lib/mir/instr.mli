@@ -60,9 +60,13 @@ val mk : ?dst:Value.var -> op -> t
 val operands : t -> Value.t list
 (** Operand values read by an instruction (not the destination). *)
 
+val iter_operands : (Value.t -> unit) -> t -> unit
+(** [List.iter g (operands i)], in the same order, without the list. *)
+
 val map_operands : (Value.t -> Value.t) -> t -> t
 val map_term_operands : (Value.t -> Value.t) -> term -> term
 val term_operands : term -> Value.t list
+val iter_term_operands : (Value.t -> unit) -> term -> unit
 
 val successors : term -> string list
 (** Successor labels, deduplicated. *)

@@ -84,36 +84,39 @@ type effect_class =
   | May_abort  (** may terminate the program: checks, [abort], [exit] *)
   | Allocating  (** returns fresh memory: [malloc] and friends *)
 
+(* one table lookup per call: passes classify every call they visit *)
+let classes : (string, effect_class) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (cls, names) -> List.iter (fun n -> Hashtbl.replace t n cls) names)
+    [
+      (May_abort, [ sb_check; lf_check; lf_invariant_check; tp_check ]);
+      (Pure, [ lf_base; global_size ]);
+      ( Read_meta,
+        [
+          sb_trie_load_base; sb_trie_load_bound; ss_get_base; ss_get_bound;
+          tp_alloc_key; tp_trie_load; tp_ss_get;
+        ] );
+      ( Effectful,
+        [
+          sb_trie_store; sb_meta_copy; ss_enter; ss_leave; ss_set_base;
+          ss_set_bound; tp_trie_store; tp_meta_copy; tp_ss_enter; tp_ss_leave;
+          tp_ss_set;
+        ] );
+      (Allocating, [ "malloc"; "calloc"; "realloc"; lf_alloca; tp_alloca ]);
+      (May_abort, [ "abort"; "exit" ]);
+      (* memcmp/strlen/strcmp read user memory; we separately flag them as
+         memory readers in [reads_memory] below *)
+      ( Pure,
+        [
+          "memcmp"; "strlen"; "strcmp"; "abs"; "labs"; "mi_rand"; "sqrt";
+          "fabs"; "sin"; "cos"; "exp"; "log"; "floor"; "ceil"; "pow";
+        ] );
+    ];
+  t
+
 let classify name : effect_class =
-  if
-    name = sb_check || name = lf_check || name = lf_invariant_check
-    || name = tp_check
-  then May_abort
-  else if name = lf_base || name = global_size then Pure
-  else if
-    name = sb_trie_load_base || name = sb_trie_load_bound
-    || name = ss_get_base || name = ss_get_bound
-    || name = tp_alloc_key || name = tp_trie_load || name = tp_ss_get
-  then Read_meta
-  else if
-    name = sb_trie_store || name = sb_meta_copy || name = ss_enter
-    || name = ss_leave || name = ss_set_base || name = ss_set_bound
-    || name = tp_trie_store || name = tp_meta_copy || name = tp_ss_enter
-    || name = tp_ss_leave || name = tp_ss_set
-  then Effectful
-  else if name = "malloc" || name = "calloc" || name = "realloc"
-          || name = lf_alloca || name = tp_alloca
-  then Allocating
-  else if name = "abort" || name = "exit" then May_abort
-  else if
-    name = "memcmp" || name = "strlen" || name = "strcmp" || name = "abs"
-    || name = "labs" || name = "mi_rand" || name = "sqrt" || name = "fabs"
-    || name = "sin" || name = "cos" || name = "exp" || name = "log"
-    || name = "floor" || name = "ceil" || name = "pow"
-  then Pure
-    (* memcmp/strlen/strcmp read user memory; we separately flag them as
-       memory readers in [reads_memory] below *)
-  else Effectful
+  Option.value ~default:Effectful (Hashtbl.find_opt classes name)
 
 (** True for calls whose only effect is computing a result: safe to delete
     when the result is unused.  This is what lets DCE remove unused trie
@@ -140,10 +143,13 @@ let writes_memory name =
      && String.sub name 0 6 = "__sbw_" (* wrappers write through args *)
 
 (** True for functions the VM implements natively (no MIR body needed). *)
+let c_library_set =
+  Hashtbl.of_seq (Seq.map (fun n -> (n, ())) (List.to_seq c_library))
+
 let is_builtin name =
-  List.mem name c_library
-  || (String.length name >= 5 && String.sub name 0 5 = "__mi_")
-  || (String.length name >= 6 && String.sub name 0 6 = "__sbw_")
+  Hashtbl.mem c_library_set name
+  || String.starts_with ~prefix:"__mi_" name
+  || String.starts_with ~prefix:"__sbw_" name
 
 (** Does this intrinsic never return normally into instrumented code in a
     way that needs metadata? Used to skip shadow-stack setup for calls to

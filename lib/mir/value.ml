@@ -38,6 +38,29 @@ let equal a b =
   | Glob g1, Glob g2 | Fn g1, Fn g2 -> String.equal g1 g2
   | _ -> false
 
+(** Structural keys, for hashing values: two keys are equal exactly when
+    the values are {!equal}, except that floats compare by bits with
+    every NaN of one sign sharing a key ([-0.0] and [0.0] stay
+    distinct). *)
+type key =
+  | K_var of int  (** [vid] *)
+  | K_int of Ty.t * int
+  | K_flt of int64
+  | K_glob of string
+  | K_fn of string
+
+let nan_key = Int64.bits_of_float Float.nan
+let neg_nan_key = Int64.bits_of_float (-.Float.nan)
+
+let key = function
+  | Var x -> K_var x.vid
+  | Int (ty, k) -> K_int (ty, k)
+  | Flt f when Float.is_nan f ->
+      K_flt (if Float.sign_bit f then neg_nan_key else nan_key)
+  | Flt f -> K_flt (Int64.bits_of_float f)
+  | Glob g -> K_glob g
+  | Fn f -> K_fn f
+
 let var_to_string v = Printf.sprintf "%%%s.%d" v.vname v.vid
 
 let to_string = function

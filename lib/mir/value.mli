@@ -26,6 +26,20 @@ val is_const : t -> bool
 val equal : t -> t -> bool
 (** Structural equality ([Var]s by id). *)
 
+(** Structural keys, for hashing values: two keys are equal exactly when
+    the values are {!equal}, except that floats compare by bits with
+    every NaN of one sign sharing a key ([-0.0] and [0.0] stay
+    distinct). *)
+type key =
+  | K_var of int  (** [vid] *)
+  | K_int of Ty.t * int
+  | K_flt of int64
+  | K_glob of string
+  | K_fn of string
+
+val key : t -> key
+
+
 val var_to_string : var -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -14,7 +14,12 @@ module Dom = Mi_analysis.Dom
 let run_func (f : Func.t) : bool =
   let cfg = Cfg.build f in
   let dom = Dom.build cfg in
-  let table : (Putils.key, Value.t) Hashtbl.t = Hashtbl.create 64 in
+  (* the value computing each key and the block computing it.  An entry
+     stands only in the blocks its block dominates; in the walk's
+     dominator-tree preorder a key is entered only where no entry
+     stands, so the latest entry is the only one that can — no entry is
+     ever removed *)
+  let table : (Putils.key, Value.t * int) Hashtbl.t = Hashtbl.create 64 in
   let subst : Value.t Value.VTbl.t = Value.VTbl.create 16 in
   let changed = ref false in
   let resolve (v : Value.t) =
@@ -26,37 +31,42 @@ let run_func (f : Func.t) : bool =
   (* the new bodies, by block index; unreachable blocks keep theirs *)
   let bodies = Array.map (fun (b : Block.t) -> b.body) cfg.Cfg.blocks in
   let rec walk bi =
-    let added = ref [] in
     bodies.(bi) <-
-      List.filter_map
+      Mi_support.Util.filter_map_keep
         (fun (i : Instr.t) ->
           let i =
             if Value.VTbl.length subst = 0 then i
             else Instr.map_operands resolve i
           in
-          match (i.dst, Putils.op_key i.op) with
-          | Some d, Some key -> (
-              match Hashtbl.find_opt table key with
-              | Some v ->
-                  Value.VTbl.replace subst d v;
-                  changed := true;
-                  None
-              | None ->
-                  Hashtbl.add table key (Value.Var d);
-                  added := key :: !added;
-                  Some i)
-          | _ -> Some i)
+          match i.dst with
+          | None -> Some i
+          | Some d -> (
+              match Putils.op_key i.op with
+              | None -> Some i
+              | Some key -> (
+                  match Hashtbl.find_opt table key with
+                  | Some (v, at) when Dom.dominates dom at bi ->
+                      Value.VTbl.replace subst d v;
+                      changed := true;
+                      None
+                  | _ ->
+                      Hashtbl.replace table key (Value.Var d, bi);
+                      Some i)))
         bodies.(bi);
-    List.iter walk dom.Dom.children.(bi);
-    List.iter (fun k -> Hashtbl.remove table k) !added
+    List.iter walk dom.Dom.children.(bi)
   in
   if Array.length cfg.Cfg.blocks > 0 then walk 0;
-  f.blocks <-
-    Array.to_list
-      (Array.mapi
-         (fun bi (b : Block.t) -> { b with body = bodies.(bi) })
-         cfg.Cfg.blocks);
-  Putils.substitute f subst;
   !changed
+  && begin
+       f.blocks <-
+         Array.to_list
+           (Array.mapi
+              (fun bi (b : Block.t) ->
+                if bodies.(bi) == b.body then b
+                else { b with body = bodies.(bi) })
+              cfg.Cfg.blocks);
+       Putils.substitute f subst;
+       true
+     end
 
 let pass = Pass.func_pass "gvn" run_func

@@ -144,21 +144,15 @@ let inline_site (caller : Func.t) (callee : Func.t) ~(block : string)
   (* split the caller block *)
   let prefix = List.filteri (fun i _ -> i < pos) b.body in
   let suffix = List.filteri (fun i _ -> i > pos) b.body in
+  (* the statics go to the top of the caller's entry block *)
   let entry_label = (Func.entry caller).Block.label in
-  let prefix =
-    if statics <> [] && String.equal block entry_label then
-      statics @ prefix
-    else begin
-      if statics <> [] then begin
-        let caller_entry = Func.entry caller in
-        Func.update_block caller
-          { caller_entry with body = statics @ caller_entry.body }
-      end;
-      prefix
-    end
+  let split_entry = String.equal block entry_label in
+  let prefix = if split_entry then statics @ prefix else prefix in
+  let with_statics (blk : Block.t) =
+    if statics <> [] && (not split_entry) && String.equal blk.label entry_label
+    then { blk with body = statics @ blk.body }
+    else blk
   in
-  (* refetch in case the entry block was just rewritten *)
-  let b = Func.find_block_exn caller block in
   let head =
     { b with body = prefix; term = Instr.Br (label_of (Func.entry callee).Block.label) }
   in
@@ -213,8 +207,10 @@ let inline_site (caller : Func.t) (callee : Func.t) ~(block : string)
             if List.mem block succ_labels then rename_phis head else head
           in
           (head :: copied) @ [ cont ]
-        else if List.mem blk.label succ_labels then [ rename_phis blk ]
-        else [ blk ])
+        else
+          let blk = with_statics blk in
+          if List.mem blk.label succ_labels then [ rename_phis blk ]
+          else [ blk ])
       caller.blocks
   in
   caller.blocks <- blocks;

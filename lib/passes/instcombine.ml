@@ -156,43 +156,35 @@ let run_func (f : Func.t) : bool =
           | None -> Some i)
     | _ -> Some i
   in
-  f.blocks <-
-    List.map
-      (fun (b : Block.t) ->
-        (* phi simplification: single incoming, or all incoming equal *)
-        let phis =
-          List.filter
-            (fun (p : Instr.phi) ->
-              let vals = List.map snd p.incoming in
-              let all_same v = List.for_all (Value.equal v) vals in
-              match vals with
-              | [ v ] when not (Value.equal v (Var p.pdst)) ->
-                  Value.VTbl.replace subst p.pdst v;
-                  changed := true;
-                  false
-              | v :: _
-                when all_same v && not (Value.equal v (Var p.pdst)) ->
-                  Value.VTbl.replace subst p.pdst v;
-                  changed := true;
-                  false
-              | _ ->
-                  (* phi where all non-self incoming agree *)
-                  let non_self =
-                    List.filter
-                      (fun v -> not (Value.equal v (Var p.pdst)))
-                      vals
-                  in
-                  (match non_self with
-                  | v :: rest when List.for_all (Value.equal v) rest ->
-                      Value.VTbl.replace subst p.pdst v;
-                      changed := true;
-                      false
-                  | _ -> true))
-            b.phis
+  (* phi simplification: single incoming, or all incoming equal; [None]
+     when the phi was substituted away *)
+  let simplify_phi (p : Instr.phi) : Instr.phi option =
+    let vals = List.map snd p.incoming in
+    let all_same v = List.for_all (Value.equal v) vals in
+    let dissolve v =
+      Value.VTbl.replace subst p.pdst v;
+      changed := true;
+      None
+    in
+    match vals with
+    | [ v ] when not (Value.equal v (Var p.pdst)) -> dissolve v
+    | v :: _ when all_same v && not (Value.equal v (Var p.pdst)) -> dissolve v
+    | _ -> (
+        (* phi where all non-self incoming agree *)
+        let non_self =
+          List.filter (fun v -> not (Value.equal v (Var p.pdst))) vals
         in
-        let body = List.filter_map simplify_instr b.body in
-        { b with phis; body })
-      f.blocks;
+        match non_self with
+        | v :: rest when List.for_all (Value.equal v) rest -> dissolve v
+        | _ -> Some p)
+  in
+  let keep = Mi_support.Util.filter_map_keep in
+  ignore
+    (Func.map_blocks f (fun (b : Block.t) ->
+         let phis = keep simplify_phi b.phis in
+         let body = keep simplify_instr b.body in
+         if phis == b.phis && body == b.body then b else { b with phis; body })
+      : bool);
   Putils.substitute f subst;
   !changed
 

@@ -9,14 +9,31 @@ open Mi_mir
 type t = { name : string; run : Irmod.t -> bool }
 
 (** Lift a per-function transformation to a module pass over defined,
-    non-runtime functions. *)
+    non-runtime functions.
+
+    A function pass sees only the function's blocks, and a run that
+    changes nothing leaves them physically as they were (every pass
+    writes back only on change).  So a pass that found nothing in
+    exactly these blocks finds nothing again: [f.settled] remembers
+    which passes did, and they skip [f] until its blocks change. *)
 let func_pass name (run_func : Func.t -> bool) : t =
+  let run_settled (f : Func.t) =
+    let blocks, passes = f.settled in
+    if blocks == f.blocks && List.mem name passes then false
+    else
+      let changed = run_func f in
+      if not changed then
+        f.settled <-
+          (if blocks == f.blocks then (blocks, name :: passes)
+           else (f.blocks, [ name ]));
+      changed
+  in
   {
     name;
     run =
       (fun m ->
         List.fold_left
-          (fun changed f -> run_func f || changed)
+          (fun changed f -> run_settled f || changed)
           false (Irmod.defined_funcs m));
   }
 

@@ -158,6 +158,10 @@ let prefix level ep =
   let before, _, _ = split level ep in
   before
 
+let suffix level ep =
+  let _, after, _ = split level ep in
+  after
+
 let run_phase ?tracer ph m =
   let body () =
     ignore (Pass.run_fixpoint ?tracer ~max_rounds:ph.rounds ph.passes m)

@@ -52,6 +52,10 @@ val prefix : level -> extension_point -> phase list
     the pipeline every variant instrumented at [ep] (or not at all)
     shares.  [[]] at [O0]. *)
 
+val suffix : level -> extension_point -> phase list
+(** The phases that run after [ep] at [level], in order: what
+    {!resume} runs once the instrumentation is in. *)
+
 val run_phase : ?tracer:Mi_obs.Trace.t -> phase -> Irmod.t -> unit
 (** Run one phase in place, under a ["phase"] span when traced. *)
 

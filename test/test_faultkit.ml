@@ -29,19 +29,18 @@ let test_parse_round_trip () =
       "";
       "del-check=1@main";
       "weaken-check=0";
-      "seed=7,del-check=2@foo,weaken-check=1,fuel=5000";
+      "del-check=2@foo,weaken-check=1,fuel=5000";
       "wild-write=100:4096:255,trap-at=9";
       "corrupt-cache=bitflip,crash=softbound,hang=lowfat:2.5";
-      "seed=3, fuel=10 , corrupt-cache=stale";
+      " fuel=10 , corrupt-cache=stale";
     ]
 
 let test_parse_fields () =
   let p =
     parse_exn
-      "seed=9,del-check=1@main,wild-write=50:4096:7,fuel=123,trap-at=4,\
+      "del-check=1@main,wild-write=50:4096:7,fuel=123,trap-at=4,\
        corrupt-cache=truncate,crash=sb,hang=lf:1.5"
   in
-  Alcotest.(check int) "seed" 9 p.Fault.seed;
   (match p.Fault.checks with
   | [ { Fault.cm_action = Fault.Delete; cm_ordinal = 1; cm_func = Some "main" } ]
     ->
@@ -66,7 +65,50 @@ let test_parse_errors () =
       "corrupt-cache=nope";
       "bogus=1";
       "fuel=";
+      "seed=7";
     ]
+
+(* mic compiles and runs once, outside any harness session: it refuses
+   the clauses it cannot honour with one line naming the clause (exit
+   2), and keeps the ones it can *)
+let test_mic_refuses_unhonoured () =
+  let src = Filename.temp_file "mi-mic" ".c" in
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc "int main() { return 0; }\n");
+  let err = Filename.temp_file "mi-mic" ".err" in
+  let mic spec =
+    let code =
+      Sys.command
+        (Printf.sprintf "../bin/mic.exe --inject %s %s > /dev/null 2> %s"
+           (Filename.quote spec) (Filename.quote src) (Filename.quote err))
+    in
+    (code, In_channel.with_open_bin err In_channel.input_all)
+  in
+  List.iter
+    (fun (spec, clause) ->
+      let code, msg = mic spec in
+      Alcotest.(check int) (spec ^ ": exit") 2 code;
+      Alcotest.(check int) (spec ^ ": one line") 1
+        (List.length (String.split_on_char '\n' (String.trim msg)));
+      let names =
+        let n = String.length clause in
+        let rec at i =
+          i + n <= String.length msg
+          && (String.sub msg i n = clause || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) (spec ^ ": names " ^ clause) true names)
+    [
+      ("crash=main", "crash=main");
+      ("hang=main:5", "hang=main:5");
+      ("corrupt-cache=stale", "corrupt-cache=stale");
+      ("fuel=100000,crash=x", "crash=x");
+    ];
+  Alcotest.(check int) "honoured clauses run" 0
+    (fst (mic "fuel=100000,del-check=0"));
+  Sys.remove src;
+  Sys.remove err
 
 let test_compile_sig () =
   Alcotest.(check string) "empty plan" "" (Fault.compile_sig Fault.none);
@@ -318,6 +360,8 @@ let () =
           Alcotest.test_case "parse fields" `Quick test_parse_fields;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "compile signature" `Quick test_compile_sig;
+          Alcotest.test_case "mic refuses clauses it cannot honour" `Quick
+            test_mic_refuses_unhonoured;
         ] );
       ( "check-mutation",
         [

@@ -19,7 +19,8 @@ let exits =
     ("chaos-j1", 1); ("fuzz-j4", 0); ("fuzz-j1", 0); ("probe-minutes", 2);
     ("probe-entry", 2); ("probe-replay", 2); ("probe-no-corpus", 0);
     ("probe-memsafe-compile", 2); ("probe-mic-retries", 124);
-    ("prof-j4", 0); ("prof-j1", 0); ("profile-diff", 0); ("flame", 0);
+    ("probe-mic-inject", 2); ("prof-j4", 0); ("prof-j1", 0);
+    ("profile-diff", 0); ("flame", 0);
     ("drive-crash", 0); ("drive-crash-daemon", 0); ("drive-corrupt", 0);
     ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);
     ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
@@ -69,25 +70,30 @@ let vm_txt ?(cov = 0.95) pairs =
    above BENCH_vm.json's min_ratio_vs_base *)
 let passing_pairs = List.init 7 (fun _ -> (64e6, 32e6))
 
-(* one --compile-units line per pair, printing [digest] *)
-let compile_txt digest =
+(* one --compile-units line per pair, printing [digest] and
+   [instrumented_digest] *)
+let compile_txt (digest, instrumented) =
   String.concat ""
     (List.init 7 (fun i ->
          Printf.sprintf
            "compile_units: units=107 reps=10 elapsed_s=1.5 units_per_s=700 \
-            digest=%s pair=%d\n"
-           digest (i + 1)))
+            digest=%s instrumented_elapsed_s=0.6 \
+            instrumented_units_per_s=5000 instrumented_digest=%s pair=%d\n"
+           digest instrumented (i + 1)))
 
-let golden_digest =
-  match
-    Mi_obs.Json.member "o3_digest"
-      (Mi_obs.Json.of_string
-         (read
-            (List.find Sys.file_exists
-               [ "goldens/compile_mir.json"; "test/goldens/compile_mir.json" ])))
-  with
-  | Some (Mi_obs.Json.Str d) -> d
-  | _ -> failwith "compile golden lacks o3_digest"
+let golden_digests =
+  let golden =
+    Mi_obs.Json.of_string
+      (read
+         (List.find Sys.file_exists
+            [ "goldens/compile_mir.json"; "test/goldens/compile_mir.json" ]))
+  in
+  let digest key =
+    match Mi_obs.Json.member key golden with
+    | Some (Mi_obs.Json.Str d) -> d
+    | _ -> failwith ("compile golden lacks " ^ key)
+  in
+  (digest "o3_digest", digest "instrumented_digest")
 
 let fuzz_case name tp =
   Printf.sprintf {|{"name":"%s","O3+sb":"killed","O3+lf":"killed","O3+tp":%s}|}
@@ -157,7 +163,7 @@ let passing =
     ("json-j1.json", json_doc ());
     ("json-j2.json", json_doc ());
     ("vm.txt", vm_txt passing_pairs);
-    ("compile.txt", compile_txt golden_digest);
+    ("compile.txt", compile_txt golden_digests);
     ( "mutation.json",
       reports
         [ ("mutation", [ series "mutants" [ ("total", 10.); ("survived", 0.) ] ]) ]
@@ -297,7 +303,18 @@ let () =
                [ ("vm.txt", Some (vm_txt ~cov:0.85 passing_pairs)) ]);
           Alcotest.test_case "fields: compile digest off the golden" `Quick
             (fails "compile-digest"
-               [ ("compile.txt", Some (compile_txt (String.make 32 '0'))) ]);
+               [
+                 ( "compile.txt",
+                   Some
+                     (compile_txt (String.make 32 '0', snd golden_digests)) );
+               ]);
+          Alcotest.test_case "fields: instrumented MIR digest differs" `Quick
+            (fails "compile-digest"
+               [
+                 ( "compile.txt",
+                   Some
+                     (compile_txt (fst golden_digests, String.make 32 '0')) );
+               ]);
           Alcotest.test_case "fields: drive dropped a job" `Quick
             (fails "serve-crash"
                [

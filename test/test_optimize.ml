@@ -72,8 +72,7 @@ let naive_dominance (f : Func.t) (checks : Itarget.check list) =
         (List.exists
            (fun d ->
              anchor d <> anchor c
-             && Optimize.value_key d.Itarget.c_ptr
-                = Optimize.value_key c.Itarget.c_ptr
+             && Value.key d.Itarget.c_ptr = Value.key c.Itarget.c_ptr
              && d.Itarget.c_width >= c.Itarget.c_width
              && dominates d c)
            checks))

@@ -409,34 +409,135 @@ let test_gvn_keys () =
   Alcotest.(check bool) "impure call has no key" true
     (P.Putils.op_key (Call ("malloc", [ Value.i64 8 ])) = None)
 
-(* The printed MIR of every suite unit at O0/O1/O3 and of fuzz seeds
-   1..50, after [Lower.compile] + [Pipeline.run], digested per unit.
-   goldens/compile_mir.json was recorded before the structural GVN keys,
-   the table-driven lexer and the precedence-climbing parser; the
-   compile path must reproduce it byte for byte. *)
+(* The printed MIR of every suite unit and of fuzz seeds 1..50, after
+   [Lower.compile] + [Pipeline.run], digested per unit: at O0/O1/O3
+   uninstrumented, and instrumented under seven variants of the fuzz
+   oracle's matrix.  goldens/compile_mir.json recorded the uninstrumented
+   digests before the structural GVN keys, the table-driven lexer and
+   the precedence-climbing parser, and the instrumented ones before the
+   dense pass indexes; the compile path must reproduce it byte for
+   byte. *)
 let read_golden name =
   let path =
     List.find Sys.file_exists [ "goldens/" ^ name; "test/goldens/" ^ name ]
   in
   In_channel.with_open_bin path In_channel.input_all
 
-let test_compile_golden () =
+let compile_golden = lazy (Mi_fuzz.Compile_units.golden ())
+
+(* the per-unit digests of [golden] and of a fresh run under the tags
+   [keep] selects, unit by unit *)
+let check_compile_golden keep digest_key =
   let golden = Mi_obs.Json.of_string (read_golden "compile_mir.json") in
-  let got = Mi_fuzz.Compile_units.golden () in
+  let got = Lazy.force compile_golden in
   let units j =
     match Mi_obs.Json.member "units" j with
     | Some (Mi_obs.Json.Obj us) -> us
     | _ -> Alcotest.fail "no units"
   in
+  let tagged = function
+    | Mi_obs.Json.Obj ds ->
+        List.filter_map
+          (fun (tag, d) ->
+            if keep tag then Some (tag ^ "=" ^ Mi_obs.Json.to_string d)
+            else None)
+          ds
+    | _ -> Alcotest.fail "unit is not an object"
+  in
   Alcotest.(check (list string)) "units" (List.map fst (units golden))
     (List.map fst (units got));
   List.iter2
     (fun (name, want) (_, have) ->
-      Alcotest.(check string) name (Mi_obs.Json.to_string want)
-        (Mi_obs.Json.to_string have))
+      Alcotest.(check (list string)) name (tagged want) (tagged have))
     (units golden) (units got);
+  Alcotest.(check string) digest_key
+    (Mi_obs.Json.to_string (Option.get (Mi_obs.Json.member digest_key golden)))
+    (Mi_obs.Json.to_string (Option.get (Mi_obs.Json.member digest_key got)))
+
+let uninstrumented tag = List.mem tag [ "O0"; "O1"; "O3" ]
+
+let test_compile_golden () =
+  check_compile_golden uninstrumented "o3_digest";
   Alcotest.(check string) "golden bytes" (read_golden "compile_mir.json")
-    (Mi_obs.Json.to_string got)
+    (Mi_obs.Json.to_string (Lazy.force compile_golden))
+
+let test_compile_golden_instrumented () =
+  check_compile_golden
+    (fun tag -> not (uninstrumented tag))
+    "instrumented_digest"
+
+(* The pass contract, over every [Compile_units] unit along the O3
+   pipeline, uninstrumented and instrumented: a pass run reports a
+   change exactly when the printed MIR changed, and a function whose
+   printed form it left alone keeps its blocks physically — so a run
+   that reports no change leaves every [f.blocks] as it was, and
+   [Irmod.copy] forks keep sharing them. *)
+(* each function's blocks and printed form *)
+let snapshot (m : Irmod.t) =
+  List.map
+    (fun (f : Func.t) -> (f.fname, (f.blocks, Printer.func_to_string f)))
+    m.funcs
+
+let checked_run ~where (p : P.Pass.t) (m : Irmod.t) snap =
+  let changed = p.run m in
+  let snap' = snapshot m in
+  if changed <> (List.map (fun (n, (_, s)) -> (n, s)) snap
+                 <> List.map (fun (n, (_, s)) -> (n, s)) snap')
+  then
+    Alcotest.failf "%s: %s returned %b, but the printed MIR %s" where p.name
+      changed
+      (if changed then "did not change" else "changed");
+  List.iter
+    (fun (name, (blocks, printed)) ->
+      match List.assoc_opt name snap with
+      | Some (blocks', printed')
+        when blocks != blocks' && String.equal printed printed' ->
+          Alcotest.failf "%s: %s rebuilt the unchanged blocks of %s" where
+            p.name name
+      | _ -> ())
+    snap';
+  (changed, snap')
+
+(* [Pipeline.run_phase], with every pass run checked *)
+let checked_phases ~where phases m =
+  List.iter
+    (fun (ph : P.Pipeline.phase) ->
+      let rec go n snap =
+        if n < ph.rounds then
+          let changed, snap =
+            List.fold_left
+              (fun (changed, snap) p ->
+                let c, snap = checked_run ~where p m snap in
+                (c || changed, snap))
+              (false, snap) ph.passes
+          in
+          if changed then go (n + 1) snap
+      in
+      go 0 (snapshot m))
+    phases
+
+let test_pass_contract () =
+  let module U = Mi_fuzz.Compile_units in
+  let variants =
+    None :: List.map Option.some [ "O3+sb"; "O3+lf"; "O3+tp"; "O3+lf@early" ]
+  in
+  List.iter
+    (fun (name, (s : Mi_bench_kit.Bench.source)) ->
+      let lowered = U.lower s in
+      List.iter
+        (fun tag ->
+          let setup =
+            Option.fold ~none:Mi_bench_kit.Harness.baseline
+              ~some:Mi_fuzz.Oracle.variant_setup tag
+          in
+          let where = name ^ " " ^ Option.value ~default:"O3" tag in
+          let m = Irmod.copy lowered in
+          let level = setup.level and ep = setup.ep in
+          checked_phases ~where (P.Pipeline.prefix level ep) m;
+          Option.iter (fun f -> f m) (U.instrument_hook setup s);
+          checked_phases ~where (P.Pipeline.suffix level ep) m)
+        variants)
+    (U.units ())
 
 (* ------------------------------------------------------------------ *)
 (* LICM                                                                *)
@@ -1007,6 +1108,13 @@ let () =
         [
           Alcotest.test_case "suite + 50 fuzz seeds, O0/O1/O3" `Quick
             test_compile_golden;
+          Alcotest.test_case "suite + 50 fuzz seeds, instrumented" `Quick
+            test_compile_golden_instrumented;
+        ] );
+      ( "pass contract",
+        [
+          Alcotest.test_case "changed is exact; unchanged blocks are kept"
+            `Quick test_pass_contract;
         ] );
       ( "licm",
         [
