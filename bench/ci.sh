@@ -38,13 +38,15 @@ run() {
     echo "exit: run=$name code=$code" >> "$out/exit.txt"
 }
 
-# experiments JSON on one benchmark; -j 2 with the on-disk cache must
-# match -j 1 byte for byte
-run json-j1 $bin/experiments.exe --benchmark 470lbm -j 1 \
-    --json "$out/json-j1.json" table2 hotchecks fig10 fig12
-run json-j2 $bin/experiments.exe --benchmark 470lbm -j 2 \
-    --cache-dir "$out/cache" --json "$out/json-j2.json" table2 hotchecks \
-    fig10 fig12
+# every benchmark-matrix experiment as JSON on two benchmarks (164gzip
+# declares size-zero arrays, so ablation-sz0 has rows); -j 2 with the
+# on-disk cache must match -j 1 byte for byte
+matrix="fig9 fig10 fig11 fig12 fig13 table2 optstats ablation-lf \
+    ablation-sz0 hotchecks checkelim"
+two="--benchmark 470lbm --benchmark 164gzip"
+run json-j1 $bin/experiments.exe $two -j 1 --json "$out/json-j1.json" $matrix
+run json-j2 $bin/experiments.exe $two -j 2 --cache-dir "$out/cache" \
+    --json "$out/json-j2.json" $matrix
 
 # VM throughput is compared with a fixed reference commit on this host,
 # exported (no worktree) and built in the scratch dir.  Every change is

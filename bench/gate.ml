@@ -167,10 +167,11 @@ let check_exits lines =
     fail "%d runs recorded, %d in the table" (List.length got) (List.length exits);
   Printf.sprintf "%d runs as required" (List.length got)
 
-(* Figures 10 and 12 share one column-table reduce: each series is a
-   column, in column order *)
+(* Figures 9-13 share one column-table reduce: each series is a
+   column, in column order; Figure 9 has one per registered approach *)
 let columns =
   [
+    ("fig9", Mi_core.Checker.known_names ());
     ("fig10", [ "optimized"; "unoptimized"; "metadata" ]);
     ( "fig12",
       [ "ModuleOptimizerEarly"; "ScalarOptimizerLate"; "VectorizerStart" ] );
@@ -190,7 +191,8 @@ let json_smoke doc =
         fail "%s series [%s], want [%s]" name (String.concat "; " got)
           (String.concat "; " want))
     columns;
-  "table2 + hotchecks, sb/lf/tp _checks_wide series; fig10 + fig12 columns"
+  "table2 + hotchecks, sb/lf/tp _checks_wide series; fig9 + fig10 + fig12 \
+   columns"
 
 (* bench/ci.sh runs [pairs] pairs, numbered 1..[pairs] (the paper's
    median of 7): base and candidate --vm-steps back to back, with a

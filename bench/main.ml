@@ -15,12 +15,13 @@ module Fuzz = Mi_fuzz.Fuzz
 
 let now = Mi_support.Mclock.now
 
-(* Steps/second of the interpreter on the fixed `hotchecks` workload:
-   sb_opt and lf_opt over the full suite.  One warm-up pass through a
-   single-worker session populates the instrumentation cache, so the
-   timed repetitions measure VM execution, not compilation.  The VM is
-   deterministic — total steps per pass are a fixed number — which makes
-   steps/sec a pure wall-clock measure of the execution engine.
+(* Steps/second of the interpreter on a fixed workload: sb_opt and
+   lf_opt over the full suite (the spatial half of the hotchecks
+   matrix; the reference commit times the same two).  One warm-up pass
+   through a single-worker session populates the instrumentation cache,
+   so the timed repetitions measure VM execution, not compilation.  The
+   VM is deterministic — total steps per pass are a fixed number — which
+   makes steps/sec a pure wall-clock measure of the execution engine.
 
    [~coverage:true] runs the identical workload with a VM coverage
    registry attached, so the gate can bound the block/edge-recording

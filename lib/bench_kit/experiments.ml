@@ -1,18 +1,21 @@
 (** The paper's evaluation as a self-registering experiment registry.
 
-    An {!t} declares a [name], a [descr]iption, the (setup x benchmark)
-    [jobs] it needs, and a [reduce] that renders a {!report} from the
-    completed runs.  The generic driver ({!run_reports}) gathers the
-    jobs of every selected experiment, deduplicates them, shards them
-    across a {!Harness.t} session's worker domains, and only then runs
-    each [reduce] — so every experiment is parallel (and shares runs
-    with its siblings, e.g. the baseline runs of Figures 9-13) for free,
-    and adding an experiment is ~20 lines: build setups, list jobs,
-    fold the runs into a table.
+    An {!t} declares a [name], a [descr]iption, the [setups] it runs on
+    each benchmark, and a [reduce] that renders a {!report} from the
+    completed runs.  The generic driver ({!run_reports}) derives the
+    (setup x benchmark) job matrix of every selected experiment from its
+    [setups], deduplicates it, shards it across a {!Harness.t} session's
+    worker domains, and only then runs each [reduce] — so every
+    experiment is parallel (and shares runs with its siblings, e.g. the
+    baseline runs of Figures 9-13) for free.  An experiment names its
+    setups once, in one list its [setups] and its [reduce] both read;
+    adding one is ~20 lines: that list, and a fold of its runs into a
+    table.
 
     Where the paper states reference values, reduces print them side by
     side (columns suffixed [(paper)]). *)
 
+module Checker = Mi_core.Checker
 module Config = Mi_core.Config
 module Pipeline = Mi_passes.Pipeline
 module Table = Mi_support.Table
@@ -25,8 +28,8 @@ module Util = Mi_support.Util
 let opt_setup (approach : Config.approach) =
   let cfg = Config.of_approach approach in
   let cfg =
-    if (Mi_core.Checker.find_exn approach).Mi_core.Checker.supports_dominance_opt
-    then Config.optimized cfg
+    if (Checker.find_exn approach).Checker.supports_dominance_opt then
+      Config.optimized cfg
     else cfg
   in
   Harness.with_config cfg Harness.baseline
@@ -55,28 +58,19 @@ let checkopt_setup (approach : Config.approach) =
 let elim_capable () =
   List.filter
     (fun a ->
-      let c = Mi_core.Checker.find_exn a in
-      c.Mi_core.Checker.supports_dominance_opt
-      || c.Mi_core.Checker.supports_static_opt
-      || c.Mi_core.Checker.supports_hoist_opt)
+      let c = Checker.find_exn a in
+      c.Checker.supports_dominance_opt || c.Checker.supports_static_opt
+      || c.Checker.supports_hoist_opt)
     (Config.known_approaches ())
 
-(* Counter namespace of each runtime ("sb.checks", "lf.checks_wide",
-   "tp.checks", ...).  Kept alongside the display name used in table
-   headers; both are pure renderings of the registry name. *)
-let counter_prefix (approach : Config.approach) =
-  match Config.approach_name approach with
-  | "softbound" -> "sb"
-  | "lowfat" -> "lf"
-  | "temporal" -> "tp"
-  | other -> invalid_arg ("Experiments: no counter prefix for " ^ other)
+(* runtime-counter namespace ("sb" for "sb.checks") and table name
+   ("SoftBound") of a registered approach *)
+let counter_ns a = (Checker.find_exn a).Checker.counter_ns
+let table_name a = (Checker.find_exn a).Checker.table_name
 
-let display_name (approach : Config.approach) =
-  match Config.approach_name approach with
-  | "softbound" -> "SoftBound"
-  | "lowfat" -> "Low-Fat"
-  | "temporal" -> "Temporal"
-  | other -> other
+(* one setup per registered approach, labelled with the approach *)
+let per_approach setup () =
+  List.map (fun a -> (a, setup a)) (Config.known_approaches ())
 
 let fmt_x f = Printf.sprintf "%.2fx" f
 let fmt_pct f = Printf.sprintf "%.2f" f
@@ -85,22 +79,41 @@ type series = { label : string; points : (string * float) list }
 
 type report = { title : string; text : string; series : series list }
 
+(* [grid benchmarks columns cell] is [cell b c] for every benchmark and
+   column, benchmark-major: the order rows render and runs are looked
+   up in.  [series_of] reads one series per column back out of it, the
+   point of benchmark [b] being [value c (cell b c)]. *)
+let grid benchmarks columns cell =
+  List.map (fun (b : Bench.t) -> (b, List.map (cell b) columns)) benchmarks
+
+let series_of grid columns ~label value =
+  List.mapi
+    (fun i c ->
+      {
+        label = label c;
+        points =
+          List.map
+            (fun ((b : Bench.t), cells) -> (b.name, value c (List.nth cells i)))
+            grid;
+      })
+    columns
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
 type lookup = Harness.setup -> Bench.t -> Harness.run
 (** Fetch one completed run by its job.  Inside {!run_reports} this is a
-    table lookup into the already-executed job matrix (falling back to
-    an on-demand run for jobs an experiment did not declare); it raises
-    {!Harness.Benchmark_failed} when the job's compile phase failed. *)
+    table lookup into the already-executed job matrix; it raises
+    {!Harness.Benchmark_failed} when the job's compile phase failed and
+    [Invalid_argument] for a job the experiment did not declare. *)
 
 type t = {
   name : string;
   aliases : string list;
   descr : string;
-  jobs : Bench.t list -> (Harness.setup * Bench.t) list;
-      (** every run the reduce will look up *)
+  setups : Bench.t -> Harness.setup list;
+      (** every setup the reduce looks up on this benchmark *)
   reduce : lookup -> Bench.t list -> report;
 }
 
@@ -119,6 +132,11 @@ let find name =
 
 let known_names () = List.map (fun e -> e.name) (all ())
 
+let jobs e benchmarks =
+  List.concat_map
+    (fun b -> List.map (fun s -> (s, b)) (e.setups b))
+    benchmarks
+
 (** Wrap a lookup with the strict contract: raise
     {!Harness.Benchmark_failed} unless the run exited normally and
     matched its expected output.  Experiments that measure healthy runs
@@ -135,33 +153,35 @@ let strict (lookup : lookup) : lookup =
     reduce sequentially.  Because the matrix is shared, experiments
     reuse each other's runs (one baseline run serves Figures 9-13), and
     because reduces see a completed table, report output is independent
-    of the session's [jobs] setting. *)
+    of the session's [jobs] setting.  Each reduce may look up only the
+    jobs its own experiment declared. *)
 let run_reports ?(benchmarks = Suite.all) ?(keep_going = false)
     (h : Harness.t) (exps : t list) : (string * report) list =
-  let jobs = List.concat_map (fun e -> e.jobs benchmarks) exps in
-  let results = Harness.run_jobs h jobs in
+  let key (s, (b : Bench.t)) = (Harness.setup_key s, b.name) in
+  let matrices = List.map (fun e -> (e, jobs e benchmarks)) exps in
+  let all_jobs = List.concat_map snd matrices in
   let table = Hashtbl.create 256 in
   List.iter2
-    (fun (s, (b : Bench.t)) r ->
-      Hashtbl.replace table (Harness.setup_key s, b.name) r)
-    jobs results;
-  let lookup setup (b : Bench.t) =
-    let res =
-      match Hashtbl.find_opt table (Harness.setup_key setup, b.name) with
-      | Some r -> r
-      | None ->
-          (* a reduce asked for an undeclared job: run it now, memoized *)
-          let r = Harness.run h setup b in
-          Hashtbl.replace table (Harness.setup_key setup, b.name) r;
-          r
-    in
-    match res with
-    | Ok r -> r
-    | Error e ->
-        raise (Harness.Benchmark_failed (e.Harness.bench, e.Harness.reason))
-  in
+    (fun job r -> Hashtbl.replace table (key job) r)
+    all_jobs
+    (Harness.run_jobs h all_jobs);
   List.map
-    (fun e ->
+    (fun (e, own) ->
+      let declared = Hashtbl.create 64 in
+      List.iter (fun job -> Hashtbl.replace declared (key job) ()) own;
+      let lookup setup b =
+        let k = key (setup, b) in
+        if not (Hashtbl.mem declared k) then
+          invalid_arg
+            (Printf.sprintf
+               "Experiments.run_reports: %s looked up setup %s on %s, which \
+                it did not declare"
+               e.name (fst k) (snd k));
+        match Hashtbl.find table k with
+        | Ok r -> r
+        | Error e ->
+            raise (Harness.Benchmark_failed (e.Harness.bench, e.Harness.reason))
+      in
       let report =
         if not keep_going then e.reduce lookup benchmarks
         else
@@ -181,113 +201,64 @@ let run_reports ?(benchmarks = Suite.all) ?(keep_going = false)
             }
       in
       (e.name, report))
-    exps
+    matrices
 
 (* ------------------------------------------------------------------ *)
-(* Figure 9: execution-time comparison                                 *)
+(* Figures 9-13: one overhead column per (label, setup)                *)
 (* ------------------------------------------------------------------ *)
-
-(* One column per registered checker, enumerated from the registry: a
-   fourth approach gets a Figure 9 column by registering, not by
-   editing this file. *)
-let fig9_jobs benchmarks =
-  let setups = List.map opt_setup (Config.known_approaches ()) in
-  List.concat_map
-    (fun b -> (Harness.baseline, b) :: List.map (fun s -> (s, b)) setups)
-    benchmarks
-
-let fig9_reduce lookup benchmarks : report =
-  let run = strict lookup in
-  let approaches = Config.known_approaches () in
-  let tbl =
-    Table.create
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) approaches @ [ Table.Right ])
-      (("Benchmark" :: List.map display_name approaches) @ [ "baseline cycles" ])
-  in
-  let acc = List.map (fun a -> (a, ref [])) approaches in
-  let pts = List.map (fun a -> (a, ref [])) approaches in
-  List.iter
-    (fun (b : Bench.t) ->
-      let base = run Harness.baseline b in
-      let cells =
-        List.map
-          (fun a ->
-            let o = Harness.overhead ~baseline:base (run (opt_setup a) b) in
-            (List.assoc a acc) := o :: !(List.assoc a acc);
-            (List.assoc a pts) := (b.name, o) :: !(List.assoc a pts);
-            fmt_x o)
-          approaches
-      in
-      Table.add_row tbl ((b.name :: cells) @ [ string_of_int base.cycles ]))
-    benchmarks;
-  Table.add_row tbl
-    (("geomean"
-     :: List.map (fun a -> fmt_x (Util.geomean !(List.assoc a acc))) approaches)
-    @ [ "" ]);
-  Table.add_row tbl
-    (("geomean (paper)"
-     :: List.map
-          (fun a ->
-            match Config.approach_name a with
-            | "softbound" -> fmt_x Paper_data.fig9_mean_sb
-            | "lowfat" -> fmt_x Paper_data.fig9_mean_lf
-            | _ -> "-")
-          approaches)
-    @ [ "" ]);
-  {
-    title = "Figure 9: Execution Time Comparison (normalized to -O3)";
-    text = Table.render tbl;
-    series =
-      List.map
-        (fun a ->
-          { label = Config.approach_name a; points = List.rev !(List.assoc a pts) })
-        approaches;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Figures 10-13: one overhead column per (label, setup)               *)
-(* ------------------------------------------------------------------ *)
-
-let columns_jobs setups benchmarks =
-  List.concat_map
-    (fun b ->
-      (Harness.baseline, b) :: List.map (fun (_, s) -> (s, b)) setups)
-    benchmarks
 
 (* One row per benchmark of each column's overhead over -O3, a geomean
-   row, and one series per column, labelled like its column. *)
-let columns_reduce ~title setups lookup benchmarks : report =
+   row, and one series per column, labelled like its column.  [head]
+   renders a label as its column header; with [paper], a last row gives
+   each column's reference geomean; with [cycles], a last column gives
+   each benchmark's baseline cycles. *)
+let columns_reduce ~title ?(head = Fun.id) ?paper ?(cycles = false) columns
+    lookup benchmarks : report =
   let run = strict lookup in
+  let extra cell = if cycles then [ cell ] else [] in
   let tbl =
     Table.create
-      ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) setups)
-      ("Benchmark" :: List.map fst setups)
+      ~aligns:
+        ((Table.Left :: List.map (fun _ -> Table.Right) columns)
+        @ extra Table.Right)
+      (("Benchmark" :: List.map (fun (l, _) -> head l) columns)
+      @ extra "baseline cycles")
   in
-  let acc = List.map (fun (l, _) -> (l, ref [])) setups in
-  let pts = List.map (fun (l, _) -> (l, ref [])) setups in
+  let g =
+    grid benchmarks columns (fun b ->
+        let base = run Harness.baseline b in
+        fun (_, setup) -> Harness.overhead ~baseline:base (run setup b))
+  in
   List.iter
-    (fun (b : Bench.t) ->
-      let base = run Harness.baseline b in
-      let cells =
-        List.map
-          (fun (label, setup) ->
-            let o = Harness.overhead ~baseline:base (run setup b) in
-            (List.assoc label acc) := o :: !(List.assoc label acc);
-            (List.assoc label pts) := (b.name, o) :: !(List.assoc label pts);
-            fmt_x o)
-          setups
-      in
-      Table.add_row tbl (b.name :: cells))
-    benchmarks;
+    (fun ((b : Bench.t), cells) ->
+      Table.add_row tbl
+        ((b.name :: List.map fmt_x cells)
+        @ extra (string_of_int (run Harness.baseline b).cycles)))
+    g;
+  let series = series_of g columns ~label:fst (fun _ o -> o) in
   Table.add_row tbl
-    ("geomean"
-    :: List.map (fun (l, _) -> fmt_x (Util.geomean !(List.assoc l acc))) setups);
-  {
-    title;
-    text = Table.render tbl;
-    series =
-      List.map (fun (l, _) -> { label = l; points = List.rev !(List.assoc l pts) }) setups;
-  }
+    (("geomean"
+     :: List.map (fun s -> fmt_x (Util.geomean (List.map snd s.points))) series
+     )
+    @ extra "");
+  Option.iter
+    (fun paper ->
+      Table.add_row tbl
+        (("geomean (paper)" :: List.map (fun (l, _) -> paper l) columns)
+        @ extra ""))
+    paper;
+  { title; text = Table.render tbl; series }
+
+(* Figure 9: the measured configuration of every registered checker, so
+   a fourth approach gets a column by registering, not by editing this
+   file *)
+let fig9_title = "Figure 9: Execution Time Comparison (normalized to -O3)"
+
+let fig9_paper a =
+  match Config.approach_name a with
+  | "softbound" -> fmt_x Paper_data.fig9_mean_sb
+  | "lowfat" -> fmt_x Paper_data.fig9_mean_lf
+  | _ -> "-"
 
 (* Figures 10/11: optimized vs unoptimized vs metadata-only *)
 let opt_variant_setups (approach : Config.approach) =
@@ -327,7 +298,7 @@ let fig13_title =
 (* ------------------------------------------------------------------ *)
 
 let wide_fraction (r : Harness.run) ~approach =
-  let p = counter_prefix approach in
+  let p = counter_ns approach in
   Util.percent
     (Harness.counter r (p ^ ".checks_wide"))
     (Harness.counter r (p ^ ".checks"))
@@ -335,10 +306,6 @@ let wide_fraction (r : Harness.run) ~approach =
 let star fraction wide_count =
   if wide_count = 0 then Printf.sprintf "%s*" (fmt_pct fraction)
   else fmt_pct fraction
-
-let table2_jobs benchmarks =
-  let setups = List.map full_setup (Config.known_approaches ()) in
-  List.concat_map (fun b -> List.map (fun s -> (s, b)) setups) benchmarks
 
 (* Paper reference cells exist only for the two paper approaches; every
    other registered checker renders "-" in its (paper) column. *)
@@ -358,47 +325,40 @@ let table2_paper_cell (b : Bench.t) approach =
   | "lowfat" -> cell (fun p -> p.Paper_data.lf) (fun p -> p.Paper_data.lf_star)
   | _ -> "-"
 
-let table2_reduce lookup benchmarks : report =
+let table2_reduce columns lookup benchmarks : report =
   let run = strict lookup in
-  let approaches = Config.known_approaches () in
-  let short a = String.uppercase_ascii (counter_prefix a) in
+  let short (a, _) = String.uppercase_ascii (counter_ns a) in
   let tbl =
     Table.create
       ~aligns:
         (Table.Left
-        :: List.concat_map (fun _ -> [ Table.Right; Table.Right ]) approaches)
+        :: List.concat_map (fun _ -> [ Table.Right; Table.Right ]) columns)
       ("Benchmark"
-      :: List.concat_map (fun a -> [ short a; short a ^ " (paper)" ]) approaches)
+      :: List.concat_map (fun c -> [ short c; short c ^ " (paper)" ]) columns)
   in
-  let pts = List.map (fun a -> (a, ref [])) approaches in
+  let g = grid benchmarks columns (fun b (_, setup) -> run setup b) in
   List.iter
-    (fun (b : Bench.t) ->
+    (fun ((b : Bench.t), runs) ->
       let cells =
         List.concat_map
-          (fun a ->
-            let r = run (full_setup a) b in
-            let f = wide_fraction r ~approach:a in
-            (List.assoc a pts) := (b.name, f) :: !(List.assoc a pts);
+          (fun ((a, _), r) ->
             [
-              star f (Harness.counter r (counter_prefix a ^ ".checks_wide"));
+              star (wide_fraction r ~approach:a)
+                (Harness.counter r (counter_ns a ^ ".checks_wide"));
               table2_paper_cell b a;
             ])
-          approaches
+          (List.combine columns runs)
       in
       let name = if b.size_zero_arrays then b.name ^ " [sz0]" else b.name in
       Table.add_row tbl (name :: cells))
-    benchmarks;
+    g;
   (* raw wide-bounds counters ride along as extra series so machine
      consumers (--json) need not re-derive them from percentages *)
-  let raw label key setup =
-    {
-      label;
-      points =
-        List.map
-          (fun (b : Bench.t) ->
-            (b.name, float_of_int (Harness.counter (run setup b) key)))
-          benchmarks;
-    }
+  let raw suffix =
+    series_of g columns
+      ~label:(fun (a, _) -> counter_ns a ^ "_" ^ suffix)
+      (fun (a, _) r ->
+        float_of_int (Harness.counter r (counter_ns a ^ "." ^ suffix)))
   in
   {
     title =
@@ -407,28 +367,20 @@ let table2_reduce lookup benchmarks : report =
        checks.";
     text = Table.render tbl;
     series =
-      List.map
-        (fun a ->
-          {
-            label = counter_prefix a ^ "_wide_pct";
-            points = List.rev !(List.assoc a pts);
-          })
-        approaches
-      @ List.concat_map
-          (fun a ->
-            let p = counter_prefix a in
-            [
-              raw (p ^ "_checks_wide") (p ^ ".checks_wide") (full_setup a);
-              raw (p ^ "_checks") (p ^ ".checks") (full_setup a);
-            ])
-          approaches;
+      series_of g columns
+        ~label:(fun (a, _) -> counter_ns a ^ "_wide_pct")
+        (fun (a, _) r -> wide_fraction r ~approach:a)
+      @ List.concat
+          (List.map2 (fun w n -> [ w; n ]) (raw "checks_wide") (raw "checks"));
   }
 
 (* ------------------------------------------------------------------ *)
 (* §5.3: checks removed by the dominance optimization                  *)
 (* ------------------------------------------------------------------ *)
 
-let optstats_jobs benchmarks = List.map (fun b -> (sb_opt, b)) benchmarks
+(* the sum of one per-unit instrumentation statistic over a run *)
+let static_sum (f : Mi_core.Instrument.mod_stats -> int) (r : Harness.run) =
+  List.fold_left (fun acc s -> acc + f s) 0 r.static_stats
 
 let optstats_reduce lookup benchmarks : report =
   let run = strict lookup in
@@ -437,30 +389,23 @@ let optstats_reduce lookup benchmarks : report =
       ~aligns:[ Table.Left; Right; Right; Right ]
       [ "Benchmark"; "checks found"; "removed"; "removed %" ]
   in
-  let pts = ref [] in
-  List.iter
-    (fun (b : Bench.t) ->
-      let sb = run sb_opt b in
-      let found =
-        List.fold_left
-          (fun a (s : Mi_core.Instrument.mod_stats) ->
-            a + s.total_checks_found)
-          0 sb.static_stats
-      in
-      let removed =
+  let points =
+    List.map
+      (fun (b : Bench.t) ->
+        let r = run sb_opt b in
+        let found = static_sum (fun s -> s.total_checks_found) r in
         (* the dominance pass's own counter: [total_checks_removed] is
            the total over all three elimination passes and would
            over-report this §5.3 series the moment another pass is on *)
-        List.fold_left
-          (fun a (s : Mi_core.Instrument.mod_stats) ->
-            a + s.total_checks_removed_dominance)
-          0 sb.static_stats
-      in
-      let pct = Util.percent removed found in
-      pts := (b.name, pct) :: !pts;
-      Table.add_row tbl
-        [ b.name; string_of_int found; string_of_int removed; fmt_pct pct ])
-    benchmarks;
+        let removed =
+          static_sum (fun s -> s.total_checks_removed_dominance) r
+        in
+        let pct = Util.percent removed found in
+        Table.add_row tbl
+          [ b.name; string_of_int found; string_of_int removed; fmt_pct pct ];
+        (b.name, pct))
+      benchmarks
+  in
   {
     title =
       Printf.sprintf
@@ -471,7 +416,7 @@ let optstats_reduce lookup benchmarks : report =
         (fst Paper_data.opt_removed_max)
         (snd Paper_data.opt_removed_max);
     text = Table.render tbl;
-    series = [ { label = "removed_pct"; points = List.rev !pts } ];
+    series = [ { label = "removed_pct"; points } ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -525,6 +470,7 @@ let table1 () : report =
     series = [];
   }
 
+
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
@@ -532,85 +478,72 @@ let table1 () : report =
 (* Low-Fat protection scope: the stack [Duck & Yap NDSS'17] and global
    [arXiv'18] extensions cost little runtime but carry the coverage —
    disabling them floods the wide-bounds statistics. *)
-let lf_scope_variants =
-  [
-    ("full", Config.lowfat);
-    ("no-stack", { Config.lowfat with lf_stack = false });
-    ("no-globals", { Config.lowfat with lf_globals = false });
-    ( "heap-only",
-      { Config.lowfat with lf_stack = false; lf_globals = false } );
-  ]
-
-let ablation_lf_jobs benchmarks =
-  List.concat_map
-    (fun b ->
-      (Harness.baseline, b)
-      :: List.map
-           (fun (_, cfg) -> (Harness.with_config cfg Harness.baseline, b))
-           lf_scope_variants)
-    benchmarks
+let lf_scope_columns =
+  List.map
+    (fun (label, cfg) -> (label, Harness.with_config cfg Harness.baseline))
+    [
+      ("full", Config.lowfat);
+      ("no-stack", { Config.lowfat with lf_stack = false });
+      ("no-globals", { Config.lowfat with lf_globals = false });
+      ( "heap-only",
+        { Config.lowfat with lf_stack = false; lf_globals = false } );
+    ]
 
 let ablation_lf_reduce lookup benchmarks : report =
   let run = strict lookup in
-  let variants = lf_scope_variants in
+  let columns = lf_scope_columns in
   let tbl =
     Table.create
-      ~aligns:[ Table.Left; Right; Right; Right; Right; Right; Right; Right; Right ]
+      ~aligns:
+        (Table.Left
+        :: List.concat_map (fun _ -> [ Table.Right; Table.Right ]) columns)
       ("Benchmark"
-      :: List.concat_map
-           (fun (l, _) -> [ l ^ " ov"; l ^ " wide%" ])
-           variants)
+      :: List.concat_map (fun (l, _) -> [ l ^ " ov"; l ^ " wide%" ]) columns)
   in
-  let pts = List.map (fun (l, _) -> (l, ref [])) variants in
+  let g =
+    grid benchmarks columns (fun b ->
+        let base = run Harness.baseline b in
+        fun (_, setup) ->
+          let r = run setup b in
+          ( Harness.overhead ~baseline:base r,
+            wide_fraction r ~approach:"lowfat" ))
+  in
   List.iter
-    (fun (b : Bench.t) ->
-      let base = run Harness.baseline b in
-      let cells =
-        List.concat_map
-          (fun (label, cfg) ->
-            let r = run (Harness.with_config cfg Harness.baseline) b in
-            let ov = Harness.overhead ~baseline:base r in
-            let w = wide_fraction r ~approach:"lowfat" in
-            (List.assoc label pts) := (b.name, w) :: !(List.assoc label pts);
-            [ fmt_x ov; fmt_pct w ])
-          variants
-      in
-      Table.add_row tbl (b.name :: cells))
-    benchmarks;
+    (fun ((b : Bench.t), cells) ->
+      Table.add_row tbl
+        (b.name
+        :: List.concat_map (fun (ov, w) -> [ fmt_x ov; fmt_pct w ]) cells))
+    g;
   {
     title =
       "Ablation: Low-Fat protection scope (stack/global mirroring) — \
        runtime overhead and wide-bounds fraction per variant";
     text = Table.render tbl;
     series =
-      List.map
-        (fun (l, _) -> { label = "wide_" ^ l; points = List.rev !(List.assoc l pts) })
-        variants;
+      series_of g columns ~label:(fun (l, _) -> "wide_" ^ l) (fun _ (_, w) -> w);
   }
 
 (* SoftBound's policy for size-zero extern arrays (§4.3): wide upper
    bounds keep the programs running but unprotected; null bounds reject
    the first access — the "likely resulting in spurious violation
-   reports" alternative. *)
+   reports" alternative.  Only benchmarks that declare such arrays run. *)
 let sb_sz0_null =
   Harness.with_config
     { Config.softbound with sb_size_zero_wide_upper = false }
     Harness.baseline
 
-let sz0_benchmarks benchmarks =
-  List.filter (fun (b : Bench.t) -> b.Bench.size_zero_arrays) benchmarks
+let sz0_columns =
+  [ ("wide upper (default)", sb_full); ("null bounds", sb_sz0_null) ]
 
-let ablation_sz0_jobs benchmarks =
-  List.concat_map
-    (fun b -> [ (sb_full, b); (sb_sz0_null, b) ])
-    (sz0_benchmarks benchmarks)
+let ablation_sz0_setups (b : Bench.t) =
+  if b.size_zero_arrays then List.map snd sz0_columns else []
 
 let ablation_sz0_reduce (lookup : lookup) benchmarks : report =
-  let sz0 = sz0_benchmarks benchmarks in
+  let sz0 = List.filter (fun (b : Bench.t) -> b.size_zero_arrays) benchmarks in
   let tbl =
     Table.create
       ~aligns:[ Table.Left; Right; Right ]
-      [ "Benchmark [sz0]"; "wide upper (default)"; "null bounds" ]
+      ("Benchmark [sz0]" :: List.map fst sz0_columns)
   in
   let outcome_cell (r : Harness.run) =
     match r.outcome with
@@ -619,23 +552,27 @@ let ablation_sz0_reduce (lookup : lookup) benchmarks : report =
     | Mi_vm.Interp.Trapped _ -> "trap"
     | Mi_vm.Interp.Exhausted _ -> "exhausted"
   in
-  let spurious = ref 0 in
+  (* violations are the expected data here: plain lookup, no strictness *)
+  let g = grid sz0 sz0_columns (fun b (_, setup) -> lookup setup b) in
   List.iter
-    (fun (b : Bench.t) ->
-      (* violations are the expected data here: plain lookup, no strictness *)
-      let wide = lookup sb_full b in
-      let null = lookup sb_sz0_null b in
-      (match null.outcome with
-      | Mi_vm.Interp.Safety_violation _ -> incr spurious
-      | _ -> ());
-      Table.add_row tbl [ b.name; outcome_cell wide; outcome_cell null ])
-    sz0;
+    (fun ((b : Bench.t), runs) ->
+      Table.add_row tbl (b.name :: List.map outcome_cell runs))
+    g;
+  let spurious =
+    List.length
+      (List.filter
+         (fun b ->
+           match (lookup sb_sz0_null b).outcome with
+           | Mi_vm.Interp.Safety_violation _ -> true
+           | _ -> false)
+         sz0)
+  in
   {
     title =
       Printf.sprintf
         "Ablation: SoftBound size-zero extern array policy (§4.3) — null \
          bounds spuriously reject %d of %d affected benchmarks"
-        !spurious (List.length sz0);
+        spurious (List.length sz0);
     text = Table.render tbl;
     series = [];
   }
@@ -646,44 +583,28 @@ let ablation_sz0_reduce (lookup : lookup) benchmarks : report =
 
 (* Where does the modeled check time actually go?  Reuses the optimized
    runs of Figure 9: every {!Harness.run} carries the per-site profile. *)
-let hotchecks_jobs benchmarks =
-  let setups = List.map opt_setup (Config.known_approaches ()) in
-  List.concat_map (fun b -> List.map (fun s -> (s, b)) setups) benchmarks
-
-let hotchecks_reduce ?(n = 5) lookup benchmarks : report =
+let hotchecks_reduce columns lookup benchmarks : report =
   let run = strict lookup in
-  let approaches = Config.known_approaches () in
-  let buf = Buffer.create 1024 in
-  let pts = List.map (fun a -> (a, ref [])) approaches in
-  List.iter
-    (fun (b : Bench.t) ->
-      List.iter
-        (fun a ->
-          let r = run (opt_setup a) b in
-          (List.assoc a pts) :=
-            (b.name, float_of_int (Mi_obs.Site.total_cycles r.Harness.profile))
-            :: !(List.assoc a pts);
-          Buffer.add_string buf
-            (Printf.sprintf "-- %s / %s --\n%s\n" b.name
-               (Config.approach_name a)
-               (Mi_obs.Site.render ~n r.Harness.profile)))
-        approaches)
-    benchmarks;
+  let n = 5 in
+  let g =
+    grid benchmarks columns (fun (b : Bench.t) (a, setup) ->
+        let r = run setup b in
+        ( Printf.sprintf "-- %s / %s --\n%s\n" b.name a
+            (Mi_obs.Site.render ~n r.Harness.profile),
+          float_of_int (Mi_obs.Site.total_cycles r.Harness.profile) ))
+  in
   {
     title =
       Printf.sprintf
         "Hottest check sites: top %d instrumentation sites by modeled \
          check cycles, per benchmark and approach"
         n;
-    text = Buffer.contents buf;
+    text =
+      String.concat "" (List.concat_map (fun (_, cells) -> List.map fst cells) g);
     series =
-      List.map
-        (fun a ->
-          {
-            label = counter_prefix a ^ "_check_cycles";
-            points = List.rev !(List.assoc a pts);
-          })
-        approaches;
+      series_of g columns
+        ~label:(fun (a, _) -> counter_ns a ^ "_check_cycles")
+        (fun _ (_, cycles) -> cycles);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -724,6 +645,18 @@ let reports_to_json (rs : report list) : Json.t =
    survivor is a guarantee hole, so the reduce raises — under
    [--keep-going] that degrades to an incomplete report, but the CI
    gate runs it strictly. *)
+let mutant_series label (c : Mutation.campaign) =
+  {
+    label;
+    points =
+      [
+        ("total", float_of_int c.Mutation.total);
+        ("killed", float_of_int c.Mutation.killed);
+        ("whitelisted", float_of_int c.Mutation.whitelisted);
+        ("survived", float_of_int c.Mutation.survived);
+      ];
+  }
+
 let mutation_reduce _lookup _benchmarks : report =
   let c = Mutation.run ~sample_per_approach:25 () in
   if c.Mutation.survived > 0 then
@@ -737,19 +670,7 @@ let mutation_reduce _lookup _benchmarks : report =
     title =
       "Mutation campaign: check-deletion mutants vs the safety corpus";
     text = Mutation.render c;
-    series =
-      [
-        {
-          label = "mutants";
-          points =
-            [
-              ("total", float_of_int c.Mutation.total);
-              ("killed", float_of_int c.Mutation.killed);
-              ("whitelisted", float_of_int c.Mutation.whitelisted);
-              ("survived", float_of_int c.Mutation.survived);
-            ];
-        };
-      ];
+    series = [ mutant_series "mutants" c ];
   }
 
 (* ------------------------------------------------------------------ *)
@@ -762,19 +683,11 @@ let mutation_reduce _lookup _benchmarks : report =
    dynamic side joins the per-check-site profiles (hit counts and
    modeled check cycles) of the unoptimized vs optimized runs — the
    profile-guided report the elimination work is judged by. *)
-let checkelim_jobs benchmarks =
-  let approaches = elim_capable () in
-  List.concat_map
-    (fun b ->
-      (Harness.baseline, b)
-      :: List.concat_map
-           (fun a -> [ (full_setup a, b); (checkopt_setup a, b) ])
-           approaches)
-    benchmarks
+let checkelim_columns () =
+  List.map (fun a -> (a, (full_setup a, checkopt_setup a))) (elim_capable ())
 
-let checkelim_reduce lookup benchmarks : report =
+let checkelim_reduce columns lookup benchmarks : report =
   let run = strict lookup in
-  let approaches = elim_capable () in
   let tbl =
     Table.create
       ~aligns:
@@ -787,32 +700,19 @@ let checkelim_reduce lookup benchmarks : report =
         "dyn checks"; "dyn removed %"; "cyc saved %"; "ov unopt"; "ov opt";
       ]
   in
-  let mk () = List.map (fun a -> (a, ref [])) approaches in
-  let static_pts = mk () in
-  let dyn_pts = mk () in
-  let cyc_pts = mk () in
-  let ov_unopt_pts = mk () in
-  let ov_opt_pts = mk () in
-  let push pts a name v = (List.assoc a pts) := (name, v) :: !(List.assoc a pts) in
-  List.iter
-    (fun (b : Bench.t) ->
-      let base = run Harness.baseline b in
-      List.iter
-        (fun a ->
-          let unopt = run (full_setup a) b in
-          let opt = run (checkopt_setup a) b in
-          let sum f =
-            List.fold_left
-              (fun acc (s : Mi_core.Instrument.mod_stats) -> acc + f s)
-              0 opt.Harness.static_stats
-          in
-          let found = sum (fun s -> s.total_checks_found) in
-          let rd = sum (fun s -> s.total_checks_removed_dominance) in
-          let rs = sum (fun s -> s.total_checks_removed_static) in
-          let rh = sum (fun s -> s.total_checks_removed_hoisted) in
+  let g =
+    grid benchmarks columns (fun (b : Bench.t) ->
+        let base = run Harness.baseline b in
+        fun (a, (unopt_setup, opt_setup)) ->
+          let unopt = run unopt_setup b in
+          let opt = run opt_setup b in
+          let found = static_sum (fun s -> s.total_checks_found) opt in
+          let rd = static_sum (fun s -> s.total_checks_removed_dominance) opt in
+          let rs = static_sum (fun s -> s.total_checks_removed_static) opt in
+          let rh = static_sum (fun s -> s.total_checks_removed_hoisted) opt in
           let removed = rd + rs + rh in
           let static_pct = Util.percent removed found in
-          let p = counter_prefix a in
+          let p = counter_ns a in
           let dyn_unopt = Harness.counter unopt (p ^ ".checks") in
           let dyn_opt = Harness.counter opt (p ^ ".checks") in
           let dyn_pct = Util.percent (dyn_unopt - dyn_opt) dyn_unopt in
@@ -821,15 +721,10 @@ let checkelim_reduce lookup benchmarks : report =
           let cyc_pct = Util.percent (cyc_unopt - cyc_opt) cyc_unopt in
           let ov_unopt = Harness.overhead ~baseline:base unopt in
           let ov_opt = Harness.overhead ~baseline:base opt in
-          push static_pts a b.name static_pct;
-          push dyn_pts a b.name dyn_pct;
-          push cyc_pts a b.name cyc_pct;
-          push ov_unopt_pts a b.name ov_unopt;
-          push ov_opt_pts a b.name ov_opt;
           Table.add_row tbl
             [
               b.name;
-              display_name a;
+              table_name a;
               string_of_int found;
               Printf.sprintf "%d/%d/%d" rd rs rh;
               fmt_pct static_pct;
@@ -838,17 +733,13 @@ let checkelim_reduce lookup benchmarks : report =
               fmt_pct cyc_pct;
               fmt_x ov_unopt;
               fmt_x ov_opt;
-            ])
-        approaches)
-    benchmarks;
-  let ser pts suffix =
-    List.map
-      (fun a ->
-        {
-          label = counter_prefix a ^ suffix;
-          points = List.rev !(List.assoc a pts);
-        })
-      approaches
+            ];
+          [ static_pct; dyn_pct; cyc_pct; ov_unopt; ov_opt ])
+  in
+  let ser k suffix =
+    series_of g columns
+      ~label:(fun (a, _) -> counter_ns a ^ suffix)
+      (fun _ values -> List.nth values k)
   in
   {
     title =
@@ -858,11 +749,12 @@ let checkelim_reduce lookup benchmarks : report =
        savings vs the unoptimized basis";
     text = Table.render tbl;
     series =
-      ser static_pts "_static_removed_pct"
-      @ ser dyn_pts "_dynamic_removed_pct"
-      @ ser cyc_pts "_check_cycles_saved_pct"
-      @ ser ov_unopt_pts "_overhead_unopt_x"
-      @ ser ov_opt_pts "_overhead_opt_x";
+      List.concat
+        (List.mapi ser
+           [
+             "_static_removed_pct"; "_dynamic_removed_pct";
+             "_check_cycles_saved_pct"; "_overhead_unopt_x"; "_overhead_opt_x";
+           ]);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -962,18 +854,6 @@ let mutation_opt_reduce _lookup _benchmarks : report =
      checks (spatial ones possibly hoisted into the preheader), so
      deleting any of them, hoisted included, must flip a corpus kind. *)
   let c_hd = campaign "dominance+hoist" hoistdom_corpus_setup in
-  let mutant_series label (c : Mutation.campaign) =
-    {
-      label;
-      points =
-        [
-          ("total", float_of_int c.Mutation.total);
-          ("killed", float_of_int c.Mutation.killed);
-          ("whitelisted", float_of_int c.Mutation.whitelisted);
-          ("survived", float_of_int c.Mutation.survived);
-        ];
-    }
-  in
   {
     title =
       "Mutation campaign over optimized configs: verdict equivalence + \
@@ -1008,16 +888,22 @@ let mutation_opt_reduce _lookup _benchmarks : report =
 (* Registrations                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A column-table experiment.  [setups] is a thunk: checkers register
-   in their own modules, which may initialise after this one. *)
-let columns ~name ~alias ~descr ~title setups =
+(* A column-table experiment (Figures 9-13): the baseline plus one
+   setup per column.  [columns] is a thunk: [--approach] narrows the
+   checker registry after this module initialises. *)
+let columns ~name ~alias ~descr ~title ?head ?paper ?cycles columns =
   {
     name;
     aliases = [ alias ];
     descr;
-    jobs = (fun benchmarks -> columns_jobs (setups ()) benchmarks);
-    reduce = (fun lookup -> columns_reduce ~title (setups ()) lookup);
+    setups = (fun _ -> Harness.baseline :: List.map snd (columns ()));
+    reduce =
+      (fun lookup ->
+        columns_reduce ~title ?head ?paper ?cycles (columns ()) lookup);
   }
+
+let opt_columns = per_approach opt_setup
+let full_columns = per_approach full_setup
 
 let () =
   List.iter register
@@ -1026,16 +912,12 @@ let () =
         name = "table1";
         aliases = [ "t1" ];
         descr = "instrumentation locations (structural)";
-        jobs = (fun _ -> []);
+        setups = (fun _ -> []);
         reduce = (fun _ _ -> table1 ());
       };
-      {
-        name = "fig9";
-        aliases = [ "f9" ];
-        descr = "execution-time comparison, SB vs LF";
-        jobs = fig9_jobs;
-        reduce = fig9_reduce;
-      };
+      columns ~name:"fig9" ~alias:"f9"
+        ~descr:"execution-time comparison, SB vs LF" ~title:fig9_title
+        ~head:table_name ~paper:fig9_paper ~cycles:true opt_columns;
       columns ~name:"fig10" ~alias:"f10"
         ~descr:"SoftBound optimized/unoptimized/metadata overhead"
         ~title:fig10_title (fun () -> opt_variant_setups "softbound");
@@ -1052,42 +934,42 @@ let () =
         name = "table2";
         aliases = [ "t2" ];
         descr = "unsafe (wide-bounds) dereference fractions";
-        jobs = table2_jobs;
-        reduce = table2_reduce;
+        setups = (fun _ -> List.map snd (full_columns ()));
+        reduce = (fun lookup -> table2_reduce (full_columns ()) lookup);
       };
       {
         name = "optstats";
         aliases = [];
         descr = "static checks removed by dominance elimination (§5.3)";
-        jobs = optstats_jobs;
+        setups = (fun _ -> [ sb_opt ]);
         reduce = optstats_reduce;
       };
       {
         name = "ablation-lf";
         aliases = [];
         descr = "Low-Fat protection-scope ablation";
-        jobs = ablation_lf_jobs;
+        setups = (fun _ -> Harness.baseline :: List.map snd lf_scope_columns);
         reduce = ablation_lf_reduce;
       };
       {
         name = "ablation-sz0";
         aliases = [];
         descr = "SoftBound size-zero extern array policy ablation";
-        jobs = ablation_sz0_jobs;
+        setups = ablation_sz0_setups;
         reduce = ablation_sz0_reduce;
       };
       {
         name = "hotchecks";
         aliases = [];
         descr = "hottest instrumentation sites by modeled check cycles";
-        jobs = hotchecks_jobs;
-        reduce = (fun lookup benchmarks -> hotchecks_reduce lookup benchmarks);
+        setups = (fun _ -> List.map snd (opt_columns ()));
+        reduce = (fun lookup -> hotchecks_reduce (opt_columns ()) lookup);
       };
       {
         name = "mutation";
         aliases = [ "mutants" ];
         descr = "check-deletion mutation campaign vs the safety corpus";
-        jobs = (fun _ -> []);
+        setups = (fun _ -> []);
         reduce = mutation_reduce;
       };
       {
@@ -1096,8 +978,13 @@ let () =
         descr =
           "static + profile-guided check elimination (dominance, static \
            in-bounds, loop hoisting)";
-        jobs = checkelim_jobs;
-        reduce = checkelim_reduce;
+        setups =
+          (fun _ ->
+            Harness.baseline
+            :: List.concat_map
+                 (fun (_, (u, o)) -> [ u; o ])
+                 (checkelim_columns ()));
+        reduce = (fun lookup -> checkelim_reduce (checkelim_columns ()) lookup);
       };
       {
         name = "mutation-opt";
@@ -1105,15 +992,7 @@ let () =
         descr =
           "soundness gate: verdict equivalence + mutation campaign over \
            optimized configs";
-        jobs = (fun _ -> []);
+        setups = (fun _ -> []);
         reduce = mutation_opt_reduce;
       };
     ]
-
-(** Every registered report, regenerated through a fresh session with
-    the default worker pool — the convenience the bench harness and the
-    [--all] driver path share. *)
-let all_reports ?(jobs = Harness.default_jobs ()) ?benchmarks () :
-    report list =
-  let h = Harness.create ~jobs () in
-  List.map snd (run_reports ?benchmarks h (all ()))

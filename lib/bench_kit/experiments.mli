@@ -1,10 +1,10 @@
 (** Self-registering registry of the paper's experiments.
 
-    Each experiment declares the (setup x benchmark) jobs it needs and a
+    Each experiment declares the setups it runs on each benchmark and a
     reduce over the completed runs; {!run_reports} runs the deduplicated
-    union of all selected experiments' jobs through a {!Harness.t}
-    session (parallel, cached) and reduces afterwards.  Report output is
-    byte-identical for every worker count. *)
+    union of all selected experiments' (setup x benchmark) jobs through
+    a {!Harness.t} session (parallel, cached) and reduces afterwards.
+    Report output is byte-identical for every worker count. *)
 
 module Config = Mi_core.Config
 
@@ -24,9 +24,6 @@ val checkopt_setup : Config.approach -> Harness.setup
     in-bounds + loop-invariant hoisting ({!Config.optimized_full}); the
     instrumenter's capability veto masks the passes the checker declares
     unsound. *)
-
-val counter_prefix : Config.approach -> string
-(** The runtime-counter namespace of the approach ("sb", "lf", "tp"). *)
 
 val sb_opt : Harness.setup
 (** SoftBound with the dominance optimization (§5.2). *)
@@ -58,18 +55,23 @@ val wide_fraction : Harness.run -> approach:Config.approach -> float
 
 type lookup = Harness.setup -> Bench.t -> Harness.run
 (** Fetch one completed run by its job.  Raises
-    {!Harness.Benchmark_failed} when the job's compile phase failed;
-    the returned run may still hold a violation or trap outcome —
-    wrap with {!strict} for the ran-and-matched-output contract. *)
+    {!Harness.Benchmark_failed} when the job's compile phase failed and
+    [Invalid_argument] for a job the experiment did not declare; the
+    returned run may still hold a violation or trap outcome — wrap with
+    {!strict} for the ran-and-matched-output contract. *)
 
 type t = {
   name : string;  (** canonical name, lowercase *)
   aliases : string list;  (** extra names accepted by {!find} *)
   descr : string;  (** one-line description, shown by [--list] *)
-  jobs : Bench.t list -> (Harness.setup * Bench.t) list;
-      (** every run the reduce will look up *)
+  setups : Bench.t -> Harness.setup list;
+      (** every setup the reduce looks up on this benchmark *)
   reduce : lookup -> Bench.t list -> report;
 }
+
+val jobs : t -> Bench.t list -> (Harness.setup * Bench.t) list
+(** The experiment's job matrix over [benchmarks], benchmark-major: each
+    benchmark with each of its [setups], in order. *)
 
 val register : t -> unit
 (** Add an experiment to the registry.  Raises [Invalid_argument] on a
@@ -95,16 +97,14 @@ val run_reports :
   t list ->
   (string * report) list
 (** The generic driver loop: run the deduplicated union of the given
-    experiments' job matrices through the session, then reduce each
-    experiment.  Returns [(name, report)] in the order given.
-    Benchmarks default to {!Suite.all}.
+    experiments' job matrices ({!jobs}) through the session, then reduce
+    each experiment.  Returns [(name, report)] in the order given.
+    Benchmarks default to {!Suite.all}.  A reduce that looks up a job
+    its experiment did not declare raises [Invalid_argument] naming the
+    experiment, the setup key and the benchmark.
 
     With [keep_going] (default false), an experiment whose runs failed
     reduces to a stub ["<name> (incomplete)"] report instead of raising
     {!Harness.Benchmark_failed}: the matrix's surviving results are
     still reported, and the failures stay visible through
     {!Harness.failures} / {!Harness.failure_manifest}. *)
-
-val all_reports : ?jobs:int -> ?benchmarks:Bench.t list -> unit -> report list
-(** Reduce every registered experiment through a fresh session with a
-    [jobs]-sized worker pool (default {!Harness.default_jobs}). *)

@@ -26,14 +26,15 @@
     is guarded by a mutex.
 
     With a [dir], entries are also persisted with [Marshal], giving
-    cache hits across processes.  Disk entries are hardened: a header
-    carries a magic string, the compiler version, the key digest the
-    entry was stored under, and a checksum of the marshalled payload.
-    A file that fails any of those checks — truncated, bit-flipped,
-    renamed under the wrong digest, or written by a different compiler
-    — is never unmarshalled into a wrong replay: it is quarantined
-    (renamed to [*.corrupt]), counted, and the lookup degrades to a
-    miss so the entry is transparently recomputed. *)
+    cache hits across processes of one build.  Disk entries are
+    hardened: a header carries the digest of the executable that wrote
+    the entry, the key digest the entry was stored under, and a checksum
+    of the marshalled payload.  A file that fails any of those checks —
+    truncated, bit-flipped, renamed under the wrong digest, or written
+    by another build — is never unmarshalled into a wrong replay: it is
+    quarantined (renamed to [*.corrupt]), counted, and the lookup
+    degrades to a miss so the entry is transparently recomputed.  A
+    cache directory is therefore shared only by runs of one binary. *)
 
 type entry = {
   e_modules : (Mi_mir.Irmod.t * bool) list;
@@ -55,12 +56,20 @@ type t = {
 
 type stats = { hits : int; misses : int; corrupt : int }
 
-(* Marshal gives no type safety across versions; refuse anything not
-   written by this exact magic + compiler version.  v2 adds the key
-   digest and payload checksum to the header; v3 marks the layout where
-   [Func.t] carries [settled].  Bump it whenever a marshalled type
-   changes shape. *)
-let magic = "mi-icache-v3"
+(* Marshal gives no type safety across builds: an entry is trusted
+   only by the executable that wrote it, named by the digest of its own
+   file, so a change to the shape of any marshalled type (or to the
+   compiler) is a foreign build.  Computed once per process, at the
+   first disk access. *)
+let build_id =
+  let memo = Atomic.make None in
+  fun () ->
+    match Atomic.get memo with
+    | Some id -> id
+    | None ->
+        let id = Digest.to_hex (Digest.file Sys.executable_name) in
+        Atomic.set memo (Some id);
+        id
 
 let create ?dir () =
   Option.iter
@@ -87,11 +96,11 @@ let quarantine path =
 
 (* Every integrity check funnels through here: a [None] from this
    function means the cached bytes cannot be trusted and the caller
-   must recompute.  The checks, in order: magic (foreign file),
-   compiler version (incompatible Marshal), key digest (entry stored
-   under a name it does not belong to — a "stale" entry), payload
-   checksum (truncation, bit flips, torn writes).  Only after all four
-   pass is [Marshal.from_string] allowed to run. *)
+   must recompute.  The checks, in order: build digest (written by
+   another executable), key digest (entry stored under a name it does
+   not belong to — a "stale" entry), payload checksum (truncation, bit
+   flips, torn writes).  Only after all three pass is
+   [Marshal.from_string] allowed to run. *)
 let disk_find t d =
   match t.dir with
   | None -> None
@@ -105,10 +114,10 @@ let disk_find t d =
             Fun.protect
               ~finally:(fun () -> close_in_noerr ic)
               (fun () ->
-                let m, v, key_d, payload_d =
-                  (input_value ic : string * string * string * Digest.t)
+                let build, key_d, payload_d =
+                  (input_value ic : string * string * Digest.t)
                 in
-                if m <> magic || v <> Sys.ocaml_version || key_d <> d then None
+                if build <> build_id () || key_d <> d then None
                 else begin
                   let pos = pos_in ic in
                   let len = in_channel_length ic - pos in
@@ -135,7 +144,7 @@ let disk_add t d entry =
         let tmp = Filename.temp_file ~temp_dir:dir "wip" ".micache" in
         let oc = open_out_bin tmp in
         let payload = Marshal.to_string entry [] in
-        output_value oc (magic, Sys.ocaml_version, d, Digest.string payload);
+        output_value oc (build_id (), d, Digest.string payload);
         output_string oc payload;
         close_out oc;
         Sys.rename tmp (entry_path dir d)
@@ -220,15 +229,15 @@ let corrupt t (how : Mi_faultkit.Fault.cache_corruption) : int =
                  to a different key: a well-formed entry filed under the
                  wrong name, exactly what a digest/rename mixup leaves *)
               let ic = open_in_bin path in
-              let _, v, key_d, payload_d =
-                (input_value ic : string * string * string * Digest.t)
+              let build, key_d, payload_d =
+                (input_value ic : string * string * Digest.t)
               in
               let pos = pos_in ic in
               let len = in_channel_length ic - pos in
               let payload = really_input_string ic len in
               close_in ic;
               let oc = open_out_bin path in
-              output_value oc (magic, v, digest (key_d ^ ":stale"), payload_d);
+              output_value oc (build, digest (key_d ^ ":stale"), payload_d);
               output_string oc payload;
               close_out oc)
         entries;

@@ -54,6 +54,12 @@ type t = {
   name : string;  (** registry name; equals [basis.approach] *)
   aliases : string list;
   descr : string;
+  counter_ns : string;
+      (** namespace of the runtime's counters, e.g. ["sb"] for
+          ["sb.checks"] and ["sb.checks_wide"]; experiments read a run's
+          checks through it and label their series with it *)
+  table_name : string;
+      (** the approach as report tables name it, e.g. ["SoftBound"] *)
   basis : Config.t;  (** the approach's default configuration *)
   components : (string * string * Ty.t) array;
       (** witness slots: (companion-phi name, companion-select name,

@@ -34,6 +34,9 @@ type t = {
   name : string;  (** registry name; equals [basis.approach] *)
   aliases : string list;
   descr : string;
+  counter_ns : string;
+      (** namespace of the runtime's counters (["sb"] for ["sb.checks"]) *)
+  table_name : string;  (** the approach in report tables (["SoftBound"]) *)
   basis : Config.t;
   components : (string * string * Ty.t) array;
       (** witness slots: (phi name, select name, slot type) *)

@@ -166,3 +166,48 @@ let to_string c =
          ^ if c.lf_globals then "" else "+noglobals"
        else "");
     ]
+
+(* Inverse of [to_string]: the basis of the named approach with every
+   field [to_string] encodes reset to the value its absence stands for,
+   then each token applied. *)
+let of_string s =
+  match String.split_on_char '+' s with
+  | [] -> assert false
+  | name :: tokens -> (
+      match find_approach name with
+      | None -> Error (Printf.sprintf "unknown approach %S" name)
+      | Some basis ->
+          let lowfat = basis.approach = "lowfat" in
+          let unset =
+            {
+              basis with
+              mode = Full;
+              opt_dominance = false;
+              opt_hoist = false;
+              opt_static = false;
+              sb_size_zero_wide_upper = true;
+              sb_inttoptr_wide = true;
+              sb_wrapper_checks = false;
+              lf_stack = (if lowfat then true else basis.lf_stack);
+              lf_globals = (if lowfat then true else basis.lf_globals);
+            }
+          in
+          List.fold_left
+            (fun acc tok ->
+              Result.bind acc (fun c ->
+                  match tok with
+                  | "geninvariants" -> Ok { c with mode = Geninvariants }
+                  | "noop" -> Ok { c with mode = Noop }
+                  | "domopt" -> Ok { c with opt_dominance = true }
+                  | "hoistopt" -> Ok { c with opt_hoist = true }
+                  | "staticopt" -> Ok { c with opt_static = true }
+                  | "sz0null" -> Ok { c with sb_size_zero_wide_upper = false }
+                  | "i2pnull" -> Ok { c with sb_inttoptr_wide = false }
+                  | "wrapchecks" -> Ok { c with sb_wrapper_checks = true }
+                  | "nostack" when lowfat -> Ok { c with lf_stack = false }
+                  | "noglobals" when lowfat -> Ok { c with lf_globals = false }
+                  | _ ->
+                      Error
+                        (Printf.sprintf "unknown configuration token %S in %S"
+                           tok s)))
+            (Ok unset) tokens)

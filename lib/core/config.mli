@@ -90,4 +90,13 @@ val metadata_only : t -> t
     Figures 10/11). *)
 
 val approach_name : approach -> string
+
 val to_string : t -> string
+(** The approach followed by one [+token] per field that differs from
+    its default (["softbound+domopt"], ["lowfat+nostack"]); the
+    [setup_key] of a harness job and the config on mi-serve's wire. *)
+
+val of_string : string -> (t, string) result
+(** Inverse of {!to_string}: [of_string (to_string c)] renders back to
+    [to_string c].  An unregistered approach or an unknown token is an
+    [Error] naming it. *)

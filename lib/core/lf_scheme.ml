@@ -78,6 +78,8 @@ let checker : C.t =
     name = "lowfat";
     aliases = [ "lf" ];
     descr = "Low-Fat Pointers: size-class regions, base recomputation";
+    counter_ns = "lf";
+    table_name = "Low-Fat";
     basis = Config.lowfat;
     components = [| ("phibase", "selbase", Ty.Ptr) |];
     supports_dominance_opt = true;

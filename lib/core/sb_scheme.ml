@@ -227,6 +227,8 @@ let checker : C.t =
     name = "softbound";
     aliases = [ "sb" ];
     descr = "SoftBound: disjoint (base, bound) metadata, trie + shadow stack";
+    counter_ns = "sb";
+    table_name = "SoftBound";
     basis = Config.softbound;
     components = [| ("phib", "selb", Ty.Ptr); ("phie", "sele", Ty.Ptr) |];
     supports_dominance_opt = true;

@@ -118,6 +118,8 @@ let checker : C.t =
     name = "temporal";
     aliases = [ "tp"; "cets" ];
     descr = "Temporal lock-and-key: use-after-free / double-free detection";
+    counter_ns = "tp";
+    table_name = "Temporal";
     basis = Config.temporal;
     components = [| ("phikey", "selkey", Ty.I64) |];
     (* unsound here: a dominating check proves the key was live then; a

@@ -1132,7 +1132,7 @@ let register_experiment () =
       Experiments.name = "fuzz";
       aliases = [ "differential" ];
       descr = "differential fuzzing: safe seeds + unsafe mutants (oracle)";
-      jobs = (fun _ -> []);
+      setups = (fun _ -> []);
       reduce =
         (fun _lookup _benchmarks ->
           let c =
@@ -1181,7 +1181,7 @@ let register_soak_experiment () =
       Experiments.name = "fuzz-soak";
       aliases = [ "soak" ];
       descr = "coverage-guided evolutionary fuzzing over a persistent corpus";
-      jobs = (fun _ -> []);
+      setups = (fun _ -> []);
       reduce =
         (fun _lookup _benchmarks ->
           let dir =

@@ -135,52 +135,11 @@ let as_list what j =
 (* Setup codec                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let mode_name = function
-  | Config.Full -> "full"
-  | Config.Geninvariants -> "metadata"
-  | Config.Noop -> "noop"
-
-let config_to_json (c : Config.t) =
-  Json.Obj
-    [
-      ("approach", Json.Str c.Config.approach);
-      ("domopt", Json.Bool c.Config.opt_dominance);
-      ("hoistopt", Json.Bool c.Config.opt_hoist);
-      ("staticopt", Json.Bool c.Config.opt_static);
-      ("mode", Json.Str (mode_name c.Config.mode));
-    ]
-
-(* The decoded config is the registered basis with the knobs the matrix
-   varies (the elimination passes, mode) re-applied — exactly how the
-   experiment and oracle setups are built, so a round trip reproduces
-   them field for field.  The hoist/static fields are optional so
-   pre-checkelim clients keep working. *)
-let config_of_json j =
-  let base =
-    match Config.find_approach (as_str "approach" (field "approach" j)) with
-    | Some c -> c
-    | None -> fail "unknown approach"
-  in
-  let opt_flag name =
-    match Json.member name j with
-    | Some v -> as_bool name v
-    | None -> false
-  in
-  let base =
-    if as_bool "domopt" (field "domopt" j) then Config.optimized base else base
-  in
-  let base =
-    {
-      base with
-      Config.opt_hoist = opt_flag "hoistopt";
-      opt_static = opt_flag "staticopt";
-    }
-  in
-  match as_str "mode" (field "mode" j) with
-  | "full" -> base
-  | "metadata" -> Config.metadata_only base
-  | "noop" -> { base with Config.mode = Config.Noop }
-  | m -> fail "unknown mode %S" m
+(* The config travels as its [Config.to_string] rendering, the same
+   string the job's [setup_key] starts with, so the daemon runs exactly
+   the configuration the client named. *)
+let config_of_string c =
+  match Config.of_string c with Ok c -> c | Error msg -> fail "%s" msg
 
 let level_of_name l =
   match Pipeline.level_of_name l with
@@ -198,7 +157,7 @@ let setup_to_json (s : Harness.setup) =
       ( "config",
         match s.Harness.config with
         | None -> Json.Null
-        | Some c -> config_to_json c );
+        | Some c -> Json.Str (Config.to_string c) );
       ("level", Json.Str (Pipeline.level_name s.Harness.level));
       ("ep", Json.Str (Pipeline.ep_name s.Harness.ep));
       ("i64ptr", Json.Bool s.Harness.lowering.Mi_minic.Lower.ptr_mem_as_i64);
@@ -215,7 +174,7 @@ let setup_of_json j : Harness.setup =
     Harness.config =
       (match opt_field "config" j with
       | None -> None
-      | Some c -> Some (config_of_json c));
+      | Some c -> Some (config_of_string (as_str "config" c)));
     level = level_of_name (as_str "level" (field "level" j));
     ep = ep_of_name (as_str "ep" (field "ep" j));
     lowering =

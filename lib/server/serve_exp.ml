@@ -63,7 +63,7 @@ let register_experiment () =
       Experiments.name = "serve-load";
       aliases = [ "serve" ];
       descr = "mi-serve under chaos: crash-restarts, backpressure, byte-identity";
-      jobs = (fun _ -> []);
+      setups = (fun _ -> []);
       reduce =
         (fun _lookup _benchmarks ->
           let o, fin = run_load () in

@@ -120,9 +120,13 @@ let test_matrix_from_registry () =
         (name ^ " opt domopt iff supported")
         (Checker.find_exn name).Checker.supports_dominance_opt (dom opt))
     (Config.known_approaches ());
+  let field f = List.map (fun a -> f (Checker.find_exn a)) in
   Alcotest.(check (list string))
     "counter namespaces" [ "sb"; "lf"; "tp" ]
-    (List.map E.counter_prefix (Config.known_approaches ()))
+    (field (fun c -> c.Checker.counter_ns) (Config.known_approaches ()));
+  Alcotest.(check (list string))
+    "table names" [ "SoftBound"; "Low-Fat"; "Temporal" ]
+    (field (fun c -> c.Checker.table_name) (Config.known_approaches ()))
 
 (* restrict_approaches narrows the enumeration but keeps lookups total
    (experiments pinned to one approach must keep resolving); restoring

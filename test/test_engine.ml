@@ -17,6 +17,43 @@ module Json = Mi_obs.Json
 (* Differential gate: the engine is observationally inert              *)
 (* ------------------------------------------------------------------ *)
 
+(* The report document [experiments --json] writes for [selected] on
+   [benchmarks] (without the session metrics), regenerated in process
+   through one single-worker session.  [approaches] narrows the checker
+   registry for the duration of the regeneration. *)
+let report_doc ?approaches ~benchmarks selected =
+  let h = Harness.create ~jobs:1 () in
+  let benchmarks = List.map Mi_bench_kit.Suite.find_exn benchmarks in
+  let every = Mi_core.Config.known_approaches () in
+  let reports =
+    Fun.protect
+      ~finally:(fun () -> Mi_core.Config.restrict_approaches every)
+      (fun () ->
+        Option.iter Mi_core.Config.restrict_approaches approaches;
+        E.run_reports ~benchmarks h
+          (List.map (fun n -> Option.get (E.find n)) selected))
+  in
+  Json.Obj
+    [
+      ( "reports",
+        Json.List
+          (List.map2
+             (fun name (_, r) ->
+               match E.report_to_json r with
+               | Json.Obj fields -> Json.Obj (("name", Json.Str name) :: fields)
+               | other -> other)
+             selected reports) );
+    ]
+
+(* under `dune runtest` the cwd is the staged test directory (the dune
+   deps glob copies the goldens there); under `dune exec` from the
+   project root, fall back to the source-tree copy *)
+let read_golden name =
+  let path =
+    List.find Sys.file_exists [ "goldens/" ^ name; "test/goldens/" ^ name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
 (* goldens/engine_470lbm.json was produced by the pre-engine interpreter
    (generic hash-per-call dispatch) via
      mi-experiments --benchmark 470lbm -j 1 --json ... table1 hotchecks
@@ -24,48 +61,34 @@ module Json = Mi_obs.Json
    byte: modeled cycles, counters and per-site check profiles are
    independent of the dispatch strategy.  The golden predates the
    temporal checker, so the registry is narrowed to the two spatial
-   approaches for the duration of the regeneration. *)
+   approaches. *)
 let test_golden_json () =
-  (* under `dune runtest` the cwd is the staged test directory (the dune
-     deps glob copies the golden there); under `dune exec` from the
-     project root, fall back to the source-tree copy *)
-  let golden_path =
-    List.find Sys.file_exists
-      [ "goldens/engine_470lbm.json"; "test/goldens/engine_470lbm.json" ]
-  in
-  let ic = open_in_bin golden_path in
-  let golden = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let h = Harness.create ~jobs:1 () in
-  let benchmarks = [ Mi_bench_kit.Suite.find_exn "470lbm" ] in
-  let selected = [ "table1"; "hotchecks" ] in
-  let every = Mi_core.Config.known_approaches () in
-  let reports =
-    Fun.protect
-      ~finally:(fun () -> Mi_core.Config.restrict_approaches every)
-      (fun () ->
-        Mi_core.Config.restrict_approaches [ "softbound"; "lowfat" ];
-        E.run_reports ~benchmarks h
-          (List.map (fun n -> Option.get (E.find n)) selected))
-  in
-  let doc =
-    Json.Obj
-      [
-        ( "reports",
-          Json.List
-            (List.map2
-               (fun name (_, r) ->
-                 match E.report_to_json r with
-                 | Json.Obj fields ->
-                     Json.Obj (("name", Json.Str name) :: fields)
-                 | other -> other)
-               selected reports) );
-      ]
-  in
   Alcotest.(check string)
     "regenerated report document is byte-identical to the pre-engine golden"
-    golden
-    (Json.to_string doc ^ "\n")
+    (read_golden "engine_470lbm.json")
+    (Json.to_string
+       (report_doc ~approaches:[ "softbound"; "lowfat" ]
+          ~benchmarks:[ "470lbm" ] [ "table1"; "hotchecks" ])
+    ^ "\n")
+
+(* goldens/reports_matrix.json pins every benchmark-matrix experiment
+   (and table1) under all registered approaches on 470lbm and on
+   164gzip, a size-zero benchmark, so ablation-sz0 has rows.  Recorded
+   before the experiments declared their setups as one list; a change
+   to how experiments are built must reproduce it byte for byte. *)
+let matrix_experiments =
+  [
+    "table1"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13"; "table2";
+    "optstats"; "ablation-lf"; "ablation-sz0"; "hotchecks"; "checkelim";
+  ]
+
+let test_matrix_golden () =
+  Alcotest.(check string)
+    "report document is byte-identical to the recorded golden"
+    (read_golden "reports_matrix.json")
+    (Json.to_string
+       (report_doc ~benchmarks:[ "470lbm"; "164gzip" ] matrix_experiments)
+    ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Error-message compatibility                                         *)
@@ -722,7 +745,10 @@ let () =
   Alcotest.run "engine"
     [
       ( "differential",
-        [ Alcotest.test_case "470lbm golden json" `Slow test_golden_json ] );
+        [
+          Alcotest.test_case "470lbm golden json" `Slow test_golden_json;
+          Alcotest.test_case "matrix reports golden" `Slow test_matrix_golden;
+        ] );
       ( "messages",
         [
           Alcotest.test_case "unknown callee" `Quick test_unknown_callee_msg;

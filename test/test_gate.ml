@@ -144,7 +144,9 @@ let scaling =
 
 let eps = [ "ModuleOptimizerEarly"; "ScalarOptimizerLate"; "VectorizerStart" ]
 
-let json_doc ?(fig12 = eps) () =
+let approaches = [ "softbound"; "lowfat"; "temporal" ]
+
+let json_doc ?(fig9 = approaches) ?(fig12 = eps) () =
   let labelled = List.map (fun l -> series l [ ("470lbm", 1.5) ]) in
   reports
     [
@@ -153,6 +155,7 @@ let json_doc ?(fig12 = eps) () =
           (fun l -> series l [])
           [ "sb_checks_wide"; "lf_checks_wide"; "tp_checks_wide" ] );
       ("hotchecks", []);
+      ("fig9", labelled fig9);
       ("fig10", labelled [ "optimized"; "unoptimized"; "metadata" ]);
       ("fig12", labelled fig12);
     ]
@@ -275,6 +278,15 @@ let () =
           Alcotest.test_case "json: static removal under the floor" `Quick
             (fails "checkelim-floors"
                (both "checkelim" (checkelim [ ("a", 19.9); ("b", 90.) ])));
+          Alcotest.test_case "json: fig9 approaches out of registry order"
+            `Quick
+            (fails "json-smoke"
+               (let doc = Some (json_doc ~fig9:(List.rev approaches) ()) in
+                [ ("json-j1.json", doc); ("json-j2.json", doc) ]));
+          Alcotest.test_case "json: fig9 lacks an approach" `Quick
+            (fails "json-smoke"
+               (let doc = Some (json_doc ~fig9:(List.tl approaches) ()) in
+                [ ("json-j1.json", doc); ("json-j2.json", doc) ]));
           Alcotest.test_case "json: fig12 lacks an extension point" `Quick
             (fails "json-smoke"
                (let doc = Some (json_doc ~fig12:(List.tl eps) ()) in

@@ -58,6 +58,49 @@ let test_byte_identical_reports () =
       Alcotest.(check bool) (tag "-j %d merged sites") true (s1 = s))
     [ 2; 8 ]
 
+(* a reduce looks up only what its own experiment declared: an
+   undeclared (setup, benchmark) raises Invalid_argument naming the
+   experiment, the setup key and the benchmark — also when a sibling
+   declared that job, and also under keep_going *)
+let test_undeclared_lookup () =
+  let b = Lazy.force lbm in
+  let probe =
+    {
+      E.name = "probe";
+      aliases = [];
+      descr = "looks up a setup it does not declare";
+      setups = (fun _ -> [ Harness.baseline ]);
+      reduce =
+        (fun lookup _ ->
+          ignore (lookup Harness.baseline b : Harness.run);
+          ignore (lookup E.sb_opt b : Harness.run);
+          Alcotest.fail "the undeclared lookup returned a run");
+    }
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun keep_going ->
+      match
+        E.run_reports ~benchmarks:[ b ] ~keep_going
+          (Harness.create ~jobs:1 ())
+          [ Option.get (E.find "fig9"); probe ]
+      with
+      | exception Invalid_argument msg ->
+          List.iter
+            (fun part ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%S names %s" msg part)
+                true (contains msg part))
+            [ "probe"; Harness.setup_key E.sb_opt; "470lbm" ]
+      | _ -> Alcotest.fail "run_reports returned")
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* 2. exact cache accounting                                           *)
 (* ------------------------------------------------------------------ *)
@@ -164,6 +207,46 @@ let test_disk_cache_corruption () =
     [ ("truncated", Fault.Truncate);
       ("bit-flipped", Fault.Bitflip);
       ("stale-digest", Fault.Stale) ]
+
+(* an entry whose header names another build's executable digest is
+   refused before its (intact) payload is unmarshalled: quarantined,
+   counted as corrupt and recomputed; the recomputed entry then hits *)
+let test_disk_cache_foreign_build () =
+  let b = Lazy.force lbm in
+  let dir = temp_cache_dir () in
+  let session () = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
+  let r0 = Harness.expect_ok b (Harness.run (session ()) E.sb_opt b) in
+  let path =
+    match Sys.readdir dir with
+    | [| f |] -> Filename.concat dir f
+    | fs -> Alcotest.failf "%d cache files, want 1" (Array.length fs)
+  in
+  (* the header is (build digest, key digest, payload digest) *)
+  let (_, key_d, payload_d), payload =
+    In_channel.with_open_bin path (fun ic ->
+        let header = (input_value ic : string * string * Digest.t) in
+        (header, In_channel.input_all ic))
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_value oc
+        (Digest.to_hex (Digest.string "another build"), key_d, payload_d);
+      output_string oc payload);
+  let h = session () in
+  let r = Harness.expect_ok b (Harness.run h E.sb_opt b) in
+  let s = Harness.cache_stats h in
+  Alcotest.(check (list int))
+    "foreign build: hits, misses, corrupt" [ 0; 1; 1 ]
+    [ s.Harness.hits; s.Harness.misses; s.Harness.corrupt ];
+  Alcotest.(check bool)
+    "foreign entry quarantined" true
+    (Sys.file_exists (path ^ ".corrupt"));
+  check_same_run "recompute matches the original" r0 r;
+  let h = session () in
+  ignore (Harness.run h E.sb_opt b : (Harness.run, Harness.error) result);
+  Alcotest.(check int)
+    "the recomputed entry hits" 1 (Harness.cache_stats h).Harness.hits;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* 3. Obs.merge: associative, order-insensitive                        *)
@@ -652,6 +735,8 @@ let () =
         [
           Alcotest.test_case "reports byte-identical at -j 1/2/8" `Slow
             test_byte_identical_reports;
+          Alcotest.test_case "undeclared lookup rejected" `Quick
+            test_undeclared_lookup;
         ] );
       ( "cache",
         [
@@ -661,6 +746,8 @@ let () =
             test_disk_cache_across_sessions;
           Alcotest.test_case "corrupted entries detected, never replayed"
             `Quick test_disk_cache_corruption;
+          Alcotest.test_case "disk cache refuses another build" `Quick
+            test_disk_cache_foreign_build;
         ] );
       ( "obs-merge",
         [

@@ -13,6 +13,9 @@ module Bench = Mi_bench_kit.Bench
 module Corpus = Mi_bench_kit.Safety_corpus
 module Json = Mi_obs.Json
 module Mclock = Mi_support.Mclock
+module Config = Mi_core.Config
+module Experiments = Mi_bench_kit.Experiments
+module Oracle = Mi_fuzz.Oracle
 
 let tiny_bench name value =
   Bench.mk ~suite:Bench.CPU2000 ~descr:"server test program" name
@@ -104,6 +107,89 @@ let test_ping_stats_error () =
         | _ -> Alcotest.fail "expected error reply")
   in
   ()
+
+(* every setup a registered experiment declares, the oracle's variants
+   and the SoftBound policy knobs no experiment varies come back from
+   the wire under the setup key they were sent with *)
+let test_setups_round_trip () =
+  let bench = tiny_bench "rt" 1 in
+  let sb_policies =
+    List.map
+      (fun cfg -> Harness.with_config cfg Harness.baseline)
+      [
+        { Config.softbound with sb_inttoptr_wide = false };
+        { Config.softbound with sb_wrapper_checks = true };
+        { Config.lowfat with mode = Config.Noop };
+      ]
+  in
+  let setups =
+    List.concat_map
+      (fun e -> List.map fst (Experiments.jobs e Mi_bench_kit.Suite.all))
+      (Experiments.all ())
+    @ List.map snd (Oracle.variants @ Oracle.mutant_variants)
+    @ sb_policies
+  in
+  let keys = List.sort_uniq compare (List.map Harness.setup_key setups) in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        ("matrix has " ^ prefix) true
+        (List.exists (String.starts_with ~prefix) keys))
+    [
+      "lowfat+nostack/"; "lowfat+noglobals/"; "softbound+sz0null/";
+      "softbound+i2pnull/"; "softbound+wrapchecks/"; "lowfat+noop/";
+    ];
+  List.iter
+    (fun s ->
+      let frame = Json.to_string (Proto.request_to_json (run_req ~id:1 s bench)) in
+      match Proto.request_of_string frame with
+      | Ok (Proto.Run { setup; _ }) ->
+          Alcotest.(check string)
+            "setup key after the round trip" (Harness.setup_key s)
+            (Harness.setup_key setup)
+      | Ok _ -> Alcotest.fail "decoded another request"
+      | Error (_, msg) -> Alcotest.failf "%s: %s" (Harness.setup_key s) msg)
+    setups
+
+(* a config the registry cannot read is a typed error for that request,
+   never an exception: an unknown approach, an unknown token, a token
+   of another approach, and the object form older clients sent *)
+let test_bad_config_typed () =
+  let request config =
+    match
+      Proto.request_to_json
+        (run_req ~id:5 Harness.baseline (tiny_bench "bad" 1))
+    with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (function
+               | "setup", Json.Obj setup ->
+                   ( "setup",
+                     Json.Obj
+                       (List.map
+                          (function
+                            | "config", _ -> ("config", config) | kv -> kv)
+                          setup) )
+               | kv -> kv)
+             fields)
+    | _ -> Alcotest.fail "a run request is an object"
+  in
+  List.iter
+    (fun config ->
+      let what = Json.to_string config in
+      match Proto.request_of_string (Json.to_string (request config)) with
+      | Error (id, _) -> Alcotest.(check int) (what ^ ": request id") 5 id
+      | Ok _ -> Alcotest.failf "%s was accepted" what)
+    [
+      Json.Str "asan"; Json.Str "softbound+turbo"; Json.Str "softbound+nostack";
+      Json.Str "";
+      Json.Obj
+        [
+          ("approach", Json.Str "softbound"); ("domopt", Json.Bool true);
+          ("mode", Json.Str "full");
+        ];
+    ]
 
 (* {1 Byte-identity with the batch harness} *)
 
@@ -547,7 +633,12 @@ let () =
   Alcotest.run "server"
     [
       ( "protocol",
-        [ Alcotest.test_case "ping, stats, error" `Quick test_ping_stats_error ] );
+        [
+          Alcotest.test_case "ping, stats, error" `Quick test_ping_stats_error;
+          Alcotest.test_case "declared setups round-trip" `Quick
+            test_setups_round_trip;
+          Alcotest.test_case "bad config typed" `Quick test_bad_config_typed;
+        ] );
       ( "identity",
         [
           Alcotest.test_case "server run = batch run" `Slow

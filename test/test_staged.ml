@@ -66,7 +66,7 @@ let test_suite_setups () =
   let oracle = List.concat_map Oracle.safe_jobs_of (Suite.all @ cases) in
   let jobs =
     List.concat_map
-      (fun (e : Experiments.t) -> e.jobs Suite.all)
+      (fun e -> Experiments.jobs e Suite.all)
       (Experiments.all ())
     @ oracle
     @ List.map
