@@ -169,7 +169,9 @@ let main socket drive workers queue cache_dir trip verbose seeds variants
         d_shutdown = shutdown;
       }
     in
-    if Drive.clean (Drive.run cfg) then 0 else 1
+    let o = Drive.run cfg in
+    print_string (Drive.summary o);
+    if Drive.clean o then 0 else 1
   end
   else begin
     let cache = Mi_bench_kit.Icache.create ?dir:cache_dir () in

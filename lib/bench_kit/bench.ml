@@ -34,5 +34,3 @@ let src ?(instrument = true) ?mode_override name code =
 
 let mk ?(size_zero_arrays = false) ?expect_output ~suite ~descr name sources =
   { name; suite; descr; sources; size_zero_arrays; expect_output }
-
-let suite_name = function CPU2000 -> "CPU2000" | CPU2006 -> "CPU2006"

@@ -22,13 +22,13 @@ module Table = Mi_support.Table
 module Util = Mi_support.Util
 
 (* The measured configuration of a registered approach (§5.2): the
-   dominance optimization where the checker supports it (both paper
-   approaches, at VectorizerStart), the plain basis otherwise (the
-   temporal checker, where the elimination is unsound). *)
+   dominance optimization where check elimination is sound for the
+   checker (both paper approaches, at VectorizerStart), the plain basis
+   otherwise (the temporal checker). *)
 let opt_setup (approach : Config.approach) =
   let cfg = Config.of_approach approach in
   let cfg =
-    if (Checker.find_exn approach).Checker.supports_dominance_opt then
+    if Checker.check_elim_sound (Checker.find_exn approach) then
       Config.optimized cfg
     else cfg
   in
@@ -54,13 +54,10 @@ let checkopt_setup (approach : Config.approach) =
     (Config.optimized_full (Config.of_approach approach))
     Harness.baseline
 
-(* approaches with at least one elimination pass enabled *)
+(* approaches whose elimination passes may run *)
 let elim_capable () =
   List.filter
-    (fun a ->
-      let c = Checker.find_exn a in
-      c.Checker.supports_dominance_opt || c.Checker.supports_static_opt
-      || c.Checker.supports_hoist_opt)
+    (fun a -> Checker.check_elim_sound (Checker.find_exn a))
     (Config.known_approaches ())
 
 (* runtime-counter namespace ("sb" for "sb.checks") and table name

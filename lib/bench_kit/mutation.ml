@@ -17,6 +17,7 @@
     else counts as a genuine hole in the guarantee and fails the
     campaign's consumers (the [mutation] experiment exits nonzero). *)
 
+module Checker = Mi_core.Checker
 module Config = Mi_core.Config
 module Fault = Mi_faultkit.Fault
 
@@ -68,15 +69,15 @@ let spatial_kill_order =
       Cross_end_width; Last_elem; In_bounds;
     ]
 
-(* The temporal checker never reports a spatial overflow, so its
-   mutants are killed by the temporal kinds (one per access-check
-   ordinal, by construction of the corpus).  The spatial kinds stay in
-   its list as wide/unreached evidence for families without temporal
-   kinds (globals are untracked: every check is wide).  Spatial
-   checkers keep their original list — temporal kinds cannot flip
-   them. *)
+(* A checker that guarantees a temporal hazard has its mutants killed by
+   the temporal kinds (one per access-check ordinal, by construction of
+   the corpus).  The spatial kinds stay in its list as wide/unreached
+   evidence for families without temporal kinds (globals are untracked:
+   every check is wide).  The other checkers keep the spatial list —
+   temporal kinds cannot flip them. *)
 let kill_order_for approach (fam : Safety_corpus.family) =
-  if Config.approach_name approach = "temporal" then
+  let c = Checker.find_exn approach in
+  if List.exists Checker.is_temporal c.Checker.guarantees then
     Safety_corpus.temporal_kinds_for fam.Safety_corpus.fam_region
     @ spatial_kill_order
   else spatial_kill_order

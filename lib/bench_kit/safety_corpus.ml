@@ -17,12 +17,15 @@
     - [Tail_oob] keeps init and body in bounds but reads past the size
       class in the {e trailing print} — the print load check reports.
 
-    Expected verdicts follow the approaches' documented guarantees:
-    SoftBound keeps exact allocation bounds (every spatial violation in
-    an instrumented access is reported); Low-Fat pads allocations to
-    their power-of-two size class, so accesses into the padding are not
-    reported while accesses beyond the class or before the base are. *)
+    Expected verdicts follow the checkers' declared guarantees
+    ([Checker.guarantees]): a checker reports exactly the kinds whose
+    hazard class it guarantees.  For spatial kinds, [Exact] bounds
+    (SoftBound) report every violation in an instrumented access;
+    [Size_class] bounds (Low-Fat) pad allocations to their power-of-two
+    size class, so accesses into the padding are not reported while
+    accesses beyond the class or before the base are. *)
 
+module Checker = Mi_core.Checker
 module Config = Mi_core.Config
 
 type region = Heap | Stack | Global
@@ -111,8 +114,17 @@ let index_of_kind elem = function
   | Uaf_init | Uaf_use | Uaf_tail | Double_free | Temporal_ok ->
       1 (* spatially in bounds: the violation, if any, is temporal *)
 
-(* geometry oracle mirroring the runtime *)
-let lf_detects elem kind =
+(** The hazard class a kind violates; [None] for the clean kinds. *)
+let hazard_of_kind = function
+  | In_bounds | Last_elem | Temporal_ok -> None
+  | Just_past | Past_class | Underflow_one | Underflow_far | Cross_end_width
+  | Init_oob | Tail_oob ->
+      Some Checker.Spatial
+  | Uaf_init | Uaf_use | Uaf_tail -> Some Checker.Uaf
+  | Double_free -> Some Checker.Double_free
+
+(* size-class geometry oracle mirroring the Low-Fat runtime *)
+let size_class_detects elem kind =
   let size = n_elems elem * elem_size elem in
   let cls = Mi_support.Util.round_up_pow2 (size + 1) in
   match kind with
@@ -128,22 +140,16 @@ let lf_detects elem kind =
       let width = elem_size elem in
       off < 0 || off + width > cls
 
-let sb_detects kind =
-  if is_temporal_kind kind then false
-  else match kind with In_bounds | Last_elem -> false | _ -> true
-
-(* the temporal oracle: lock-and-key reports every access to a dead
-   object and every double free; spatial overflows within a live
-   allocation carry a live key and pass *)
-let tp_detects kind = is_temporal_kind kind && kind <> Temporal_ok
+let guarantees approach hazard =
+  List.mem hazard (Checker.find_exn approach).Checker.guarantees
 
 (** Whether a clean (non-reporting) run of this case may legitimately
     end in a VM trap instead of a normal exit: the double-free program
-    run under an approach whose [free] forwards to the standard
-    allocator traps there ("free of non-allocated").  Callers that
-    demand [Exited] must excuse these. *)
+    run under an approach that does not guarantee double frees, whose
+    [free] forwards to the standard allocator and traps there ("free of
+    non-allocated").  Callers that demand [Exited] must excuse these. *)
 let may_trap approach kind =
-  kind = Double_free && Mi_core.Config.approach_name approach <> "temporal"
+  kind = Double_free && not (guarantees approach Checker.Double_free)
 
 let spatial_program region elem access kind : string =
   let n = n_elems elem in
@@ -281,13 +287,15 @@ let program region elem access kind : string =
   else spatial_program region elem access kind
 
 (** Expected verdict of the oracle: does [approach] report a violation
-    for this case? *)
+    for this case?  Only for a hazard class it guarantees, and for a
+    spatial one only beyond the extent its bounds cover. *)
 let detects approach elem kind =
-  match Config.approach_name approach with
-  | "softbound" -> sb_detects kind
-  | "lowfat" -> (not (is_temporal_kind kind)) && lf_detects elem kind
-  | "temporal" -> tp_detects kind
-  | a -> invalid_arg (Printf.sprintf "no corpus oracle for approach %S" a)
+  match hazard_of_kind kind with
+  | Some h when guarantees approach h ->
+      h <> Checker.Spatial
+      || (Checker.find_exn approach).Checker.precision = Checker.Exact
+      || size_class_detects elem kind
+  | _ -> false
 
 (** The setup every corpus case runs under: the approach's basis
     configuration at O1 (all checks kept). *)

@@ -23,11 +23,9 @@
 
 open Mi_mir
 
+(* The types are documented in checker.mli. *)
+
 type witness = Value.t array
-(** The SSA values carrying a pointer's metadata to its uses (§3.1):
-    [[|base; bound|]] for SoftBound, [[|base|]] for Low-Fat, [[|key|]]
-    for the temporal checker.  The array's arity and slot types are the
-    checker's {!t.components}. *)
 
 type ctx = {
   config : Config.t;
@@ -35,55 +33,26 @@ type ctx = {
   f : Func.t;
   edit : Edit.t;
   mutable witness_of : Value.t -> witness;
-      (** memoized witness lookup, tied back to the instrumenter's
-          witness engine after the context is created *)
   new_site : string -> Value.t;
-      (** register an instrumentation site for this function; returns
-          the site-id constant that rides on the check call *)
   count_invariant : unit -> unit;
   set_call_ret : Edit.anchor -> witness -> unit;
-      (** pre-create the witness of a call's pointer result (the call
-          protocol does this so later uses find it) *)
   get_call_ret : Edit.anchor -> witness option;
 }
-(** What a checker callback may see and do while instrumenting one
-    function.  Edits go through [ctx.edit]; the instrumenter applies
-    them once per function. *)
+
+type hazard = Spatial | Uaf | Double_free
+type precision = Exact | Size_class
 
 type t = {
-  name : string;  (** registry name; equals [basis.approach] *)
+  name : string;
   aliases : string list;
   descr : string;
   counter_ns : string;
-      (** namespace of the runtime's counters, e.g. ["sb"] for
-          ["sb.checks"] and ["sb.checks_wide"]; experiments read a run's
-          checks through it and label their series with it *)
   table_name : string;
-      (** the approach as report tables name it, e.g. ["SoftBound"] *)
-  basis : Config.t;  (** the approach's default configuration *)
+  basis : Config.t;
   components : (string * string * Ty.t) array;
-      (** witness slots: (companion-phi name, companion-select name,
-          slot type).  The generic engine uses these to build witness
-          phis and selects of the right arity — names are load-bearing
-          for instrumentation-cache keys and goldens. *)
-  supports_dominance_opt : bool;
-      (** whether dominance-based check elimination (§5.3) is sound for
-          this checker.  False for the temporal checker: a dominating
-          check only proves the key was live {e then}; a [free] between
-          the two accesses invalidates the dominated check's premise. *)
-  supports_hoist_opt : bool;
-      (** whether loop-invariant check hoisting with range widening is
-          sound: the checker's abort-on-failure semantics must permit
-          aborting {e before} the loop for an access a later iteration
-          would make.  False for the temporal checker — liveness at the
-          preheader proves nothing about liveness at iteration [k]. *)
-  supports_static_opt : bool;
-      (** whether statically-proven-in-bounds checks may be deleted.
-          False for the temporal checker: in-bounds says nothing about
-          whether the allocation is still live at the access. *)
+  guarantees : hazard list;
+  precision : precision;
   wide : witness;
-      (** the checker's "never reports" witness (wide bounds / key 0),
-          used by weakened (fault-injected) checks *)
   w_const : ctx -> Value.t -> witness;
   w_global : ctx -> string -> witness;
   w_param : ctx -> Value.var -> idx:int -> witness;
@@ -98,12 +67,7 @@ type t = {
     callee:string ->
     args:Value.t list ->
     witness option;
-      (** witness of a call result the checker derives directly
-          (allocators); [None] defers to the call protocol /
-          {!t.w_call_fallback} *)
   w_call_fallback : ctx -> Edit.anchor -> Value.var -> witness;
-      (** witness of a pointer-returning call no protocol covered (e.g.
-          an unwrapped builtin) *)
   emit_ptr_store : ctx -> Itarget.ptr_store -> unit;
   emit_call : ctx -> Itarget.call -> unit;
   emit_ret : ctx -> Itarget.ptr_ret -> unit;
@@ -111,14 +75,12 @@ type t = {
   emit_memop_invariant : ctx -> Itarget.memop -> unit;
   check_op :
     ptr:Value.t -> width:Value.t -> witness -> site:Value.t -> Instr.op;
-      (** the dereference-check call for one access *)
   prepare_func : Config.t -> Func.t -> unit;
-      (** pre-pass before target discovery (e.g. replacing allocas with
-          a protected stack allocator) *)
   module_ctor : Config.t -> Irmod.t -> Func.t option;
-      (** optional module constructor (e.g. SoftBound's global-metadata
-          initializer) *)
 }
+
+let is_temporal = function Spatial -> false | Uaf | Double_free -> true
+let check_elim_sound c = not (List.exists is_temporal c.guarantees)
 
 (* --- shared helpers for schemes -------------------------------------- *)
 

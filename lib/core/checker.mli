@@ -13,9 +13,10 @@ open Mi_mir
 type witness = Value.t array
 (** The SSA values carrying a pointer's metadata to its uses (§3.1):
     [[|base; bound|]] for SoftBound, [[|base|]] for Low-Fat, [[|key|]]
-    for the temporal checker. *)
+    for the temporal checker; shaped by {!t.components}. *)
 
-(** Per-function instrumentation context handed to checker callbacks. *)
+(** Per-function instrumentation context handed to checker callbacks;
+    edits go through [edit], applied once per function. *)
 type ctx = {
   config : Config.t;
   m : Irmod.t;
@@ -27,29 +28,44 @@ type ctx = {
       (** register a site; returns the id constant for the check call *)
   count_invariant : unit -> unit;
   set_call_ret : Edit.anchor -> witness -> unit;
+      (** pre-create the witness of a call's pointer result *)
   get_call_ret : Edit.anchor -> witness option;
 }
+
+(** A class of memory-safety violation (§3, Table 2). *)
+type hazard =
+  | Spatial  (** an access outside the object's bounds *)
+  | Uaf  (** an access to an object after its lifetime ended *)
+  | Double_free  (** a second [free] of one allocation *)
+
+(** The extent a spatial check compares an access against. *)
+type precision =
+  | Exact
+      (** what the allocation or declaration states: a size-less
+          [extern] declaration carries wide bounds (§4.3) *)
+  | Size_class  (** the padded size class: the padding passes *)
 
 type t = {
   name : string;  (** registry name; equals [basis.approach] *)
   aliases : string list;
   descr : string;
   counter_ns : string;
-      (** namespace of the runtime's counters (["sb"] for ["sb.checks"]) *)
+      (** namespace of the runtime's counters (["sb"] for ["sb.checks"]);
+          reports and the fuzz oracle's tags are built from it *)
   table_name : string;  (** the approach in report tables (["SoftBound"]) *)
   basis : Config.t;
   components : (string * string * Ty.t) array;
-      (** witness slots: (phi name, select name, slot type) *)
-  supports_dominance_opt : bool;
-      (** is dominance-based check elimination (§5.3) sound here?
-          [false] for the temporal checker: a [free] between two
-          accesses invalidates the dominated check's premise *)
-  supports_hoist_opt : bool;
-      (** is loop-invariant check hoisting (widened preheader check,
-          early abort) sound here?  [false] for the temporal checker *)
-  supports_static_opt : bool;
-      (** may statically-proven-in-bounds checks be deleted?  [false]
-          for the temporal checker (bounds say nothing about liveness) *)
+      (** witness slots: (phi name, select name, slot type); the names
+          are load-bearing for instrumentation-cache keys and goldens *)
+  guarantees : hazard list;
+      (** the hazard classes the checker guarantees to report: [[Spatial]]
+          for SoftBound and Low-Fat, [[Uaf; Double_free]] for the temporal
+          checker.  The fuzz oracle's expectations, the safety corpus's
+          verdicts, the mutation kill orders and {!check_elim_sound} all
+          derive from it. *)
+  precision : precision;
+      (** [Exact] for SoftBound, [Size_class] for Low-Fat; read only
+          where [guarantees] includes [Spatial] *)
   wide : witness;  (** the "never reports" witness (weakened checks) *)
   w_const : ctx -> Value.t -> witness;
   w_global : ctx -> string -> witness;
@@ -65,7 +81,9 @@ type t = {
     callee:string ->
     args:Value.t list ->
     witness option;
+      (** a call result's witness (allocators); [None]: call protocol *)
   w_call_fallback : ctx -> Edit.anchor -> Value.var -> witness;
+      (** a pointer-returning call no protocol covered *)
   emit_ptr_store : ctx -> Itarget.ptr_store -> unit;
   emit_call : ctx -> Itarget.call -> unit;
   emit_ret : ctx -> Itarget.ptr_ret -> unit;
@@ -73,9 +91,21 @@ type t = {
   emit_memop_invariant : ctx -> Itarget.memop -> unit;
   check_op :
     ptr:Value.t -> width:Value.t -> witness -> site:Value.t -> Instr.op;
+      (** the dereference-check call for one access *)
   prepare_func : Config.t -> Func.t -> unit;
+      (** pre-pass before target discovery (e.g. alloca replacement) *)
   module_ctor : Config.t -> Irmod.t -> Func.t option;
+      (** optional module constructor (SoftBound's global metadata) *)
 }
+
+val is_temporal : hazard -> bool
+(** [Uaf] and [Double_free]: hazards a [free] creates. *)
+
+val check_elim_sound : t -> bool
+(** Whether the check-elimination passes (dominance, static in-bounds,
+    hoisting) are sound for the checker: each assumes a proven check
+    stays proven until its access, which a [free] between the two
+    breaks, so guaranteeing a temporal hazard vetoes all three. *)
 
 (** {1 Helpers shared by checker schemes} *)
 

@@ -95,19 +95,19 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
   let checker = Checker.find_exn config.approach in
   checker.Checker.prepare_func config f;
   let targets = Itarget.discover m f in
-  (* each optimization pass is only applied where the checker's
-     semantics make it sound (temporal checks are not idempotent across
-     a free, proven-in-bounds says nothing about liveness, and key
-     liveness at a preheader says nothing about iteration k — so the
-     checker can veto each pass independently) *)
+  (* the optimization passes only run where the checker's guarantees
+     make them sound (temporal checks are not idempotent across a free,
+     proven-in-bounds says nothing about liveness, and key liveness at a
+     preheader says nothing about iteration k) *)
   let opt_config =
-    {
-      config with
-      opt_dominance =
-        config.opt_dominance && checker.Checker.supports_dominance_opt;
-      opt_hoist = config.opt_hoist && checker.Checker.supports_hoist_opt;
-      opt_static = config.opt_static && checker.Checker.supports_static_opt;
-    }
+    if Checker.check_elim_sound checker then config
+    else
+      {
+        config with
+        opt_dominance = false;
+        opt_hoist = false;
+        opt_static = false;
+      }
   in
   let opt = Optimize.run opt_config m f targets.checks in
   let opt_stats = opt.Optimize.stats in

@@ -82,9 +82,8 @@ let checker : C.t =
     table_name = "Low-Fat";
     basis = Config.lowfat;
     components = [| ("phibase", "selbase", Ty.Ptr) |];
-    supports_dominance_opt = true;
-    supports_hoist_opt = true;
-    supports_static_opt = true;
+    guarantees = [ C.Spatial ];
+    precision = C.Size_class;
     (* a non-low-fat base: the check treats it as wide and never reports *)
     wide = [| vptr 0 |];
     w_const = (fun _ v -> [| v |]);

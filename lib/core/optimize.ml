@@ -26,9 +26,10 @@
        canonical counted loop whose address is affine in the induction
        variable over a loop-invariant base are replaced by one {e
        widened} check in the preheader covering the footprint of every
-       iteration.  Sound only under early-abort semantics (the checker
-       opts in via [supports_hoist_opt]): the widened check may abort
-       before the loop for an access a later iteration would have made.
+       iteration.  Sound only under early-abort semantics, for a
+       checker that guarantees no temporal hazard
+       ({!Checker.check_elim_sound}): the widened check may abort before
+       the loop for an access a later iteration would have made.
        The footprint argument needs every iteration to actually reach
        the check, so the check's block must dominate every latch, the
        loop must be single-exit with a known-positive trip count, and

@@ -231,9 +231,8 @@ let checker : C.t =
     table_name = "SoftBound";
     basis = Config.softbound;
     components = [| ("phib", "selb", Ty.Ptr); ("phie", "sele", Ty.Ptr) |];
-    supports_dominance_opt = true;
-    supports_hoist_opt = true;
-    supports_static_opt = true;
+    guarantees = [ C.Spatial ];
+    precision = C.Exact;
     wide;
     w_const = (fun _ _ -> null_w);
     w_global;

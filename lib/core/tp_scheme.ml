@@ -122,16 +122,14 @@ let checker : C.t =
     table_name = "Temporal";
     basis = Config.temporal;
     components = [| ("phikey", "selkey", Ty.I64) |];
-    (* unsound here: a dominating check proves the key was live then; a
-       free() on the path between the accesses kills it.  The driver
-       masks opt_dominance, so "optimized" temporal configs are sound
-       no-ops (see DESIGN.md). *)
-    supports_dominance_opt = false;
-    (* hoisting is equally unsound (key liveness at the preheader says
-       nothing about iteration k), and a static in-bounds proof says
-       nothing about whether the object is still live at the access *)
-    supports_hoist_opt = false;
-    supports_static_opt = false;
+    (* temporal hazards veto check elimination ([C.check_elim_sound]):
+       a free() between two accesses kills the key a dominating or
+       hoisted check proved live, so "optimized" temporal configs are
+       sound no-ops (see DESIGN.md) *)
+    guarantees = [ C.Uaf; C.Double_free ];
+    (* a key covers exactly one allocation; unread, as no spatial
+       hazard is guaranteed *)
+    precision = C.Exact;
     wide = untracked;
     w_const = (fun _ _ -> untracked);
     w_global = (fun _ _ -> untracked);

@@ -36,16 +36,14 @@ let compile level (s : Bench.source) : Mi_mir.Irmod.t =
   m
 
 (** The instrumented variants pinned per unit, by their tags in
-    {!Oracle.variants}. *)
+    {!Oracle.variants}: the mutant matrix and the two extension-point
+    probes. *)
 let instrumented_tags =
-  [
-    "O3+sb"; "O3+lf"; "O3+tp"; "O3+sb+checkopt"; "O3+lf+checkopt";
-    "O3+lf@early"; "O3+sb@scalarlate";
-  ]
+  List.map fst Oracle.mutant_variants @ [ "O3+lf@early"; "O3+sb@scalarlate" ]
 
-(** The variants [--compile-units] times from one shared O3 prefix: the
-    three checkers at the default extension point. *)
-let suffix_tags = [ "O3+sb"; "O3+lf"; "O3+tp" ]
+(** The variants [--compile-units] times from one shared O3 prefix: every
+    registered checker at the default extension point. *)
+let suffix_tags = List.map fst Oracle.checker_variants
 
 (* the instrumentation hook of [setup] for [s], as the harness builds
    it: units marked uninstrumented only run the pipeline *)

@@ -55,11 +55,6 @@ let id_of_sources (sources : Bench.source list) =
              (fun (s : Bench.source) -> [ s.Bench.src_name; s.Bench.code ])
              sources)))
 
-let origin_kind = function
-  | Seeded _ -> "seeded"
-  | Spliced _ -> "spliced"
-  | Grown _ -> "grown"
-
 (* --- JSON ----------------------------------------------------------- *)
 
 let origin_to_json = function

@@ -125,28 +125,22 @@ let safe_pred h (f : Oracle.finding) : Bench.source list -> bool =
         | Error e -> e.Harness.reason = f.Oracle.f_detail
         | Ok _ -> false)
     | "check-count-mismatch" -> (
-        match
-          ( run_one h (Oracle.variant_setup "O3+sb") srcs,
-            run_one h (Oracle.variant_setup "O3+lf") srcs )
-        with
-        | Ok rsb, Ok rlf ->
-            rsb.Harness.outcome = Mi_vm.Interp.Exited 0
-            && rlf.Harness.outcome = Mi_vm.Interp.Exited 0
-            && Harness.counter rsb "sb.checks"
-               <> Harness.counter rlf "lf.checks"
-        | _ -> false)
+        let runs =
+          List.map (fun (_, s) -> run_one h s srcs) Oracle.checker_variants
+        in
+        List.for_all
+          (function
+            | Ok r -> r.Harness.outcome = Mi_vm.Interp.Exited 0
+            | Error _ -> false)
+          runs
+        && Oracle.check_count_mismatch runs <> None)
     | "dispatch-divergence" -> (
-        let n = String.length f.Oracle.f_setup - String.length "/generic" in
-        let base_tag = String.sub f.Oracle.f_setup 0 n in
-        let base = Oracle.variant_setup base_tag in
+        let fused = Filename.chop_suffix f.Oracle.f_setup "/generic" in
         match
-          ( run_one h base srcs,
-            run_one h { base with Harness.dispatch = Harness.Generic } srcs )
+          ( run_one h (Oracle.variant_setup fused) srcs,
+            run_one h (Oracle.variant_setup f.Oracle.f_setup) srcs )
         with
-        | Ok fast, Ok gen ->
-            fast.Harness.output <> gen.Harness.output
-            || fast.Harness.cycles <> gen.Harness.cycles
-            || Harness.counters_alist fast <> Harness.counters_alist gen
+        | Ok fast, Ok gen -> Oracle.dispatch_divergence fast gen <> None
         | _ -> false)
     | kind -> (
         (* divergence of one variant against the O0 reference *)

@@ -801,17 +801,11 @@ type access = Read | Write
 let access_name = function Read -> "read" | Write -> "write"
 
 (** The hazard class a mutant injects.  [Spatial] is an out-of-bounds
-    access to a live object (the spatial checkers' territory); [Uaf] and
-    [Double_free] touch a heap object {e after} the program's free
-    epilogue killed it (the temporal checker's territory).  The judge
-    ({!Oracle.judge_mutant}) holds each checker to its own class and
-    excuses the others with a written justification. *)
-type mutant_kind = Spatial | Uaf | Double_free
-
-let mutant_kind_name = function
-  | Spatial -> "oob"
-  | Uaf -> "uaf"
-  | Double_free -> "dfree"
+    access to a live object; [Uaf] and [Double_free] touch a heap object
+    {e after} the program's free epilogue killed it.  The judge
+    ({!Oracle.judge_mutant}) holds each checker to the classes it
+    guarantees and excuses the others with a written justification. *)
+type mutant_kind = Mi_core.Checker.hazard = Spatial | Uaf | Double_free
 
 (** One derived unsafe program: the original with a single known-bad
     statement spliced into [main].  Spatial mutants index past the

@@ -1,8 +1,8 @@
 (** The safety oracle: what must be true of a generated program.
 
     For a {e safe} program ({!Gen.generate}), every setup in the
-    experiment matrix — optimization levels, all three registered
-    checkers, every extension point, both VM dispatch modes — must
+    experiment matrix — optimization levels, every registered checker,
+    every extension point, both VM dispatch modes — must
     produce output byte-identical to the uninstrumented [-O0]
     reference, with no safety report, no trap, and no fuel exhaustion.
     Additionally the instrumentations must agree on the dynamic check
@@ -11,14 +11,13 @@
     dispatch (same output, same cycles, same counters).
 
     For an {e unsafe mutant}, the oracle flips along the mutant's
-    hazard class ({!Gen.mutant_kind}): a spatial overflow
-    ({!Gen.mutate}) must be reported by both SoftBound and Low-Fat —
-    except SoftBound on a site with only wide bounds by design
-    (size-less extern declaration, §4.3) — while the temporal checker
-    is excused (lock-and-key tracks lifetimes, not bounds).  A
-    use-after-free or double free ({!Gen.mutate_temporal}) must be
-    reported by the temporal checker, while the spatial checkers are
-    excused (their bounds metadata is unaffected by [free]).  Every
+    hazard class ({!Gen.mutant_kind}): every checker whose
+    [Checker.guarantees] include the class must report it — except a
+    checker with [Exact] bounds on a site whose bounds are wide by
+    design (size-less extern declaration, §4.3) — and every other
+    checker is excused: a spatial overflow ({!Gen.mutate}) is outside
+    the lock-and-key checker's scope, a use-after-free or double free
+    ({!Gen.mutate_temporal}) outside the spatial checkers'.  Every
     excusal is {e whitelisted} with its written justification rather
     than counted as missed.
 
@@ -27,6 +26,7 @@
     campaign can go through one {!Mi_bench_kit.Harness.run_jobs} matrix
     and inherit its caching, sharding and [-j]-determinism. *)
 
+module Checker = Mi_core.Checker
 module Config = Mi_core.Config
 module Pipeline = Mi_passes.Pipeline
 module Harness = Mi_bench_kit.Harness
@@ -52,31 +52,54 @@ let finding_to_string f =
 
 let reference = { Harness.baseline with level = Pipeline.O0 }
 
-let sb = Harness.with_config Config.softbound Harness.baseline
-let lf = Harness.with_config Config.lowfat Harness.baseline
-let tp = Harness.with_config (Config.of_approach "temporal") Harness.baseline
+(* every registered checker, in registration order: the registry, not
+   [Config.known_approaches], so an [--approach] restriction leaves the
+   matrix unchanged *)
+let checkers = Checker.all ()
+
+let o3 cfg = Harness.with_config cfg Harness.baseline
+
+(* a checker's tag at one level: the level, "+", its counter namespace *)
+let tag level (c : Checker.t) = level ^ "+" ^ c.Checker.counter_ns
+
+(** One [O3+ns] variant per registered checker ([ns] its counter
+    namespace), in registry order: the runs the check-count and
+    dispatch contracts compare. *)
+let checker_variants : (string * Harness.setup) list =
+  List.map (fun c -> (tag "O3" c, o3 c.Checker.basis)) checkers
+
+(* [O3+ns+checkopt]: every elimination pass, wherever they are sound *)
+let checkopt_variants =
+  List.map
+    (fun c -> (tag "O3" c ^ "+checkopt", o3 (Config.optimized_full c.basis)))
+    (List.filter Checker.check_elim_sound checkers)
 
 (** The full safe-program matrix (reference excluded).  Tags are stable:
-    they appear in repro files and CI JSON. *)
+    they appear in repro files and CI JSON.  Three are explicit probes
+    of one checker: dominance elimination alone, and the two extension
+    points other than VectorizerStart. *)
 let variants : (string * Harness.setup) list =
   [
     ("O1", { Harness.baseline with level = Pipeline.O1 });
     ("O3", Harness.baseline);
-    ("O1+sb", { sb with level = Pipeline.O1 });
-    ("O3+sb", sb);
-    ("O1+lf", { lf with level = Pipeline.O1 });
-    ("O3+lf", lf);
-    ("O1+tp", { tp with level = Pipeline.O1 });
-    ("O3+tp", tp);
-    ("O3+sb+domopt", Harness.with_config (Config.optimized Config.softbound) Harness.baseline);
-    ("O3+sb+checkopt", Harness.with_config (Config.optimized_full Config.softbound) Harness.baseline);
-    ("O3+lf+checkopt", Harness.with_config (Config.optimized_full Config.lowfat) Harness.baseline);
-    ("O3+lf@early", { lf with ep = Pipeline.ModuleOptimizerEarly });
-    ("O3+sb@scalarlate", { sb with ep = Pipeline.ScalarOptimizerLate });
-    ("O3+sb/generic", { sb with dispatch = Harness.Generic });
-    ("O3+lf/generic", { lf with dispatch = Harness.Generic });
-    ("O3+tp/generic", { tp with dispatch = Harness.Generic });
   ]
+  @ List.concat_map
+      (fun c ->
+        let s = o3 c.Checker.basis in
+        [ (tag "O1" c, { s with level = Pipeline.O1 }); (tag "O3" c, s) ])
+      checkers
+  @ [ ("O3+sb+domopt", o3 (Config.optimized Config.softbound)) ]
+  @ checkopt_variants
+  @ [
+      ( "O3+lf@early",
+        { (o3 Config.lowfat) with ep = Pipeline.ModuleOptimizerEarly } );
+      ( "O3+sb@scalarlate",
+        { (o3 Config.softbound) with ep = Pipeline.ScalarOptimizerLate } );
+    ]
+  @ List.map
+      (fun (t, s) ->
+        (t ^ "/generic", { s with Harness.dispatch = Harness.Generic }))
+      checker_variants
 
 let variant_setup tag =
   if tag = "O0" then reference
@@ -91,20 +114,10 @@ let variant_setup tag =
     configurations are held to the same bar as their bases: static
     in-bounds elimination and hoisting may only delete checks they
     proved redundant, so an eliminated-yet-needed check on an injected
-    violation shows up here as a miss — the optimizer of PR 9 is
-    cross-examined by every mutant campaign. *)
+    violation shows up here as a miss — every mutant campaign
+    cross-examines the optimizer. *)
 let mutant_variants : (string * Harness.setup) list =
-  [
-    ("O3+sb", sb);
-    ("O3+lf", lf);
-    ("O3+tp", tp);
-    ( "O3+sb+checkopt",
-      Harness.with_config (Config.optimized_full Config.softbound)
-        Harness.baseline );
-    ( "O3+lf+checkopt",
-      Harness.with_config (Config.optimized_full Config.lowfat)
-        Harness.baseline );
-  ]
+  checker_variants @ checkopt_variants
 
 (* ------------------------------------------------------------------ *)
 (* Jobs                                                                *)
@@ -158,6 +171,39 @@ let outcome_finding ~seed ~tag (r : Harness.run) =
       Some { f_seed = seed; f_setup = tag; f_kind = "fuel";
              f_detail = Printf.sprintf "budget %d exhausted" budget }
 
+(** The fairness contract: the shared target discovery places the same
+    number of dynamic checks under every registered checker.  [results]
+    holds one result per {!checker_variants} entry, in order; when all
+    compiled and their [ns.checks] counters differ, the result is the
+    detail of a ["check-count-mismatch"] finding. *)
+let check_count_mismatch
+    (results : (Harness.run, Harness.error) result list) : string option =
+  match List.filter_map Result.to_option results with
+  | runs when List.compare_lengths runs checkers = 0 ->
+      let counts =
+        List.map2
+          (fun (c : Checker.t) r ->
+            (c.counter_ns, Harness.counter r (c.counter_ns ^ ".checks")))
+          checkers runs
+      in
+      let show (ns, n) = Printf.sprintf "%s %d" ns n in
+      if List.for_all (fun (_, n) -> n = snd (List.hd counts)) counts then None
+      else Some (String.concat " vs " (List.map show counts))
+  | _ -> None
+
+(** The fast-path contract: generic dispatch is observationally
+    identical to fused dispatch — output, cycles, every runtime counter.
+    The detail of a ["dispatch-divergence"] finding when it is not. *)
+let dispatch_divergence (fast : Harness.run) (gen : Harness.run) =
+  if fast.output <> gen.output then Some "output differs from fused dispatch"
+  else if fast.cycles <> gen.cycles then
+    Some
+      (Printf.sprintf "cycles %d (fused) vs %d (generic)" fast.cycles
+         gen.cycles)
+  else if Harness.counters_alist fast <> Harness.counters_alist gen then
+    Some "runtime counters differ"
+  else None
+
 (** Judge one safe candidate's results (aligned with {!safe_jobs_of}).
     Returns all findings, [[]] iff the oracle holds.  [seed] labels the
     findings: the root generator seed of the candidate's lineage. *)
@@ -196,47 +242,26 @@ let judge_safe_results ~seed
                                 Printf.sprintf "expected %S got %S" ref_out
                                   r.Harness.output }))
             tagged;
-          (* fairness: the shared target discovery places the same
-             number of dynamic checks under every approach *)
-          (match (find "O3+sb", find "O3+lf", find "O3+tp") with
-          | Ok rsb, Ok rlf, Ok rtp ->
-              let csb = Harness.counter rsb "sb.checks"
-              and clf = Harness.counter rlf "lf.checks"
-              and ctp = Harness.counter rtp "tp.checks" in
-              if csb <> clf || clf <> ctp then
-                note
-                  { f_seed = seed; f_setup = "O3+sb|O3+lf|O3+tp";
-                    f_kind = "check-count-mismatch";
-                    f_detail =
-                      Printf.sprintf "sb %d vs lf %d vs tp %d" csb clf ctp }
-          | _ -> ());
-          (* fast-path contract: generic dispatch is observationally
-             identical — output, cycles, every runtime counter *)
+          Option.iter
+            (fun detail ->
+              note
+                { f_seed = seed;
+                  f_setup = String.concat "|" (List.map fst checker_variants);
+                  f_kind = "check-count-mismatch"; f_detail = detail })
+            (check_count_mismatch
+               (List.map (fun (t, _) -> find t) checker_variants));
           List.iter
-            (fun tag ->
+            (fun (tag, _) ->
               match (find tag, find (tag ^ "/generic")) with
               | Ok fast, Ok gen ->
-                  if fast.Harness.output <> gen.Harness.output then
-                    note
-                      { f_seed = seed; f_setup = tag ^ "/generic";
-                        f_kind = "dispatch-divergence";
-                        f_detail = "output differs from fused dispatch" }
-                  else if fast.Harness.cycles <> gen.Harness.cycles then
-                    note
-                      { f_seed = seed; f_setup = tag ^ "/generic";
-                        f_kind = "dispatch-divergence";
-                        f_detail =
-                          Printf.sprintf "cycles %d (fused) vs %d (generic)"
-                            fast.Harness.cycles gen.Harness.cycles }
-                  else if
-                    Harness.counters_alist fast <> Harness.counters_alist gen
-                  then
-                    note
-                      { f_seed = seed; f_setup = tag ^ "/generic";
-                        f_kind = "dispatch-divergence";
-                        f_detail = "runtime counters differ" }
+                  Option.iter
+                    (fun detail ->
+                      note
+                        { f_seed = seed; f_setup = tag ^ "/generic";
+                          f_kind = "dispatch-divergence"; f_detail = detail })
+                    (dispatch_divergence fast gen)
               | _ -> ())
-            [ "O3+sb"; "O3+lf"; "O3+tp" ]));
+            checker_variants));
   List.rev !findings
 
 (** Judge one safe program's results (aligned with {!safe_jobs}). *)
@@ -278,34 +303,32 @@ type expectation =
   | Excused_wide of string
   | Out_of_scope of string
 
-(* the checker behind a mutant-matrix tag: expectations depend on the
-   approach, not on which elimination passes ran on top of it *)
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+(* why a checker is excused from a hazard class it does not guarantee *)
+let out_of_scope = function
+  | Checker.Spatial ->
+      "spatial overflow: the lock-and-key checker tracks lifetimes, not \
+       bounds"
+  | Checker.Uaf ->
+      "use after free: the spatial checkers' bounds metadata is unaffected \
+       by free"
+  | Checker.Double_free ->
+      "double free: outside the spatial checkers' scope (the VM allocator's \
+       own bookkeeping traps instead)"
 
+(* the checker behind a mutant-matrix tag (not the elimination passes on
+   top of it) must report every hazard class it guarantees, except an
+   overflow past a size-less extern declaration, where exact bounds are
+   wide by design (§4.3) *)
 let expectation (m : Gen.mutant) tag =
-  let is_tp = has_prefix "O3+tp" tag and is_sb = has_prefix "O3+sb" tag in
-  match m.Gen.m_kind with
-  | Gen.Spatial -> (
-      match m.Gen.m_sb_whitelist with
-      | _ when is_tp ->
-          Out_of_scope
-            "spatial overflow: the lock-and-key checker tracks lifetimes, \
-             not bounds"
-      | Some why when is_sb -> Excused_wide why
-      | _ -> Must_report)
-  | Gen.Uaf ->
-      if is_tp then Must_report
-      else
-        Out_of_scope
-          "use after free: the spatial checkers' bounds metadata is \
-           unaffected by free"
-  | Gen.Double_free ->
-      if is_tp then Must_report
-      else
-        Out_of_scope
-          "double free: outside the spatial checkers' scope (the VM \
-           allocator's own bookkeeping traps instead)"
+  let cfg = Option.get (List.assoc tag mutant_variants).Harness.config in
+  let c = Checker.find_exn cfg.Config.approach in
+  let hazard = m.Gen.m_kind in
+  if not (List.mem hazard c.Checker.guarantees) then
+    Out_of_scope (out_of_scope hazard)
+  else
+    match (hazard, c.Checker.precision, m.Gen.m_sb_whitelist) with
+    | Checker.Spatial, Checker.Exact, Some why -> Excused_wide why
+    | _ -> Must_report
 
 (** Judge one mutant's results (aligned with {!mutant_jobs}): each
     checker variant against its {!expectation} for the mutant's hazard

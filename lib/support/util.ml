@@ -44,8 +44,6 @@ let median xs =
 let percent num den =
   if den = 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den
 
-let spf = Printf.sprintf
-
 (** [List.filter_map g l], except that the result shares the longest
     suffix of [l] that [g] keeps as it is (returns the element itself),
     so it is [l] when [g] keeps every element.  [g] runs in list

@@ -90,14 +90,22 @@ let test_checker_shape () =
         (Array.length c.Checker.components)
         (Array.length c.Checker.wide))
     (Checker.all ());
-  let dom name =
-    (Checker.find_exn name).Checker.supports_dominance_opt
+  let declared name =
+    let c = Checker.find_exn name in
+    (c.Checker.guarantees, c.Checker.precision)
   in
-  Alcotest.(check bool) "softbound supports domopt" true (dom "softbound");
-  Alcotest.(check bool) "lowfat supports domopt" true (dom "lowfat");
+  Alcotest.(check bool) "softbound: spatial, exact" true
+    (declared "softbound" = ([ Checker.Spatial ], Checker.Exact));
+  Alcotest.(check bool) "lowfat: spatial, size class" true
+    (declared "lowfat" = ([ Checker.Spatial ], Checker.Size_class));
+  Alcotest.(check bool) "temporal: use after free and double free" true
+    (fst (declared "temporal") = [ Checker.Uaf; Checker.Double_free ]);
+  let elim name = Checker.check_elim_sound (Checker.find_exn name) in
+  Alcotest.(check bool) "softbound permits elimination" true (elim "softbound");
+  Alcotest.(check bool) "lowfat permits elimination" true (elim "lowfat");
   (* a free between two accesses invalidates the dominated check's
      premise, so check elimination is unsound for the temporal checker *)
-  Alcotest.(check bool) "temporal rejects domopt" false (dom "temporal")
+  Alcotest.(check bool) "temporal vetoes elimination" false (elim "temporal")
 
 (* the experiment matrix is registry-driven: every registered approach
    yields both shared setups, the dominance opt only where supported *)
@@ -118,7 +126,8 @@ let test_matrix_from_registry () =
       Alcotest.(check bool) (name ^ " full has no domopt") false (dom full);
       Alcotest.(check bool)
         (name ^ " opt domopt iff supported")
-        (Checker.find_exn name).Checker.supports_dominance_opt (dom opt))
+        (Checker.check_elim_sound (Checker.find_exn name))
+        (dom opt))
     (Config.known_approaches ());
   let field f = List.map (fun a -> f (Checker.find_exn a)) in
   Alcotest.(check (list string))
@@ -154,6 +163,44 @@ let test_restrict_approaches () =
     "restriction restored" every
     (Config.known_approaches ())
 
+(* every consumer derives its per-checker entries from the registry:
+   the oracle's matrices carry each checker's tags (the checkopt one
+   exactly where elimination is sound), and the corpus never expects a
+   report of a hazard class the checker does not guarantee *)
+let test_registry_contract () =
+  let module Oracle = Mi_fuzz.Oracle in
+  let module Corpus = Mi_bench_kit.Safety_corpus in
+  List.iter
+    (fun (c : Checker.t) ->
+      let o3 = "O3+" ^ c.Checker.counter_ns in
+      let has variants tag = List.mem_assoc tag variants in
+      List.iter
+        (fun tag ->
+          Alcotest.(check bool) (tag ^ " in variants") true
+            (has Oracle.variants tag))
+        [ "O1+" ^ c.Checker.counter_ns; o3; o3 ^ "/generic" ];
+      Alcotest.(check bool) (o3 ^ " in mutant variants") true
+        (has Oracle.mutant_variants o3);
+      Alcotest.(check bool)
+        (o3 ^ "+checkopt iff elimination is sound")
+        (Checker.check_elim_sound c)
+        (has Oracle.variants (o3 ^ "+checkopt"));
+      List.iter
+        (fun kind ->
+          match Corpus.hazard_of_kind kind with
+          | Some h when not (List.mem h c.Checker.guarantees) ->
+              List.iter
+                (fun elem ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s never detects %s" c.Checker.name
+                       (Corpus.kind_name kind))
+                    false
+                    (Corpus.detects c.Checker.name elem kind))
+                Corpus.elems
+          | _ -> ())
+        (Corpus.all_kinds @ Corpus.temporal_kinds_for Corpus.Heap))
+    (Checker.all ())
+
 let test_duplicate_registration_rejected () =
   let tp = Checker.find_exn "temporal" in
   match Checker.register tp with
@@ -180,5 +227,6 @@ let () =
             test_matrix_from_registry;
           Alcotest.test_case "restrict_approaches" `Quick
             test_restrict_approaches;
+          Alcotest.test_case "registry contract" `Quick test_registry_contract;
         ] );
     ]

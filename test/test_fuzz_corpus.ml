@@ -10,8 +10,7 @@ module Corpus = Mi_fuzz.Corpus
 module Fault = Mi_faultkit.Fault
 module Json = Mi_obs.Json
 
-let rm_rf dir =
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+let rm_rf = Tmpdir.rm_rf
 
 let tmp_dir name =
   let d = Filename.concat (Filename.get_temp_dir_name ()) name in

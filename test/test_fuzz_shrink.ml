@@ -8,6 +8,8 @@ module Gen = Mi_fuzz.Gen
 module Shrink = Mi_fuzz.Shrink
 module Fuzz = Mi_fuzz.Fuzz
 module Fault = Mi_faultkit.Fault
+module Harness = Mi_bench_kit.Harness
+module Oracle = Mi_fuzz.Oracle
 
 let code sources =
   String.concat "\n" (List.map (fun (s : Bench.source) -> s.Bench.code) sources)
@@ -75,8 +77,7 @@ let test_minimize_bails_when_predicate_fails () =
 
 (* {1 End-to-end: del-check inject -> missed violation -> shrunk repro} *)
 
-let rm_rf dir =
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
+let rm_rf = Tmpdir.rm_rf
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
@@ -283,9 +284,57 @@ let test_soak_repro_emission () =
     (Sys.file_exists repro_dir);
   rm_rf corpus_dir
 
+(* {1 Unit: the check-count contract over every registered checker} *)
+
+(* a clean run whose counters carry [checks] dynamic checks under every
+   counter namespace, except [tp_checks] under the temporal one *)
+let synthetic_run ~checks ~tp_checks =
+  {
+    Harness.outcome = Mi_vm.Interp.Exited 0;
+    cycles = 100;
+    steps = 50;
+    output = "7\n";
+    counters =
+      [| ("lf.checks", checks); ("sb.checks", checks); ("tp.checks", tp_checks) |];
+    static_stats = [];
+    program_instrs = 0;
+    profile = [];
+    coverage = [];
+  }
+
+(* The judge and the shrink predicate share [Oracle.check_count_mismatch];
+   a mismatch on the temporal checker alone must count, or the shrinker
+   would drop it and emit the finding unshrunk *)
+let test_check_count_temporal_only () =
+  let even = synthetic_run ~checks:3 ~tp_checks:3 in
+  let odd = synthetic_run ~checks:3 ~tp_checks:4 in
+  let o3 run = List.map (fun _ -> Ok run) Oracle.checker_variants in
+  Alcotest.(check (option string)) "equal counts agree" None
+    (Oracle.check_count_mismatch (o3 even));
+  Alcotest.(check (option string)) "temporal alone differs"
+    (Some "sb 3 vs lf 3 vs tp 4")
+    (Oracle.check_count_mismatch (o3 odd));
+  (* the judge reports exactly that finding on a full safe matrix whose
+     only difference is the temporal runs' check count *)
+  let results =
+    List.map
+      (fun tag ->
+        Ok (if tag = "O3+tp" || tag = "O3+tp/generic" then odd else even))
+      ("O0" :: List.map fst Oracle.variants)
+  in
+  Alcotest.(check (list string)) "one check-count finding"
+    [ "seed 9 [O3+sb|O3+lf|O3+tp] check-count-mismatch: sb 3 vs lf 3 vs tp 4" ]
+    (List.map Oracle.finding_to_string
+       (Oracle.judge_safe_results ~seed:9 results))
+
 let () =
   Alcotest.run "fuzz-shrink"
     [
+      ( "check-count",
+        [
+          Alcotest.test_case "temporal-only mismatch" `Quick
+            test_check_count_temporal_only;
+        ] );
       ( "minimize",
         [
           Alcotest.test_case "reduces while predicate holds" `Quick

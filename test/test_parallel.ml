@@ -144,14 +144,9 @@ let test_cache_accounting () =
   let s3 = Harness.cache_stats h in
   Alcotest.(check int) "different setup misses" 2 s3.Harness.misses
 
-let temp_cache_dir () =
-  let f = Filename.temp_file "micache" "" in
-  Sys.remove f;
-  f
-
 let test_disk_cache_across_sessions () =
   let b = Lazy.force lbm in
-  let dir = temp_cache_dir () in
+  Tmpdir.with_dir "micache" @@ fun dir ->
   let h1 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   let r1 = Harness.expect_ok b (Harness.run h1 E.sb_opt b) in
   Alcotest.(check int) "cold session misses" 1
@@ -173,7 +168,7 @@ let test_disk_cache_across_sessions () =
    recomputed from source *)
 let test_disk_cache_corruption () =
   let b = Lazy.force lbm in
-  let dir = temp_cache_dir () in
+  Tmpdir.with_dir "micache" @@ fun dir ->
   let h0 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   let r0 = Harness.expect_ok b (Harness.run h0 E.sb_opt b) in
   Alcotest.(check int) "seed session misses" 1
@@ -213,7 +208,7 @@ let test_disk_cache_corruption () =
    counted as corrupt and recomputed; the recomputed entry then hits *)
 let test_disk_cache_foreign_build () =
   let b = Lazy.force lbm in
-  let dir = temp_cache_dir () in
+  Tmpdir.with_dir "micache" @@ fun dir ->
   let session () = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
   let r0 = Harness.expect_ok b (Harness.run (session ()) E.sb_opt b) in
   let path =
@@ -244,9 +239,7 @@ let test_disk_cache_foreign_build () =
   let h = session () in
   ignore (Harness.run h E.sb_opt b : (Harness.run, Harness.error) result);
   Alcotest.(check int)
-    "the recomputed entry hits" 1 (Harness.cache_stats h).Harness.hits;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir
+    "the recomputed entry hits" 1 (Harness.cache_stats h).Harness.hits
 
 (* ------------------------------------------------------------------ *)
 (* 3. Obs.merge: associative, order-insensitive                        *)

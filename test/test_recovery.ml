@@ -114,22 +114,8 @@ let test_manifest_j_determinism () =
 
 (* {1 Corrupted cache entries: quarantined, recomputed exactly once} *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mi-recovery-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    (fun () -> f dir)
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-
 let test_corrupt_entry_recomputed_once () =
-  with_temp_dir @@ fun dir ->
+  Tmpdir.with_dir "mi-recovery-" @@ fun dir ->
   let setup = Corpus.setup "softbound" in
   (* populate the on-disk cache *)
   let h0 = Harness.create ~jobs:1 ~cache:(Icache.create ~dir ()) () in
