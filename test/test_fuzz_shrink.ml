@@ -330,7 +330,7 @@ let test_check_count_temporal_only () =
 let () =
   Alcotest.run "fuzz-shrink"
     [
-      ( "check-count",
+      ( "counts",
         [
           Alcotest.test_case "temporal-only mismatch" `Quick
             test_check_count_temporal_only;
