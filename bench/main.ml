@@ -15,6 +15,11 @@ module Fuzz = Mi_fuzz.Fuzz
 
 let now = Mi_support.Mclock.now
 
+(* words allocated directly in the major heap so far (not promoted) *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
 (* Steps/second of the interpreter on a fixed workload: sb_opt and
    lf_opt over the full suite (the spatial half of the hotchecks
    matrix; the reference commit times the same two).  One warm-up pass
@@ -25,7 +30,9 @@ let now = Mi_support.Mclock.now
 
    [~coverage:true] runs the identical workload with a VM coverage
    registry attached, so the gate can bound the block/edge-recording
-   overhead (BENCH_coverage.json). *)
+   overhead (BENCH_coverage.json).  [major_words_per_job] reports the
+   words the timed passes allocate directly in the major heap, per job;
+   it is not gated. *)
 let run_vm_steps ?(coverage = false) () =
   let h = Harness.create ~jobs:1 ~obs:(Mi_obs.Obs.create ~coverage ()) () in
   let jobs =
@@ -46,21 +53,24 @@ let run_vm_steps ?(coverage = false) () =
   in
   let steps_per_pass = pass () (* warm-up; also fixes the step count *) in
   let reps = 3 in
+  let major0 = direct_major_words () in
   let t0 = now () in
   for _ = 1 to reps do
     let s = pass () in
     if s <> steps_per_pass then failwith "vm-steps: nondeterministic steps"
   done;
   let dt = now () -. t0 in
+  let major = direct_major_words () -. major0 in
   let total = reps * steps_per_pass in
   Printf.printf
     "%s: benches=%d steps_per_pass=%d reps=%d elapsed_s=%.3f \
-     steps_per_sec=%.0f\n\
+     steps_per_sec=%.0f major_words_per_job=%.0f\n\
      %!"
     (if coverage then "vm_steps_cov" else "vm_steps")
     (List.length Mi_bench_kit.Suite.all)
     steps_per_pass reps dt
     (float_of_int total /. dt)
+    (major /. float_of_int (reps * List.length jobs))
 
 (* Scaling study of the two fuzzing modes at an identical execution
    budget: the coverage-guided evolutionary soak (fresh throwaway

@@ -102,7 +102,7 @@ let seeds_arg =
 let variants_arg =
   Arg.(
     value
-    & opt (list string) [ "O0"; "O3+sb"; "O3+lf"; "O3+tp" ]
+    & opt (list string) Drive.default_variants
     & info [ "variants" ] ~docv:"TAGS"
         ~doc:
           "Comma-separated oracle variant tags each seed runs under \

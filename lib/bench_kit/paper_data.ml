@@ -48,7 +48,3 @@ let fig9_mean_lf = 1.77
 let opt_removed_min = (8.0, "177mesa")
 
 let opt_removed_max = (50.0, "256bzip2")
-
-(** §5.5: picking the early EP for one tool and a late one for the other
-    skews the comparison by about this factor. *)
-let ep_gap = 1.30

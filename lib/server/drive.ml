@@ -37,11 +37,14 @@ type cfg = {
   d_shutdown : bool;  (** send [shutdown] when done *)
 }
 
+(** [O0] and one [O3+ns] tag per registered checker, in registry order *)
+let default_variants = "O0" :: List.map fst Oracle.checker_variants
+
 let default_cfg ~socket =
   {
     d_socket = socket;
     d_seeds = (1, 25);
-    d_variants = [ "O0"; "O3+sb"; "O3+lf"; "O3+tp" ];
+    d_variants = default_variants;
     d_conns = 4;
     d_burst = 4;
     d_tenants = 2;

@@ -19,8 +19,10 @@ open Mi_vm
 module Intr = Mi_mir.Intrinsics
 
 (* Secondary trie tables cover [1 lsl sec_bits] bytes of address space,
-   with one (base, bound) pair per 8-byte-aligned slot. *)
-let sec_bits = 16
+   with one (base, bound) pair per 8-byte-aligned slot.  A 4 KiB span
+   keeps a secondary at 1,024 words, so metadata costs memory in
+   proportion to the spans that hold stored pointers. *)
+let sec_bits = 12
 let slots_per_sec = 1 lsl (sec_bits - 3)
 
 (* per-step counters, resolved once at install *)
@@ -35,7 +37,8 @@ type counters = {
 type t = {
   st : State.t;
   n : counters;
-  trie : (int, int array) Hashtbl.t;  (** primary: addr >> 16 -> secondary *)
+  trie : (int, int array) Hashtbl.t;
+      (** primary: addr >> sec_bits -> secondary *)
   mutable ss : int array;  (** shadow stack: pairs of (base, bound) slots *)
   mutable ss_top : int;  (** next free pair index *)
   mutable ss_fp : int;  (** current frame start (pair index) *)
@@ -116,9 +119,14 @@ let meta_copy t ~dst ~src len =
 
 (* --- shadow stack ------------------------------------------------------ *)
 
+(* The shadow stack starts small and grows by doubling on demand. *)
+let ss_initial = 64
+
+(* Grow to hold [n] pairs: at least double, and at least what the
+   access needs, however far past the current capacity it lies. *)
 let ss_ensure t n =
   if n > Array.length t.ss / 2 then begin
-    let bigger = Array.make (Array.length t.ss * 2) 0 in
+    let bigger = Array.make (max (Array.length t.ss * 2) (n * 2)) 0 in
     Array.blit t.ss 0 bigger 0 (Array.length t.ss);
     t.ss <- bigger
   end
@@ -245,7 +253,7 @@ let install (st : State.t) : t =
           n_ss_frames = State.handle st "sb.ss_frames";
         };
       trie = Hashtbl.create 256;
-      ss = Array.make 8192 0;
+      ss = Array.make ss_initial 0;
       ss_top = 0;
       ss_fp = 0;
       ss_saved = [];

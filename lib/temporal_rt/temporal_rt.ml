@@ -107,6 +107,9 @@ let meta_copy t ~dst ~src len =
 
 (* --- shadow stack ------------------------------------------------------ *)
 
+(* The shadow stack starts small and grows by doubling on demand. *)
+let ss_initial = 64
+
 let ss_ensure t n =
   if n > Array.length t.ss then begin
     let bigger = Array.make (max (Array.length t.ss * 2) n) 0 in
@@ -205,7 +208,7 @@ let install (st : State.t) : t =
       live = Hashtbl.create 256;
       trie = Hashtbl.create 256;
       next_key = 1;
-      ss = Array.make 4096 0;
+      ss = Array.make ss_initial 0;
       ss_top = 0;
       ss_fp = 0;
       ss_saved = [];

@@ -27,9 +27,10 @@ type t = {
   cache_page : Bytes.t array;
 }
 
+(* The page table starts small and grows with the pages a run touches. *)
 let create ?(max_pages = 1 lsl 19) () =
   {
-    pages = Hashtbl.create 1024;
+    pages = Hashtbl.create 16;
     page_count = 0;
     max_pages;
     cache_idx = Array.make cache_slots (-1);

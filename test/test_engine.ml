@@ -4,8 +4,9 @@
    under both fused and boxed dispatch), the one-typed-implementation
    contract of runtime intrinsics, load-time call resolution (the
    builtin registry closes at load; unresolved names trap on their
-   step), and regression tests for the interpreter bugs fixed alongside
-   the engine (bitcast sign bit, scratch-slot bloat). *)
+   step), regression tests for the interpreter bugs fixed alongside
+   the engine (bitcast sign bit, scratch-slot bloat), and a bound on
+   the major-heap words a small job's execution allocates. *)
 
 open Mi_vm
 open Mi_mir
@@ -740,6 +741,82 @@ let test_unresolved_external () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Allocation: a run's VM and runtime state grow with use              *)
+(* ------------------------------------------------------------------ *)
+
+(* Stores a heap pointer into a heap cell and passes pointers across a
+   call, so the run fills metadata and shadow-stack slots. *)
+let pointer_store_src =
+  {|
+long deref(long **cell) {
+  long *p;
+  p = *cell;
+  return p[1];
+}
+
+int main(void) {
+  long **cell;
+  long *p;
+  cell = (long **)malloc(sizeof(long *));
+  p = (long *)malloc(4 * sizeof(long));
+  p[1] = 7;
+  *cell = p;
+  print_int(deref(cell));
+  return 0;
+}
+|}
+
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* The execute half of a job, [State.create] through [Interp.run], on
+   already compiled modules. *)
+let execute (setup : Harness.setup) (b : Mi_bench_kit.Bench.t) modules =
+  let st = State.create ~seed:setup.Harness.seed () in
+  Builtins.install st;
+  let alloc_global =
+    Mi_runtimes.Runtimes.install
+      (Option.get setup.Harness.config)
+      ~modules:
+        (List.map2
+           (fun m (s : Mi_bench_kit.Bench.source) -> (m, s.instrument))
+           modules b.sources)
+      st
+  in
+  let img = Interp.load ?alloc_global st modules in
+  Interp.run st img
+
+(* The execute half of a small SoftBound or temporal job allocates in
+   the major heap only the pages and trie secondaries its program
+   touches: a runtime or page table sized up front for large programs
+   would cost every job more than the bound. *)
+let test_small_job_allocation () =
+  let b =
+    Mi_bench_kit.Bench.mk ~suite:Mi_bench_kit.Bench.CPU2006 ~descr:"pointer store"
+      "alloc"
+      [ Mi_bench_kit.Bench.src "alloc.c" pointer_store_src ]
+  in
+  List.iter
+    (fun tag ->
+      let setup = Mi_fuzz.Oracle.variant_setup tag in
+      let modules =
+        match Harness.compile_jobs (Harness.create ~jobs:1 ()) [ (setup, b) ] with
+        | [ Ok m ] -> m
+        | _ -> Alcotest.failf "%s: compile failed" tag
+      in
+      (* the first run warms whatever the process initialises once *)
+      ignore (execute setup b modules);
+      let w0 = direct_major_words () in
+      let r = execute setup b modules in
+      let words = direct_major_words () -. w0 in
+      Alcotest.(check string) (tag ^ ": output") "7" r.Interp.output;
+      if words > 8192. then
+        Alcotest.failf "%s: execute allocated %.0f major-heap words (bound 8192)"
+          tag words)
+    [ "O3+sb"; "O3+tp" ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -792,4 +869,6 @@ let () =
           Alcotest.test_case "shared per bank" `Quick
             test_scratch_slots_shared;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "small job" `Quick test_small_job_allocation ] );
     ]

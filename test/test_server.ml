@@ -151,6 +151,13 @@ let test_setups_round_trip () =
       | Error (_, msg) -> Alcotest.failf "%s: %s" (Harness.setup_key s) msg)
     setups
 
+(* the drive's default tags come from the checker registry *)
+let test_drive_default_variants () =
+  Alcotest.(check (list string))
+    "O0, then O3 per checker"
+    [ "O0"; "O3+sb"; "O3+lf"; "O3+tp" ]
+    Mi_server.Drive.default_variants
+
 (* a config the registry cannot read is a typed error for that request,
    never an exception: an unknown approach, an unknown token, a token
    of another approach, and the object form older clients sent *)
@@ -638,6 +645,8 @@ let () =
           Alcotest.test_case "declared setups round-trip" `Quick
             test_setups_round_trip;
           Alcotest.test_case "bad config typed" `Quick test_bad_config_typed;
+          Alcotest.test_case "drive default variants" `Quick
+            test_drive_default_variants;
         ] );
       ( "identity",
         [

@@ -43,6 +43,34 @@ let test_meta_copy () =
   Alcotest.(check (pair int int)) "second slot" (30, 40)
     (SB.trie_load sb (dst + 8))
 
+(* Pairs on both sides of a 4 KiB and of a 64 KiB span boundary, and a
+   copy whose source and destination ranges each straddle one: every
+   pair reads back unchanged, and the trie counters count operations,
+   never secondaries. *)
+let test_trie_span_boundaries () =
+  let st, sb = setup () in
+  let b4 = Layout.heap_base + (3 * 4096) and b64 = Layout.heap_base + 65536 in
+  let pairs =
+    [ (b4 - 8, (1, 2)); (b4, (3, 4)); (b64 - 8, (5, 6)); (b64, (7, 8)) ]
+  in
+  List.iter (fun (a, (base, bound)) -> SB.trie_store sb a ~base ~bound) pairs;
+  List.iter
+    (fun (a, want) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "slot %#x" a)
+        want (SB.trie_load sb a))
+    pairs;
+  (* [b4 - 8, b4 + 8) to [dst - 8, dst + 8), across a 64 KiB boundary *)
+  let dst = Layout.heap_base + (5 * 65536) in
+  SB.meta_copy sb ~dst:(dst - 8) ~src:(b4 - 8) 16;
+  Alcotest.(check (pair int int)) "copied below" (1, 2)
+    (SB.trie_load sb (dst - 8));
+  Alcotest.(check (pair int int)) "copied above" (3, 4) (SB.trie_load sb dst);
+  Alcotest.(check (pair int int)) "source intact" (3, 4) (SB.trie_load sb b4);
+  Alcotest.(check int) "trie stores" 4 (State.counter st "sb.trie_store");
+  Alcotest.(check int) "trie loads" 7 (State.counter st "sb.trie_load");
+  Alcotest.(check int) "meta copies" 1 (State.counter st "sb.meta_copy")
+
 let test_shadow_stack_nesting () =
   let _, sb = setup () in
   SB.ss_enter sb 2;
@@ -71,6 +99,18 @@ let test_shadow_stack_growth () =
   for _ = 1 to 3000 do
     SB.ss_leave sb
   done
+
+(* An access far past the current capacity grows the stack to fit it
+   in one step, not by a single doubling. *)
+let test_shadow_stack_far_slot () =
+  let _, sb = setup () in
+  SB.ss_enter sb 1;
+  let far = 20_000 in
+  SB.ss_set_base sb far 11;
+  SB.ss_set_bound sb far 22;
+  Alcotest.(check int) "far base" 11 (SB.ss_get_base sb far);
+  Alcotest.(check int) "far bound" 22 (SB.ss_get_bound sb far);
+  SB.ss_leave sb
 
 let violation f =
   match f () with
@@ -142,11 +182,13 @@ let () =
           Alcotest.test_case "default null bounds" `Quick test_trie_default_null;
           QCheck_alcotest.to_alcotest prop_trie_many_slots;
           Alcotest.test_case "meta copy" `Quick test_meta_copy;
+          Alcotest.test_case "span boundaries" `Quick test_trie_span_boundaries;
         ] );
       ( "shadow-stack",
         [
           Alcotest.test_case "nesting" `Quick test_shadow_stack_nesting;
           Alcotest.test_case "growth" `Quick test_shadow_stack_growth;
+          Alcotest.test_case "far slot" `Quick test_shadow_stack_far_slot;
         ] );
       ( "checks",
         [

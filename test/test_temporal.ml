@@ -98,6 +98,20 @@ let test_shadow_stack_zeroed () =
   Alcotest.(check int) "outer frame intact" 42 (TP.ss_get tp 1);
   TP.ss_leave tp
 
+(* deep frames and a slot far past the capacity both grow the stack *)
+let test_shadow_stack_growth () =
+  let _, tp = setup () in
+  for i = 1 to 3000 do
+    TP.ss_enter tp 3;
+    TP.ss_set tp 3 i
+  done;
+  Alcotest.(check int) "deep slot" 3000 (TP.ss_get tp 3);
+  TP.ss_set tp 20_000 5;
+  Alcotest.(check int) "far slot" 5 (TP.ss_get tp 20_000);
+  for _ = 1 to 3000 do
+    TP.ss_leave tp
+  done
+
 (* --- end-to-end on MiniC programs -------------------------------------- *)
 
 let tp_setup =
@@ -284,6 +298,8 @@ let () =
           Alcotest.test_case "meta copy" `Quick test_meta_copy;
           Alcotest.test_case "shadow stack zeroed" `Quick
             test_shadow_stack_zeroed;
+          Alcotest.test_case "shadow stack growth" `Quick
+            test_shadow_stack_growth;
         ] );
       ( "end-to-end",
         [
