@@ -171,6 +171,11 @@ run budget-j1 $bin/mifuzz.exe --corpus "$out/budget-corpus-j1" \
 
 run scaling $main --fuzz-scaling
 
+# the examples end to end: each prints its walkthrough and exits 0
+for ex in quickstart overflow_detection usability_pitfalls pipeline_points; do
+    run "example-$ex" _build/default/examples/$ex.exe
+done
+
 echo "== gate =="
 _build/default/bench/gate.exe "$out"
 echo "== ci OK =="

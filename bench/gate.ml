@@ -139,8 +139,8 @@ let median xs =
    the chaos runs must flag their injected failures (1), misused mifuzz
    flags are usage errors (2), memsafe on a program that does not
    compile exits 2, a fault-tolerance flag mic does not honour is a
-   cmdliner usage error (124), and an --inject clause it does not honour
-   is refused (2). *)
+   cmdliner usage error (124), an --inject clause it does not honour
+   is refused (2), and every example runs clean (0). *)
 let exits =
   [
     ("json-j1", 0); ("json-j2", 0); ("mutation", 0); ("chaos-j4", 1);
@@ -154,6 +154,8 @@ let exits =
     ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
     ("checkelim-j1", 0); ("soak", 0); ("replay-j4", 0); ("replay-j1", 0);
     ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0);
+    ("example-quickstart", 0); ("example-overflow_detection", 0);
+    ("example-usability_pitfalls", 0); ("example-pipeline_points", 0);
   ]
 
 let check_exits lines =

@@ -164,7 +164,7 @@ let run_experiments names benchmark_names approach_names csv_dir json_path
       faults.Mi_faultkit.Fault.cache;
     let h =
       Harness.create ~jobs ~cache
-        ~obs:(Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli)
+        ~obs:(Mi_obs_cli.create_obs ocli)
         ~faults ?job_timeout ~retries ()
     in
     let reports =

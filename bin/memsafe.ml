@@ -66,7 +66,7 @@ let run_file ~ocli ~faults ~job_timeout ~approaches ~optimize file =
      counters are prefixed (sb./lf./tp.) and sites carry their approach,
      so the registries compose; the trace then shows each compile+run
      pipeline.  The session arms the deadline and types every failure. *)
-  let obs = Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli in
+  let obs = Mi_obs_cli.create_obs ocli in
   ignore (Mi_obs_cli.load_profile_in ~app:"memsafe" ocli : Mi_obs.Profile.t option);
   let h = Harness.create ~jobs:1 ~obs ~faults ?job_timeout () in
   let bad = ref false in

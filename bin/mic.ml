@@ -118,7 +118,7 @@ let run_mic file_opt level_s instrument_s check_opt_s ep_s emit_ir no_run
             Printf.eprintf "[mic] diagnose: %s\n" (Mi_core.Diagnose.to_string d))
           ds
   end;
-  let obs = Mi_obs_cli.create_obs ~clock:Mi_support.Mclock.now ocli in
+  let obs = Mi_obs_cli.create_obs ocli in
   ignore (Mi_obs_cli.load_profile_in ~app:"mic" ocli : Mi_obs.Profile.t option);
   let finish_obs () = Mi_obs_cli.finish ~app:"mic" ocli obs in
   let instrument =

@@ -20,10 +20,6 @@ module Pipeline = Mi_passes.Pipeline
 module Obs = Mi_obs.Obs
 module Fault = Mi_faultkit.Fault
 
-(* Harness contexts trace on the wall clock: under worker domains the
-   default processor-time clock counts every domain's time at once. *)
-let new_obs ?coverage () = Obs.create ~clock:Mi_support.Mclock.now ?coverage ()
-
 (** How the VM dispatches runtime-intrinsic calls: [Fast] (the default)
     lets the loader fuse check calls into superinstructions; [Generic]
     forces every call through the boxed builtin path
@@ -314,7 +310,7 @@ let execute ?(faults = Fault.none) ?deadline ~obs (setup : setup)
     share one across runs (e.g. to export a trace spanning compile and
     execute, or to accumulate metrics).  This entry point never consults
     a cache — sessions do ({!run}, {!run_jobs}). *)
-let run_sources ?(obs = new_obs ()) ?(faults = Fault.none) (setup : setup)
+let run_sources ?(obs = Obs.create ()) ?(faults = Fault.none) (setup : setup)
     (sources : Bench.source list) : run =
   let modules, stats = compile ~faults ~obs setup sources in
   execute ~faults ~obs setup modules ~static_stats:stats
@@ -414,7 +410,7 @@ let default_jobs () = max 1 (Domain.recommended_domain_count ())
 let create ?jobs ?(cache = Icache.create ()) ?obs ?(faults = Fault.none)
     ?job_timeout ?(retries = 0) () =
   {
-    s_obs = (match obs with Some o -> o | None -> new_obs ());
+    s_obs = (match obs with Some o -> o | None -> Obs.create ());
     s_cache = cache;
     s_jobs =
       (match jobs with Some j -> max 1 j | None -> default_jobs ());
@@ -671,7 +667,7 @@ let attempt_job t ~job_desc ~wid plan (setup : setup) (b : Bench.t) :
           raise (Fault.Job_timeout budget)
       | _ -> Mi_support.Mclock.sleep secs)
   | None -> ());
-  let obs = new_obs ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
+  let obs = Obs.create ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
   Mi_obs.Trace.set_thread obs.Obs.trace ~tid:(wid + 1)
     ~name:(if wid = 0 then "main" else Printf.sprintf "worker-%d" wid);
   (obs, run_cached ?deadline t ~obs plan setup b)
@@ -844,7 +840,7 @@ let compile_jobs t jobs =
         let p = plans.(i) in
         match
           compile ~faults:t.s_faults ~memo:t.s_memo ~stages:p.p_stages
-            ~obs:(new_obs ()) setup b.sources
+            ~obs:(Obs.create ()) setup b.sources
         with
         | modules, _ ->
             release t p;

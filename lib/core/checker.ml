@@ -49,7 +49,7 @@ type t = {
   counter_ns : string;
   table_name : string;
   basis : Config.t;
-  components : (string * string * Ty.t) array;
+  components : (string * Ty.t) array;
   guarantees : hazard list;
   precision : precision;
   wide : witness;
@@ -96,19 +96,17 @@ let call1 name args = Instr.Call (name, args)
 let anchor_str (a : Edit.anchor) =
   a.Edit.ablock ^ ":" ^ string_of_int a.Edit.apos
 
-(* slot index of a pointer parameter on the shadow stack: 1 + its rank
-   among the pointer-typed parameters *)
-let ptr_param_slot (f : Func.t) idx =
-  let rank = ref 0 in
-  let result = ref None in
-  List.iteri
-    (fun i (p : Value.var) ->
-      if Ty.is_ptr p.vty then begin
-        incr rank;
-        if i = idx then result := Some !rank
-      end)
-    f.params;
-  !result
+(* One string per witness variable name, built when a checker registers:
+   instrumented modules stay cached, and a name concatenated per variable
+   would keep a copy of it per variable.  Only [register] writes the
+   table. *)
+let witness_names : (string * string, string) Hashtbl.t = Hashtbl.create 16
+let witness_prefixes = [ "phi"; "sel"; "arg"; "ld"; "ret" ]
+
+let witness_name prefix suffix =
+  match Hashtbl.find witness_names (prefix, suffix) with
+  | name -> name
+  | exception Not_found -> prefix ^ suffix
 
 (** Replace every alloca of [f] with a call to [intrinsic (size)] — the
     mirrored/keyed stack-allocation pre-pass shared by the Low-Fat and
@@ -141,6 +139,12 @@ let register (c : t) =
   if List.exists (fun x -> x.name = c.name) !registry then
     invalid_arg ("Checker.register: duplicate checker " ^ c.name);
   Config.register_basis ~aliases:c.aliases c.basis;
+  Array.iter
+    (fun (suffix, _) ->
+      List.iter
+        (fun p -> Hashtbl.replace witness_names (p, suffix) (p ^ suffix))
+        witness_prefixes)
+    c.components;
   registry := !registry @ [ c ]
 
 let find name =

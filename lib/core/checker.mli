@@ -54,9 +54,11 @@ type t = {
           reports and the fuzz oracle's tags are built from it *)
   table_name : string;  (** the approach in report tables (["SoftBound"]) *)
   basis : Config.t;
-  components : (string * string * Ty.t) array;
-      (** witness slots: (phi name, select name, slot type); the names
-          are load-bearing for instrumentation-cache keys and goldens *)
+  components : (string * Ty.t) array;
+      (** witness slots: (name suffix, slot type).  Every witness
+          variable is named by a fixed prefix ([phi], [sel], [arg], [ld],
+          [ret]) and the slot's suffix — [phib], [argkey]; the names are
+          load-bearing for instrumentation-cache keys and goldens *)
   guarantees : hazard list;
       (** the hazard classes the checker guarantees to report: [[Spatial]]
           for SoftBound and Low-Fat, [[Uaf; Double_free]] for the temporal
@@ -117,9 +119,11 @@ val vi64 : int -> Value.t
 val vptr : int -> Value.t
 val call1 : string -> Value.t list -> Instr.op
 val anchor_str : Edit.anchor -> string
-val ptr_param_slot : Func.t -> int -> int option
-(** Shadow-stack slot of pointer parameter [idx]: 1 + its rank among
-    the pointer-typed parameters. *)
+
+val witness_name : string -> string -> string
+(** [witness_name prefix suffix] is [prefix ^ suffix], the name of a
+    witness variable; for the components of a registered checker, one
+    shared string per name. *)
 
 val replace_allocas : string -> Func.t -> unit
 (** Replace every alloca with a call to [intrinsic (size)] — the

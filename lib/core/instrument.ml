@@ -175,7 +175,8 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
         (* create witness phis first (cycles!), recurse, then patch *)
         let vars =
           Array.map
-            (fun (pname, _, ty) -> Edit.fresh edit ~name:pname ty)
+            (fun (suffix, ty) ->
+              Edit.fresh edit ~name:(Checker.witness_name "phi" suffix) ty)
             checker.Checker.components
         in
         let w = Array.map (fun v -> Value.Var v) vars in
@@ -201,8 +202,10 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
             let wa = witness_of a in
             let wb = witness_of b in
             Array.mapi
-              (fun k (_, sname, ty) ->
-                Edit.emit_after edit anchor ~name:sname ty
+              (fun k (suffix, ty) ->
+                Edit.emit_after edit anchor
+                  ~name:(Checker.witness_name "sel" suffix)
+                  ty
                   (Instr.Select (ty, c, wa.(k), wb.(k))))
               checker.Checker.components
         | Instr.Alloca { size; _ } -> checker.Checker.w_alloca ctx anchor x ~size

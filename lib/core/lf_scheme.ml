@@ -32,43 +32,43 @@ let w_call (_ctx : C.ctx) _anchor x ~callee ~args:_ : C.witness option =
   | name when name = Intrinsics.lf_alloca -> Some [| Value.Var x |]
   | _ -> None
 
-let invariant_check (ctx : C.ctx) ~before ~construct v =
-  ctx.count_invariant ();
+(* the escape check establishing the invariant (Table 1) for [v], at a
+   new site named [construct] *)
+let invariant_check (ctx : C.ctx) ~construct v =
   let w = ctx.witness_of v in
   let site = ctx.new_site construct in
-  let instr = Instr.mk (call1 Intrinsics.lf_invariant_check [ v; w.(0); site ]) in
-  before instr
+  Instr.mk (call1 Intrinsics.lf_invariant_check [ v; w.(0); site ])
 
 let emit_ptr_store (ctx : C.ctx) (s : Itarget.ptr_store) =
   (* ptr_store invariants are counted by the generic driver *)
-  let w = ctx.witness_of s.s_value in
-  let site = ctx.new_site ("ptr-store@" ^ C.anchor_str s.s_anchor) in
   Edit.insert_before ctx.edit s.s_anchor
-    (Instr.mk (call1 Intrinsics.lf_invariant_check [ s.s_value; w.(0); site ]))
+    (invariant_check ctx
+       ~construct:("ptr-store@" ^ C.anchor_str s.s_anchor)
+       s.s_value)
 
 let emit_call (ctx : C.ctx) (c : Itarget.call) =
   (* establish the invariant: pointers passed to callees are in bounds *)
   List.iter
     (fun (idx, v) ->
-      invariant_check ctx
-        ~before:(fun i -> Edit.insert_before ctx.edit c.l_anchor i)
-        ~construct:
-          ("call-arg" ^ string_of_int idx ^ "@" ^ C.anchor_str c.l_anchor)
-        v)
+      ctx.count_invariant ();
+      Edit.insert_before ctx.edit c.l_anchor
+        (invariant_check ctx
+           ~construct:
+             ("call-arg" ^ string_of_int idx ^ "@" ^ C.anchor_str c.l_anchor)
+           v))
     c.l_ptr_args
 
 let emit_ret (ctx : C.ctx) (r : Itarget.ptr_ret) =
-  let w = ctx.witness_of r.r_value in
-  let site = ctx.new_site ("ret@" ^ r.r_block) in
   Edit.insert_at_end ctx.edit r.r_block
-    (Instr.mk (call1 Intrinsics.lf_invariant_check [ r.r_value; w.(0); site ]))
+    (invariant_check ctx ~construct:("ret@" ^ r.r_block) r.r_value)
 
 let emit_escape (ctx : C.ctx) (e : Itarget.ptr_escape_cast) =
   (* §4.4: check at pointer-to-integer casts *)
-  invariant_check ctx
-    ~before:(fun i -> Edit.insert_before ctx.edit e.e_anchor i)
-    ~construct:("ptrtoint@" ^ C.anchor_str e.e_anchor)
-    e.e_ptr
+  ctx.count_invariant ();
+  Edit.insert_before ctx.edit e.e_anchor
+    (invariant_check ctx
+       ~construct:("ptrtoint@" ^ C.anchor_str e.e_anchor)
+       e.e_ptr)
 
 let check_op ~ptr ~width (w : C.witness) ~site =
   call1 Intrinsics.lf_check [ ptr; width; w.(0); site ]
@@ -81,7 +81,7 @@ let checker : C.t =
     counter_ns = "lf";
     table_name = "Low-Fat";
     basis = Config.lowfat;
-    components = [| ("phibase", "selbase", Ty.Ptr) |];
+    components = [| ("base", Ty.Ptr) |];
     guarantees = [ C.Spatial ];
     precision = C.Size_class;
     (* a non-low-fat base: the check treats it as wide and never reports *)

@@ -12,6 +12,32 @@ let call1 = C.call1
 let wide = [| vptr 0; vptr C.wide_bound |]
 let null_w = [| vptr 0; vptr 0 |]
 
+(* bounds live in the trie and cross calls on the shadow stack *)
+let disjoint : Disjoint.t =
+  {
+    components =
+      [|
+        {
+          suffix = "b";
+          ty = Ty.Ptr;
+          ss_get = Intrinsics.ss_get_base;
+          ss_set = Intrinsics.ss_set_base;
+          trie_load = Intrinsics.sb_trie_load_base;
+        };
+        {
+          suffix = "e";
+          ty = Ty.Ptr;
+          ss_get = Intrinsics.ss_get_bound;
+          ss_set = Intrinsics.ss_set_bound;
+          trie_load = Intrinsics.sb_trie_load_bound;
+        };
+      |];
+    ss_enter = Intrinsics.ss_enter;
+    ss_leave = Intrinsics.ss_leave;
+    trie_store = Intrinsics.sb_trie_store;
+    meta_copy = Intrinsics.sb_meta_copy;
+  }
+
 let w_global (ctx : C.ctx) g : C.witness =
   match Irmod.find_global ctx.m g with
   | None ->
@@ -32,41 +58,12 @@ let w_global (ctx : C.ctx) g : C.witness =
         [| Value.Glob g; vptr C.wide_bound |]
       else null_w
 
-let w_param (ctx : C.ctx) _x ~idx : C.witness =
-  match C.ptr_param_slot ctx.f idx with
-  | Some slot ->
-      (* rely on the invariant: caller pushed bounds on the shadow stack
-         (Table 1) *)
-      let b =
-        Edit.emit_entry ctx.edit ~name:"argb" Ty.Ptr
-          (call1 Intrinsics.ss_get_base [ vi64 slot ])
-      in
-      let e =
-        Edit.emit_entry ctx.edit ~name:"arge" Ty.Ptr
-          (call1 Intrinsics.ss_get_bound [ vi64 slot ])
-      in
-      [| b; e |]
-  | None -> invalid_arg "ptr param without slot"
-
 let w_alloca (ctx : C.ctx) anchor x ~size : C.witness =
   let bound =
     Edit.emit_after ctx.edit anchor ~name:"abound" Ty.Ptr
       (Instr.Gep (Value.Var x, [ { stride = 1; idx = vi64 size } ]))
   in
   [| Value.Var x; bound |]
-
-let w_load (ctx : C.ctx) anchor _x ~addr : C.witness =
-  (* rely on the invariant: in-memory pointers have their bounds in the
-     trie, keyed by the pointer's location *)
-  let b =
-    Edit.emit_after ctx.edit anchor ~name:"ldb" Ty.Ptr
-      (call1 Intrinsics.sb_trie_load_base [ addr ])
-  in
-  let e =
-    Edit.emit_after ctx.edit anchor ~name:"lde" Ty.Ptr
-      (call1 Intrinsics.sb_trie_load_bound [ addr ])
-  in
-  [| b; e |]
 
 let w_inttoptr (ctx : C.ctx) _anchor _x : C.witness =
   (* §4.4: no metadata survives the round trip through an integer; the
@@ -97,80 +94,20 @@ let w_call_fallback (ctx : C.ctx) anchor _x : C.witness =
   (* no protocol was set up (e.g. an unwrapped builtin that returns a
      pointer): SoftBound reads the — possibly stale — return slot of the
      shadow stack; exactly the §4.3 hazard *)
-  let b =
-    Edit.emit_after ctx.edit anchor ~name:"retb" Ty.Ptr
-      (call1 Intrinsics.ss_get_base [ vi64 0 ])
-  in
-  let e =
-    Edit.emit_after ctx.edit anchor ~name:"rete" Ty.Ptr
-      (call1 Intrinsics.ss_get_bound [ vi64 0 ])
-  in
-  [| b; e |]
-
-let emit_ptr_store (ctx : C.ctx) (s : Itarget.ptr_store) =
-  let w = ctx.witness_of s.s_value in
-  Edit.insert_after ctx.edit s.s_anchor
-    (Instr.mk (call1 Intrinsics.sb_trie_store [ s.s_addr; w.(0); w.(1) ]))
+  Disjoint.ret_slot disjoint ctx anchor
 
 let emit_call (ctx : C.ctx) (c : Itarget.call) =
   match c.l_kind with
-  | Itarget.Runtime_internal | Itarget.Known_alloc -> ()
-  | Itarget.Plain_builtin -> ()
+  | Itarget.Runtime_internal | Itarget.Known_alloc | Itarget.Plain_builtin ->
+      ()
   | Itarget.Wrapped | Itarget.General ->
-      let needs = c.l_has_ptr_ret || c.l_ptr_args <> [] in
-      if needs then begin
-        ctx.count_invariant ();
-        let nslots = List.length c.l_ptr_args in
-        Edit.insert_before ctx.edit c.l_anchor
-          (Instr.mk (call1 Intrinsics.ss_enter [ vi64 nslots ]));
-        List.iteri
-          (fun rank (_, v) ->
-            let w = ctx.witness_of v in
-            Edit.insert_before ctx.edit c.l_anchor
-              (Instr.mk
-                 (call1 Intrinsics.ss_set_base [ vi64 (rank + 1); w.(0) ]));
-            Edit.insert_before ctx.edit c.l_anchor
-              (Instr.mk
-                 (call1 Intrinsics.ss_set_bound [ vi64 (rank + 1); w.(1) ])))
-          c.l_ptr_args;
-        (if c.l_has_ptr_ret then
-           let b =
-             Edit.emit_after ctx.edit c.l_anchor ~name:"retb" Ty.Ptr
-               (call1 Intrinsics.ss_get_base [ vi64 0 ])
-           in
-           let e =
-             Edit.emit_after ctx.edit c.l_anchor ~name:"rete" Ty.Ptr
-               (call1 Intrinsics.ss_get_bound [ vi64 0 ])
-           in
-           ctx.set_call_ret c.l_anchor [| b; e |]);
-        Edit.insert_after ctx.edit c.l_anchor
-          (Instr.mk (call1 Intrinsics.ss_leave []));
-        (* wrapped libc functions are replaced by their metadata-
-           maintaining wrapper (Fig. 6) *)
-        if c.l_kind = Itarget.Wrapped then
-          Edit.set_replacement ctx.edit c.l_anchor
-            (Instr.mk ?dst:c.l_dst
-               (Instr.Call (Intrinsics.sb_wrapper c.l_callee, c.l_args)))
-      end
-
-let emit_ret (ctx : C.ctx) (r : Itarget.ptr_ret) =
-  let w = ctx.witness_of r.r_value in
-  Edit.insert_at_end ctx.edit r.r_block
-    (Instr.mk (call1 Intrinsics.ss_set_base [ vi64 0; w.(0) ]));
-  Edit.insert_at_end ctx.edit r.r_block
-    (Instr.mk (call1 Intrinsics.ss_set_bound [ vi64 0; w.(1) ]))
-
-let emit_memop_invariant (ctx : C.ctx) (mo : Itarget.memop) =
-  match mo.m_kind with
-  | `Memcpy ->
-      (* keep the trie in sync when memory is copied wholesale (the
-         copy_metadata part of the memcpy wrapper, Fig. 6) *)
-      ctx.count_invariant ();
-      Edit.insert_after ctx.edit mo.m_anchor
-        (Instr.mk
-           (call1 Intrinsics.sb_meta_copy
-              [ mo.m_dst; Option.get mo.m_src; mo.m_len ]))
-  | `Memset -> ()
+      Disjoint.emit_call disjoint ctx c;
+      (* wrapped libc functions are replaced by their metadata-
+         maintaining wrapper (Fig. 6) *)
+      if c.l_kind = Itarget.Wrapped && Disjoint.crosses c then
+        Edit.set_replacement ctx.edit c.l_anchor
+          (Instr.mk ?dst:c.l_dst
+             (Instr.Call (Intrinsics.sb_wrapper c.l_callee, c.l_args)))
 
 let check_op ~ptr ~width (w : C.witness) ~site =
   call1 Intrinsics.sb_check [ ptr; width; w.(0); w.(1); site ]
@@ -230,24 +167,24 @@ let checker : C.t =
     counter_ns = "sb";
     table_name = "SoftBound";
     basis = Config.softbound;
-    components = [| ("phib", "selb", Ty.Ptr); ("phie", "sele", Ty.Ptr) |];
+    components = Disjoint.components disjoint;
     guarantees = [ C.Spatial ];
     precision = C.Exact;
     wide;
     w_const = (fun _ _ -> null_w);
     w_global;
-    w_param;
+    w_param = Disjoint.w_param disjoint;
     w_alloca;
-    w_load;
+    w_load = Disjoint.w_load disjoint;
     w_inttoptr;
     w_cast_other = (fun _ _ -> null_w);
     w_call;
     w_call_fallback;
-    emit_ptr_store;
+    emit_ptr_store = Disjoint.emit_ptr_store disjoint;
     emit_call;
-    emit_ret;
+    emit_ret = Disjoint.emit_ret disjoint;
     emit_escape = (fun _ _ -> ());
-    emit_memop_invariant;
+    emit_memop_invariant = Disjoint.emit_memop_invariant disjoint;
     check_op;
     prepare_func = (fun _ _ -> ());
     module_ctor = (fun _ m -> global_init m);

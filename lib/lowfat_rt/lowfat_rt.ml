@@ -31,10 +31,6 @@ type t = {
   n : counters;
   bump : int array;  (** per region index: next unallocated address *)
   free : int list ref array;  (** per region: free list *)
-  mutable frames : int list list;
-      (** mirrored stack allocations per active frame (stack protection) *)
-  saved_frame_enter : State.t -> unit;
-  saved_frame_exit : State.t -> unit;
 }
 
 (* --- pointer arithmetic (mirrors Figures 4/5 of the paper) ----------- *)
@@ -112,17 +108,17 @@ let lf_free (t : t) st addr =
 
 (* --- checks ----------------------------------------------------------- *)
 
-(* Dereference check, Figure 5 of the paper:
-   fail iff (ptr - base) > alloc_size - width, computed unsigned.  The
-   size comes straight from the region (no [alloc_size] option), so an
-   executed check allocates nothing. *)
-let check t ~site ptr width b =
+(* The bounds test of Figure 5: fail iff (ptr - base) > size - width,
+   computed unsigned.  The size comes straight from the region (no
+   [alloc_size] option), so an executed check allocates nothing.  A
+   non-low-fat base has wide bounds and the access is unprotected
+   (§4.6).  [n]/[n_wide] count the test, [report] words a failure. *)
+let[@inline] bounds_test t ~site ~n ~n_wide ~report ptr width b =
   let st = t.st in
   State.charge st st.State.cost.Cost.lf_check;
-  Mi_obs.Metrics.bump t.n.n_checks;
+  Mi_obs.Metrics.bump n;
   if not (is_low_fat b) then begin
-    (* non-low-fat base: wide bounds, access unprotected (§4.6) *)
-    Mi_obs.Metrics.bump t.n.n_checks_wide;
+    Mi_obs.Metrics.bump n_wide;
     State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.lf_check
   end
   else begin
@@ -132,40 +128,28 @@ let check t ~site ptr width b =
     if off < 0 || off > size - width then
       raise
         (State.Safety_abort
-           {
-             checker = "lowfat";
-             reason =
-               Printf.sprintf
-                 "out-of-bounds access: ptr=%#x base=%#x size=%d width=%d" ptr
-                 b size width;
-           })
+           { checker = "lowfat"; reason = report ptr b size width })
   end
 
+let access_report ptr b size width =
+  Printf.sprintf "out-of-bounds access: ptr=%#x base=%#x size=%d width=%d" ptr
+    b size width
+
+let escape_report ptr b size _width =
+  Printf.sprintf "out-of-bounds pointer escapes: ptr=%#x base=%#x size=%d" ptr
+    b size
+
+(* Dereference check: the access [ptr, ptr + width) *)
+let check t ~site ptr width b =
+  bounds_test t ~site ~n:t.n.n_checks ~n_wide:t.n.n_checks_wide
+    ~report:access_report ptr width b
+
 (* Escape check establishing the in-bounds invariant (Table 1, §4.2):
-   a pointer leaving the function must point into its witness's object. *)
+   a pointer leaving the function must point into its witness's object,
+   i.e. a one-byte access at it passes. *)
 let invariant_check t ~site ptr b =
-  let st = t.st in
-  State.charge st st.State.cost.Cost.lf_check;
-  Mi_obs.Metrics.bump t.n.n_inv_checks;
-  if not (is_low_fat b) then begin
-    Mi_obs.Metrics.bump t.n.n_inv_checks_wide;
-    State.site_hit st site ~wide:true ~cycles:st.State.cost.Cost.lf_check
-  end
-  else begin
-    State.site_hit st site ~wide:false ~cycles:st.State.cost.Cost.lf_check;
-    let size = Layout.size_of_region (region_of_addr b) in
-    let off = ptr - b in
-    if off < 0 || off > size - 1 then
-      raise
-        (State.Safety_abort
-           {
-             checker = "lowfat";
-             reason =
-               Printf.sprintf
-                 "out-of-bounds pointer escapes: ptr=%#x base=%#x size=%d" ptr
-                 b size;
-           })
-  end
+  bounds_test t ~site ~n:t.n.n_inv_checks ~n_wide:t.n.n_inv_checks_wide
+    ~report:escape_report ptr 1 b
 
 (* --- installation ----------------------------------------------------- *)
 
@@ -188,9 +172,6 @@ let install ?(stack_protection = true) (st : State.t) : t =
         };
       bump = Array.init n (fun r -> Layout.region_start r);
       free = Array.init n (fun _ -> ref []);
-      frames = [];
-      saved_frame_enter = st.frame_enter_hook;
-      saved_frame_exit = st.frame_exit_hook;
     }
   in
   (* the process-wide allocator becomes low-fat: external libraries get
@@ -210,28 +191,12 @@ let install ?(stack_protection = true) (st : State.t) : t =
     (State.F4 (fun _ ptr width b site -> check t ~site ptr width b));
   reg Mi_mir.Intrinsics.lf_invariant_check
     (State.F3 (fun _ ptr b site -> invariant_check t ~site ptr b));
-  if stack_protection then begin
-    let alloca_impl st sz =
-      let a = lf_malloc t st sz in
-      (match t.frames with
-      | f :: rest -> t.frames <- (a :: f) :: rest
-      | [] -> t.frames <- [ [ a ] ]);
-      a
-    in
-    reg Mi_mir.Intrinsics.lf_alloca (State.FR1 alloca_impl);
-    st.frame_enter_hook <-
-      (fun st ->
-        t.saved_frame_enter st;
-        t.frames <- [] :: t.frames);
-    st.frame_exit_hook <-
-      (fun st ->
-        (match t.frames with
-        | f :: rest ->
-            List.iter (fun a -> lf_free t st a) f;
-            t.frames <- rest
-        | [] -> ());
-        t.saved_frame_exit st)
-  end;
+  if stack_protection then
+    reg Mi_mir.Intrinsics.lf_alloca
+      (State.FR1
+         (Frame_objects.install st
+            ~alloc:(fun st sz -> lf_malloc t st sz)
+            ~release:(fun st a -> lf_free t st a)));
   t
 
 (** Global-variable mirroring ([Duck & Yap 2018]): place defined globals in

@@ -10,8 +10,8 @@
 open Mi_vm
 
 type t
-(** Runtime state: per-region bump pointers and free lists, plus the
-    mirrored stack-allocation frames. *)
+(** Runtime state: per-region bump pointers and free lists.  Mirrored
+    stack objects are filed per frame by {!Mi_vm.Frame_objects}. *)
 
 (** {1 Pointer arithmetic (Figures 4/5 of the paper)} *)
 

@@ -19,11 +19,9 @@ type t = {
   mutable coverage : Coverage.t option;
 }
 
-(** [clock] is the tracer's clock ({!Trace.create}); timestamps are
-    never part of a deterministic output, so any clock will do. *)
-let create ?clock ?(coverage = false) () =
+let create ?(coverage = false) () =
   {
-    trace = Trace.create ?clock ();
+    trace = Trace.create ();
     metrics = Metrics.create ();
     sites = Site.create ();
     coverage = (if coverage then Some (Coverage.create ()) else None);

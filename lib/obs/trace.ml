@@ -1,19 +1,19 @@
 (** Span tracer with Chrome [trace_event] JSON export.
 
     Spans nest (compile > pipeline > pass) and carry key/value arguments
-    such as per-pass instruction-count deltas.  Timestamps come from the
-    clock given to {!create} — {!Sys.time} (processor time, the only
-    clock the stdlib offers) unless the caller injects a wall clock — and
-    are reported in microseconds; the arguments — not the timestamps —
-    are the deterministic part of a trace.
+    such as per-pass instruction-count deltas.  Timestamps are wall time
+    ({!Mi_support.Mclock.now}) in microseconds since one process-wide
+    epoch, so the tracers of different jobs share one timeline; the
+    arguments — not the timestamps — are the deterministic part of a
+    trace.
 
     Each tracer carries a thread id (default 1); the parallel harness
     gives every worker tracer its own id and label via {!set_thread}, so
     merged traces keep one row per worker.  Every completed event also
     remembers the names of its enclosing open spans ([ev_stack]), which
     is what {!collapsed} folds into flamegraph stacks — reconstructing
-    nesting from merged timestamps would be meaningless across worker
-    epochs.
+    nesting from merged timestamps would confuse the spans of workers
+    that ran at the same time.
 
     The resulting file loads in [chrome://tracing] / Perfetto: complete
     events ([ph = "X"]) with [ts]/[dur] in microseconds, preceded by
@@ -51,8 +51,16 @@ let process_name = "meminstrument"
 
 let now_us t = (t.clock () -. t.epoch) *. 1e6
 
-let create ?(clock = Sys.time) () =
-  { events = []; stack = []; clock; epoch = clock (); tid = 1; threads = [] }
+(* the epoch of every tracer on the default clock *)
+let process_epoch = Mi_support.Mclock.now ()
+
+let create ?clock () =
+  let clock, epoch =
+    match clock with
+    | None -> (Mi_support.Mclock.now, process_epoch)
+    | Some clock -> (clock, clock ())
+  in
+  { events = []; stack = []; clock; epoch; tid = 1; threads = [] }
 
 let set_thread t ~tid ~name =
   t.tid <- tid;
@@ -123,10 +131,10 @@ let instant ?(cat = "mark") ?(args = []) t name =
 let event_count t = List.length t.events
 
 (** Merge the completed events of [src] into [dst] (spans still open in
-    [src] are not copied).  Timestamps keep their origin tracer's epoch;
-    {!to_json} orders by timestamp, so merged traces remain loadable —
-    the arguments, not the clock, are the deterministic part of a
-    trace.  Thread labels are unioned ([src] wins on a tid clash). *)
+    [src] are not copied).  Timestamps are kept as they are: tracers on
+    the default clock share the process epoch, so every merged span keeps
+    its place on one timeline ([src]'s spans after [dst]'s when [src] ran
+    later).  Thread labels are unioned ([src] wins on a tid clash). *)
 let merge dst src =
   if dst == src then invalid_arg "Trace.merge: dst and src are the same";
   dst.events <- src.events @ dst.events;

@@ -10,7 +10,7 @@ type arg = Aint of int | Astr of string | Aflt of float
 type event = {
   ev_name : string;
   ev_cat : string;
-  ev_ts : float;  (** microseconds since tracer creation *)
+  ev_ts : float;  (** microseconds since the tracer's epoch *)
   ev_dur : float;  (** microseconds *)
   ev_args : (string * arg) list;
   ev_tid : int;  (** thread id of the recording tracer *)
@@ -20,11 +20,10 @@ type event = {
 type t
 
 val create : ?clock:(unit -> float) -> unit -> t
-(** [clock] returns seconds and defaults to {!Sys.time}, processor time
-    of the whole process.  Under worker domains processor time runs
-    faster than the wall, so multi-domain callers pass a wall clock
-    (e.g. [Mi_support.Mclock.now]) to make span durations mean wall
-    time. *)
+(** A tracer on wall time ({!Mi_support.Mclock.now}) measured from one
+    process-wide epoch, so the spans of tracers created at different
+    times stay in order after {!merge}.  An injected [clock] (seconds)
+    replaces it, with the epoch at its first reading. *)
 
 val set_thread : t -> tid:int -> name:string -> unit
 (** Label this tracer's events with [tid] and record the
@@ -55,8 +54,9 @@ val event_count : t -> int
 
 val merge : t -> t -> unit
 (** [merge dst src] appends the completed events of [src] (open spans
-    are not copied) and unions thread labels.  Raises when
-    [dst == src]. *)
+    are not copied) with their timestamps unchanged, and unions thread
+    labels.  Tracers on the default clock share one epoch, so the merged
+    spans keep their order in time.  Raises when [dst == src]. *)
 
 val collapsed : t -> (string * int * float) list
 (** Flamegraph-style collapsed stacks over completed spans: one

@@ -110,8 +110,7 @@ let wants_coverage (o : t) = o.profile_out <> None
 
 (** The observability context matching the parsed options: coverage
     recording is on exactly when a persistent profile was requested. *)
-let create_obs ?clock (o : t) =
-  Mi_obs.Obs.create ?clock ~coverage:(wants_coverage o) ()
+let create_obs (o : t) = Mi_obs.Obs.create ~coverage:(wants_coverage o) ()
 
 let write_text ~app ~what path text =
   try

@@ -31,7 +31,6 @@ type counters = {
   n_checks_wide : Mi_obs.Metrics.handle;
   n_trie_store : Mi_obs.Metrics.handle;
   n_trie_load : Mi_obs.Metrics.handle;
-  n_ss_frames : Mi_obs.Metrics.handle;
 }
 
 type t = {
@@ -39,10 +38,7 @@ type t = {
   n : counters;
   trie : (int, int array) Hashtbl.t;
       (** primary: addr >> sec_bits -> secondary *)
-  mutable ss : int array;  (** shadow stack: pairs of (base, bound) slots *)
-  mutable ss_top : int;  (** next free pair index *)
-  mutable ss_fp : int;  (** current frame start (pair index) *)
-  mutable ss_saved : int list;  (** saved frame pointers *)
+  ss : Shadow_stack.t;  (** width 2: (base, bound) per slot *)
 }
 
 (* --- trie ------------------------------------------------------------ *)
@@ -82,12 +78,14 @@ let load_sec t addr =
   Mi_obs.Metrics.bump t.n.n_trie_load;
   sec_find t addr
 
-let trie_load t addr =
-  let s = load_sec t addr in
+(* the pair in [addr]'s slot of secondary [s]; null bounds without one *)
+let pair s addr =
   if s == no_sec then (0, 0)
   else
     let i = slot_index addr in
     (s.(i * 2), s.((i * 2) + 1))
+
+let trie_load t addr = pair (load_sec t addr) addr
 
 (* One half of [trie_load]: [half] 0 is the base, 1 the bound.  The
    intrinsics use it, so a metadata load allocates no pair. *)
@@ -104,71 +102,21 @@ let meta_copy t ~dst ~src len =
     let sa = src + (k * 8) and da = dst + (k * 8) in
     State.charge t.st
       (t.st.State.cost.Cost.sb_trie_load + t.st.State.cost.Cost.sb_trie_store);
-    let b, e =
-      let s = sec_find t sa in
-      if s == no_sec then (0, 0)
-      else
-        let i = slot_index sa in
-        (s.(i * 2), s.((i * 2) + 1))
-    in
+    let b, e = pair (sec_find t sa) sa in
     let s = sec_for t da in
     let i = slot_index da in
     s.(i * 2) <- b;
     s.((i * 2) + 1) <- e
   done
 
-(* --- shadow stack ------------------------------------------------------ *)
+(* --- shadow stack: (base, bound) pairs, frames not zeroed ------------- *)
 
-(* The shadow stack starts small and grows by doubling on demand. *)
-let ss_initial = 64
-
-(* Grow to hold [n] pairs: at least double, and at least what the
-   access needs, however far past the current capacity it lies. *)
-let ss_ensure t n =
-  if n > Array.length t.ss / 2 then begin
-    let bigger = Array.make (max (Array.length t.ss * 2) (n * 2)) 0 in
-    Array.blit t.ss 0 bigger 0 (Array.length t.ss);
-    t.ss <- bigger
-  end
-
-let ss_enter t nslots =
-  State.charge t.st t.st.State.cost.Cost.ss_frame;
-  Mi_obs.Metrics.bump t.n.n_ss_frames;
-  t.ss_saved <- t.ss_fp :: t.ss_saved;
-  t.ss_fp <- t.ss_top;
-  t.ss_top <- t.ss_top + nslots + 1;
-  ss_ensure t t.ss_top
-
-let ss_leave t =
-  State.charge t.st t.st.State.cost.Cost.ss_frame;
-  t.ss_top <- t.ss_fp;
-  match t.ss_saved with
-  | fp :: rest ->
-      t.ss_fp <- fp;
-      t.ss_saved <- rest
-  | [] -> t.ss_fp <- 0
-
-let ss_pair t slot = (t.ss_fp + slot) * 2
-
-let ss_set_base t slot v =
-  State.charge t.st t.st.State.cost.Cost.ss_op;
-  ss_ensure t (t.ss_fp + slot + 1);
-  t.ss.(ss_pair t slot) <- v
-
-let ss_set_bound t slot v =
-  State.charge t.st t.st.State.cost.Cost.ss_op;
-  ss_ensure t (t.ss_fp + slot + 1);
-  t.ss.(ss_pair t slot + 1) <- v
-
-let ss_get_base t slot =
-  State.charge t.st t.st.State.cost.Cost.ss_op;
-  ss_ensure t (t.ss_fp + slot + 1);
-  t.ss.(ss_pair t slot)
-
-let ss_get_bound t slot =
-  State.charge t.st t.st.State.cost.Cost.ss_op;
-  ss_ensure t (t.ss_fp + slot + 1);
-  t.ss.(ss_pair t slot + 1)
+let ss_enter t nslots = Shadow_stack.enter t.ss nslots
+let ss_leave t = Shadow_stack.leave t.ss
+let ss_set_base t slot v = Shadow_stack.set t.ss slot 0 v
+let ss_set_bound t slot v = Shadow_stack.set t.ss slot 1 v
+let ss_get_base t slot = Shadow_stack.get t.ss slot 0
+let ss_get_bound t slot = Shadow_stack.get t.ss slot 1
 
 (* --- check (Figure 2 of the paper) ------------------------------------- *)
 
@@ -210,20 +158,15 @@ let install_wrappers (t : t) =
   (* strcpy/strncpy/strcat move bytes that cannot contain pointers in
      well-typed C, but the returned pointer's bounds must go to the shadow
      stack return slot, which the instrumented caller reads. *)
-  let ret_arg0_bounds _st args _r =
+  let ret_arg0_bounds _st _args _r =
     (* returned pointer aliases argument 0: its bounds are in slot 1 *)
     let b = ss_get_base t 1 and e = ss_get_bound t 1 in
     ss_set_base t 0 b;
-    ss_set_bound t 0 e;
-    ignore args
+    ss_set_bound t 0 e
   in
-  wrap "strcpy" ret_arg0_bounds;
-  wrap "strncpy" ret_arg0_bounds;
-  wrap "strcat" ret_arg0_bounds;
-  wrap "strchr" (fun _st _args _r ->
-      let b = ss_get_base t 1 and e = ss_get_bound t 1 in
-      ss_set_base t 0 b;
-      ss_set_bound t 0 e);
+  List.iter
+    (fun name -> wrap name ret_arg0_bounds)
+    [ "strcpy"; "strncpy"; "strcat"; "strchr" ];
   (* realloc: fresh allocation; copy metadata from the old block *)
   State.register_builtin st (Intr.sb_wrapper "realloc") (fun st args ->
       let old = Builtins.arg_i args 0 and n = Builtins.arg_i args 1 in
@@ -250,13 +193,9 @@ let install (st : State.t) : t =
           n_checks_wide = State.handle st "sb.checks_wide";
           n_trie_store = State.handle st "sb.trie_store";
           n_trie_load = State.handle st "sb.trie_load";
-          n_ss_frames = State.handle st "sb.ss_frames";
         };
       trie = Hashtbl.create 256;
-      ss = Array.make ss_initial 0;
-      ss_top = 0;
-      ss_fp = 0;
-      ss_saved = [];
+      ss = Shadow_stack.create st ~width:2 ~ns:"sb" ~zero_frames:false;
     }
   in
   (* Each intrinsic's one typed implementation; the boxed builtin for

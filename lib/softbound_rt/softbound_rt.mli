@@ -11,7 +11,9 @@
 open Mi_vm
 
 type t
-(** Runtime state: the trie's primary table and the shadow stack. *)
+(** Runtime state: the trie's primary table and the shadow stack
+    ({!Mi_vm.Shadow_stack}, a (base, bound) pair per slot, frames not
+    zeroed). *)
 
 (** {1 Trie (in-memory pointer metadata)} *)
 

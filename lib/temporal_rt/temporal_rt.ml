@@ -34,7 +34,6 @@ type counters = {
   n_checks_wide : Mi_obs.Metrics.handle;
   n_trie_store : Mi_obs.Metrics.handle;
   n_trie_load : Mi_obs.Metrics.handle;
-  n_ss_frames : Mi_obs.Metrics.handle;
 }
 
 type t = {
@@ -44,16 +43,9 @@ type t = {
   live : (int, unit) Hashtbl.t;  (** keys not yet killed *)
   trie : (int, int) Hashtbl.t;  (** pointer location -> stored key *)
   mutable next_key : int;  (** fresh-key counter; keys are never reused *)
-  mutable ss : int array;  (** shadow stack of keys, zeroed per frame *)
-  mutable ss_top : int;
-  mutable ss_fp : int;  (** current frame start *)
-  mutable ss_saved : int list;  (** saved frame pointers *)
-  mutable frames : int list list;
-      (** keyed stack allocations per active frame *)
+  ss : Shadow_stack.t;  (** width 1: one key per slot, zeroed frames *)
   saved_malloc : State.t -> int -> int;
   saved_free : State.t -> int -> unit;
-  saved_frame_enter : State.t -> unit;
-  saved_frame_exit : State.t -> unit;
 }
 
 (* --- key management --------------------------------------------------- *)
@@ -105,46 +97,12 @@ let meta_copy t ~dst ~src len =
     | None -> Hashtbl.remove t.trie da
   done
 
-(* --- shadow stack ------------------------------------------------------ *)
+(* --- shadow stack: one key per slot, frames zeroed ------------------ *)
 
-(* The shadow stack starts small and grows by doubling on demand. *)
-let ss_initial = 64
-
-let ss_ensure t n =
-  if n > Array.length t.ss then begin
-    let bigger = Array.make (max (Array.length t.ss * 2) n) 0 in
-    Array.blit t.ss 0 bigger 0 (Array.length t.ss);
-    t.ss <- bigger
-  end
-
-let ss_enter t nslots =
-  State.charge t.st t.st.State.cost.Cost.ss_frame;
-  Mi_obs.Metrics.bump t.n.n_ss_frames;
-  t.ss_saved <- t.ss_fp :: t.ss_saved;
-  t.ss_fp <- t.ss_top;
-  t.ss_top <- t.ss_top + nslots + 1;
-  ss_ensure t t.ss_top;
-  (* zero the frame: a slot never written reads as key 0 (untracked) *)
-  Array.fill t.ss t.ss_fp (t.ss_top - t.ss_fp) 0
-
-let ss_leave t =
-  State.charge t.st t.st.State.cost.Cost.ss_frame;
-  t.ss_top <- t.ss_fp;
-  match t.ss_saved with
-  | fp :: rest ->
-      t.ss_fp <- fp;
-      t.ss_saved <- rest
-  | [] -> t.ss_fp <- 0
-
-let ss_set t slot v =
-  State.charge t.st t.st.State.cost.Cost.ss_op;
-  ss_ensure t (t.ss_fp + slot + 1);
-  t.ss.(t.ss_fp + slot) <- v
-
-let ss_get t slot =
-  State.charge t.st t.st.State.cost.Cost.ss_op;
-  ss_ensure t (t.ss_fp + slot + 1);
-  t.ss.(t.ss_fp + slot)
+let ss_enter t nslots = Shadow_stack.enter t.ss nslots
+let ss_leave t = Shadow_stack.leave t.ss
+let ss_set t slot v = Shadow_stack.set t.ss slot 0 v
+let ss_get t slot = Shadow_stack.get t.ss slot 0
 
 (* --- check (CETS Figure 4) --------------------------------------------- *)
 
@@ -176,19 +134,24 @@ let tp_malloc t st sz =
   if a <> 0 then ignore (new_key t a);
   a
 
+(* Kill [addr]'s key and return its block to the underlying allocator;
+   [false] when the address owns no live key. *)
+let release t st addr =
+  let live = kill t addr in
+  if live then begin
+    State.bump t.st "tp.frees";
+    t.saved_free st addr
+  end;
+  live
+
 let tp_free t st addr =
-  if addr <> 0 then
-    if kill t addr then begin
-      State.bump t.st "tp.frees";
-      t.saved_free st addr
-    end
-    else
-      raise
-        (State.Safety_abort
-           {
-             checker = "temporal";
-             reason = Printf.sprintf "double or invalid free: ptr=%#x" addr;
-           })
+  if addr <> 0 && not (release t st addr) then
+    raise
+      (State.Safety_abort
+         {
+           checker = "temporal";
+           reason = Printf.sprintf "double or invalid free: ptr=%#x" addr;
+         })
 
 (* --- installation ------------------------------------------------------- *)
 
@@ -202,21 +165,14 @@ let install (st : State.t) : t =
           n_checks_wide = State.handle st "tp.checks_wide";
           n_trie_store = State.handle st "tp.trie_store";
           n_trie_load = State.handle st "tp.trie_load";
-          n_ss_frames = State.handle st "tp.ss_frames";
         };
       keys = Hashtbl.create 256;
       live = Hashtbl.create 256;
       trie = Hashtbl.create 256;
       next_key = 1;
-      ss = Array.make ss_initial 0;
-      ss_top = 0;
-      ss_fp = 0;
-      ss_saved = [];
-      frames = [];
+      ss = Shadow_stack.create st ~width:1 ~ns:"tp" ~zero_frames:true;
       saved_malloc = st.malloc_hook;
       saved_free = st.free_hook;
-      saved_frame_enter = st.frame_enter_hook;
-      saved_frame_exit = st.frame_exit_hook;
     }
   in
   st.malloc_hook <- (fun st sz -> tp_malloc t st sz);
@@ -237,33 +193,12 @@ let install (st : State.t) : t =
   reg Intr.tp_ss_get (State.FR1 (fun _ slot -> ss_get t slot));
   (* keyed stack variables: instrumented allocas move to the heap
      allocator (which keys them) and die at frame exit, making
-     dangling-stack-reference dereferences detectable *)
-  let alloca_impl st sz =
-    let a = tp_malloc t st sz in
-    (match t.frames with
-    | f :: rest -> t.frames <- (a :: f) :: rest
-    | [] -> t.frames <- [ [ a ] ]);
-    a
-  in
-  reg Intr.tp_alloca (State.FR1 alloca_impl);
-  st.frame_enter_hook <-
-    (fun st ->
-      t.saved_frame_enter st;
-      t.frames <- [] :: t.frames);
-  st.frame_exit_hook <-
-    (fun st ->
-      (match t.frames with
-      | f :: rest ->
-          (* tolerate an explicit free of a keyed stack object: only
-             still-live allocations are killed and released *)
-          List.iter
-            (fun a ->
-              if kill t a then begin
-                State.bump t.st "tp.frees";
-                t.saved_free st a
-              end)
-            f;
-          t.frames <- rest
-      | [] -> ());
-      t.saved_frame_exit st);
+     dangling-stack-reference dereferences detectable; an explicit free
+     of one is tolerated, as only still-live keys are killed and
+     released *)
+  reg Intr.tp_alloca
+    (State.FR1
+       (Frame_objects.install st
+          ~alloc:(fun st sz -> tp_malloc t st sz)
+          ~release:(fun st a -> ignore (release t st a))));
   t

@@ -13,7 +13,9 @@ open Mi_vm
 
 type t
 (** Runtime state: live-key set, per-allocation key table, pointer-key
-    trie, shadow stack, and keyed stack-allocation frames. *)
+    trie and shadow stack ({!Mi_vm.Shadow_stack}, one key per slot,
+    zeroed frames).  Keyed stack objects are filed per frame by
+    {!Mi_vm.Frame_objects}. *)
 
 (** {1 Keys} *)
 

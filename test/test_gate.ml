@@ -26,6 +26,8 @@ let exits =
     ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
     ("checkelim-j1", 0); ("soak", 0); ("replay-j4", 0); ("replay-j1", 0);
     ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0);
+    ("example-quickstart", 0); ("example-overflow_detection", 0);
+    ("example-usability_pitfalls", 0); ("example-pipeline_points", 0);
   ]
 
 let exit_txt exits =

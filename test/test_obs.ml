@@ -75,6 +75,35 @@ let test_injected_clock () =
   Alcotest.(check (option (pair (float 0.) (float 0.))))
     "inner" (Some (2e6, 1e6)) (ts_dur "inner")
 
+(* Tracers on the default clock share one process-wide epoch: a span
+   recorded by a tracer created after another tracer's span ended starts
+   after that span once the two are merged. *)
+let test_merged_timeline () =
+  let first = Trace.create () in
+  Trace.with_span first "first" (fun () -> Mi_support.Mclock.sleep 0.002);
+  let second = Trace.create () in
+  Trace.with_span second "second" ignore;
+  Trace.merge first second;
+  let span name =
+    List.find_map
+      (fun e ->
+        match (Json.member "name" e, Json.member "ts" e, Json.member "dur" e) with
+        | Some (Json.Str n), Some (Json.Float ts), Some (Json.Float d)
+          when n = name ->
+            Some (ts, d)
+        | _ -> None)
+      (Option.get
+         (Option.bind
+            (Json.member "traceEvents" (Trace.to_json first))
+            Json.to_list))
+  in
+  match (span "first", span "second") with
+  | Some (ts1, dur1), Some (ts2, _) ->
+      if ts2 < ts1 +. dur1 then
+        Alcotest.failf "second span starts at %.0f us, first ends at %.0f us"
+          ts2 (ts1 +. dur1)
+  | _ -> Alcotest.fail "merged trace lacks a span"
+
 (* A pipeline run must leave a well-formed Chrome trace with at least
    one span per pass that ran. *)
 let test_trace_json_wellformed () =
@@ -496,6 +525,7 @@ let () =
             test_trace_json_wellformed;
           Alcotest.test_case "thread metadata events" `Quick
             test_trace_thread_metadata;
+          Alcotest.test_case "merged timeline" `Quick test_merged_timeline;
         ] );
       ( "metrics",
         [

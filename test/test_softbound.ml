@@ -112,6 +112,22 @@ let test_shadow_stack_far_slot () =
   Alcotest.(check int) "far bound" 22 (SB.ss_get_bound sb far);
   SB.ss_leave sb
 
+(* SoftBound's frames are not zeroed: a fresh frame reads what the
+   previous, deeper frame left in the same slot — the §4.3 stale-slot
+   hazard, which the temporal checker's zeroed frames rule out *)
+let test_shadow_stack_stale_slot () =
+  let _, sb = setup () in
+  SB.ss_enter sb 2;
+  SB.ss_enter sb 1;
+  SB.ss_set_base sb 1 300;
+  SB.ss_set_bound sb 1 400;
+  SB.ss_leave sb;
+  SB.ss_enter sb 1;
+  Alcotest.(check int) "stale base" 300 (SB.ss_get_base sb 1);
+  Alcotest.(check int) "stale bound" 400 (SB.ss_get_bound sb 1);
+  SB.ss_leave sb;
+  SB.ss_leave sb
+
 let violation f =
   match f () with
   | exception State.Safety_abort { checker = "softbound"; _ } -> true
@@ -189,6 +205,7 @@ let () =
           Alcotest.test_case "nesting" `Quick test_shadow_stack_nesting;
           Alcotest.test_case "growth" `Quick test_shadow_stack_growth;
           Alcotest.test_case "far slot" `Quick test_shadow_stack_far_slot;
+          Alcotest.test_case "stale slot" `Quick test_shadow_stack_stale_slot;
         ] );
       ( "checks",
         [

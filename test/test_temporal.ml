@@ -112,6 +112,18 @@ let test_shadow_stack_growth () =
     TP.ss_leave tp
   done
 
+(* A keyed stack object freed explicitly is released once: leaving its
+   frame finds the key dead and neither reports nor frees it again. *)
+let test_stack_object_freed () =
+  let st, tp = setup () in
+  st.State.frame_enter_hook st;
+  let alloca = Option.get (State.find_builtin st Mi_mir.Intrinsics.tp_alloca) in
+  let a = State.as_int (Option.get (alloca st [| State.I 32 |])) in
+  Alcotest.(check bool) "stack object is keyed" true (TP.key_of_alloc tp a <> 0);
+  st.State.free_hook st a;
+  st.State.frame_exit_hook st;
+  Alcotest.(check int) "released once" 1 (State.counter st "tp.frees")
+
 (* --- end-to-end on MiniC programs -------------------------------------- *)
 
 let tp_setup =
@@ -300,6 +312,8 @@ let () =
             test_shadow_stack_zeroed;
           Alcotest.test_case "shadow stack growth" `Quick
             test_shadow_stack_growth;
+          Alcotest.test_case "freed stack object" `Quick
+            test_stack_object_freed;
         ] );
       ( "end-to-end",
         [

@@ -613,6 +613,112 @@ entry:
 |}
     0 "77"
 
+(* ------------------------------------------------------------------ *)
+(* Shadow stack                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A naive shadow stack: a list of frames (first slot, slot count),
+   innermost first, over an unbounded word map.  Entering a zeroed frame
+   clears its words; an unzeroed one keeps what deeper frames left. *)
+module Ss_model = struct
+  type t = {
+    width : int;
+    zero : bool;
+    mutable frames : (int * int) list;
+    words : (int, int) Hashtbl.t;
+  }
+
+  let create ~width ~zero =
+    { width; zero; frames = []; words = Hashtbl.create 16 }
+  let fp m = match m.frames with (start, _) :: _ -> start | [] -> 0
+  let top m = match m.frames with (start, n) :: _ -> start + n | [] -> 0
+
+  let enter m nslots =
+    let start = top m in
+    m.frames <- (start, nslots + 1) :: m.frames;
+    if m.zero then
+      for w = start * m.width to ((start + nslots + 1) * m.width) - 1 do
+        Hashtbl.remove m.words w
+      done
+
+  let leave m = match m.frames with _ :: rest -> m.frames <- rest | [] -> ()
+  let word m slot k = ((fp m + slot) * m.width) + k
+
+  let get m slot k =
+    Option.value ~default:0 (Hashtbl.find_opt m.words (word m slot k))
+
+  let set m slot k v = Hashtbl.replace m.words (word m slot k) v
+end
+
+type ss_op = Enter of int | Leave | Set of int * int * int | Get of int * int
+
+(* mostly small frames and slots, sometimes thousands of slots past the
+   64-word initial capacity *)
+let gen_ss_op width =
+  let open QCheck.Gen in
+  let slot = frequency [ (8, int_bound 6); (1, int_range 1_000 20_000) ] in
+  let k = int_bound (width - 1) in
+  frequency
+    [
+      ( 3,
+        map
+          (fun n -> Enter n)
+          (frequency [ (8, int_bound 4); (1, int_bound 3_000) ]) );
+      (2, return Leave);
+      (4, map3 (fun s k v -> Set (s, k, v)) slot k (int_range 1 1_000_000));
+      (4, map2 (fun s k -> Get (s, k)) slot k);
+    ]
+
+let show_ss_op = function
+  | Enter n -> Printf.sprintf "enter %d" n
+  | Leave -> "leave"
+  | Set (s, k, v) -> Printf.sprintf "set %d.%d %d" s k v
+  | Get (s, k) -> Printf.sprintf "get %d.%d" s k
+
+(* every read agrees with the model, and frames and slot operations are
+   counted and charged once each *)
+let prop_shadow_stack_model =
+  QCheck.Test.make ~name:"shadow stack == frame-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ((width, zero), ops) ->
+         Printf.sprintf "width=%d zero=%b: %s" width zero
+           (String.concat "; " (List.map show_ss_op ops)))
+       QCheck.Gen.(
+         pair (int_range 1 2) bool >>= fun (width, zero) ->
+         map
+           (fun ops -> ((width, zero), ops))
+           (list_size (int_range 1 80) (gen_ss_op width))))
+    (fun ((width, zero_frames), ops) ->
+      let st = State.create () in
+      let ss = Shadow_stack.create st ~width ~ns:"t" ~zero_frames in
+      let m = Ss_model.create ~width ~zero:zero_frames in
+      let agree =
+        List.for_all
+          (function
+            | Enter n ->
+                Shadow_stack.enter ss n;
+                Ss_model.enter m n;
+                true
+            | Leave ->
+                Shadow_stack.leave ss;
+                Ss_model.leave m;
+                true
+            | Set (s, k, v) ->
+                Shadow_stack.set ss s k v;
+                Ss_model.set m s k v;
+                true
+            | Get (s, k) -> Shadow_stack.get ss s k = Ss_model.get m s k)
+          ops
+      in
+      let count p = List.length (List.filter p ops) in
+      let frames = count (function Enter _ | Leave -> true | _ -> false)
+      and enters = count (function Enter _ -> true | _ -> false) in
+      agree
+      && State.counter st "t.ss_frames" = enters
+      && st.State.cycles
+         = (frames * st.State.cost.Cost.ss_frame)
+           + ((List.length ops - frames) * st.State.cost.Cost.ss_op))
+
 let () =
   Alcotest.run "vm"
     [
@@ -660,4 +766,5 @@ let () =
           Alcotest.test_case "cycle accounting" `Quick test_interp_cycles_monotonic;
           Alcotest.test_case "negative gep stride" `Quick test_gep_negative_stride;
         ] );
+      ("shadow", [ QCheck_alcotest.to_alcotest prop_shadow_stack_model ]);
     ]
