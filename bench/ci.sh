@@ -170,6 +170,9 @@ run budget-j1 $bin/mifuzz.exe --corpus "$out/budget-corpus-j1" \
     --max-execs 40 -j 1 --out "$out/budget-j1.json"
 
 run scaling $main --fuzz-scaling
+# the top of the heap after a fixed 200-exec soak, bounded: a session
+# that keeps spans or compiled modules nobody reads grows it
+run soak-heap $main --soak-heap
 
 # the examples end to end: each prints its walkthrough and exits 0
 for ex in quickstart overflow_detection usability_pitfalls pipeline_points; do

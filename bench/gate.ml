@@ -153,7 +153,7 @@ let exits =
     ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);
     ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
     ("checkelim-j1", 0); ("soak", 0); ("replay-j4", 0); ("replay-j1", 0);
-    ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0);
+    ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0); ("soak-heap", 0);
     ("example-quickstart", 0); ("example-overflow_detection", 0);
     ("example-usability_pitfalls", 0); ("example-pipeline_points", 0);
   ]
@@ -375,6 +375,19 @@ let fuzz_scaling lines =
   Printf.sprintf "guided %s > blind %s at j=1,2,4,8 (floor %.0f)"
     (get (List.hd rows) "guided_cells") (get (List.hd rows) "blind_cells") floor
 
+(* the top of the heap after a fixed soak (bench/main.exe --soak-heap)
+   under BENCH_fuzz.json's bound: deterministic for one OCaml version *)
+let soak_heap lines =
+  let max = bench "BENCH_fuzz.json" [ "gate"; "soak_top_heap_words_max" ] in
+  match lines "soak_heap" with
+  | [ kv ] ->
+      if get kv "execs" <> "200" then fail "execs=%s, want 200" (get kv "execs");
+      let words = fnum kv "top_heap_words" in
+      let detail = Printf.sprintf "top_heap_words %.0f (max %.0f)" words max in
+      if words > max then fail "%s" detail;
+      detail
+  | l -> fail "%d soak_heap: lines, want 1" (List.length l)
+
 let drive jobs extra lines =
   let n = string_of_int jobs in
   exact lines "drive"
@@ -421,6 +434,7 @@ let rows =
     row "budget-det" "budget-j4.json" (Same_as "budget-j1.json");
     row "budget-corpus-det" "budget-corpus-j4" (Same_as "budget-corpus-j1");
     row "fuzz-scaling" "scaling.txt" (Fields fuzz_scaling);
+    row "soak-heap" "soak-heap.txt" (Fields soak_heap);
   ]
 
 (* --- judging ---------------------------------------------------------- *)

@@ -6,6 +6,7 @@
      --fuzz-scaling   fuzz cells at a fixed budget   ("fuzz_scaling: ...")
      --compile-units  frontend + O3 throughput, and
                       the instrumented suffix's      ("compile_units: ...")
+     --soak-heap      a soak's top of heap           ("soak_heap: ...")
 
    The paper's tables and figures come from [experiments --all]. *)
 
@@ -32,7 +33,9 @@ let direct_major_words () =
    registry attached, so the gate can bound the block/edge-recording
    overhead (BENCH_coverage.json).  [major_words_per_job] reports the
    words the timed passes allocate directly in the major heap, per job;
-   it is not gated. *)
+   it is not gated.  A timed pass that misses the cache fails the run:
+   the session trims its private cache between calls, and a miss would
+   make the row time compilation. *)
 let run_vm_steps ?(coverage = false) () =
   let h = Harness.create ~jobs:1 ~obs:(Mi_obs.Obs.create ~coverage ()) () in
   let jobs =
@@ -52,12 +55,15 @@ let run_vm_steps ?(coverage = false) () =
       0 jobs
   in
   let steps_per_pass = pass () (* warm-up; also fixes the step count *) in
+  let misses = (Harness.cache_stats h).Harness.misses in
   let reps = 3 in
   let major0 = direct_major_words () in
   let t0 = now () in
   for _ = 1 to reps do
     let s = pass () in
-    if s <> steps_per_pass then failwith "vm-steps: nondeterministic steps"
+    if s <> steps_per_pass then failwith "vm-steps: nondeterministic steps";
+    if (Harness.cache_stats h).Harness.misses <> misses then
+      failwith "vm-steps: a timed pass missed the instrumentation cache"
   done;
   let dt = now () -. t0 in
   let major = direct_major_words () -. major0 in
@@ -115,6 +121,29 @@ let run_fuzz_scaling () =
         (float_of_int g.Fuzz.r_cells /. g_dt))
     [ 1; 2; 4; 8 ]
 
+(* The top of the major heap after a coverage-guided soak: a fresh
+   throwaway corpus, [soak_heap_execs] executions at -j 1 and no
+   mutants, as in --fuzz-scaling's guided arm.  The soak is
+   deterministic, so the number repeats on one OCaml version; the gate
+   bounds it (BENCH_fuzz.json), which catches a session that keeps what
+   no one reads. *)
+let soak_heap_execs = 200
+
+let run_soak_heap () =
+  let dir = Filename.temp_dir "mi-soak-heap" "" in
+  let g =
+    Fuzz.soak_run
+      (Fuzz.soak_config ~jobs:1 ~max_execs:soak_heap_execs
+         ~mutants_per_round:0 ~corpus_dir:dir ())
+  in
+  Mi_fuzz.Corpus.reset ~dir;
+  (try Sys.rmdir dir with _ -> ());
+  let execs =
+    match g.Fuzz.r_corpus with Some c -> c.Fuzz.cs_execs | None -> 0
+  in
+  Printf.printf "soak_heap: execs=%d top_heap_words=%d\n%!" execs
+    (Gc.quick_stat ()).Gc.top_heap_words
+
 (* Units/second of the compile path a cache miss pays: [Lower.compile]
    and an untraced O3 [Pipeline.run] of each unit of
    [Compile_units.units] (the suite and fuzz seeds 1..50), uninstrumented;
@@ -167,8 +196,9 @@ let () =
   | [ _; "--vm-steps-cov" ] -> run_vm_steps ~coverage:true ()
   | [ _; "--fuzz-scaling" ] -> run_fuzz_scaling ()
   | [ _; "--compile-units" ] -> run_compile_units ()
+  | [ _; "--soak-heap" ] -> run_soak_heap ()
   | _ ->
       prerr_endline
         "usage: main.exe --vm-steps | --vm-steps-cov | --fuzz-scaling | \
-         --compile-units";
+         --compile-units | --soak-heap";
       exit 2

@@ -393,6 +393,10 @@ type job_failure = {
 type t = {
   s_obs : Obs.t;
   s_cache : Icache.t;
+  s_own_cache : bool;
+      (** [s_cache] was created with the session: it is stamped and
+          trimmed to {!private_cache_keep} entries after each call *)
+  mutable s_calls : int;  (** {!run_jobs} calls so far *)
   s_jobs : int;
   s_faults : Fault.t;
   s_job_timeout : float option;
@@ -407,11 +411,21 @@ type cache_stats = Icache.stats = { hits : int; misses : int; corrupt : int }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-let create ?jobs ?(cache = Icache.create ()) ?obs ?(faults = Fault.none)
-    ?job_timeout ?(retries = 0) () =
+(* The entries a session keeps in the cache it created, after each
+   {!run_jobs} call.  A private session only hits across calls when it
+   cycles through a fixed job list; the largest such cycle is
+   [bench/main.exe --vm-steps] with 40 keys (20 suite programs x 2
+   setups).  Reuse inside one call does not depend on the bound: nothing
+   is dropped while a matrix runs. *)
+let private_cache_keep = 64
+
+let create ?jobs ?cache ?obs ?(faults = Fault.none) ?job_timeout
+    ?(retries = 0) () =
   {
     s_obs = (match obs with Some o -> o | None -> Obs.create ());
-    s_cache = cache;
+    s_cache = (match cache with Some c -> c | None -> Icache.create ());
+    s_own_cache = Option.is_none cache;
+    s_calls = 0;
     s_jobs =
       (match jobs with Some j -> max 1 j | None -> default_jobs ());
     s_faults = faults;
@@ -510,6 +524,9 @@ let cache_key t (setup : setup) (b : Bench.t) =
 (* One job's part in the matrix's compile sharing. *)
 type plan = {
   p_key : string;  (** the job's Icache key *)
+  p_stamp : (int * int) option;
+      (** (call number, job index): when the session owns its cache, the
+          recency this job gives the entry it reads or writes *)
   p_turn : bool;  (** another job of the matrix has the same key *)
   mutable p_stages : stage option array list;
       (** per unit, its shared stages; [[]] once released *)
@@ -520,8 +537,12 @@ type plan = {
    no stage keys at all. *)
 let plan_jobs t (jobs : (setup * Bench.t) array) : plan array =
   let keys = Array.map (fun (setup, b) -> cache_key t setup b) jobs in
+  let stamp i = if t.s_own_cache then Some (t.s_calls, i) else None in
   if Array.length jobs < 2 then
-    Array.map (fun k -> { p_key = k; p_turn = false; p_stages = [] }) keys
+    Array.mapi
+      (fun i k ->
+        { p_key = k; p_stamp = stamp i; p_turn = false; p_stages = [] })
+      keys
   else begin
     let chains =
       Array.map
@@ -558,6 +579,7 @@ let plan_jobs t (jobs : (setup * Bench.t) array) : plan array =
           (fun i k ->
             {
               p_key = k;
+              p_stamp = stamp i;
               p_turn = shared k;
               p_stages =
                 List.map
@@ -611,7 +633,7 @@ let run_cached ?deadline t ~obs (p : plan) (setup : setup) (b : Bench.t) :
     run =
   let modules, stats =
     with_turn t p (fun () ->
-        match Icache.find t.s_cache p.p_key with
+        match Icache.find ?stamp:p.p_stamp t.s_cache p.p_key with
         | Some e ->
             List.iter
               (Mi_obs.Site.register_info obs.Obs.sites)
@@ -622,7 +644,7 @@ let run_cached ?deadline t ~obs (p : plan) (setup : setup) (b : Bench.t) :
               compile ~faults:t.s_faults ~memo:t.s_memo ~stages:p.p_stages
                 ~obs setup b.sources
             in
-            Icache.add t.s_cache p.p_key
+            Icache.add ?stamp:p.p_stamp t.s_cache p.p_key
               {
                 Icache.e_modules = modules;
                 e_stats = stats;
@@ -667,7 +689,13 @@ let attempt_job t ~job_desc ~wid plan (setup : setup) (b : Bench.t) :
           raise (Fault.Job_timeout budget)
       | _ -> Mi_support.Mclock.sleep secs)
   | None -> ());
-  let obs = Obs.create ~coverage:(Option.is_some t.s_obs.Obs.coverage) () in
+  (* records what the session records: coverage, and spans *)
+  let obs =
+    Obs.create
+      ~coverage:(Option.is_some t.s_obs.Obs.coverage)
+      ~trace:(Mi_obs.Trace.recording t.s_obs.Obs.trace)
+      ()
+  in
   Mi_obs.Trace.set_thread obs.Obs.trace ~tid:(wid + 1)
     ~name:(if wid = 0 then "main" else Printf.sprintf "worker-%d" wid);
   (obs, run_cached ?deadline t ~obs plan setup b)
@@ -711,6 +739,7 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
     jobs;
   let arr = Array.of_list (List.rev !distinct) in
   let n = Array.length arr in
+  t.s_calls <- t.s_calls + 1;
   let plans = plan_jobs t arr in
   let unscheduled =
     {
@@ -817,6 +846,7 @@ let run_jobs t (jobs : (setup * Bench.t) list) :
       t.s_obs.Obs.metrics "icache.corrupt";
     t.s_corrupt_seen <- corrupt_now
   end;
+  if t.s_own_cache then Icache.trim t.s_cache ~keep:private_cache_keep;
   List.map
     (fun job ->
       match out.(Hashtbl.find index (job_key job)) with

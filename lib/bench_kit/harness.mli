@@ -138,13 +138,19 @@ val create :
   t
 (** [jobs] is the worker-pool size (default {!default_jobs}; clamped to
     at least 1).  [cache] is the instrumentation cache the session
-    looks up and fills (default: a fresh in-memory one).  Pass
+    looks up and fills.  By default the session creates a private
+    in-memory one and, at the end of each {!run_jobs} call, keeps only
+    its 64 most recently used entries (recency is the call number and
+    the job's index in it, so the survivors do not depend on [jobs]);
+    a cache passed in is never trimmed.  Pass
     [Icache.create ~dir ()] to persist it on disk, giving hits across
     processes, or another session's {!cache} so short-lived sessions
     share compiled modules: the server runs every request in a fresh
     one-job session over its one content-addressed cache.  [obs] is the
     session context every run's private context is merged into (a
-    fresh one by default).
+    fresh one, recording no spans, by default); each run records spans
+    exactly when [obs]'s tracer does, and coverage exactly when [obs]
+    carries a coverage registry.
 
     [faults] is the fault plan every run of the session suffers: check
     mutations apply during instrumentation (and key the cache, so
@@ -164,8 +170,9 @@ val create :
     [harness.backoff_ms] counter. *)
 
 val obs : t -> Mi_obs.Obs.t
-(** The session context: metrics, check sites and trace events of every
-    run so far, merged deterministically (in job order). *)
+(** The session context: metrics, check sites and (when its tracer
+    records) trace events of every run so far, merged deterministically
+    (in job order). *)
 
 val jobs : t -> int
 

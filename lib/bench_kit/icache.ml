@@ -34,7 +34,12 @@
     by another build — is never unmarshalled into a wrong replay: it is
     quarantined (renamed to [*.corrupt]), counted, and the lookup
     degrades to a miss so the entry is transparently recomputed.  A
-    cache directory is therefore shared only by runs of one binary. *)
+    cache directory is therefore shared only by runs of one binary.
+
+    Each in-memory entry remembers its most recent use as a stamp the
+    caller passes to {!find} and {!add}; {!trim} keeps only the most
+    recently used entries.  The harness stamps and trims only a cache
+    it created itself (see [Harness.create]). *)
 
 type entry = {
   e_modules : (Mi_mir.Irmod.t * bool) list;
@@ -45,8 +50,13 @@ type entry = {
       (** every check site registered while compiling, in id order *)
 }
 
+(* [used] is the greatest stamp the store or a later lookup gave the
+   entry, so it does not depend on the order in which concurrent jobs
+   got there *)
+type slot = { entry : entry; mutable used : int * int }
+
 type t = {
-  mem : (string, entry) Hashtbl.t;  (** digest -> entry *)
+  mem : (string, slot) Hashtbl.t;  (** digest -> entry *)
   dir : string option;
   lock : Mutex.t;
   n_hits : int Atomic.t;
@@ -151,18 +161,27 @@ let disk_add t d entry =
       with Sys_error _ -> ())
     t.dir
 
+(* the stamp of an entry no caller stamped: older than every stamp *)
+let unstamped = (min_int, min_int)
+
 (** Look up [key] (the full content string, not a digest).  Counts one
-    hit or miss; a disk hit is promoted into the in-memory table. *)
-let find t key : entry option =
+    hit or miss; a disk hit is promoted into the in-memory table.  A hit
+    is marked used at [stamp] (see {!trim}). *)
+let find ?stamp t key : entry option =
   let d = digest key in
   Mutex.lock t.lock;
   let r =
     match Hashtbl.find_opt t.mem d with
-    | Some _ as e -> e
+    | Some slot ->
+        (match stamp with
+        | Some s when compare s slot.used > 0 -> slot.used <- s
+        | _ -> ());
+        Some slot.entry
     | None -> (
         match disk_find t d with
         | Some e ->
-            Hashtbl.replace t.mem d e;
+            Hashtbl.replace t.mem d
+              { entry = e; used = Option.value stamp ~default:unstamped };
             Some e
         | None -> None)
   in
@@ -172,15 +191,36 @@ let find t key : entry option =
   | None -> Atomic.incr t.n_misses);
   r
 
-(** Store an entry.  Concurrent stores under the same key are benign:
-    both entries are equivalent by construction (the key digests every
-    input of the compile phase) and the last one wins. *)
-let add t key entry =
+(** Store an entry, marked used at [stamp].  Concurrent stores under
+    the same key are benign: both entries are equivalent by construction
+    (the key digests every input of the compile phase) and the last one
+    wins. *)
+let add ?stamp t key entry =
   let d = digest key in
   Mutex.lock t.lock;
-  Hashtbl.replace t.mem d entry;
+  Hashtbl.replace t.mem d
+    { entry; used = Option.value stamp ~default:unstamped };
   disk_add t d entry;
   Mutex.unlock t.lock
+
+(** Drop all but the [keep] most recently stamped in-memory entries
+    (ties, among unstamped entries, broken by digest).  Persisted
+    entries stay on disk. *)
+let trim t ~keep =
+  Mutex.protect t.lock (fun () ->
+      if Hashtbl.length t.mem > keep then
+        Hashtbl.fold (fun d slot acc -> (slot.used, d) :: acc) t.mem []
+        |> List.sort (fun a b -> compare b a)
+        |> List.iteri (fun i (_, d) ->
+               if i >= keep then Hashtbl.remove t.mem d))
+
+(** Number of in-memory entries. *)
+let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.mem)
+
+(** The digests of the in-memory entries, sorted. *)
+let digests t =
+  Mutex.protect t.lock (fun () ->
+      List.sort compare (Hashtbl.fold (fun d _ acc -> d :: acc) t.mem []))
 
 let stats t =
   {

@@ -379,10 +379,11 @@ let sb_global_init = Sb_scheme.global_init
     [config].  Returns static statistics (checks found/placed/eliminated
     per function) used by the §5.3 evaluation.
 
-    When [obs] is given, the pass runs inside a tracing span, every
-    placed check is registered in [obs.sites] (the site id rides along
-    as the check call's last argument), and the static statistics are
-    absorbed into [obs.metrics] under the [static.*] namespace. *)
+    When [obs] is given, the pass runs inside a tracing span (if its
+    tracer records), every placed check is registered in [obs.sites]
+    (the site id rides along as the check call's last argument), and the
+    static statistics are absorbed into [obs.metrics] under the
+    [static.*] namespace. *)
 let run ?(obs : Mi_obs.Obs.t option) ?(faults = Mi_faultkit.Fault.none)
     (config : Config.t) (m : Irmod.t) : mod_stats =
   let sites =
@@ -431,14 +432,18 @@ let run ?(obs : Mi_obs.Obs.t option) ?(faults = Mi_faultkit.Fault.none)
   | None -> instrument ()
   | Some o ->
       let tr = o.Mi_obs.Obs.trace in
+      (* the span and its instruction counts only when someone traces *)
+      let traced = Mi_obs.Trace.recording tr in
       let name = "instrument:" ^ m.Irmod.mname in
-      Mi_obs.Trace.begin_span tr ~cat:"instrument"
-        ~args:
-          [
-            ("approach", Mi_obs.Trace.Astr (Config.approach_name config.approach));
-            ("instrs_before", Mi_obs.Trace.Aint (Irmod.instr_count m));
-          ]
-        name;
+      if traced then
+        Mi_obs.Trace.begin_span tr ~cat:"instrument"
+          ~args:
+            [
+              ( "approach",
+                Mi_obs.Trace.Astr (Config.approach_name config.approach) );
+              ("instrs_before", Mi_obs.Trace.Aint (Irmod.instr_count m));
+            ]
+          name;
       let stats =
         try instrument ()
         with e ->
@@ -474,13 +479,14 @@ let run ?(obs : Mi_obs.Obs.t option) ?(faults = Mi_faultkit.Fault.none)
       Mi_obs.Metrics.incr
         ~by:(Mi_obs.Site.count sites - sites_before)
         metrics "static.check_sites";
-      Mi_obs.Trace.end_span tr
-        ~args:
-          [
-            ("instrs_after", Mi_obs.Trace.Aint (Irmod.instr_count m));
-            ("checks_placed", Mi_obs.Trace.Aint stats.total_checks_placed);
-            ("checks_removed", Mi_obs.Trace.Aint stats.total_checks_removed);
-            ("invariants", Mi_obs.Trace.Aint stats.total_invariants);
-          ]
-        name;
+      if traced then
+        Mi_obs.Trace.end_span tr
+          ~args:
+            [
+              ("instrs_after", Mi_obs.Trace.Aint (Irmod.instr_count m));
+              ("checks_placed", Mi_obs.Trace.Aint stats.total_checks_placed);
+              ("checks_removed", Mi_obs.Trace.Aint stats.total_checks_removed);
+              ("invariants", Mi_obs.Trace.Aint stats.total_invariants);
+            ]
+          name;
       stats

@@ -45,7 +45,8 @@ val run :
     With [obs], every placed check registers a stable instrumentation
     site in [obs.sites] (its id rides on the check call as a trailing
     constant argument, read back by the runtimes), the whole pass runs
-    under an ["instrument:<module>"] tracing span, and the static
+    under an ["instrument:<module>"] tracing span when [obs.trace]
+    records, and the static
     statistics are absorbed into [obs.metrics] as [static.*] counters.
 
     With [faults], check mutations in the plan apply as checks are

@@ -10,7 +10,10 @@
     Coverage recording is opt-in ([~coverage:true]) because it is the
     one component with a hot-path cost: the VM records a block/edge hit
     on every block transition when the context carries a registry and
-    pays nothing when it does not. *)
+    pays nothing when it does not.  Span recording is opt-in too
+    ([~trace:true]): only a trace export or a profile reads spans, and a
+    long session would otherwise keep every one of them.  Without it
+    [trace] is a tracer that records nothing ({!Trace.recording}). *)
 
 type t = {
   trace : Trace.t;
@@ -19,9 +22,9 @@ type t = {
   mutable coverage : Coverage.t option;
 }
 
-let create ?(coverage = false) () =
+let create ?(coverage = false) ?(trace = false) () =
   {
-    trace = Trace.create ();
+    trace = Trace.create ~record:trace ();
     metrics = Metrics.create ();
     sites = Site.create ();
     coverage = (if coverage then Some (Coverage.create ()) else None);
@@ -31,11 +34,11 @@ let create ?(coverage = false) () =
     histograms add, gauges take the maximum, check sites with identical
     descriptors add their cells, coverage maps with identical
     geometries add their hit arrays, completed trace events are
-    appended.  Each component merge is associative and commutative
-    (sites and coverage up to snapshot order), which is what lets the
-    parallel harness give every worker a private context and still
-    produce one deterministic aggregate: contexts are merged in job
-    order, not completion order.  A [src] that recorded coverage turns
+    appended (when [dst] records spans).  Each component merge is
+    associative and commutative (sites and coverage up to snapshot
+    order), which is what lets the parallel harness give every worker
+    a private context and still produce one deterministic aggregate:
+    contexts are merged in job order, not completion order.  A [src] that recorded coverage turns
     it on in [dst] too.  Raises [Invalid_argument] when [dst == src].
     Costs amortised O(|src|): every component merge updates [dst] in
     place through lookups, so a long-lived session pays per job only for

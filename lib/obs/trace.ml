@@ -17,7 +17,11 @@
 
     The resulting file loads in [chrome://tracing] / Perfetto: complete
     events ([ph = "X"]) with [ts]/[dur] in microseconds, preceded by
-    [ph = "M"] [process_name]/[thread_name] metadata events. *)
+    [ph = "M"] [process_name]/[thread_name] metadata events.
+
+    A tracer created with [~record:false] records nothing: spans only
+    run their thunks, so a context nobody will read costs no event
+    memory and no span arguments. *)
 
 type arg = Aint of int | Astr of string | Aflt of float
 
@@ -39,6 +43,7 @@ type open_span = {
 }
 
 type t = {
+  recording : bool;
   mutable events : event list;  (** completed, most recent first *)
   mutable stack : open_span list;
   clock : unit -> float;  (** seconds *)
@@ -54,13 +59,23 @@ let now_us t = (t.clock () -. t.epoch) *. 1e6
 (* the epoch of every tracer on the default clock *)
 let process_epoch = Mi_support.Mclock.now ()
 
-let create ?clock () =
+let create ?clock ?(record = true) () =
   let clock, epoch =
     match clock with
     | None -> (Mi_support.Mclock.now, process_epoch)
     | Some clock -> (clock, clock ())
   in
-  { events = []; stack = []; clock; epoch; tid = 1; threads = [] }
+  {
+    recording = record;
+    events = [];
+    stack = [];
+    clock;
+    epoch;
+    tid = 1;
+    threads = [];
+  }
+
+let recording t = t.recording
 
 let set_thread t ~tid ~name =
   t.tid <- tid;
@@ -73,15 +88,17 @@ let balanced t = t.stack = []
 let stack_names stack = List.rev_map (fun os -> os.os_name) stack
 
 let begin_span ?(cat = "phase") ?(args = []) t name =
-  t.stack <-
-    { os_name = name; os_cat = cat; os_start = now_us t; os_args = args }
-    :: t.stack
+  if t.recording then
+    t.stack <-
+      { os_name = name; os_cat = cat; os_start = now_us t; os_args = args }
+      :: t.stack
 
 (** Close the innermost open span.  [name] must match the span being
     closed — a mismatch means begin/end calls are unbalanced and raises.
     [args] are appended to the arguments given at [begin_span]. *)
 let end_span ?(args = []) t name =
   match t.stack with
+  | [] when not t.recording -> ()
   | [] -> invalid_arg (Printf.sprintf "end_span %S: no open span" name)
   | os :: rest ->
       if os.os_name <> name then
@@ -104,40 +121,44 @@ let end_span ?(args = []) t name =
 
 (** Run [f] inside a span; the span closes even if [f] raises. *)
 let with_span ?cat ?args t name f =
-  begin_span ?cat ?args t name;
-  match f () with
-  | v ->
-      end_span t name;
-      v
-  | exception e ->
-      end_span t name;
-      raise e
+  if not t.recording then f ()
+  else begin
+    begin_span ?cat ?args t name;
+    match f () with
+    | v ->
+        end_span t name;
+        v
+    | exception e ->
+        end_span t name;
+        raise e
+  end
 
 (** An instantaneous event (zero duration). *)
 let instant ?(cat = "mark") ?(args = []) t name =
-  let ts = now_us t in
-  t.events <-
-    {
-      ev_name = name;
-      ev_cat = cat;
-      ev_ts = ts;
-      ev_dur = 0.0;
-      ev_args = args;
-      ev_tid = t.tid;
-      ev_stack = stack_names t.stack;
-    }
-    :: t.events
+  if t.recording then
+    t.events <-
+      {
+        ev_name = name;
+        ev_cat = cat;
+        ev_ts = now_us t;
+        ev_dur = 0.0;
+        ev_args = args;
+        ev_tid = t.tid;
+        ev_stack = stack_names t.stack;
+      }
+      :: t.events
 
 let event_count t = List.length t.events
 
 (** Merge the completed events of [src] into [dst] (spans still open in
-    [src] are not copied).  Timestamps are kept as they are: tracers on
-    the default clock share the process epoch, so every merged span keeps
-    its place on one timeline ([src]'s spans after [dst]'s when [src] ran
-    later).  Thread labels are unioned ([src] wins on a tid clash). *)
+    [src] are not copied; a [dst] that does not record keeps none).
+    Timestamps are kept as they are: tracers on the default clock share
+    the process epoch, so every merged span keeps its place on one
+    timeline ([src]'s spans after [dst]'s when [src] ran later).  Thread
+    labels are unioned ([src] wins on a tid clash). *)
 let merge dst src =
   if dst == src then invalid_arg "Trace.merge: dst and src are the same";
-  dst.events <- src.events @ dst.events;
+  if dst.recording then dst.events <- src.events @ dst.events;
   List.iter
     (fun (tid, name) ->
       dst.threads <- (tid, name) :: List.remove_assoc tid dst.threads)

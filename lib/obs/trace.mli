@@ -19,11 +19,21 @@ type event = {
 
 type t
 
-val create : ?clock:(unit -> float) -> unit -> t
+val create : ?clock:(unit -> float) -> ?record:bool -> unit -> t
 (** A tracer on wall time ({!Mi_support.Mclock.now}) measured from one
     process-wide epoch, so the spans of tracers created at different
     times stay in order after {!merge}.  An injected [clock] (seconds)
-    replaces it, with the epoch at its first reading. *)
+    replaces it, with the epoch at its first reading.
+
+    With [~record:false] (default [true]) the tracer records nothing:
+    {!with_span} only runs its thunk, {!begin_span}, {!end_span} and
+    {!instant} do nothing, {!merge} into it keeps no events, and
+    {!event_count} stays 0. *)
+
+val recording : t -> bool
+(** Whether the tracer records.  Callers that compute span arguments
+    (instruction counts, say) check it first, so an unread trace costs
+    nothing. *)
 
 val set_thread : t -> tid:int -> name:string -> unit
 (** Label this tracer's events with [tid] and record the

@@ -108,9 +108,15 @@ let quiet =
     the [~coverage] flag of the observability context. *)
 let wants_coverage (o : t) = o.profile_out <> None
 
+(** Whether this invocation reads spans: a trace export, or a
+    persistent profile (it carries span counts). *)
+let wants_trace (o : t) = o.trace <> None || o.profile_out <> None
+
 (** The observability context matching the parsed options: coverage
-    recording is on exactly when a persistent profile was requested. *)
-let create_obs (o : t) = Mi_obs.Obs.create ~coverage:(wants_coverage o) ()
+    recording is on exactly when a persistent profile was requested,
+    span recording when {!wants_trace}. *)
+let create_obs (o : t) =
+  Mi_obs.Obs.create ~coverage:(wants_coverage o) ~trace:(wants_trace o) ()
 
 let write_text ~app ~what path text =
   try

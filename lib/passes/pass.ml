@@ -49,12 +49,12 @@ let run_one (p : t) (m : Irmod.t) : bool =
   debug_announce p m;
   p.run m
 
-(* With a tracer, each pass runs under its own span carrying the
-   instruction-count delta it caused. *)
+(* With a recording tracer, each pass runs under its own span carrying
+   the instruction-count delta it caused; counting costs a walk of the
+   module, so it happens only then. *)
 let traced_run tracer (p : t) (m : Irmod.t) : bool =
   match tracer with
-  | None -> run_one p m
-  | Some tr ->
+  | Some tr when Mi_obs.Trace.recording tr ->
       debug_announce p m;
       let before = Irmod.instr_count m in
       Mi_obs.Trace.begin_span tr ~cat:"pass"
@@ -79,6 +79,7 @@ let traced_run tracer (p : t) (m : Irmod.t) : bool =
       in
       finish changed;
       changed
+  | _ -> run_one p m
 
 (** Run [passes] in order once; true if any changed the module. *)
 let run_list ?tracer (passes : t list) (m : Irmod.t) : bool =

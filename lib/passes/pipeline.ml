@@ -167,11 +167,11 @@ let run_phase ?tracer ph m =
     ignore (Pass.run_fixpoint ?tracer ~max_rounds:ph.rounds ph.passes m)
   in
   match tracer with
-  | None -> body ()
-  | Some tr ->
+  | Some tr when Mi_obs.Trace.recording tr ->
       Mi_obs.Trace.with_span tr ~cat:"phase"
         ~args:[ ("instrs", Mi_obs.Trace.Aint (Irmod.instr_count m)) ]
         ph.name body
+  | _ -> body ()
 
 let resume ?(level = O3) ?instrument ?(ep = VectorizerStart) ?tracer m =
   let _, after, marked = split level ep in

@@ -83,7 +83,8 @@ val run :
     after its extension point.  At [O0] the instrumentation runs on the
     unoptimized module (all extension points coincide).
 
-    With [tracer], every pipeline phase and every pass within it is
+    With a recording [tracer] ({!Mi_obs.Trace.recording}), every
+    pipeline phase and every pass within it is
     wrapped in a {!Mi_obs.Trace} span whose arguments record the
     instruction-count delta the pass caused, and an instant event marks
     where the instrumentation extension point fired (not at [O0], which

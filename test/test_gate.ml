@@ -25,7 +25,7 @@ let exits =
     ("drive-corrupt-daemon", 0); ("drive-one-tenant", 0);
     ("drive-one-tenant-daemon", 0); ("mutation-opt", 0); ("checkelim-j4", 0);
     ("checkelim-j1", 0); ("soak", 0); ("replay-j4", 0); ("replay-j1", 0);
-    ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0);
+    ("budget-j4", 0); ("budget-j1", 0); ("scaling", 0); ("soak-heap", 0);
     ("example-quickstart", 0); ("example-overflow_detection", 0);
     ("example-usability_pitfalls", 0); ("example-pipeline_points", 0);
   ]
@@ -212,6 +212,7 @@ let passing =
     ("budget-corpus-j1/0a.json", "{}");
     ("budget-corpus-j1/state.json", "{}");
     ("scaling.txt", scaling);
+    ("soak-heap.txt", "soak_heap: execs=200 top_heap_words=6000000\n");
   ]
 
 (* --- running the gate ------------------------------------------------- *)
@@ -258,7 +259,7 @@ let both run content =
 
 let test_all_pass () =
   let code, verdicts = gate [] in
-  Alcotest.(check int) "row count" 27 (List.length verdicts);
+  Alcotest.(check int) "row count" 28 (List.length verdicts);
   List.iter (fun (_, (v, line)) -> Alcotest.(check string) line "PASS" v) verdicts;
   Alcotest.(check int) "exit status" 0 code
 
@@ -366,5 +367,11 @@ let () =
             (fails "soak" [ ("soak.json", None) ]);
           Alcotest.test_case "unparsable artifact" `Quick
             (fails "soak" [ ("soak.json", Some {|{"findings":[|}) ]);
+          Alcotest.test_case "fields: soak heap over its bound" `Quick
+            (fails "soak-heap"
+               [
+                 ( "soak-heap.txt",
+                   Some "soak_heap: execs=200 top_heap_words=27659173\n" );
+               ]);
         ] );
     ]

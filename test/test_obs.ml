@@ -104,10 +104,67 @@ let test_merged_timeline () =
           ts2 (ts1 +. dur1)
   | _ -> Alcotest.fail "merged trace lacks a span"
 
+(* A tracer that does not record: spans only run their thunks, an
+   unmatched end is no error, and nothing merged into it is kept. *)
+let test_trace_off () =
+  let tr = Trace.create ~record:false () in
+  Alcotest.(check bool) "not recording" false (Trace.recording tr);
+  Alcotest.(check int) "thunk result" 7
+    (Trace.with_span tr "a" (fun () ->
+         Trace.begin_span tr "b";
+         Trace.instant tr "mark";
+         Trace.end_span tr "b";
+         7));
+  Trace.end_span tr "never-opened";
+  let src = Trace.create () in
+  Trace.with_span src "c" ignore;
+  Trace.merge tr src;
+  Alcotest.(check int) "no events" 0 (Trace.event_count tr);
+  Alcotest.(check bool) "balanced" true (Trace.balanced tr);
+  Alcotest.(check bool) "Obs.create records no spans" false
+    (Trace.recording (Obs.create ()).Obs.trace)
+
+(* Recording spans is a pure side band: three suite programs under sb,
+   lf and tp at O3 give identical runs, session metrics and site
+   snapshots with and without ~trace:true; only the trace differs. *)
+let test_trace_changes_nothing_else () =
+  let benches =
+    List.map
+      (fun n -> Option.get (Mi_bench_kit.Suite.find n))
+      [ "470lbm"; "462libquant"; "164gzip" ]
+  in
+  let jobs =
+    List.concat_map
+      (fun c ->
+        List.map (fun b -> (Harness.with_config c Harness.baseline, b)) benches)
+      [ Config.softbound; Config.lowfat; Config.temporal ]
+  in
+  let session obs =
+    let h = Harness.create ~jobs:1 ~obs () in
+    let runs = Harness.run_jobs h jobs in
+    (runs, obs)
+  in
+  let plain_runs, plain = session (Obs.create ()) in
+  let traced_runs, traced = session (Obs.create ~trace:true ()) in
+  List.iter
+    (function
+      | Ok _ -> () | Error (e : Harness.error) -> Alcotest.fail e.reason)
+    plain_runs;
+  Alcotest.(check bool) "runs" true (plain_runs = traced_runs);
+  Alcotest.(check string) "session metrics"
+    (Metrics.to_string plain.Obs.metrics)
+    (Metrics.to_string traced.Obs.metrics);
+  Alcotest.(check bool) "site snapshots" true
+    (Site.snapshot plain.Obs.sites = Site.snapshot traced.Obs.sites);
+  Alcotest.(check int) "untraced: no events" 0
+    (Trace.event_count plain.Obs.trace);
+  Alcotest.(check bool) "traced: events" true
+    (Trace.event_count traced.Obs.trace > 0)
+
 (* A pipeline run must leave a well-formed Chrome trace with at least
    one span per pass that ran. *)
 let test_trace_json_wellformed () =
-  let obs = Obs.create () in
+  let obs = Obs.create ~trace:true () in
   let setup = Harness.with_config Config.softbound Harness.baseline in
   let _ =
     Harness.run_sources ~obs setup
@@ -526,6 +583,9 @@ let () =
           Alcotest.test_case "thread metadata events" `Quick
             test_trace_thread_metadata;
           Alcotest.test_case "merged timeline" `Quick test_merged_timeline;
+          Alcotest.test_case "off: records nothing" `Quick test_trace_off;
+          Alcotest.test_case "tracing changes nothing else" `Quick
+            test_trace_changes_nothing_else;
         ] );
       ( "metrics",
         [

@@ -700,6 +700,42 @@ let test_obs_merge_into_empty_matches_reference () =
     | None -> Alcotest.fail "merge dropped the coverage registry"
   done
 
+(* A private session keeps at most 64 Icache entries and no spans,
+   whatever it has run: 30 safe fuzz matrices at -j 1 and -j 4.  After
+   every call, the runs and the hit/miss counts equal those of a session
+   over a cache that is never trimmed, and -j 1 and -j 4 keep the same
+   entries. *)
+let test_private_cache_bounded () =
+  let matrices =
+    List.init 30 (fun i ->
+        Mi_fuzz.Oracle.safe_jobs (Mi_fuzz.Gen.generate ~seed:(i + 1) ()))
+  in
+  let untrimmed = Harness.create ~jobs:1 ~cache:(Icache.create ()) () in
+  let h1 = Harness.create ~jobs:1 () and h4 = Harness.create ~jobs:4 () in
+  List.iteri
+    (fun i jobs ->
+      let want = Harness.run_jobs untrimmed jobs in
+      let stats = Harness.cache_stats untrimmed in
+      let check_session j h =
+        let tag what = Printf.sprintf "matrix %d, -j %d: %s" (i + 1) j what in
+        Alcotest.(check bool) (tag "runs") true (Harness.run_jobs h jobs = want);
+        Alcotest.(check bool) (tag "cache stats") true
+          (Harness.cache_stats h = stats);
+        let size = Icache.size (Harness.cache h) in
+        if size > 64 then Alcotest.failf "%s" (tag (Printf.sprintf "%d entries" size));
+        Alcotest.(check int) (tag "trace events") 0
+          (Mi_obs.Trace.event_count (Harness.obs h).Obs.trace)
+      in
+      check_session 1 h1;
+      check_session 4 h4;
+      Alcotest.(check (list string))
+        (Printf.sprintf "matrix %d: surviving entries" (i + 1))
+        (Icache.digests (Harness.cache h1))
+        (Icache.digests (Harness.cache h4)))
+    matrices;
+  Alcotest.(check bool) "the untrimmed cache outgrew the bound" true
+    (Icache.size (Harness.cache untrimmed) > 64)
+
 (* ------------------------------------------------------------------ *)
 (* 4. sorted-array counter lookup                                      *)
 (* ------------------------------------------------------------------ *)
@@ -741,6 +777,8 @@ let () =
             `Quick test_disk_cache_corruption;
           Alcotest.test_case "disk cache refuses another build" `Quick
             test_disk_cache_foreign_build;
+          Alcotest.test_case "private cache bounded, no spans kept" `Quick
+            test_private_cache_bounded;
         ] );
       ( "obs-merge",
         [

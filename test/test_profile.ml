@@ -11,7 +11,7 @@ let diamond = [| [| 1; 2 |]; [| 3 |]; [| 3 |]; [||] |]
 (* a populated context: two check sites (one never executed), coverage
    over a diamond CFG, metrics, and nested spans *)
 let mk_obs () =
-  let o = Obs.create ~coverage:true () in
+  let o = Obs.create ~coverage:true ~trace:true () in
   let id =
     Site.register o.Obs.sites ~func:"main" ~construct:"load" ~approach:"sb"
   in

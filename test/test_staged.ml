@@ -107,7 +107,9 @@ let test_fuzz_seeds () =
 let batch_seeds = List.init 6 (fun i -> i + 1)
 
 let batch_at jobs =
-  let h = Fuzz.session ~jobs ~faults:Mi_faultkit.Fault.none in
+  let h =
+    Harness.create ~jobs ~obs:(Mi_obs.Obs.create ~coverage:true ~trace:true ()) ()
+  in
   let results = Fuzz.run_matrix h fuzz_jobs batch_seeds in
   ( results,
     Harness.failure_manifest h,
