@@ -32,8 +32,9 @@ let direct_major_words () =
    [~coverage:true] runs the identical workload with a VM coverage
    registry attached, so the gate can bound the block/edge-recording
    overhead (BENCH_coverage.json).  [major_words_per_job] reports the
-   words the timed passes allocate directly in the major heap, per job;
-   it is not gated.  A timed pass that misses the cache fails the run:
+   words the timed passes allocate directly in the major heap, per job,
+   and [minor_words_per_step] the words they allocate in the minor heap,
+   per step; neither is gated.  A timed pass that misses the cache fails the run:
    the session trims its private cache between calls, and a miss would
    make the row time compilation. *)
 let run_vm_steps ?(coverage = false) () =
@@ -58,6 +59,7 @@ let run_vm_steps ?(coverage = false) () =
   let misses = (Harness.cache_stats h).Harness.misses in
   let reps = 3 in
   let major0 = direct_major_words () in
+  let minor0 = Gc.minor_words () in
   let t0 = now () in
   for _ = 1 to reps do
     let s = pass () in
@@ -67,16 +69,18 @@ let run_vm_steps ?(coverage = false) () =
   done;
   let dt = now () -. t0 in
   let major = direct_major_words () -. major0 in
+  let minor = Gc.minor_words () -. minor0 in
   let total = reps * steps_per_pass in
   Printf.printf
     "%s: benches=%d steps_per_pass=%d reps=%d elapsed_s=%.3f \
-     steps_per_sec=%.0f major_words_per_job=%.0f\n\
+     steps_per_sec=%.0f major_words_per_job=%.0f minor_words_per_step=%.3f\n\
      %!"
     (if coverage then "vm_steps_cov" else "vm_steps")
     (List.length Mi_bench_kit.Suite.all)
     steps_per_pass reps dt
     (float_of_int total /. dt)
     (major /. float_of_int (reps * List.length jobs))
+    (minor /. float_of_int total)
 
 (* Scaling study of the two fuzzing modes at an identical execution
    budget: the coverage-guided evolutionary soak (fresh throwaway

@@ -102,13 +102,3 @@ let frontiers (t : t) : int list array =
         preds
   done;
   df
-
-(** Blocks in a preorder walk of the dominator tree. *)
-let dom_preorder t : int list =
-  let out = ref [] in
-  let rec go b =
-    out := b :: !out;
-    List.iter go t.children.(b)
-  in
-  if Cfg.n_blocks t.cfg > 0 then go 0;
-  List.rev !out

@@ -28,7 +28,3 @@ val idom : t -> int -> int option
 
 val frontiers : t -> int list array
 (** Dominance frontier of every block (for SSA phi placement). *)
-
-val dom_preorder : t -> int list
-(** Blocks in a preorder walk of the dominator tree (scoped-table
-    traversal order for GVN). *)

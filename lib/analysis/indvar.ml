@@ -146,5 +146,3 @@ let counted_loop (cfg : Cfg.t) (l : Loops.loop) : counted option =
                       | _ -> None))
               | _ -> None)
         | _ -> None)
-
-let trip_count (c : counted) = ((c.last - c.init) / c.step) + 1

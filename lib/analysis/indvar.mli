@@ -24,6 +24,3 @@ val counted_loop : Cfg.t -> Loops.loop -> counted option
     constant positive step, at least one iteration.  When [Some], the
     body executes exactly for induction values
     [init, init+step, ..., last]. *)
-
-val trip_count : counted -> int
-(** Number of iterations: [(last - init) / step + 1]. *)

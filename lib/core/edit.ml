@@ -100,11 +100,6 @@ let emit_after t anchor ?name ty op : Value.t =
   insert_after t anchor (Instr.mk ~dst op);
   Var dst
 
-let emit_before t anchor ?name ty op : Value.t =
-  let dst = fresh t ?name ty in
-  insert_before t anchor (Instr.mk ~dst op);
-  Var dst
-
 (** Rebuild the function with all recorded edits applied.  The edited
     function is rebuilt in place (same [Func.t]); anchors refer to the
     original layout, and blocks without edits are kept as they are. *)

@@ -37,7 +37,6 @@ val emit_entry : t -> ?name:string -> Ty.t -> Instr.op -> Value.t
 (** [insert_entry] an instruction computing a fresh value; returns it. *)
 
 val emit_after : t -> anchor -> ?name:string -> Ty.t -> Instr.op -> Value.t
-val emit_before : t -> anchor -> ?name:string -> Ty.t -> Instr.op -> Value.t
 
 val apply : t -> unit
 (** Rebuild the function with all recorded edits applied (in place). *)

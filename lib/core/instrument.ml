@@ -372,9 +372,6 @@ let instrument_func ?(faults = Mi_faultkit.Fault.none) (config : Config.t)
 (* Module-level driver                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* exposed for testing; SoftBound's module_ctor drives it *)
-let sb_global_init = Sb_scheme.global_init
-
 (** Instrument every defined function of [m] in place according to
     [config].  Returns static statistics (checks found/placed/eliminated
     per function) used by the §5.3 evaluation.

@@ -62,9 +62,6 @@ val run :
     stay counter-identical to cache-missing ones).  This is the
     mutation-testing engine behind the safety-guarantee validation. *)
 
-val sb_global_init : Irmod.t -> Func.t option
-(** The constructor described above, exposed for testing. *)
-
 val instrument_func :
   ?faults:Mi_faultkit.Fault.t ->
   Config.t -> Mi_obs.Site.t -> Irmod.t -> Func.t -> func_stats

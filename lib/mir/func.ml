@@ -75,12 +75,6 @@ let filter_map_blocks f g =
 
 let map_blocks f g = filter_map_blocks f (fun b -> Some (g b))
 
-(** Iterate over all instructions with their containing block. *)
-let iter_instrs f g =
-  List.iter
-    (fun (b : Block.t) -> List.iter (fun i -> g b i) b.body)
-    f.blocks
-
 (** Number of instructions (not counting phis and terminators). *)
 let instr_count f =
   List.fold_left (fun acc (b : Block.t) -> acc + List.length b.body) 0 f.blocks

@@ -42,6 +42,5 @@ val filter_map_blocks : t -> (Block.t -> Block.t option) -> bool
 val map_blocks : t -> (Block.t -> Block.t) -> bool
 (** {!filter_map_blocks} without dropping. *)
 
-val iter_instrs : t -> (Block.t -> Instr.t -> unit) -> unit
 val instr_count : t -> int
 val all_defs : t -> Value.var list

@@ -135,13 +135,6 @@ let may_abort name =
 let reads_memory name =
   List.mem name [ "memcmp"; "strlen"; "strcmp"; "strchr" ]
 
-(** True if the call writes user memory. *)
-let writes_memory name =
-  List.mem name
-    [ "strcpy"; "strncpy"; "strcat"; "realloc"; "free"; "mi_srand" ]
-  || String.length name > 6
-     && String.sub name 0 6 = "__sbw_" (* wrappers write through args *)
-
 (** True for functions the VM implements natively (no MIR body needed). *)
 let c_library_set =
   Hashtbl.of_seq (Seq.map (fun n -> (n, ())) (List.to_seq c_library))

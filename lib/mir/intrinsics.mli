@@ -120,6 +120,5 @@ val removable_if_unused : string -> bool
 
 val may_abort : string -> bool
 val reads_memory : string -> bool
-val writes_memory : string -> bool
 val is_builtin : string -> bool
 val is_runtime_internal : string -> bool

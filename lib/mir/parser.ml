@@ -694,8 +694,6 @@ let parse_module (text : string) : Irmod.t =
   go lines;
   { m with mname = !mname }
 
-let parse_module_exn = parse_module
-
 let parse_module_res text =
   match parse_module text with
   | m -> Ok m

@@ -11,7 +11,4 @@ exception Parse_error of int * string
 val parse_module : string -> Irmod.t
 (** Raises {!Parse_error}. *)
 
-val parse_module_exn : string -> Irmod.t
-(** Alias of {!parse_module}. *)
-
 val parse_module_res : string -> (Irmod.t, string) result

@@ -160,6 +160,3 @@ let module_to_string m =
   let buf = Buffer.create 4096 in
   module_to_buf buf m;
   Buffer.contents buf
-
-let pp_func fmt f = Format.pp_print_string fmt (func_to_string f)
-let pp_module fmt m = Format.pp_print_string fmt (module_to_string m)

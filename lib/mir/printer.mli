@@ -10,6 +10,3 @@ val module_to_string : Irmod.t -> string
 
 val escape_bytes : string -> string
 (** The escaping used inside [bytes "..."] initializer fields. *)
-
-val pp_func : Format.formatter -> Func.t -> unit
-val pp_module : Format.formatter -> Irmod.t -> unit

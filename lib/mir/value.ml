@@ -28,8 +28,6 @@ let i64 k = Int (Ty.I64, k)
 let i32 k = Int (Ty.I32, k)
 let i1 b = Int (Ty.I1, if b then 1 else 0)
 
-let is_const = function Var _ -> false | _ -> true
-
 let equal a b =
   match (a, b) with
   | Var x, Var y -> x.vid = y.vid

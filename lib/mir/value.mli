@@ -21,8 +21,6 @@ val i64 : int -> t
 val i32 : int -> t
 val i1 : bool -> t
 
-val is_const : t -> bool
-
 val equal : t -> t -> bool
 (** Structural equality ([Var]s by id). *)
 

@@ -15,8 +15,6 @@ type error = { where : string; what : string }
 
 let err where fmt = Printf.ksprintf (fun what -> { where; what }) fmt
 
-let pp_error fmt e = Format.fprintf fmt "%s: %s" e.where e.what
-
 let error_to_string e = Printf.sprintf "%s: %s" e.where e.what
 
 let check_ty where expected (v : Value.t) errors =

@@ -4,8 +4,6 @@
     by [Mi_analysis.Domcheck]. *)
 
 type error = { where : string; what : string }
-
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val verify_func : Func.t -> error list

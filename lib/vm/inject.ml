@@ -10,8 +10,8 @@ open Mi_faultkit
 
 let fired st = State.bump st "fault.injected"
 
-(* A one-shot hook: re-arms itself (by lowering [next_poll_step]) while
-   its step has not come up, runs [fire] exactly once when it has. *)
+(* A one-shot hook: re-arms itself while its step has not come up, runs
+   [fire] exactly once when it has. *)
 let one_shot st ~at_step fire =
   let pending = ref true in
   State.add_poll st ~at_step (fun st ->
@@ -20,13 +20,12 @@ let one_shot st ~at_step fire =
           pending := false;
           fire st
         end
-        else if at_step < st.State.next_poll_step then
-          st.State.next_poll_step <- at_step)
+        else State.poll_at st at_step)
 
 let install_one st = function
   | Fault.Fuel_cap n ->
       fired st;
-      if n < st.State.fuel then st.State.fuel <- n
+      State.cap_fuel st n
   | Fault.Wild_write { at_step; addr; value } ->
       one_shot st ~at_step (fun st ->
           fired st;
@@ -54,9 +53,6 @@ let install plan st = List.iter (install_one st) plan.Fault.vm
 let arm_deadline ?(interval = 4096) st ~deadline ~budget =
   let hook (st : State.t) =
     if Mi_support.Mclock.expired deadline then raise (Fault.Job_timeout budget)
-    else begin
-      let at = st.State.steps + interval in
-      if at < st.State.next_poll_step then st.State.next_poll_step <- at
-    end
+    else State.poll_at st (st.State.steps + interval)
   in
   State.add_poll st ~at_step:interval hook

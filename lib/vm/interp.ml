@@ -13,10 +13,20 @@
     edge.  Execution charges cycles according to the {!Cost} model,
     which is what the runtime-overhead experiments measure.
 
-    Every instruction and terminator closure starts with one per-step
-    {!tick}, so traps, violations, fuel exhaustion and poll hooks land on
-    a fixed step with fixed cycles ([test/test_engine.ml] pins them for
-    runs that stop part-way).
+    {2 Steps and cycles}
+
+    A block runs as segments, each ending at a direct call or at the
+    terminator.  While a segment's steps stay below
+    {!State.t.step_limit}, it charges them and its constant cycles once,
+    at entry, and runs closures that charge neither; an instruction that
+    can raise gives back the charges of the instructions after it before
+    the exception leaves it.  Otherwise the segment runs a timed twin,
+    built on first need, in which every instruction and the terminator
+    take their own {!tick} and charge.  Either way traps, violations,
+    fuel exhaustion and poll hooks land on a fixed step with fixed cycles
+    ([test/test_engine.ml] pins them for runs that stop part-way, at
+    every step of a sweep).  Dynamic charges (memory operations,
+    runtime calls, phi moves) are made where they happen in both forms.
 
     {2 Calls}
 
@@ -107,13 +117,12 @@ exception Link_error of string
 (* Execution primitives                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One dynamic step: fuel accounting plus the poll-hook check that
-   fault injectors and wall-clock deadlines piggyback on.  Every
-   instruction and terminator closure starts with it. *)
+(* One dynamic step: one compare against [step_limit], below which
+   neither the fuel test nor the poll hooks that fault injectors and
+   wall-clock deadlines piggyback on have anything to do. *)
 let[@inline] tick (st : State.t) =
   st.steps <- st.steps + 1;
-  if st.steps > st.fuel then raise (State.Fuel_exhausted st.fuel);
-  if st.steps >= st.next_poll_step then State.run_polls st
+  if st.steps >= st.step_limit then State.slow_tick st
 
 (* Register slots are assigned at load and every bank is allocated with
    its function's final size, so slot accesses are in bounds by
@@ -123,12 +132,12 @@ let[@inline] set (bank : int array) r v = Array.unsafe_set bank r v
 let[@inline] fget (bank : float array) r = Array.unsafe_get bank r
 let[@inline] fset (bank : float array) r v = Array.unsafe_set bank r v
 
-let ival iregs = function
+let[@inline] ival iregs = function
   | XI k -> k
   | XR r -> get iregs r
   | XF _ | XFR _ -> raise (State.Trap "float operand in integer context")
 
-let fval fregs = function
+let[@inline] fval fregs = function
   | XF f -> f
   | XFR r -> fget fregs r
   | XI _ | XR _ -> raise (State.Trap "int operand in float context")
@@ -184,6 +193,167 @@ let exec_frame (st : State.t) (xf : xfunc) (iregs : int array)
   st.stack_ptr <- saved_sp
 
 (* ------------------------------------------------------------------ *)
+(* Step accounting                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A stop inside a batched segment (see [segment_code]) gives back what
+   the segment charged in advance for the instructions after the one
+   that raised: their steps and their constant cycles.  A timed
+   instruction has nothing to give back. *)
+type undo = { u_steps : int; u_cycles : int }
+
+let no_undo = { u_steps = 0; u_cycles = 0 }
+
+let rewind (st : State.t) u e =
+  st.steps <- st.steps - u.u_steps;
+  st.cycles <- st.cycles - u.u_cycles;
+  raise e
+
+(* Loads and stores probe [Memory]'s direct-mapped page cache inline,
+   in their closures: an access that lies inside one cached page is
+   served from it, and only a miss takes [Memory]'s full path (null
+   guard, page straddle, first touch, page limit), whose fault rewinds
+   like any other stop.  A hit has the miss path's outcome exactly
+   ({!Memory.cache_arrays}).  [probe] is the slot of the cached page
+   holding the [w] bytes at [a], or -1. *)
+let page_mask = Layout.page_size - 1
+let slot_mask = Memory.cache_slots - 1
+
+let[@inline] probe cidx a w =
+  let idx = a lsr Layout.page_bits in
+  let slot = idx land slot_mask in
+  if Array.unsafe_get cidx slot = idx && a land page_mask <= Layout.page_size - w
+  then slot
+  else -1
+
+(* the raw little-endian bit pattern of the [w] bytes at [a], as
+   {!Memory.load} gives it *)
+let[@inline] load_int st u cidx cpage mem w a =
+  let s = probe cidx a w in
+  if s < 0 then try Memory.load mem a w with e -> rewind st u e
+  else
+    let p = Array.unsafe_get cpage s and off = a land page_mask in
+    match w with
+    | 8 -> Int64.to_int (Bytes.get_int64_le p off)
+    | 4 -> Int32.to_int (Bytes.get_int32_le p off) land 0xffffffff
+    | 2 -> Bytes.get_uint16_le p off
+    | _ -> Char.code (Bytes.get p off)
+
+let[@inline] store_int st u cidx cpage mem w a v =
+  let s = probe cidx a w in
+  if s < 0 then try Memory.store mem a w v with e -> rewind st u e
+  else
+    let p = Array.unsafe_get cpage s and off = a land page_mask in
+    match w with
+    | 8 -> Bytes.set_int64_le p off (Int64.of_int v)
+    | 4 -> Bytes.set_int32_le p off (Int32.of_int v)
+    | 2 -> Bytes.set_uint16_le p off (v land 0xffff)
+    | _ -> Bytes.set p off (Char.unsafe_chr (v land 0xff))
+
+(* f64 values move as their full 64-bit pattern; a hit converts it
+   without boxing an [Int64] *)
+let[@inline] load_flt st u cidx cpage mem a =
+  let s = probe cidx a 8 in
+  if s < 0 then try Memory.load_f64 mem a with e -> rewind st u e
+  else
+    Int64.float_of_bits
+      (Bytes.get_int64_le (Array.unsafe_get cpage s) (a land page_mask))
+
+let[@inline] store_flt st u cidx cpage mem a f =
+  let s = probe cidx a 8 in
+  if s < 0 then try Memory.store_f64 mem a f with e -> rewind st u e
+  else
+    Bytes.set_int64_le (Array.unsafe_get cpage s) (a land page_mask)
+      (Int64.bits_of_float f)
+
+(* An instruction resolved at load, before it is chained.  [body] builds
+   its closure without the step and the constant [cost]: given what to
+   give back if it raises and the code that follows it.  [kinds_ok] is
+   false when an operand has the wrong kind for its context, so the
+   body traps part-way through; its segment always runs timed.  A direct
+   call ends its segment: its callee's steps come next. *)
+type xinstr = {
+  cost : int;
+  kinds_ok : bool;
+  ends_segment : bool;
+  body : undo -> code -> code;
+}
+
+let is_int = function XI _ | XR _ -> true | XF _ | XFR _ -> false
+let is_flt v = not (is_int v)
+
+(* A timed instruction: its own step, then its constant cycles, then its
+   body. *)
+let timed (st : State.t) cost (body : code) : code =
+  if cost = 0 then fun ir fr ->
+    tick st;
+    body ir fr
+  else fun ir fr ->
+    tick st;
+    st.cycles <- st.cycles + cost;
+    body ir fr
+
+(* A segment: instructions [xs.(lo) .. xs.(hi - 1)] (the last one a
+   direct call or the block's terminator), then [next].  While the
+   segment's [n] steps stay below [State.t.step_limit], no step in it
+   would run out of fuel or reach a poll, so the segment charges its
+   steps and constant cycles once, at entry, and runs bodies that charge
+   neither; an instruction that raises rewinds the charges of the
+   instructions after it, so every stop keeps the steps and cycles of
+   the timed form.  Otherwise the segment runs timed, each instruction
+   charging for itself; that chain is built on first need. *)
+let segment_code (st : State.t) (xs : xinstr array) lo hi (next : code) : code
+    =
+  let slow = ref None in
+  let timed_chain () =
+    match !slow with
+    | Some c -> c
+    | None ->
+        let c = ref next in
+        for j = hi - 1 downto lo do
+          let x = xs.(j) in
+          c := timed st x.cost (x.body no_undo !c)
+        done;
+        slow := Some !c;
+        !c
+  in
+  let ok = ref true in
+  for j = lo to hi - 1 do
+    if not xs.(j).kinds_ok then ok := false
+  done;
+  if not !ok then timed_chain ()
+  else begin
+    let fast = ref next and cost = ref 0 in
+    for j = hi - 1 downto lo do
+      let x = xs.(j) in
+      fast := x.body { u_steps = hi - 1 - j; u_cycles = !cost } !fast;
+      cost := !cost + x.cost
+    done;
+    let fast = !fast and n = hi - lo and cost = !cost in
+    fun ir fr ->
+      if st.steps + n < st.step_limit then begin
+        st.steps <- st.steps + n;
+        st.cycles <- st.cycles + cost;
+        fast ir fr
+      end
+      else (timed_chain ()) ir fr
+  end
+
+(* A block's code: [body] cut into segments after every direct call, the
+   last one ending at the terminator [term]. *)
+let block_code (st : State.t) (body : xinstr list) (term : xinstr) : code =
+  let xs = Array.of_list (body @ [ term ]) in
+  (* the terminator's body ignores what follows it *)
+  let code = ref (fun _ _ -> -1) and hi = ref (Array.length xs) in
+  for j = Array.length xs - 2 downto -1 do
+    if j < 0 || xs.(j).ends_segment then begin
+      code := segment_code st xs (j + 1) !hi !code;
+      hi := j + 1
+    end
+  done;
+  !code
+
+(* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -194,9 +364,7 @@ let exec_frame (st : State.t) (xf : xfunc) (iregs : int array)
    the mismatch. *)
 let fuse (st : State.t) callee (xdst : (bool * int) option)
     (xargs : xv array) : State.fast_fn option =
-  let ints_only =
-    Array.for_all (function XI _ | XR _ -> true | XF _ | XFR _ -> false) xargs
-  in
+  let ints_only = Array.for_all is_int xargs in
   (* [State.fast_dispatch] off: force every runtime call through the
      boxed adapter, so both call paths are differentially testable *)
   if not (st.State.fast_dispatch && ints_only) then None
@@ -215,76 +383,72 @@ let fuse (st : State.t) callee (xdst : (bool * int) option)
             Some ff
         | _ -> None)
 
-(* A fused site's closure: one direct call of the typed implementation
-   on unboxed integers.  [fuse] has matched the site's shape to it. *)
-let fused_code (st : State.t) xdst (a : xv array) (ff : State.fast_fn)
+(* A fused site's body: one direct call of the typed implementation on
+   unboxed integers.  [fuse] has matched the site's shape to it. *)
+let fused_code (st : State.t) xdst (a : xv array) (ff : State.fast_fn) u
     (next : code) : code =
   match ff with
   | State.F5 fn ->
       let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3)
       and a4 = a.(4) in
       fun ir fr ->
-        tick st;
-        fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3) (ival ir a4);
+        (try
+           fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3)
+             (ival ir a4)
+         with e -> rewind st u e);
         next ir fr
   | State.F4 fn ->
       let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3) in
       fun ir fr ->
-        tick st;
-        fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3);
+        (try fn st (ival ir a0) (ival ir a1) (ival ir a2) (ival ir a3)
+         with e -> rewind st u e);
         next ir fr
   | State.F3 fn ->
       let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) in
       fun ir fr ->
-        tick st;
-        fn st (ival ir a0) (ival ir a1) (ival ir a2);
+        (try fn st (ival ir a0) (ival ir a1) (ival ir a2)
+         with e -> rewind st u e);
         next ir fr
   | State.F2 fn ->
       let a0 = a.(0) and a1 = a.(1) in
       fun ir fr ->
-        tick st;
-        fn st (ival ir a0) (ival ir a1);
+        (try fn st (ival ir a0) (ival ir a1) with e -> rewind st u e);
         next ir fr
   | State.F1 fn ->
       let a0 = a.(0) in
       fun ir fr ->
-        tick st;
-        fn st (ival ir a0);
+        (try fn st (ival ir a0) with e -> rewind st u e);
         next ir fr
   | State.F0 fn ->
       fun ir fr ->
-        tick st;
-        fn st;
+        (try fn st with e -> rewind st u e);
         next ir fr
   | State.FR1 fn -> (
       let a0 = a.(0) in
       match xdst with
       | Some (_, d) ->
           fun ir fr ->
-            tick st;
-            set ir d (fn st (ival ir a0));
+            set ir d (try fn st (ival ir a0) with e -> rewind st u e);
             next ir fr
       | None ->
           fun ir fr ->
-            tick st;
-            ignore (fn st (ival ir a0));
+            (try ignore (fn st (ival ir a0)) with e -> rewind st u e);
             next ir fr)
 
 (* An unfused call to a builtin, bound at load.  A name with no builtin
    traps when the call executes, after its step. *)
-let builtin_code (st : State.t) callee xdst xargs (next : code) : code =
+let builtin_code (st : State.t) callee xdst xargs : undo -> code -> code =
   match State.find_builtin st callee with
   | Some fn ->
-      fun ir fr ->
-        tick st;
-        let vargs = Array.map (box_arg ir fr) xargs in
-        set_call_result callee xdst ir fr (fn st vargs);
+      fun u next ir fr ->
+        (try
+           let vargs = Array.map (box_arg ir fr) xargs in
+           set_call_result callee xdst ir fr (fn st vargs)
+         with e -> rewind st u e);
         next ir fr
   | None ->
       let msg = "unresolved external: " ^ callee in
-      fun _ _ ->
-        tick st;
-        raise (State.Trap msg)
+      fun u _ _ _ -> rewind st u (State.Trap msg)
 
 (* One argument of a direct call, copied from the caller's banks into
    the callee's. *)
@@ -297,12 +461,13 @@ exception Bad_arg of string
    or writes it, so every such call shares this one. *)
 let no_fregs = [| 0.0 |]
 
-(* A call to a function of the image.  Arity and argument kinds are
-   checked at load; a mismatch compiles to a closure that traps with the
-   message the call would give, after the same tick and charge. *)
+(* The body of a call to a function of the image; its step and its
+   [call_overhead] come before it.  Arity and argument kinds are checked
+   at load; a mismatch compiles to a body that traps with the message
+   the call would give.  The call ends its segment, so nothing charged
+   in advance follows it. *)
 let direct_code (st : State.t) (ret : ret) (callee : xfunc)
-    (xdst : (bool * int) option) (xargs : xv array) (next : code) : code =
-  let overhead = st.State.cost.Cost.call_overhead in
+    (xdst : (bool * int) option) (xargs : xv array) : undo -> code -> code =
   let nparams = Array.length callee.param_slots in
   let args =
     if Array.length xargs <> nparams then
@@ -325,16 +490,10 @@ let direct_code (st : State.t) (ret : ret) (callee : xfunc)
       with Bad_arg msg -> Error msg
   in
   match args with
-  | Error msg ->
-      fun _ _ ->
-        tick st;
-        st.cycles <- st.cycles + overhead;
-        raise (State.Trap msg)
-  | Ok args ->
+  | Error msg -> fun _ _ _ _ -> raise (State.Trap msg)
+  | Ok args -> (
       let name = callee.xname in
       let call ir fr =
-        tick st;
-        st.cycles <- st.cycles + overhead;
         let cir = Array.make (max callee.n_iregs 1) 0 in
         let cfr =
           if callee.n_fregs = 0 then no_fregs
@@ -349,19 +508,19 @@ let direct_code (st : State.t) (ret : ret) (callee : xfunc)
         done;
         exec_frame st callee cir cfr
       in
-      (match xdst with
+      match xdst with
       | None ->
-          fun ir fr ->
+          fun _ next ir fr ->
             call ir fr;
             next ir fr
       | Some (false, d) ->
-          fun ir fr ->
+          fun _ next ir fr ->
             call ir fr;
             if ret.rkind = r_int then set ir d ret.ri
             else bad_result name ret ~want_float:false;
             next ir fr
       | Some (true, d) ->
-          fun ir fr ->
+          fun _ next ir fr ->
             call ir fr;
             if ret.rkind = r_float then fset fr d ret.rf
             else bad_result name ret ~want_float:true;
@@ -498,6 +657,7 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
     ~(cov : bool) (xf : xfunc) slot_of (f : Func.t) =
   let c = st.State.cost in
   let mem = st.State.mem in
+  let cidx, cpage = Memory.cache_arrays mem in
   let blocks = Array.of_list f.blocks in
   let n = Array.length blocks in
   let block_idx = Hashtbl.create n in
@@ -564,13 +724,15 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
         end;
         !fscratch
   in
-  (* an instruction resolves its slots and operands now and returns the
-     builder of its closure, given the code that follows it *)
-  let instr (i : Instr.t) : code -> code =
+  (* an instruction resolves its slots and operands now; its body is
+     built once per chain it runs in (see [segment_code]) *)
+  let xi ~cost ~ok body = { cost; kinds_ok = ok; ends_segment = false; body } in
+  let instr (i : Instr.t) : xinstr =
     match i.op with
     | Bin (op, ty, a, b) -> (
         let d = int_slot ~what:"bin" i.dst in
         let a = xval a and b = xval b in
+        let ok = is_int a && is_int b in
         let k =
           match op with
           | Mul -> c.mul
@@ -578,239 +740,171 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
           | _ -> c.alu
         in
         let wide = ty = Ty.I64 || ty = Ty.Ptr in
-        fun next ->
-          match (op, a, b) with
-          | Add, XR x, XR y when wide ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (get ir x + get ir y);
-                next ir fr
-          | Add, XR x, XI y when wide ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (get ir x + y);
-                next ir fr
-          | Sub, XR x, XR y when wide ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (get ir x - get ir y);
-                next ir fr
-          | Sub, XR x, XI y when wide ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (get ir x - y);
-                next ir fr
-          | Mul, XR x, XR y when wide ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (get ir x * get ir y);
-                next ir fr
-          | Mul, XR x, XI y when wide ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (get ir x * y);
-                next ir fr
-          | Add, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (Eval.normalize ty (get ir x + get ir y));
-                next ir fr
-          | Add, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (Eval.normalize ty (get ir x + y));
-                next ir fr
-          | (SDiv | UDiv | SRem | URem), _, _ ->
-              (* [Eval.binop] raises only on a zero divisor *)
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
+        match op with
+        | SDiv | UDiv | SRem | URem ->
+            (* [Eval.binop] raises only on a zero divisor *)
+            xi ~cost:k ~ok (fun u next ir fr ->
                 let x = ival ir a and y = ival ir b in
-                if y = 0 then raise (State.Trap "integer division by zero");
-                set ir d (Eval.binop op ty x y);
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                let x = ival ir a and y = ival ir b in
+                if y = 0 then rewind st u (State.Trap "integer division by zero");
                 set ir d (Eval.binop op ty x y);
                 next ir fr)
-    | FBin (op, a, b) -> (
+        | _ ->
+            xi ~cost:k ~ok (fun _ next ->
+                match (op, a, b) with
+                | Add, XR x, XR y when wide ->
+                    fun ir fr ->
+                      set ir d (get ir x + get ir y);
+                      next ir fr
+                | Add, XR x, XI y when wide ->
+                    fun ir fr ->
+                      set ir d (get ir x + y);
+                      next ir fr
+                | Sub, XR x, XR y when wide ->
+                    fun ir fr ->
+                      set ir d (get ir x - get ir y);
+                      next ir fr
+                | Sub, XR x, XI y when wide ->
+                    fun ir fr ->
+                      set ir d (get ir x - y);
+                      next ir fr
+                | Mul, XR x, XR y when wide ->
+                    fun ir fr ->
+                      set ir d (get ir x * get ir y);
+                      next ir fr
+                | Mul, XR x, XI y when wide ->
+                    fun ir fr ->
+                      set ir d (get ir x * y);
+                      next ir fr
+                | Add, XR x, XR y ->
+                    fun ir fr ->
+                      set ir d (Eval.normalize ty (get ir x + get ir y));
+                      next ir fr
+                | Add, XR x, XI y ->
+                    fun ir fr ->
+                      set ir d (Eval.normalize ty (get ir x + y));
+                      next ir fr
+                | _ ->
+                    fun ir fr ->
+                      let x = ival ir a and y = ival ir b in
+                      set ir d (Eval.binop op ty x y);
+                      next ir fr))
+    | FBin (op, a, b) ->
         let d = flt_slot ~what:"fbin" i.dst in
         let a = xval a and b = xval b in
-        let k = c.fpu in
-        fun next ->
-          match (op, a, b) with
-          | FAdd, XFR x, XFR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (fget fr x +. fget fr y);
-                next ir fr
-          | FSub, XFR x, XFR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (fget fr x -. fget fr y);
-                next ir fr
-          | FMul, XFR x, XFR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (fget fr x *. fget fr y);
-                next ir fr
-          | FDiv, XFR x, XFR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (fget fr x /. fget fr y);
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (Eval.fbinop op (fval fr a) (fval fr b));
-                next ir fr)
-    | Icmp (op, ty, a, b) -> (
+        xi ~cost:c.fpu ~ok:(is_flt a && is_flt b) (fun _ next ->
+            match (op, a, b) with
+            | FAdd, XFR x, XFR y ->
+                fun ir fr ->
+                  fset fr d (fget fr x +. fget fr y);
+                  next ir fr
+            | FSub, XFR x, XFR y ->
+                fun ir fr ->
+                  fset fr d (fget fr x -. fget fr y);
+                  next ir fr
+            | FMul, XFR x, XFR y ->
+                fun ir fr ->
+                  fset fr d (fget fr x *. fget fr y);
+                  next ir fr
+            | FDiv, XFR x, XFR y ->
+                fun ir fr ->
+                  fset fr d (fget fr x /. fget fr y);
+                  next ir fr
+            | _ ->
+                fun ir fr ->
+                  fset fr d (Eval.fbinop op (fval fr a) (fval fr b));
+                  next ir fr)
+    | Icmp (op, ty, a, b) ->
         let d = int_slot ~what:"icmp" i.dst in
         let a = xval a and b = xval b in
-        let k = c.alu in
         (* canonical values compare signed and for equality as plain
            ints whatever their width; unsigned predicates go through
            [Eval.icmp] *)
         let b2i x = if x then 1 else 0 in
-        fun next ->
-          match (op, a, b) with
-          | Slt, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x < get ir y));
-                next ir fr
-          | Slt, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x < y));
-                next ir fr
-          | Sle, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x <= get ir y));
-                next ir fr
-          | Sle, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x <= y));
-                next ir fr
-          | Sgt, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x > get ir y));
-                next ir fr
-          | Sgt, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x > y));
-                next ir fr
-          | Sge, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x >= get ir y));
-                next ir fr
-          | Sge, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x >= y));
-                next ir fr
-          | Eq, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x = get ir y));
-                next ir fr
-          | Eq, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x = y));
-                next ir fr
-          | Ne, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x <> get ir y));
-                next ir fr
-          | Ne, XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (b2i (get ir x <> y));
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (Eval.icmp op ty (ival ir a) (ival ir b));
-                next ir fr)
+        xi ~cost:c.alu ~ok:(is_int a && is_int b) (fun _ next ->
+            match (op, a, b) with
+            | Slt, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x < get ir y));
+                  next ir fr
+            | Slt, XR x, XI y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x < y));
+                  next ir fr
+            | Sle, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x <= get ir y));
+                  next ir fr
+            | Sle, XR x, XI y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x <= y));
+                  next ir fr
+            | Sgt, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x > get ir y));
+                  next ir fr
+            | Sgt, XR x, XI y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x > y));
+                  next ir fr
+            | Sge, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x >= get ir y));
+                  next ir fr
+            | Sge, XR x, XI y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x >= y));
+                  next ir fr
+            | Eq, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x = get ir y));
+                  next ir fr
+            | Eq, XR x, XI y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x = y));
+                  next ir fr
+            | Ne, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x <> get ir y));
+                  next ir fr
+            | Ne, XR x, XI y ->
+                fun ir fr ->
+                  set ir d (b2i (get ir x <> y));
+                  next ir fr
+            | _ ->
+                fun ir fr ->
+                  set ir d (Eval.icmp op ty (ival ir a) (ival ir b));
+                  next ir fr)
     | Fcmp (op, a, b) ->
         let d = int_slot ~what:"fcmp" i.dst in
         let a = xval a and b = xval b in
-        let k = c.fpu in
-        fun next ir fr ->
-          tick st;
-          st.cycles <- st.cycles + k;
-          set ir d (Eval.fcmp op (fval fr a) (fval fr b));
-          next ir fr
+        xi ~cost:c.fpu ~ok:(is_flt a && is_flt b) (fun _ next ir fr ->
+            set ir d (Eval.fcmp op (fval fr a) (fval fr b));
+            next ir fr)
     | Cast (cst, from_ty, v, to_ty) -> (
         match cst with
         | SiToFp ->
             let d = flt_slot ~what:"sitofp" i.dst and v = xval v in
-            let k = c.fpu in
-            fun next ir fr ->
-              tick st;
-              st.cycles <- st.cycles + k;
-              fset fr d (float_of_int (ival ir v));
-              next ir fr
+            xi ~cost:c.fpu ~ok:(is_int v) (fun _ next ir fr ->
+                fset fr d (float_of_int (ival ir v));
+                next ir fr)
         | FpToSi ->
             let d = int_slot ~what:"fptosi" i.dst and v = xval v in
-            let k = c.fpu in
-            fun next ir fr ->
-              tick st;
-              st.cycles <- st.cycles + k;
-              let x = fval fr v in
-              set ir d
-                (if Float.is_nan x then 0
-                 else Eval.normalize to_ty (int_of_float x));
-              next ir fr
+            xi ~cost:c.fpu ~ok:(is_flt v) (fun _ next ir fr ->
+                let x = fval fr v in
+                set ir d
+                  (if Float.is_nan x then 0
+                   else Eval.normalize to_ty (int_of_float x));
+                next ir fr)
         | Bitcast when Ty.is_float to_ty && not (Ty.is_float from_ty) ->
             (* inverse of the f64 -> i64 case below: the integer holds the
                pattern's top 63 bits, shifted back up; bit 0 reads as
                zero *)
             let d = flt_slot ~what:"bitcast" i.dst and v = xval v in
-            let k = c.alu in
-            fun next ir fr ->
-              tick st;
-              st.cycles <- st.cycles + k;
-              fset fr d
-                (Int64.float_of_bits
-                   (Int64.shift_left (Int64.of_int (ival ir v)) 1));
-              next ir fr
+            xi ~cost:c.alu ~ok:(is_int v) (fun _ next ir fr ->
+                fset fr d
+                  (Int64.float_of_bits
+                     (Int64.shift_left (Int64.of_int (ival ir v)) 1));
+                next ir fr)
         | Bitcast when Ty.is_float from_ty && not (Ty.is_float to_ty) ->
             (* the IEEE pattern has 64 bits, the int substrate 63: keep
                the top 63 (sign, exponent, mantissa bits 51..1) so the
@@ -820,114 +914,97 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
                bitcast(bitcast(-1.0)) read +1.0) — same full-width
                discipline as Memory.load_i64_full. *)
             let d = int_slot ~what:"bitcast" i.dst and v = xval v in
-            let k = c.alu in
-            fun next ir fr ->
-              tick st;
-              st.cycles <- st.cycles + k;
-              set ir d
-                (Int64.to_int
-                   (Int64.shift_right_logical
-                      (Int64.bits_of_float (fval fr v))
-                      1));
-              next ir fr
-        | _ -> (
+            xi ~cost:c.alu ~ok:(is_flt v) (fun _ next ir fr ->
+                set ir d
+                  (Int64.to_int
+                     (Int64.shift_right_logical
+                        (Int64.bits_of_float (fval fr v))
+                        1));
+                next ir fr)
+        | _ ->
             let d = int_slot ~what:"cast" i.dst and v = xval v in
-            let k = c.alu in
-            match (cst, v) with
-            | (IntToPtr | PtrToInt | Bitcast), XR x ->
-                fun next ir fr ->
-                  tick st;
-                  st.cycles <- st.cycles + k;
-                  set ir d (get ir x);
+            xi ~cost:c.alu ~ok:(is_int v) (fun _ next ->
+                match (cst, v) with
+                | (IntToPtr | PtrToInt | Bitcast), XR x ->
+                    fun ir fr ->
+                      set ir d (get ir x);
+                      next ir fr
+                | _ ->
+                    fun ir fr ->
+                      set ir d (Eval.cast_int cst from_ty to_ty (ival ir v));
+                      next ir fr))
+    | Load (ty, addr) when Ty.is_float ty ->
+        let d = flt_slot ~what:"load" i.dst and a = xval addr in
+        xi ~cost:c.load ~ok:(is_int a) (fun u next ->
+            match a with
+            | XR x ->
+                fun ir fr ->
+                  fset fr d (load_flt st u cidx cpage mem (get ir x));
                   next ir fr
             | _ ->
-                fun next ir fr ->
-                  tick st;
-                  st.cycles <- st.cycles + k;
-                  set ir d (Eval.cast_int cst from_ty to_ty (ival ir v));
-                  next ir fr))
-    | Load (ty, addr) when Ty.is_float ty -> (
-        let d = flt_slot ~what:"load" i.dst and a = xval addr in
-        let k = c.load in
-        fun next ->
-          match a with
-          | XR x ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (Memory.load_f64 mem (get ir x));
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                fset fr d (Memory.load_f64 mem (ival ir a));
-                next ir fr)
-    | Load (ty, addr) -> (
+                fun ir fr ->
+                  fset fr d (load_flt st u cidx cpage mem (ival ir a));
+                  next ir fr)
+    | Load (ty, addr) ->
         let d = int_slot ~what:"load" i.dst and a = xval addr in
-        let k = c.load in
         let w = Ty.size_of ty in
-        fun next ->
-          match (ty, a) with
-          | (I64 | Ptr), XR x ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (Memory.load mem (get ir x) 8);
-                next ir fr
-          | _, XR x ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (Eval.normalize ty (Memory.load mem (get ir x) w));
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (Eval.normalize ty (Memory.load mem (ival ir a) w));
-                next ir fr)
-    | Store (ty, v, addr) when Ty.is_float ty -> (
+        xi ~cost:c.load ~ok:(is_int a) (fun u next ->
+            match (ty, a) with
+            | (I64 | Ptr), XR x ->
+                fun ir fr ->
+                  set ir d (load_int st u cidx cpage mem 8 (get ir x));
+                  next ir fr
+            | (I64 | Ptr), XI x ->
+                fun ir fr ->
+                  set ir d (load_int st u cidx cpage mem 8 x);
+                  next ir fr
+            | I32, XR x ->
+                fun ir fr ->
+                  set ir d
+                    (Eval.normalize ty (load_int st u cidx cpage mem 4 (get ir x)));
+                  next ir fr
+            | _ ->
+                fun ir fr ->
+                  set ir d
+                    (Eval.normalize ty (load_int st u cidx cpage mem w (ival ir a)));
+                  next ir fr)
+    | Store (ty, v, addr) when Ty.is_float ty ->
         let v = xval v and a = xval addr in
-        let k = c.store in
-        fun next ->
-          match (a, v) with
-          | XR x, XFR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                Memory.store_f64 mem (get ir x) (fget fr y);
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                Memory.store_f64 mem (ival ir a) (fval fr v);
-                next ir fr)
-    | Store (ty, v, addr) -> (
+        xi ~cost:c.store ~ok:(is_flt v && is_int a) (fun u next ->
+            match (a, v) with
+            | XR x, XFR y ->
+                fun ir fr ->
+                  store_flt st u cidx cpage mem (get ir x) (fget fr y);
+                  next ir fr
+            | _ ->
+                fun ir fr ->
+                  store_flt st u cidx cpage mem (ival ir a) (fval fr v);
+                  next ir fr)
+    | Store (ty, v, addr) ->
         let v = xval v and a = xval addr in
-        let k = c.store in
         let w = Ty.size_of ty in
-        fun next ->
-          match (a, v) with
-          | XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                Memory.store mem (get ir x) w (get ir y);
-                next ir fr
-          | XR x, XI y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                Memory.store mem (get ir x) w y;
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                Memory.store mem (ival ir a) w (ival ir v);
-                next ir fr)
+        xi ~cost:c.store ~ok:(is_int v && is_int a) (fun u next ->
+            match (w, a, v) with
+            | 8, XR x, XR y ->
+                fun ir fr ->
+                  store_int st u cidx cpage mem 8 (get ir x) (get ir y);
+                  next ir fr
+            | 8, XR x, XI y ->
+                fun ir fr ->
+                  store_int st u cidx cpage mem 8 (get ir x) y;
+                  next ir fr
+            | 8, XI x, XR y ->
+                fun ir fr ->
+                  store_int st u cidx cpage mem 8 x (get ir y);
+                  next ir fr
+            | 4, XR x, XR y ->
+                fun ir fr ->
+                  store_int st u cidx cpage mem 4 (get ir x) (get ir y);
+                  next ir fr
+            | _ ->
+                fun ir fr ->
+                  store_int st u cidx cpage mem w (ival ir a) (ival ir v);
+                  next ir fr)
     | Gep (base, idxs) -> (
         let d = int_slot ~what:"gep" i.dst in
         let base = xval base in
@@ -935,39 +1012,31 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
           Array.of_list
             (List.map (fun gi -> (gi.Instr.stride, xval gi.Instr.idx)) idxs)
         in
+        let ok = is_int base && Array.for_all (fun (_, v) -> is_int v) idxs in
         let k = c.gep_term in
-        fun next ->
-          match (base, idxs) with
-          | XR b, [| (s, XR x) |] ->
-              fun ir fr ->
-                tick st;
+        match (base, idxs) with
+        | XR b, [| (s, XR x) |] ->
+            xi ~cost:k ~ok (fun _ next ir fr ->
                 set ir d (get ir b + (s * get ir x));
-                st.cycles <- st.cycles + k;
-                next ir fr
-          | XR b, [| (s, XI x) |] ->
-              let off = s * x in
-              fun ir fr ->
-                tick st;
+                next ir fr)
+        | XR b, [| (s, XI x) |] ->
+            let off = s * x in
+            xi ~cost:k ~ok (fun _ next ir fr ->
                 set ir d (get ir b + off);
-                st.cycles <- st.cycles + k;
-                next ir fr
-          | XR b, [| (s1, XR x1); (s2, XR x2) |] ->
-              let k2 = 2 * k in
-              fun ir fr ->
-                tick st;
+                next ir fr)
+        | XR b, [| (s1, XR x1); (s2, XR x2) |] ->
+            xi ~cost:(2 * k) ~ok (fun _ next ir fr ->
                 set ir d (get ir b + (s1 * get ir x1) + (s2 * get ir x2));
-                st.cycles <- st.cycles + k2;
-                next ir fr
-          | XR b, [| (s1, XR x1); (s2, XI x2) |] ->
-              let k2 = 2 * k and off = s2 * x2 in
-              fun ir fr ->
-                tick st;
+                next ir fr)
+        | XR b, [| (s1, XR x1); (s2, XI x2) |] ->
+            let off = s2 * x2 in
+            xi ~cost:(2 * k) ~ok (fun _ next ir fr ->
                 set ir d (get ir b + (s1 * get ir x1) + off);
-                st.cycles <- st.cycles + k2;
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
+                next ir fr)
+        | _ ->
+            (* charged per index as it is read, so a misplaced float
+               index traps with the charges made before it *)
+            xi ~cost:0 ~ok (fun _ next ir fr ->
                 let acc = ref (ival ir base) in
                 for j = 0 to Array.length idxs - 1 do
                   let stride, iv = idxs.(j) in
@@ -975,75 +1044,80 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
                   st.cycles <- st.cycles + k
                 done;
                 set ir d !acc;
-                next ir fr)
+                next ir fr))
     | Select (ty, cnd, a, b) when Ty.is_float ty ->
         let d = flt_slot ~what:"select" i.dst in
         let cnd = xval cnd and a = xval a and b = xval b in
-        let k = c.select in
-        fun next ir fr ->
-          tick st;
-          st.cycles <- st.cycles + k;
-          fset fr d (if ival ir cnd <> 0 then fval fr a else fval fr b);
-          next ir fr
-    | Select (_, cnd, a, b) -> (
+        xi ~cost:c.select ~ok:(is_int cnd && is_flt a && is_flt b)
+          (fun _ next ir fr ->
+            fset fr d (if ival ir cnd <> 0 then fval fr a else fval fr b);
+            next ir fr)
+    | Select (_, cnd, a, b) ->
         let d = int_slot ~what:"select" i.dst in
         let cnd = xval cnd and a = xval a and b = xval b in
-        let k = c.select in
-        fun next ->
-          match (cnd, a, b) with
-          | XR r, XR x, XR y ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (if get ir r <> 0 then get ir x else get ir y);
-                next ir fr
-          | _ ->
-              fun ir fr ->
-                tick st;
-                st.cycles <- st.cycles + k;
-                set ir d (if ival ir cnd <> 0 then ival ir a else ival ir b);
-                next ir fr)
+        xi ~cost:c.select ~ok:(is_int cnd && is_int a && is_int b)
+          (fun _ next ->
+            match (cnd, a, b) with
+            | XR r, XR x, XR y ->
+                fun ir fr ->
+                  set ir d (if get ir r <> 0 then get ir x else get ir y);
+                  next ir fr
+            | _ ->
+                fun ir fr ->
+                  set ir d (if ival ir cnd <> 0 then ival ir a else ival ir b);
+                  next ir fr)
     | Call (callee, args) -> (
         let xdst = Option.map slot i.dst in
         let xargs = Array.of_list (List.map xval args) in
         (* resolve now, once: image function > fused intrinsic > boxed
            builtin > unresolved trap *)
         match Hashtbl.find_opt xfuncs callee with
-        | Some target -> direct_code st ret target xdst xargs
+        | Some target ->
+            {
+              cost = c.call_overhead;
+              kinds_ok = true;
+              ends_segment = true;
+              body = direct_code st ret target xdst xargs;
+            }
         | None -> (
             match fuse st callee xdst xargs with
-            | Some ff -> fused_code st xdst xargs ff
-            | None -> builtin_code st callee xdst xargs))
+            | Some ff -> xi ~cost:0 ~ok:true (fused_code st xdst xargs ff)
+            | None ->
+                xi ~cost:0 ~ok:true (builtin_code st callee xdst xargs)))
     | Alloca { size; align } ->
         let d = int_slot ~what:"alloca" i.dst in
-        let k = c.alu in
         let mask = lnot (max align 8 - 1) in
-        fun next ir fr ->
-          tick st;
-          st.cycles <- st.cycles + k;
-          let sp = (st.stack_ptr - size) land mask in
-          if sp < Layout.stack_limit then raise (State.Trap "stack overflow");
-          st.stack_ptr <- sp;
-          set ir d sp;
-          next ir fr
+        xi ~cost:c.alu ~ok:true (fun u next ir fr ->
+            let sp = (st.stack_ptr - size) land mask in
+            if sp < Layout.stack_limit then
+              rewind st u (State.Trap "stack overflow");
+            st.stack_ptr <- sp;
+            set ir d sp;
+            next ir fr)
     | Memcpy (dv, sv, nv) ->
         let dv = xval dv and sv = xval sv and nv = xval nv in
-        fun next ir fr ->
-          tick st;
-          let len = ival ir nv in
-          st.cycles <- st.cycles + Cost.memop_cost c len;
-          Memory.copy mem ~dst:(ival ir dv) ~src:(ival ir sv) len;
-          next ir fr
+        xi ~cost:0
+          ~ok:(is_int dv && is_int sv && is_int nv)
+          (fun u next ir fr ->
+            let len = ival ir nv in
+            st.cycles <- st.cycles + Cost.memop_cost c len;
+            (try Memory.copy mem ~dst:(ival ir dv) ~src:(ival ir sv) len
+             with e -> rewind st u e);
+            next ir fr)
     | Memset (dv, bv, nv) ->
         let dv = xval dv and bv = xval bv and nv = xval nv in
-        fun next ir fr ->
-          tick st;
-          let len = ival ir nv in
-          st.cycles <- st.cycles + Cost.memop_cost c len;
-          Memory.fill mem ~dst:(ival ir dv) ~byte:(ival ir bv land 0xff) len;
-          next ir fr
+        xi ~cost:0
+          ~ok:(is_int dv && is_int bv && is_int nv)
+          (fun u next ir fr ->
+            let len = ival ir nv in
+            st.cycles <- st.cycles + Cost.memop_cost c len;
+            (try
+               Memory.fill mem ~dst:(ival ir dv) ~byte:(ival ir bv land 0xff) len
+             with e -> rewind st u e);
+            next ir fr)
   in
-  (* the terminator, given the code of each outgoing edge *)
+  (* the terminator's body, given the code of each outgoing edge; its
+     step and [branch] come before it *)
   let ret_is_float =
     match f.ret_ty with Some ty -> Ty.is_float ty | None -> false
   in
@@ -1054,7 +1128,6 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
     | Ret None ->
         `Ret
           (fun _ _ ->
-            tick st;
             ret.rkind <- r_void;
             -1)
     | Ret (Some v) -> (
@@ -1062,28 +1135,24 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
         | true, XFR r ->
             `Ret
               (fun _ fr ->
-                tick st;
                 ret.rf <- fget fr r;
                 ret.rkind <- r_float;
                 -1)
         | true, XF x ->
             `Ret
               (fun _ _ ->
-                tick st;
                 ret.rf <- x;
                 ret.rkind <- r_float;
                 -1)
         | false, XR r ->
             `Ret
               (fun ir _ ->
-                tick st;
                 ret.ri <- get ir r;
                 ret.rkind <- r_int;
                 -1)
         | false, XI x ->
             `Ret
               (fun _ _ ->
-                tick st;
                 ret.ri <- x;
                 ret.rkind <- r_int;
                 -1)
@@ -1092,7 +1161,6 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
                at run time *)
             `Ret
               (fun ir fr ->
-                tick st;
                 if ret_is_float then ignore (fval fr v) else ignore (ival ir v);
                 -1))
     | Br l -> `Br (bidx l)
@@ -1103,7 +1171,6 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
         let msg = "reached unreachable in " ^ f.fname in
         `Ret
           (fun _ _ ->
-            tick st;
             raise (State.Trap msg))
   in
   let compiled =
@@ -1167,30 +1234,12 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
   xf.xblocks <-
     Array.mapi
       (fun src (body, t) ->
-        let term : code =
+        let cost, term =
           match t with
-          | `Ret code -> code
-          | `Br t -> (
-              if cov && Array.length (edge_moves src t) = 0 then
-                let slot = ebase.(src) in
-                fun _ _ ->
-                  tick st;
-                  st.cycles <- st.cycles + branch;
-                  cover xf slot t;
-                  t
-              else
-                match edge src t 0 with
-                | None ->
-                    fun _ _ ->
-                      tick st;
-                      st.cycles <- st.cycles + branch;
-                      t
-                | Some e ->
-                    fun ir fr ->
-                      tick st;
-                      st.cycles <- st.cycles + branch;
-                      e ir fr)
+          | `Ret code -> (0, code)
+          | `Br t -> (branch, jump t (edge src t 0))
           | `Cbr (cnd, t1, t2) -> (
+              branch,
               let k2 = if t1 = t2 then 0 else 1 in
               let plain =
                 Array.length (edge_moves src t1) = 0
@@ -1198,15 +1247,10 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
               in
               match cnd with
               | XR r when plain && not cov ->
-                  fun ir _ ->
-                    tick st;
-                    st.cycles <- st.cycles + branch;
-                    if get ir r <> 0 then t1 else t2
+                  fun ir _ -> if get ir r <> 0 then t1 else t2
               | XR r when plain ->
                   let s1 = ebase.(src) and s2 = ebase.(src) + k2 in
                   fun ir _ ->
-                    tick st;
-                    st.cycles <- st.cycles + branch;
                     if get ir r <> 0 then begin
                       cover xf s1 t1;
                       t1
@@ -1219,18 +1263,20 @@ let compile_func (st : State.t) ~ret ~xfuncs ~global_addr ~fn_addr
                   let e1 = jump t1 (edge src t1 0)
                   and e2 = jump t2 (edge src t2 k2) in
                   fun ir fr ->
-                    tick st;
-                    st.cycles <- st.cycles + branch;
                     if get ir r <> 0 then e1 ir fr else e2 ir fr
               | _ ->
                   let e1 = jump t1 (edge src t1 0)
                   and e2 = jump t2 (edge src t2 k2) in
                   fun ir fr ->
-                    tick st;
-                    st.cycles <- st.cycles + branch;
                     if ival ir cnd <> 0 then e1 ir fr else e2 ir fr)
         in
-        List.fold_right (fun build next -> build next) body term)
+        block_code st body
+          {
+            cost;
+            kinds_ok = true;
+            ends_segment = false;
+            body = (fun _ _ -> term);
+          })
       compiled
 
 (* ------------------------------------------------------------------ *)

@@ -59,6 +59,3 @@ let globals_base = 0x4000_0000_0000
 (** Sentinel upper bound used for "wide bounds": every address compares
     below it. *)
 let wide_bound = 0x7FFF_FFFF_FFFF
-
-(** Sentinel base for wide bounds. *)
-let wide_base = 0

@@ -44,9 +44,7 @@ val stack_top : int
 val stack_limit : int
 val globals_base : int
 
-(** {1 Wide-bounds sentinels} *)
+(** {1 Wide-bounds sentinel} *)
 
 val wide_bound : int
 (** Upper bound every address compares below ("wide bounds"). *)
-
-val wide_base : int

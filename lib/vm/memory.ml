@@ -15,7 +15,9 @@ exception Fault of int * string
    slot is filled only from a page that already exists in [pages], so
    first-touch zeroing, [page_count] and the page-limit fault are exactly
    those of the table alone; pages are never removed, so a filled slot
-   never goes stale. *)
+   never goes stale.  A slot is filled only by an access that passed
+   [check_addr], so it never holds a null-guard page, and a negative
+   address maps to no index a slot can hold. *)
 let cache_slots = 256
 let cache_mask = cache_slots - 1
 
@@ -38,6 +40,7 @@ let create ?(max_pages = 1 lsl 19) () =
   }
 
 let page_count t = t.page_count
+let cache_arrays t = (t.cache_idx, t.cache_page)
 
 let page_miss t addr idx slot =
   let p =
@@ -64,8 +67,7 @@ let[@inline] page_of t addr =
     Array.unsafe_get t.cache_page slot
   else page_miss t addr idx slot
 
-let check_addr t addr width =
-  ignore t;
+let check_addr addr width =
   if addr < Layout.null_guard then
     raise (Fault (addr, "access to null guard page"));
   if width < 0 then raise (Fault (addr, "negative access width"))
@@ -76,15 +78,15 @@ let offset addr = addr land (Layout.page_size - 1)
 let fits_page addr width = offset addr + width <= Layout.page_size
 
 let load8 t addr =
-  check_addr t addr 1;
+  check_addr addr 1;
   Char.code (Bytes.get (page_of t addr) (offset addr))
 
 let store8 t addr v =
-  check_addr t addr 1;
+  check_addr addr 1;
   Bytes.set (page_of t addr) (offset addr) (Char.chr (v land 0xff))
 
 let load t addr width =
-  check_addr t addr width;
+  check_addr addr width;
   if fits_page addr width then begin
     let p = page_of t addr in
     let off = offset addr in
@@ -107,7 +109,7 @@ let load t addr width =
   end
 
 let store t addr width v =
-  check_addr t addr width;
+  check_addr addr width;
   if fits_page addr width then begin
     let p = page_of t addr in
     let off = offset addr in
@@ -128,7 +130,7 @@ let store t addr width v =
 (* f64 values keep their full 64-bit pattern: they must not round-trip
    through OCaml's 63-bit int (the sign/exponent bits would be clipped). *)
 let load_i64_full t addr =
-  check_addr t addr 8;
+  check_addr addr 8;
   if fits_page addr 8 then Bytes.get_int64_le (page_of t addr) (offset addr)
   else begin
     let v = ref 0L in
@@ -140,7 +142,7 @@ let load_i64_full t addr =
   end
 
 let store_i64_full t addr v =
-  check_addr t addr 8;
+  check_addr addr 8;
   if fits_page addr 8 then Bytes.set_int64_le (page_of t addr) (offset addr) v
   else
     for i = 0 to 7 do
@@ -163,8 +165,8 @@ let store_f64 t addr f = store_i64_full t addr (Int64.bits_of_float f)
     (the page limit) fire with identical partial state and page counts. *)
 let copy t ~dst ~src len =
   if len > 0 then begin
-    check_addr t dst len;
-    check_addr t src len;
+    check_addr dst len;
+    check_addr src len;
     if dst <= src then begin
       let i = ref 0 in
       while !i < len do
@@ -199,7 +201,7 @@ let copy t ~dst ~src len =
 
 let fill t ~dst ~byte len =
   if len > 0 then begin
-    check_addr t dst len;
+    check_addr dst len;
     let c = Char.chr (byte land 0xff) in
     let i = ref 0 in
     while !i < len do

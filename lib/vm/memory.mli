@@ -21,6 +21,19 @@ val create : ?max_pages:int -> unit -> t
 val page_count : t -> int
 (** Pages touched so far. *)
 
+val cache_slots : int
+(** Slots of the page cache, a power of two. *)
+
+val cache_arrays : t -> int array * Bytes.t array
+(** The page cache, for a caller that probes it inline (the
+    interpreter's loads and stores): slot [i land (cache_slots - 1)]
+    holds page index [i] (or -1) in the first array and that page in
+    the second.  Both arrays live as long as [t].
+    A slot only ever holds a page the table already has, never a page
+    below {!Layout.null_guard}, so an access that lies inside one cached
+    page can be served from it with exactly the outcome of {!load} or
+    {!store}.  Read it, never write it. *)
+
 val load8 : t -> int -> int
 val store8 : t -> int -> int -> unit
 

@@ -66,8 +66,13 @@ and t = {
   mutable fuel : int;  (** max dynamic instructions before trapping *)
   mutable next_poll_step : int;
       (** earliest step any poll hook wants to run at; [max_int] when
-          none is pending, so the interpreter's hot path pays a single
-          comparison *)
+          none is pending *)
+  mutable step_limit : int;
+      (** [min (fuel + 1) next_poll_step]: the first step at which
+          {!slow_tick} has anything to do, so the interpreter's hot path
+          pays a single comparison.  [fuel] and [next_poll_step] are
+          written only by {!cap_fuel}, {!poll_at} and {!run_polls}, which
+          keep it in sync. *)
   mutable poll_hooks : (t -> unit) list;
   out : Buffer.t;
   metrics : Mi_obs.Metrics.t;
@@ -113,20 +118,46 @@ and t = {
 
 let charge t c = t.cycles <- t.cycles + c
 
-(** Ask for [fn] to run once [t.steps] reaches [at_step].  Hooks that
-    want to keep polling re-arm themselves by lowering
-    [t.next_poll_step] again from inside the callback (fault injectors
-    and wall-clock deadlines do exactly that). *)
+let sync_limit t =
+  let fuel_stop = if t.fuel = max_int then max_int else t.fuel + 1 in
+  t.step_limit <- min fuel_stop t.next_poll_step
+
+(** Lower the fuel budget to [n] steps (a budget already below [n]
+    stays). *)
+let cap_fuel t n =
+  if n < t.fuel then begin
+    t.fuel <- n;
+    sync_limit t
+  end
+
+(** Ask for the poll hooks to run once [t.steps] reaches [at_step] (an
+    earlier pending step stays).  Hooks that want to keep polling re-arm
+    themselves with it from inside the callback (fault injectors and
+    wall-clock deadlines do exactly that). *)
+let poll_at t at_step =
+  if at_step < t.next_poll_step then begin
+    t.next_poll_step <- at_step;
+    sync_limit t
+  end
+
+(** Register [fn] as a poll hook, first due at [at_step]. *)
 let add_poll t ~at_step fn =
   t.poll_hooks <- fn :: t.poll_hooks;
-  if at_step < t.next_poll_step then t.next_poll_step <- at_step
+  poll_at t at_step
 
 (** Run every poll hook.  The pending step resets first so hooks can
     re-arm; hooks that have nothing left to do simply return without
-    touching [next_poll_step]. *)
+    re-arming. *)
 let run_polls t =
   t.next_poll_step <- max_int;
+  sync_limit t;
   List.iter (fun fn -> fn t) t.poll_hooks
+
+(** The rare half of a step, once [t.steps] has reached
+    [t.step_limit]: the fuel test, then the poll hooks, in that order. *)
+let slow_tick t =
+  if t.steps > t.fuel then raise (Fuel_exhausted t.fuel);
+  if t.steps >= t.next_poll_step then run_polls t
 
 let bump ?(by = 1) t key = Mi_obs.Metrics.incr ~by t.metrics key
 
@@ -261,6 +292,7 @@ let create ?(cost = Cost.default) ?(fuel = 2_000_000_000) ?(seed = 42)
       steps = 0;
       fuel;
       next_poll_step = max_int;
+      step_limit = 0;
       poll_hooks = [];
       out = Buffer.create 256;
       metrics;
@@ -282,6 +314,7 @@ let create ?(cost = Cost.default) ?(fuel = 2_000_000_000) ?(seed = 42)
   in
   t.malloc_hook <- std_malloc;
   t.free_hook <- std_free;
+  sync_limit t;
   t
 
 let output t = Buffer.contents t.out

@@ -637,6 +637,130 @@ let test_exact_stops () =
         spin );
     ]
 
+(* A direct call and a memcpy in the middle of a loop block: a stop can
+   land before, inside or after the callee's frame and on either side
+   of the copy. *)
+let call_copy = {|
+module "cc"
+global @src : 16 align 8 {
+  zero 16
+}
+global @dst : 16 align 8 {
+  zero 16
+}
+func @inc(%x.0 : i64) -> i64 {
+entry:
+  %y.1 = add i64 %x.0, 3:i64
+  ret %y.1
+}
+func @main() -> i64 {
+entry:
+  br loop
+loop:
+  %i.0 = phi i64 [entry 0:i64] [loop %i2.1]
+  %v.2 = load i64 @src
+  %w.3 = call @inc(%v.2) : i64
+  store i64 %w.3, @src
+  memcpy @dst, @src, 16:i64
+  %i2.1 = add i64 %i.0, 1:i64
+  %c.4 = icmp slt i64 %i2.1, 20:i64
+  cbr %c.4, loop, done
+done:
+  %r.5 = load i64 @dst
+  call @print_int(%r.5)
+  ret 0:i64
+}
+|}
+
+(* [op] (a memcpy or memset into the null guard page, or a call of
+   [exit]) with more of its block before and after it *)
+let op_fault op = {|
+module "mf"
+func @main() -> i64 {
+entry:
+  %p.0 = alloca 16 align 8
+  store i64 1:i64, %p.0
+  %q.1 = inttoptr i64 8:i64 to ptr
+  %a.2 = add i64 1:i64, 2:i64
+  |} ^ op ^ {|
+  %b.3 = add i64 %a.2, 4:i64
+  store i64 %b.3, %p.0
+  ret %b.3
+}
+|}
+
+(* One line per run: every fuel budget from 0 to a program's clean step
+   count and an injected trap at every one of its steps, for [spin] and
+   [call_copy], then single runs of a fuel-cap fault, the checker aborts
+   under fused and boxed dispatch, and faulting memory operations.
+   goldens/exact_sweep.json was recorded from the per-instruction engine
+   (each closure ticking and charging for itself); a change to how the
+   engine accounts steps and cycles must reproduce it byte for byte. *)
+let exact_sweep_doc () =
+  let module Fault = Mi_faultkit.Fault in
+  let inject vm st = Inject.install { Fault.none with vm } st in
+  let sb st = ignore (Mi_softbound.Softbound_rt.install st)
+  and lf st = ignore (Mi_lowfat.Lowfat_rt.install st)
+  and tp st = ignore (Mi_temporal.Temporal_rt.install st) in
+  let boxed install st =
+    install st;
+    st.State.fast_dispatch <- false
+  in
+  let line what s = what ^ " | " ^ s in
+  let sweep ?(prepare = ignore) name src =
+    let _, _, clean = run_src ~prepare src in
+    let n = clean.Interp.steps in
+    List.init (n + 1) (fun fuel ->
+        line (Printf.sprintf "%s fuel=%d" name fuel)
+          (run_exact ~fuel ~prepare src))
+    @ List.init n (fun k ->
+          let at = k + 1 in
+          line
+            (Printf.sprintf "%s trap_at=%d" name at)
+            (run_exact
+               ~prepare:(fun st ->
+                 prepare st;
+                 inject [ Fault.Trap_at at ] st)
+               src))
+  in
+  let lines =
+    sweep "spin" spin
+    @ sweep "call_copy" call_copy
+    @ sweep ~prepare:sb "sb_abort" sb_abort
+    @ [
+        line "spin fuel_cap=300"
+          (run_exact ~prepare:(inject [ Fault.Fuel_cap 300 ]) spin);
+        line "call_copy fuel_cap=77"
+          (run_exact ~prepare:(inject [ Fault.Fuel_cap 77 ]) call_copy);
+        line "sb_abort" (run_exact ~prepare:sb sb_abort);
+        line "sb_abort boxed" (run_exact ~prepare:(boxed sb) sb_abort);
+        line "lf_abort" (run_exact ~prepare:lf lf_abort);
+        line "lf_abort boxed" (run_exact ~prepare:(boxed lf) lf_abort);
+        line "tp_abort" (run_exact ~prepare:tp tp_abort);
+        line "tp_abort boxed" (run_exact ~prepare:(boxed tp) tp_abort);
+        line "memcpy fault"
+          (run_exact (op_fault "memcpy %q.1, %p.0, 16:i64"));
+        line "memset fault" (run_exact (op_fault "memset %q.1, 7:i64, 16:i64"));
+        line "exit mid-block" (run_exact (op_fault "call @exit(3:i64)"));
+        line "div_by_zero" (run_exact div_by_zero);
+        line "null_guard" (run_exact null_guard);
+        line "stack_overflow" (run_exact stack_overflow);
+      ]
+  in
+  "[\n"
+  ^ String.concat ",\n" (List.map (fun l -> Json.to_string (Json.Str l)) lines)
+  ^ "\n]\n"
+
+let test_exact_sweep () =
+  let golden = read_golden "exact_sweep.json" and got = exact_sweep_doc () in
+  let strings doc =
+    match Json.to_list (Json.of_string doc) with
+    | Some l -> List.map (function Json.Str s -> s | _ -> "?") l
+    | None -> []
+  in
+  Alcotest.(check (list string)) "every stop" (strings golden) (strings got);
+  Alcotest.(check string) "golden bytes" golden got
+
 let test_run_other_state () =
   let m = Parser.parse_module spin in
   let st = State.create () in
@@ -861,6 +985,7 @@ let () =
         [
           Alcotest.test_case "runs that stop part-way" `Quick
             test_exact_stops;
+          Alcotest.test_case "stop sweep" `Quick test_exact_sweep;
           Alcotest.test_case "run on another state" `Quick
             test_run_other_state;
         ] );
